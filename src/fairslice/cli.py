@@ -30,13 +30,18 @@ EXIT_BAD_INPUT = 2
 EXIT_AUDIT_FAILED = 3
 
 
+def _read_json(path: str):
+    """Parsed JSON of a UTF-8 file; an unreadable file or malformed JSON is bad input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
+        raise FairsliceError(f"cannot read JSON from {path}: {exc}") from exc
+
+
 def load_instance(path: str) -> tuple[Instance, bool]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FairsliceError(f"malformed JSON in {path}: {exc}") from exc
-    if not isinstance(raw, dict) or "agents" not in raw:
+    raw = _read_json(path)
+    if not isinstance(raw, dict) or not isinstance(raw.get("agents"), list):
         raise FairsliceError(f"{path}: instance file needs an 'agents' list")
     densities = [density_from_dict(d) for d in raw["agents"]]
     return Instance.from_densities(densities), bool(raw.get("ordered", False))
@@ -71,15 +76,31 @@ def _emit(report: dict, args) -> None:
 
 
 def _division_pieces_from_file(path: str, n: int) -> list[list[tuple[float, float]]]:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _read_json(path)
     payload = raw.get("pieces", raw) if isinstance(raw, dict) else raw
-    if isinstance(payload, dict):
-        pieces = [[] for _ in range(n)]
-        for key, plist in payload.items():
-            pieces[int(key)] = [(float(l), float(r)) for l, r in plist]
-        return pieces
-    return [[(float(l), float(r)) for l, r in plist] for plist in payload]
+    try:
+        if isinstance(payload, dict):
+            pieces = [[] for _ in range(n)]
+            for key, plist in payload.items():
+                if not 0 <= int(key) < n:
+                    raise FairsliceError(f"{path}: agent {key} out of range for n={n}")
+                pieces[int(key)] = [(float(l), float(r)) for l, r in plist]
+            return pieces
+        if len(payload) != n:
+            raise FairsliceError(f"{path}: division has {len(payload)} agents, instance has {n}")
+        return [[(float(l), float(r)) for l, r in plist] for plist in payload]
+    except (LookupError, TypeError, ValueError) as exc:
+        raise FairsliceError(f"{path}: malformed division ({exc})") from None
+
+
+def _load_intervals(path: str, default_eta: float) -> tuple[mlrp.IntervalInstance, float]:
+    raw = _read_json(path)
+    try:
+        intervals = mlrp.IntervalInstance(tuple((d["l"], d["r"]) for d in raw["intervals"]))
+        return intervals, float(raw.get("eta", default_eta))
+    except (LookupError, TypeError, ValueError) as exc:
+        raise FairsliceError(
+            f"{path}: perturb needs {{'intervals': [{{'l': .., 'r': ..}}, ...]}} ({exc!r})") from None
 
 
 def run(argv: list[str]) -> int:
@@ -124,10 +145,7 @@ def run(argv: list[str]) -> int:
     exit_code = EXIT_OK
 
     if args.command == "perturb":
-        with open(args.instance, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        intervals = mlrp.IntervalInstance(tuple((d["l"], d["r"]) for d in raw["intervals"]))
-        eta = float(raw.get("eta", args.eta))
+        intervals, eta = _load_intervals(args.instance, args.eta)
         instance = mlrp.perturb(intervals, eta)
         report.update({
             "parameters": {"eta": eta},
@@ -237,9 +255,6 @@ def main() -> None:
     try:
         sys.exit(run(sys.argv[1:]))
     except FairsliceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_BAD_INPUT)
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_BAD_INPUT)
 

@@ -3,8 +3,9 @@
 Every family stores its shape parameters plus a positive ``scale`` multiplier
 and knows its exact antiderivative, so interval measures are closed-form
 differences F(b) - F(a) rather than quadrature.  Inverse measures (the ground
-truth behind cut queries) are closed-form wherever the antiderivative inverts
-analytically and monotone bisection otherwise.
+truth behind cut queries) are exact to float resolution: closed-form wherever
+the antiderivative inverts analytically, otherwise monotone bisection until the
+bracket's endpoints are adjacent doubles (at most ``BISECT_MAX_ITER`` halvings).
 
 All densities are immutable; every operation is a pure function of its parameters.
 """
@@ -25,10 +26,8 @@ from .errors import (
     UnsupportedFamilyError,
 )
 
-#: Default value-scale tolerance for bisection-based inverse measures.
-DEFAULT_CUT_TOL = 1e-12
-
-#: Bisection iteration cap; 200 halvings resolve any workable magnitude range.
+#: Bisection iteration cap, a safety net: bisection normally stops earlier, once
+#: the bracket's endpoints are adjacent doubles.
 BISECT_MAX_ITER = 200
 
 _SQRT2 = math.sqrt(2.0)
@@ -84,18 +83,18 @@ class Density:
     def _cumulative(self, x: float) -> float:
         raise NotImplementedError
 
-    def _inverse_unscaled(self, l: float, target: float, tol: float) -> float:
+    def _inverse_unscaled(self, l: float, target: float) -> float:
         """Leftmost y >= l with cumulative(y) - cumulative(l) = target (no truncation)."""
         lo, hi = l, 1.0
         base = self._cumulative(l)
         for _ in range(BISECT_MAX_ITER):
             mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break  # lo and hi are adjacent doubles
             if self._cumulative(mid) - base < target:
                 lo = mid
             else:
                 hi = mid
-            if self._cumulative(hi) - base - target <= tol and hi - lo <= 1e-16:
-                break
         return hi
 
     def _range(self) -> tuple[float, float]:
@@ -117,7 +116,7 @@ class Density:
             raise DomainError(f"reversed interval [{a}, {b}]")
         return self.scale * (self._cumulative(b) - self._cumulative(a))
 
-    def inverse_measure(self, l: float, tau: float, tol: float = DEFAULT_CUT_TOL) -> float:
+    def inverse_measure(self, l: float, tau: float) -> float:
         """Smallest y in [l, 1] with measure(l, y) = tau; 1 if tau exceeds measure(l, 1)."""
         _check_point(l, "l")
         if tau < 0.0:
@@ -126,7 +125,7 @@ class Density:
             return l
         if self.measure(l, 1.0) < tau:
             return 1.0
-        y = self._inverse_unscaled(l, tau / self.scale, tol / self.scale)
+        y = self._inverse_unscaled(l, tau / self.scale)
         return min(max(y, l), 1.0)
 
     def normalized(self) -> "Density":
@@ -168,7 +167,7 @@ class Uniform(Density):
     def _cumulative(self, x):
         return x
 
-    def _inverse_unscaled(self, l, target, tol):
+    def _inverse_unscaled(self, l, target):
         return l + target
 
     def _range(self):
@@ -212,7 +211,7 @@ class Linear(Density):
     def _cumulative(self, x):
         return 0.5 * self.a * x * x + self.b * x
 
-    def _inverse_unscaled(self, l, target, tol):
+    def _inverse_unscaled(self, l, target):
         return _linear_root(0.5 * self.a, self.b, target + self._cumulative(l), l, 1.0)
 
     def _range(self):
@@ -324,17 +323,22 @@ class PiecewiseLinear(Density):
         lo = self._knots[j]
         return self._cum[j] + 0.5 * self.slopes[j] * (x * x - lo * lo) + self.intercepts[j] * (x - lo)
 
-    def _inverse_unscaled(self, l, target, tol):
+    def _inverse_unscaled(self, l, target):
         goal = self._cumulative(l) + target
         knots = self._knots
         for j in range(self._segment(l), len(self.slopes)):
             start = max(knots[j], l)
             f_start = self._cumulative(start)
-            if goal <= f_start:
-                return start  # leftmost point: mass already reached at segment start
+            if goal <= f_start or f_start >= self._cum[-1]:
+                # leftmost point: the mass is reached at the segment start, or the
+                # rest of the cake has none (goal overshoots the total by rounding)
+                return start
             if goal <= self._cum[j + 1] or j == len(self.slopes) - 1:
-                rhs = goal - f_start + 0.5 * self.slopes[j] * start * start + self.intercepts[j] * start
-                return _linear_root(0.5 * self.slopes[j], self.intercepts[j], rhs, start, knots[j + 1])
+                s, c = self.slopes[j], self.intercepts[j]
+                if s == 0.0:  # a step; a zero step has no mass and returned above
+                    return start + (goal - f_start) / c
+                rhs = goal - f_start + 0.5 * s * start * start + c * start
+                return _linear_root(0.5 * s, c, rhs, start, knots[j + 1])
         return 1.0
 
     def _range(self):
@@ -354,7 +358,10 @@ class PiecewiseLinear(Density):
 
 @dataclass(frozen=True)
 class PiecewiseConstant(Density):
-    """Step density: heights[j] on [knot_j, knot_{j+1}] with knots (0, *breakpoints, 1)."""
+    """Step density: heights[j] on [knot_j, knot_{j+1}] with knots (0, *breakpoints, 1).
+
+    Evaluated and inverted through the equivalent zero-slope PiecewiseLinear.
+    """
 
     breakpoints: tuple[float, ...]
     heights: tuple[float, ...]
@@ -370,41 +377,20 @@ class PiecewiseConstant(Density):
         if min(self.heights) < 0.0:
             raise NotFullSupportError("negative step height")
 
-    @property
-    def _knots(self) -> tuple[float, ...]:
-        return (0.0, *self.breakpoints, 1.0)
-
     @cached_property
-    def _cum(self) -> tuple[float, ...]:
-        acc, out = 0.0, [0.0]
-        for h, lo, hi in zip(self.heights, self._knots[:-1], self._knots[1:]):
-            acc += h * (hi - lo)
-            out.append(acc)
-        return tuple(out)
-
-    def _segment(self, x: float) -> int:
-        return min(bisect_right(self._knots, x) - 1, len(self.heights) - 1)
+    def _linear(self) -> PiecewiseLinear:
+        """The same density as a zero-slope PiecewiseLinear, which does the walking."""
+        return PiecewiseLinear(self.breakpoints, (0.0,) * len(self.heights), self.heights,
+                               scale=self.scale)
 
     def _density(self, x):
-        return self.heights[self._segment(x)]
+        return self._linear._density(x)
 
     def _cumulative(self, x):
-        j = self._segment(x)
-        return self._cum[j] + self.heights[j] * (x - self._knots[j])
+        return self._linear._cumulative(x)
 
-    def _inverse_unscaled(self, l, target, tol):
-        goal = self._cumulative(l) + target
-        knots = self._knots
-        for j in range(self._segment(l), len(self.heights)):
-            start = max(knots[j], l)
-            f_start = self._cumulative(start)
-            if goal <= f_start:
-                return start
-            if goal <= self._cum[j + 1] or j == len(self.heights) - 1:
-                if self.heights[j] == 0.0:
-                    return knots[j + 1]
-                return start + (goal - f_start) / self.heights[j]
-        return 1.0
+    def _inverse_unscaled(self, l, target):
+        return self._linear._inverse_unscaled(l, target)
 
     def _range(self):
         return min(self.heights), max(self.heights)
@@ -438,7 +424,7 @@ class GaussianRestricted(Density):
     def _cumulative(self, x):
         return _std_normal_cdf((x - self.mu) / self.sigma)
 
-    def _inverse_unscaled(self, l, target, tol):
+    def _inverse_unscaled(self, l, target):
         p = self._cumulative(l) + target
         hi = self._cumulative(1.0)
         if p >= hi:
@@ -472,7 +458,7 @@ class ExponentialRestricted(Density):
     def _cumulative(self, x):
         return 1.0 - math.exp(-self.rate * x)
 
-    def _inverse_unscaled(self, l, target, tol):
+    def _inverse_unscaled(self, l, target):
         arg = math.exp(-self.rate * l) - target
         if arg <= math.exp(-self.rate):
             return 1.0
@@ -483,29 +469,6 @@ class ExponentialRestricted(Density):
 
     def to_dict(self):
         return {"family": "exponential_restricted", "rate": self.rate, "scale": self.scale}
-
-
-# -- module-level functional aliases (the operation surface) ----------------
-
-
-def value_at(spec: Density, x: float) -> float:
-    return spec.value_at(x)
-
-
-def measure(spec: Density, a: float, b: float) -> float:
-    return spec.measure(a, b)
-
-
-def inverse_measure(spec: Density, l: float, tau: float, tol: float = DEFAULT_CUT_TOL) -> float:
-    return spec.inverse_measure(l, tau, tol)
-
-
-def normalize(spec: Density) -> Density:
-    return spec.normalized()
-
-
-def bounds(spec: Density) -> DensityBounds:
-    return spec.bounds()
 
 
 # -- conversion helpers ------------------------------------------------------
@@ -520,12 +483,7 @@ def as_piecewise_linear(spec: Density) -> PiecewiseLinear:
     if isinstance(spec, Linear):
         return PiecewiseLinear((), (spec.a,), (spec.b,), scale=spec.scale)
     if isinstance(spec, PiecewiseConstant):
-        return PiecewiseLinear(
-            spec.breakpoints,
-            tuple(0.0 for _ in spec.heights),
-            spec.heights,
-            scale=spec.scale,
-        )
+        return spec._linear
     raise UnsupportedFamilyError(f"{type(spec).__name__} is not piecewise linear")
 
 
@@ -560,17 +518,27 @@ def restrict_unit(spec: PiecewiseLinear, a: float, b: float) -> PiecewiseLinear:
 
 def _num(v) -> float:
     """JSON number or exact-rational string like '1/3', evaluated to float once."""
-    if isinstance(v, str):
-        return float(Fraction(v))
-    return float(v)
+    x = float(Fraction(v)) if isinstance(v, str) else float(v)
+    if not math.isfinite(x):
+        raise DomainError(f"{v!r} is not a finite number")
+    return x
 
 
 def density_from_dict(d: dict) -> Density:
-    """Parse the per-family JSON schema into a density."""
+    """Parse the per-family JSON schema into a density; malformed input is a DomainError."""
     try:
         family = d["family"]
     except (TypeError, KeyError):
         raise DomainError("density object missing 'family'") from None
+    try:
+        return _parse_family(family, d)
+    except KeyError as exc:
+        raise DomainError(f"{family!r} density is missing {exc}") from None
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise DomainError(f"malformed {family!r} density: {exc}") from None
+
+
+def _parse_family(family: str, d: dict) -> Density:
     scale = _num(d.get("scale", 1.0))
     if family == "uniform":
         return Uniform(scale=scale)

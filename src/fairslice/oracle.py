@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .density import DEFAULT_CUT_TOL, Density, DensityBounds, lipschitz_constant
+from .density import Density, DensityBounds
 from .errors import DomainError
 
 __all__ = ["Instance", "QueryLedger", "eval_query", "cut_query"]
@@ -41,28 +41,25 @@ class Instance:
 
     agents: tuple[Density, ...]
     bounds: DensityBounds
-    cut_tol: float = DEFAULT_CUT_TOL
 
     @property
     def n(self) -> int:
         return len(self.agents)
 
     @classmethod
-    def from_densities(cls, densities, normalize: bool = True,
-                       cut_tol: float = DEFAULT_CUT_TOL) -> "Instance":
+    def from_densities(cls, densities, normalize: bool = True) -> "Instance":
         specs = tuple(d.normalized() if normalize else d for d in densities)
         if not specs:
             raise DomainError("an instance needs at least one agent")
         per_agent = [d.bounds() for d in specs]
-        lower = min(b.lower for b in per_agent)
-        upper = max(b.upper for b in per_agent)
-        return cls(specs, DensityBounds(lower, upper, lipschitz_constant(lower, upper)), cut_tol)
+        return cls(specs, DensityBounds.from_range(min(b.lower for b in per_agent),
+                                                   max(b.upper for b in per_agent)))
 
     def reordered(self, order) -> "Instance":
         """Same instance with agents permuted (order[k] = original index of rank k)."""
         if sorted(order) != list(range(self.n)):
             raise DomainError(f"{order} is not a permutation of 0..{self.n - 1}")
-        return Instance(tuple(self.agents[i] for i in order), self.bounds, self.cut_tol)
+        return Instance(tuple(self.agents[i] for i in order), self.bounds)
 
 
 def _check_agent(instance: Instance, i: int) -> None:
@@ -81,4 +78,4 @@ def cut_query(instance: Instance, i: int, l: float, tau: float, ledger: QueryLed
     """Cut_i(l, tau): leftmost y with v_i(l, y) = tau, truncated to 1; one ledger tick."""
     _check_agent(instance, i)
     ledger.cut_count += 1
-    return instance.agents[i].inverse_measure(l, tau, instance.cut_tol)
+    return instance.agents[i].inverse_measure(l, tau)

@@ -1,9 +1,10 @@
 import json
 import math
+import sys
 
 import pytest
 
-from fairslice.cli import run
+from fairslice.cli import main, run
 
 TWO_UNIFORM = {"agents": [{"family": "uniform"}, {"family": "uniform"}], "ordered": True}
 UNIF_QUAD = {
@@ -171,3 +172,38 @@ def test_queries_flag_prints_to_stderr(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.err.startswith("queries: eval=")
+
+
+MALFORMED = [
+    # (case, subcommand, instance file content, division file content or None)
+    ("density missing a key", "ef", {"agents": [{"family": "linear", "a": 1}]}, None),
+    ("density value not a number", "ef", {"agents": [{"family": "linear", "a": "nan", "b": 1}]}, None),
+    ("density value not finite", "ef", {"agents": [{"family": "uniform", "scale": math.inf}]}, None),
+    ("segments not a list", "plef",
+     {"agents": [{"family": "piecewise_linear", "breakpoints": [], "segments": 3}]}, None),
+    ("agents not a list", "mlrp-order", {"agents": 5}, None),
+    ("perturb without intervals", "perturb", {"eta": 0.1}, None),
+    ("perturb interval without r", "perturb", {"intervals": [{"l": 0.0}]}, None),
+    ("perturb eta not a number", "perturb", {"intervals": [{"l": 0.0, "r": 1.0}], "eta": "x"}, None),
+    ("division not JSON", "check", TWO_UNIFORM, "{not json"),
+    ("division agent out of range", "check", TWO_UNIFORM, {"pieces": {"7": [[0.0, 1.0]]}}),
+    ("division agent negative", "check", TWO_UNIFORM, {"pieces": {"-1": [[0.0, 1.0]]}}),
+    ("division piece not a pair", "check", TWO_UNIFORM, {"pieces": [[[0.0, 0.5, 1.0]], []]}),
+    ("division too short", "check", TWO_UNIFORM, [[[0.0, 1.0]]]),
+]
+
+
+def test_malformed_input_exits_2_with_error_line(tmp_path, capsys, monkeypatch):
+    for case, command, instance, division in MALFORMED:
+        argv = [command, write(tmp_path, "inst.json", instance)]
+        if division is not None:
+            dpath = tmp_path / "div.json"
+            dpath.write_text(division if isinstance(division, str) else json.dumps(division),
+                             encoding="utf-8")
+            argv += ["--division", str(dpath)]
+        monkeypatch.setattr(sys, "argv", ["fairslice", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2, case
+        assert err.startswith("error: "), case

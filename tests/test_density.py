@@ -21,6 +21,7 @@ from fairslice.errors import (
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+ZERO_TAIL_L = 0.04359839244293869
 
 
 def right_spike_density(lam=10.0):
@@ -87,13 +88,38 @@ class TestInverseMeasure:
         GaussianRestricted(0.3, 0.25),
         ExponentialRestricted(1.7),
         right_spike_density(),
+        Uniform(),
+        Linear(-1.0, 1.5),
+        PiecewiseLinear((0.3, 0.8), (2.0, 0.0, -1.5), (0.5, 1.1, 2.3)),
+        PiecewiseConstant((0.3, 0.6), (2.0, 0.0, 1.0)),
+        # zero-mass last segment: at l=ZERO_TAIL_L the whole remainder (frac 1.0)
+        # rounds past the total mass
+        PiecewiseLinear((0.1709278197011611,), (0.0, 0.0), (4.25242531099244, 0.0)),
     ])
     def test_roundtrip(self, density):
         d = density.normalized()
-        for l, frac in ((0.0, 0.5), (0.2, 0.3), (0.7, 0.9)):
+        for l, frac in ((0.0, 0.5), (0.2, 0.3), (0.7, 0.9), (ZERO_TAIL_L, 1.0)):
             tau = frac * d.measure(l, 1.0)
             y = d.inverse_measure(l, tau)
             assert d.measure(l, y) == pytest.approx(tau, abs=1e-11)
+
+    @pytest.mark.parametrize("tau", [0.05, 0.6])
+    def test_bisection_stops_at_adjacent_floats(self, tau):
+        # bisection stops once the bracket's endpoints are adjacent doubles, about
+        # 55 halvings from [0, 1], well before the 200-step cap
+        class Counting(BinomialPoly):
+            calls = 0
+
+            def _cumulative(self, x):
+                Counting.calls += 1
+                return super()._cumulative(x)
+
+        d = Counting(2.0, 0.4, 3, 1).normalized()
+        Counting.calls = 0
+        y = d.inverse_measure(0.0, tau)
+        assert Counting.calls <= 70
+        assert (y > 0.5) == (tau > 0.5)  # tau = 0.6 cuts above 0.5, tau = 0.05 below
+        assert d.measure(0.0, y) == pytest.approx(tau, abs=1e-15)
 
 
 class TestNormalize:
@@ -205,7 +231,7 @@ def test_measure_additive(seed, points):
 def test_inverse_measure_inverts(seed, l, frac):
     d = _arbitrary_density(seed).normalized()
     tau = frac * d.measure(l, 1.0)
-    y = d.inverse_measure(l, tau, tol=1e-12)
+    y = d.inverse_measure(l, tau)
     assert d.measure(l, y) == pytest.approx(tau, abs=1e-12 + 1e-12)
 
 

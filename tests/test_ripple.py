@@ -95,11 +95,10 @@ class TestBinSearch:
             led = QueryLedger()
             rd = bin_search(inst, delta, led)
             assert rd.cuts[-1] >= 1.0 - delta
-            tol = max(1e-9, 2.0 * inst.cut_tol)
             for i in range(inst.n - 1):
                 a = inst.agents[i].measure(rd.cuts[i], rd.cuts[i + 1])
                 b = inst.agents[i].measure(rd.cuts[i + 1], rd.cuts[i + 2])
-                assert a == pytest.approx(b, abs=tol)
+                assert a == pytest.approx(b, abs=1e-9)
                 assert a > 0.0
             # query accounting: <= 2n * iterations + 2n
             assert led.total() <= 2 * inst.n * rd.iterations_used + 2 * inst.n
