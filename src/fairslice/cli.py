@@ -47,32 +47,10 @@ def load_instance(path: str) -> tuple[Instance, bool]:
     return Instance.from_densities(densities), bool(raw.get("ordered", False))
 
 
-def _prepare(path: str, ledger: QueryLedger) -> tuple[Instance, list[int]]:
-    """Load the instance; detect and apply the MLRP order unless marked ordered."""
+def _instance_and_order(path: str, ledger: QueryLedger) -> tuple[Instance, list[int]]:
+    """The instance as loaded and its MLRP order: identity if marked ordered, else detected."""
     instance, ordered = load_instance(path)
-    if ordered:
-        return instance, list(range(instance.n))
-    order = mlrp.detect_order(instance, ledger)
-    return instance.reordered(order), order
-
-
-def _allocation_report(instance: Instance, alloc: ripple.Allocation) -> dict:
-    matrix = audit.envy_matrix(instance, alloc)
-    sw, ew, nsw = audit.welfare_metrics(instance, alloc)
-    return {
-        "cuts": list(alloc.cuts),
-        "values": matrix.values.tolist(),
-        "max_envy": matrix.max_envy,
-        "metrics": {"sw": sw, "ew": ew, "nsw": nsw},
-    }
-
-
-def _emit(report: dict, args) -> None:
-    counts = report.get("queries")
-    if args.queries and counts is not None:
-        print(f"queries: eval={counts['eval']} cut={counts['cut']}", file=sys.stderr)
-    indent = 2 if args.pretty else None
-    print(json.dumps(report, sort_keys=True, indent=indent))
+    return instance, list(range(instance.n)) if ordered else mlrp.detect_order(instance, ledger)
 
 
 def _division_pieces_from_file(path: str, n: int) -> list[list[tuple[float, float]]]:
@@ -93,47 +71,165 @@ def _division_pieces_from_file(path: str, n: int) -> list[list[tuple[float, floa
         raise FairsliceError(f"{path}: malformed division ({exc})") from None
 
 
-def _load_intervals(path: str, default_eta: float) -> tuple[mlrp.IntervalInstance, float]:
-    raw = _read_json(path)
+def _audited(instance: Instance, division) -> dict:
+    """Value matrix, max envy and welfare metrics of a division, read off the densities."""
+    matrix = audit.envy_matrix(instance, division)
+    sw, ew, nsw = audit.welfare_metrics(instance, division)
+    return {"values": matrix.values.tolist(), "max_envy": matrix.max_envy,
+            "metrics": {"sw": sw, "ew": ew, "nsw": nsw}}
+
+
+def _allocation(param: str, solve, audit_fails):
+    """Handler for ef, sw, ew and nsw: ``solve(instance, value, ledger) -> (allocation,
+    objective or None)`` on the MLRP-ordered instance, with ``value`` the subcommand's
+    ``--<param>``; exit 3 when ``audit_fails(instance, value, report)``."""
+    def handler(args, ledger):
+        instance, order = _instance_and_order(args.instance, ledger)
+        instance = instance.reordered(order)
+        value = getattr(args, param)
+        alloc, objective = solve(instance, value, ledger)
+        report = {"parameters": {param: value}, "order": order, "cuts": list(alloc.cuts),
+                  **_audited(instance, alloc)}
+        if objective is not None:
+            report["objective"] = objective
+        return report, EXIT_AUDIT_FAILED if audit_fails(instance, value, report) else EXIT_OK
+    return handler
+
+
+def _ef_audit_fails(instance: Instance, eta: float, report: dict) -> bool:
+    if report["max_envy"] <= eta:
+        return False
+    # distinguish a violated MLRP promise (user error) from a bug
+    check = mlrp.verify_instance(instance)
+    if not check.all_verified:
+        raise FairsliceError(
+            "instance violates the MLRP promise "
+            f"(likelihood ratio decreases for adjacent pair {check.violation[:2]}); "
+            f"allocation envy {report['max_envy']:.3g} > eta")
+    log.error("ef audit failed: max envy %.3g > eta", report["max_envy"])
+    return True
+
+
+def _plef(args, ledger):
+    instance, order = _instance_and_order(args.instance, ledger)
+    instance = instance.reordered(order)
+    division, stats = plef.pl_ef(instance, args.eta, ledger)
+    max_envy = audit.envy_matrix(instance, division).max_envy
+    report = {
+        "parameters": {"eta": args.eta},
+        "order": order,
+        "pieces": {str(i): [list(p) for p in division.pieces[i]] for i in range(instance.n)},
+        "max_envy": max_envy,
+        "recursion": {"nodes": stats.node_count, "depth": stats.max_depth},
+    }
+    if max_envy <= args.eta:
+        return report, EXIT_OK
+    log.error("plef audit failed: max envy %.3g > eta", max_envy)
+    return report, EXIT_AUDIT_FAILED
+
+
+def _reorder(args, ledger):
+    instance, order = _instance_and_order(args.instance, ledger)
+    instance = instance.reordered(order)
+    pieces = _division_pieces_from_file(args.division, instance.n)
+    # follow the applied agent order
+    result = welfare.reorder_to_mlrp(instance, [pieces[i] for i in order], ledger)
+    return {
+        "order": order,
+        "pieces": {str(i): [list(result[i])] for i in range(instance.n)},
+        "values": audit.envy_matrix(instance, [[iv] for iv in result]).values.tolist(),
+    }, EXIT_OK
+
+
+def _mlrp_order(args, ledger):
+    instance, _ = load_instance(args.instance)
+    return {"order": mlrp.detect_order(instance, ledger)}, EXIT_OK
+
+
+def _mlrp_check(args, ledger):
+    instance, order = _instance_and_order(args.instance, ledger)
+    result = mlrp.verify_instance(instance, args.grid, order)
+    return {
+        "order": list(result.order),
+        "verified": list(result.verified),
+        "grid_size": result.grid_size,
+        "violation": None if result.violation is None else {
+            "pair": [result.violation[0], result.violation[1]],
+            "points": [result.violation[2], result.violation[3]],
+        },
+    }, EXIT_OK
+
+
+def _perturb(args, ledger):
+    raw = _read_json(args.instance)
     try:
         intervals = mlrp.IntervalInstance(tuple((d["l"], d["r"]) for d in raw["intervals"]))
-        return intervals, float(raw.get("eta", default_eta))
+        eta = float(raw.get("eta", args.eta))
     except (LookupError, TypeError, ValueError) as exc:
-        raise FairsliceError(
-            f"{path}: perturb needs {{'intervals': [{{'l': .., 'r': ..}}, ...]}} ({exc!r})") from None
+        raise FairsliceError(f"{args.instance}: perturb needs "
+                             f"{{'intervals': [{{'l': .., 'r': ..}}, ...]}} ({exc!r})") from None
+    return {
+        "parameters": {"eta": eta},
+        "order": intervals.sorted_order(),
+        "agents": [a.to_dict() for a in mlrp.perturb(intervals, eta).agents],
+        "ordered": True,
+    }, EXIT_OK
+
+
+def _check(args, ledger):
+    instance, _ = load_instance(args.instance)
+    pieces = _division_pieces_from_file(args.division, instance.n)
+    fields = _audited(instance, pieces)
+    return {"parameters": {"eta": args.eta}, **fields,
+            "passes_eta": bool(fields["max_envy"] <= args.eta)}, EXIT_OK
+
+
+FLAGS = {
+    "--eta": {"type": float, "default": 1e-6},
+    "--epsilon": {"type": float, "default": 0.01},
+    "--grid": {"type": int, "default": mlrp.DEFAULT_GRID},
+    "--division": {"required": True, "help": "division JSON file"},
+    # taken exactly by the subcommands whose report carries the query ledger
+    "--queries": {"action": "store_true", "help": "print ledger to stderr"},
+}
+
+
+# subcommand -> (help text, the flags it reads, handler (args, ledger) -> (report fields, exit
+# code)).  Library functions are looked up when a command runs, so patched attributes apply.
+COMMANDS = {
+    "ef": ("envy-free allocation via ripple-division binary search", ("--eta", "--queries"),
+           _allocation("eta", lambda inst, eta, ledger: (ripple.envy_free(inst, eta, ledger), None),
+                       _ef_audit_fails)),
+    "sw": ("social-welfare maximizing allocation", ("--eta", "--queries"), _allocation(
+        "eta", lambda inst, eta, ledger: welfare.max_social_welfare(inst, eta, ledger),
+        lambda inst, eta, report: abs(report["metrics"]["sw"] - report["objective"]) > 1e-6)),
+    "ew": ("egalitarian-welfare maximizing allocation", ("--eta", "--queries"), _allocation(
+        "eta", lambda inst, eta, ledger: welfare.max_egalitarian(inst, eta, ledger),
+        lambda inst, eta, report: report["metrics"]["ew"] < report["objective"] - 1e-9)),
+    "nsw": ("Nash-social-welfare FPTAS allocation", ("--epsilon", "--queries"), _allocation(
+        "epsilon", lambda inst, eps, ledger: welfare.max_nash(inst, eps, ledger),
+        lambda inst, eps, report:  # every agent keeps the (1-eps)/(4n) own-value floor
+        min(report["values"][i][i] for i in range(inst.n)) < (1.0 - eps) / (4.0 * inst.n) - 1e-9)),
+    "plef": ("envy-free division for piecewise-linear densities", ("--eta", "--queries"), _plef),
+    "reorder": ("repair a division into the MLRP order", ("--division", "--queries"), _reorder),
+    "mlrp-order": ("detect the MLRP order", ("--queries",), _mlrp_order),
+    "mlrp-check": ("grid-verify MLRP for the (detected) order", ("--grid", "--queries"),
+                   _mlrp_check),
+    "perturb": ("manufacture a full-support MLRP instance from interval values", ("--eta",),
+                _perturb),
+    "check": ("audit a division against an instance and eta", ("--eta", "--division"), _check),
+}
 
 
 def run(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="fairslice",
-                                     description="Fair cake division under MLRP")
+    parser = argparse.ArgumentParser(prog="fairslice", description="Fair cake division under MLRP")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, **extra_flags):
+    for name, (help_text, flags, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("instance", help="instance JSON file")
-        p.add_argument("--eta", type=float, default=1e-6)
-        p.add_argument("--epsilon", type=float, default=0.01)
-        p.add_argument("--grid", type=int, default=4096)
-        p.add_argument("--queries", action="store_true", help="print ledger to stderr")
-        p.add_argument("--json", dest="pretty", action="store_false", default=False,
-                       help="compact JSON output (default)")
-        p.add_argument("--pretty", dest="pretty", action="store_true")
-        for flag, kw in extra_flags.items():
-            p.add_argument(flag, **kw)
-        return p
-
-    add("ef", "envy-free allocation via ripple-division binary search")
-    add("sw", "social-welfare maximizing allocation")
-    add("ew", "egalitarian-welfare maximizing allocation")
-    add("nsw", "Nash-social-welfare FPTAS allocation")
-    add("plef", "envy-free division for piecewise-linear densities")
-    add("reorder", "repair a division into the MLRP order",
-        **{"--division": {"required": True, "help": "division JSON file"}})
-    add("mlrp-order", "detect the MLRP order")
-    add("mlrp-check", "grid-verify MLRP for the (detected) order")
-    add("perturb", "manufacture a full-support MLRP instance from interval values")
-    add("check", "audit a division against an instance and eta",
-        **{"--division": {"required": True, "help": "division JSON file"}})
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        p.add_argument("--pretty", action="store_true", help="indented JSON output")
 
     args = parser.parse_args(argv)
     level = os.environ.get("FAIRSLICE_LOG", "WARNING").upper()
@@ -141,113 +237,15 @@ def run(argv: list[str]) -> int:
 
     started = time.perf_counter()
     ledger = QueryLedger()
-    report: dict = {"algorithm": args.command}
-    exit_code = EXIT_OK
-
-    if args.command == "perturb":
-        intervals, eta = _load_intervals(args.instance, args.eta)
-        instance = mlrp.perturb(intervals, eta)
-        report.update({
-            "parameters": {"eta": eta},
-            "order": intervals.sorted_order(),
-            "agents": [a.to_dict() for a in instance.agents],
-            "ordered": True,
-        })
-    elif args.command == "check":
-        instance, _ = load_instance(args.instance)
-        pieces = _division_pieces_from_file(args.division, instance.n)
-        matrix = audit.envy_matrix(instance, pieces)
-        sw, ew, nsw = audit.welfare_metrics(instance, pieces)
-        report.update({
-            "parameters": {"eta": args.eta},
-            "values": matrix.values.tolist(),
-            "max_envy": matrix.max_envy,
-            "metrics": {"sw": sw, "ew": ew, "nsw": nsw},
-            "passes_eta": bool(matrix.max_envy <= args.eta),
-        })
-    elif args.command == "mlrp-order":
-        instance, _ = load_instance(args.instance)
-        order = mlrp.detect_order(instance, ledger)
-        report.update({"order": order, "queries": ledger.as_dict()})
-    elif args.command == "mlrp-check":
-        instance, ordered = load_instance(args.instance)
-        order = list(range(instance.n)) if ordered else mlrp.detect_order(instance, ledger)
-        result = mlrp.verify_instance(instance, args.grid, order)
-        report.update({
-            "order": list(result.order),
-            "verified": list(result.verified),
-            "grid_size": result.grid_size,
-            "violation": None if result.violation is None else {
-                "pair": [result.violation[0], result.violation[1]],
-                "points": [result.violation[2], result.violation[3]],
-            },
-            "queries": ledger.as_dict(),
-        })
-    elif args.command == "reorder":
-        instance, order = _prepare(args.instance, ledger)
-        pieces = _division_pieces_from_file(args.division, instance.n)
-        reordered_pieces = [pieces[i] for i in order]  # follow the applied agent order
-        result = welfare.reorder_to_mlrp(instance, reordered_pieces, ledger)
-        matrix = audit.envy_matrix(instance, [[iv] for iv in result])
-        report.update({
-            "order": order,
-            "pieces": {str(i): [list(result[i])] for i in range(instance.n)},
-            "values": matrix.values.tolist(),
-            "queries": ledger.as_dict(),
-        })
-    else:
-        instance, order = _prepare(args.instance, ledger)
-        if args.command == "ef":
-            alloc = ripple.envy_free(instance, args.eta, ledger)
-            report.update(parameters={"eta": args.eta}, order=order,
-                          **_allocation_report(instance, alloc))
-            if report["max_envy"] > args.eta:
-                # distinguish a violated MLRP promise (user error) from a bug
-                check = mlrp.verify_instance(instance, args.grid)
-                if not check.all_verified:
-                    raise FairsliceError(
-                        "instance violates the MLRP promise "
-                        f"(likelihood ratio decreases for adjacent pair {check.violation[:2]}); "
-                        f"allocation envy {report['max_envy']:.3g} > eta")
-                log.error("ef audit failed: max envy %.3g > eta", report["max_envy"])
-                exit_code = EXIT_AUDIT_FAILED
-        elif args.command == "sw":
-            alloc, value = welfare.max_social_welfare(instance, args.eta, ledger)
-            report.update(parameters={"eta": args.eta}, order=order, objective=value,
-                          **_allocation_report(instance, alloc))
-            if abs(report["metrics"]["sw"] - value) > 1e-6:
-                exit_code = EXIT_AUDIT_FAILED
-        elif args.command == "ew":
-            alloc, value = welfare.max_egalitarian(instance, args.eta, ledger)
-            report.update(parameters={"eta": args.eta}, order=order, objective=value,
-                          **_allocation_report(instance, alloc))
-            if report["metrics"]["ew"] < value - 1e-9:
-                exit_code = EXIT_AUDIT_FAILED
-        elif args.command == "nsw":
-            alloc, value = welfare.max_nash(instance, args.epsilon, ledger)
-            report.update(parameters={"epsilon": args.epsilon}, order=order, objective=value,
-                          **_allocation_report(instance, alloc))
-            floor = (1.0 - args.epsilon) / (4.0 * instance.n) - 1e-9
-            if min(report["values"][i][i] for i in range(instance.n)) < floor:
-                exit_code = EXIT_AUDIT_FAILED
-        elif args.command == "plef":
-            division, stats = plef.pl_ef(instance, args.eta, ledger)
-            matrix = audit.envy_matrix(instance, division)
-            report.update({
-                "parameters": {"eta": args.eta},
-                "order": order,
-                "pieces": {str(i): [list(p) for p in division.pieces[i]]
-                           for i in range(instance.n)},
-                "max_envy": matrix.max_envy,
-                "recursion": {"nodes": stats.node_count, "depth": stats.max_depth},
-            })
-            if matrix.max_envy > args.eta:
-                log.error("plef audit failed: max envy %.3g > eta", matrix.max_envy)
-                exit_code = EXIT_AUDIT_FAILED
+    _, flags, handler = COMMANDS[args.command]
+    fields, exit_code = handler(args, ledger)
+    report = {"algorithm": args.command, **fields,
+              "wall_time_s": time.perf_counter() - started}
+    if "--queries" in flags:
         report["queries"] = ledger.as_dict()
-
-    report["wall_time_s"] = time.perf_counter() - started
-    _emit(report, args)
+        if args.queries:
+            print(f"queries: eval={ledger.eval_count} cut={ledger.cut_count}", file=sys.stderr)
+    print(json.dumps(report, sort_keys=True, indent=2 if args.pretty else None))
     return exit_code
 
 

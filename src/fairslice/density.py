@@ -524,6 +524,15 @@ def _num(v) -> float:
     return x
 
 
+def _exponent(v) -> int:
+    """JSON integer exponent; an integral float like 2.0 passes, 2.5, true or "2" does not."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise DomainError(f"exponent {v!r} is not an integer")
+    return v
+
+
 def density_from_dict(d: dict) -> Density:
     """Parse the per-family JSON schema into a density; malformed input is a DomainError."""
     try:
@@ -545,7 +554,7 @@ def _parse_family(family: str, d: dict) -> Density:
     if family == "linear":
         return Linear(_num(d["a"]), _num(d["b"]), scale=scale)
     if family == "binomial_poly":
-        return BinomialPoly(_num(d["a"]), _num(d["b"]), int(d["s"]), int(d["t"]), scale=scale)
+        return BinomialPoly(_num(d["a"]), _num(d["b"]), _exponent(d["s"]), _exponent(d["t"]), scale=scale)
     if family == "piecewise_linear":
         segs = d["segments"]
         return PiecewiseLinear(

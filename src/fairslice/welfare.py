@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedFamilyError
+from .errors import DomainError, SearchFailedError, UnsupportedFamilyError
 from .oracle import Instance, QueryLedger, cut_query, eval_query
 from .ripple import Allocation
 
@@ -298,4 +298,4 @@ def reorder_to_mlrp(instance: Instance, pieces, ledger: QueryLedger) -> list[tup
             for l, r, agent in assignment:
                 out[agent] = (l, r)
             return out
-    raise RuntimeError("reorder_to_mlrp did not converge within n^2 passes")
+    raise SearchFailedError("reorder_to_mlrp did not converge within n^2 passes")

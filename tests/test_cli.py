@@ -1,9 +1,12 @@
 import json
 import math
+import os
+import subprocess
 import sys
 
 import pytest
 
+import fairslice
 from fairslice.cli import main, run
 
 TWO_UNIFORM = {"agents": [{"family": "uniform"}, {"family": "uniform"}], "ordered": True}
@@ -24,6 +27,14 @@ def write(tmp_path, name, payload):
     p = tmp_path / name
     p.write_text(json.dumps(payload), encoding="utf-8")
     return str(p)
+
+
+def run_process(argv):
+    """The CLI in a fresh interpreter that imports the same fairslice package as the tests."""
+    src = os.path.dirname(os.path.dirname(fairslice.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "fairslice.cli", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def invoke(capsys, argv):
@@ -111,6 +122,23 @@ def test_plef_report(tmp_path, capsys):
     assert set(report["pieces"]) == {"0", "1"}
 
 
+def test_ew_objective_is_achieved(tmp_path, capsys):
+    path = write(tmp_path, "inst.json", GAUSS_TRIO)
+    code, report = invoke(capsys, ["ew", "--eta", "1e-4", path])
+    assert code == 0
+    assert report["objective"] <= report["metrics"]["ew"]
+
+
+def test_nsw_own_value_floor(tmp_path, capsys):
+    path = write(tmp_path, "inst.json", LINEAR_PAIR)
+    eps = 0.05
+    code, report = invoke(capsys, ["nsw", "--epsilon", str(eps), path])
+    assert code == 0
+    assert report["parameters"] == {"epsilon": eps}
+    n = len(report["values"])
+    assert min(report["values"][i][i] for i in range(n)) >= (1.0 - eps) / (4.0 * n)
+
+
 def test_perturb_roundtrip(tmp_path, capsys):
     payload = {"intervals": [{"l": 0.0, "r": 0.5}, {"l": 0.5, "r": 1.0}], "eta": 0.1}
     path = write(tmp_path, "ii.json", payload)
@@ -134,16 +162,11 @@ def test_reorder_subcommand(tmp_path, capsys):
 def test_invalid_inputs_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
-    import subprocess
-    import sys
-
-    proc = subprocess.run([sys.executable, "-m", "fairslice.cli", "ef", str(bad)],
-                          capture_output=True, text=True)
+    proc = run_process(["ef", str(bad)])
     assert proc.returncode == 2
 
     unknown = write(tmp_path, "unk.json", {"agents": [{"family": "cauchy"}]})
-    proc = subprocess.run([sys.executable, "-m", "fairslice.cli", "ef", unknown],
-                          capture_output=True, text=True)
+    proc = run_process(["ef", unknown])
     assert proc.returncode == 2
 
 
@@ -157,11 +180,7 @@ def test_ef_rejects_non_mlrp_instance(tmp_path, capsys):
         "ordered": False,
     }
     path = write(tmp_path, "inst.json", inst)
-    import subprocess
-    import sys
-
-    proc = subprocess.run([sys.executable, "-m", "fairslice.cli", "ef", path],
-                          capture_output=True, text=True)
+    proc = run_process(["ef", path])
     assert proc.returncode == 2
     assert "MLRP promise" in proc.stderr
 
@@ -174,11 +193,31 @@ def test_queries_flag_prints_to_stderr(tmp_path, capsys):
     assert captured.err.startswith("queries: eval=")
 
 
+UNREAD_FLAGS = [
+    ["nsw", "--eta", "1e-6"],
+    ["ef", "--epsilon", "0.01"],
+    ["mlrp-order", "--grid", "512"],
+    ["perturb", "--queries"],
+    ["ef", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAGS, ids=lambda argv: " ".join(argv[:2]))
+def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, argv):
+    path = write(tmp_path, "inst.json", TWO_UNIFORM)
+    with pytest.raises(SystemExit) as exit_info:
+        run([*argv, path])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 MALFORMED = [
     # (case, subcommand, instance file content, division file content or None)
     ("density missing a key", "ef", {"agents": [{"family": "linear", "a": 1}]}, None),
     ("density value not a number", "ef", {"agents": [{"family": "linear", "a": "nan", "b": 1}]}, None),
     ("density value not finite", "ef", {"agents": [{"family": "uniform", "scale": math.inf}]}, None),
+    ("binomial exponent not integral", "ef",
+     {"agents": [{"family": "binomial_poly", "a": 1, "b": 1, "s": 2.5, "t": 0}]}, None),
     ("segments not a list", "plef",
      {"agents": [{"family": "piecewise_linear", "breakpoints": [], "segments": 3}]}, None),
     ("agents not a list", "mlrp-order", {"agents": 5}, None),
