@@ -4,8 +4,11 @@ Social welfare: binary-search each pairwise switching point into a gamma-wide
 bracket, then run an interval-partition dynamic program over the bracketed
 points.  Egalitarian welfare: binary search over target values of a moving-
 knife chain, using feasibility monotonicity.  Nash welfare: product-form DP
-over an adaptively generated value grid.  All cut points are assigned left to
-right in MLRP order, which is where every Pareto optimum lives.
+over an adaptively generated value grid of T <= 8n^2/eps + n + 2 points (n
+cut queries per point; caps above MAX_NASH_GRID are rejected), solved in
+O(nT log T) time because the best split points are monotone.  All cut points
+are assigned left to right in MLRP order, which is where every Pareto optimum
+lives.
 """
 
 from __future__ import annotations
@@ -15,12 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SearchFailedError, UnsupportedFamilyError
+from .errors import DomainError, ParameterRegimeError, SearchFailedError, UnsupportedFamilyError
 from .oracle import Instance, QueryLedger, cut_query, eval_query
 from .ripple import Allocation
 
 #: Grid points closer than this are merged before a DP runs.
 MERGE_TOL = 1e-12
+
+#: Largest Nash grid size cap, 8n^2/eps + n + 2 points, that max_nash accepts.
+#: The grid walk costs n cut queries per point; at this cap a call takes ~10 s.
+MAX_NASH_GRID = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -45,6 +52,7 @@ class MovingKnifeRun:
     tau: float
     knives: tuple[float, ...]  # MK_1 .. MK_n
     feasible: bool
+    value: float  # least interval value: tau, or the eval of a knife truncated at 1
 
 
 def query_lipschitz(instance: Instance) -> float:
@@ -115,12 +123,12 @@ def _prefix_values(instance: Instance, points, ledger: QueryLedger) -> np.ndarra
                      for k in range(instance.n)])
 
 
-def _run_partition_dp(prefix: np.ndarray, combine: str) -> DpTable:
-    """Left-to-right interval partition DP over grid points.
+def _sw_dp(prefix: np.ndarray) -> DpTable:
+    """Left-to-right interval partition DP for social welfare over grid points.
 
-    values[k][t] = best objective allocating [0, points[t]] to agents 0..k,
-    with combine "sum" (social welfare) or "product" (Nash product).  Ties
-    break toward the smallest split index, so outputs are deterministic.
+    values[k][t] = best value sum allocating [0, points[t]] to agents 0..k.
+    Ties break toward the smallest split index, so outputs are deterministic.
+    An exact O(nT^2) scan: T <= n(n-1)/2 + 2 here.
     """
     n, tt = prefix.shape
     values = np.zeros((n, tt))
@@ -129,11 +137,51 @@ def _run_partition_dp(prefix: np.ndarray, combine: str) -> DpTable:
     for k in range(1, n):
         for t in range(tt):
             seg = prefix[k, t] - prefix[k, : t + 1]  # v_k(points[t'], points[t])
-            cand = values[k - 1, : t + 1] + seg if combine == "sum" \
-                else values[k - 1, : t + 1] * seg
+            cand = values[k - 1, : t + 1] + seg
             best = int(np.argmax(cand))
             values[k, t] = cand[best]
             back[k, t] = best
+    return DpTable(values, back)
+
+
+def _nash_dp(prefix: np.ndarray) -> DpTable:
+    """Left-to-right interval partition DP for the Nash product over grid points.
+
+    values[k][t] = max over t' <= t of values[k-1][t'] * (prefix[k][t] - prefix[k][t']),
+    with back[k][t] the smallest maximizing t'.  For splits a < b the score
+    difference changes with t by (values[k-1][b] - values[k-1][a]) times the
+    growth of prefix[k][t], which is >= 0 since both rows are nondecreasing;
+    so a split that beats every smaller one keeps doing so, and back[k] is
+    nondecreasing in t (the monotone-maxima structure of Knuth 1971 and
+    Aggarwal et al. 1987).  Divide and conquer over columns then scores
+    O(T log T) candidates per agent, one numpy pass per recursion level.
+    """
+    n, tt = prefix.shape
+    values = np.zeros((n, tt))
+    back = np.zeros((n, tt), dtype=int)
+    values[0] = prefix[0]
+    for k in range(1, n):
+        prev, cum = values[k - 1], prefix[k]
+        # open subproblems: columns [col_lo, col_hi] whose maximizers lie in [opt_lo, opt_hi]
+        col_lo, col_hi = np.array([0]), np.array([tt - 1])
+        opt_lo, opt_hi = np.array([0]), np.array([tt - 1])
+        while col_lo.size:
+            mid = (col_lo + col_hi) // 2
+            counts = np.minimum(opt_hi, mid) - opt_lo + 1
+            starts = np.cumsum(counts) - counts
+            flat = np.arange(int(counts.sum()))
+            cand = flat - np.repeat(starts - opt_lo, counts)  # split indices t'
+            score = prev[cand] * (cum[np.repeat(mid, counts)] - cum[cand])
+            best = np.maximum.reduceat(score, starts)
+            hits = np.where(score == np.repeat(best, counts), flat, flat.size)
+            arg = cand[np.minimum.reduceat(hits, starts)]
+            values[k, mid] = best
+            back[k, mid] = arg
+            left, right = col_lo < mid, mid < col_hi
+            col_lo, col_hi = (np.concatenate((col_lo[left], mid[right] + 1)),
+                              np.concatenate((mid[left] - 1, col_hi[right])))
+            opt_lo, opt_hi = (np.concatenate((opt_lo[left], arg[right])),
+                              np.concatenate((arg[left], opt_hi[right])))
     return DpTable(values, back)
 
 
@@ -164,7 +212,7 @@ def max_social_welfare(instance: Instance, eta: float,
     gamma = min(eta / (instance.n * query_lipschitz(instance)), 0.25)
     pset = build_switching_points(instance, gamma, ledger)
     prefix = _prefix_values(instance, pset.points, ledger)
-    table = _run_partition_dp(prefix, "sum")
+    table = _sw_dp(prefix)
     return _dp_allocation(pset.points, table), float(table.values[-1, -1])
 
 
@@ -172,19 +220,20 @@ def mk_chain(instance: Instance, tau: float, ledger: QueryLedger) -> MovingKnife
     """Moving-knife chain MK_i = Cut_i(MK_{i-1}, tau), with MK_0 = 0.
 
     Feasible iff every agent's interval really has value tau, i.e. no cut was
-    truncated at 1 (checked with an eval only when a knife lands on 1).
+    truncated at 1 (checked with an eval only when a knife lands on 1).  The
+    run's ``value`` is the least of tau and those evals, so a truncation that
+    passes the 1e-9 feasibility slack still reports what its interval is worth.
     """
     if tau < 0.0:
         raise DomainError(f"negative target value tau={tau}")
-    knives, prev, feasible = [], 0.0, True
+    knives, prev, value = [], 0.0, tau
     for i in range(instance.n):
         y = cut_query(instance, i, prev, tau, ledger)
         knives.append(y)
         if y >= 1.0 and tau > 0.0:
-            if eval_query(instance, i, prev, 1.0, ledger) < tau - 1e-9:
-                feasible = False
+            value = min(value, eval_query(instance, i, prev, 1.0, ledger))
         prev = y
-    return MovingKnifeRun(tau, tuple(knives), feasible)
+    return MovingKnifeRun(tau, tuple(knives), value >= tau - 1e-9, value)
 
 
 def max_egalitarian(instance: Instance, eta: float,
@@ -192,7 +241,9 @@ def max_egalitarian(instance: Instance, eta: float,
     """Allocation with egalitarian welfare >= optimum - eta.
 
     Binary search over target values {k*eta} using feasibility monotonicity:
-    once a moving-knife run truncates, all larger targets truncate too.
+    once a moving-knife run truncates, all larger targets truncate too.  The
+    reported value is the one the allocation achieves: k*eta, or less when
+    the last knife was truncated within the feasibility slack.
     """
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta={eta} outside (0, 1)")
@@ -205,7 +256,7 @@ def max_egalitarian(instance: Instance, eta: float,
     best = mk_chain(instance, 0.0, ledger)
     top = feasible(kmax)
     if top is not None:
-        best, k0 = top, kmax
+        best = top
     else:
         lo, hi = 0, kmax  # feasible(lo) holds, feasible(hi) fails
         while lo + 1 < hi:
@@ -215,16 +266,23 @@ def max_egalitarian(instance: Instance, eta: float,
                 lo, best = mid, run
             else:
                 hi = mid
-        k0 = lo
     cuts = (0.0, *best.knives[:-1], 1.0)
-    return Allocation(cuts), k0 * eta
+    return Allocation(cuts), best.value
 
 
 def _nash_grid(instance: Instance, epsilon: float, ledger: QueryLedger) -> list[float]:
-    """Adaptive grid: every cell is worth at most epsilon/(8n) to every agent."""
+    """Adaptive grid: every cell is worth at most epsilon/(8n) to every agent.
+
+    Raises ParameterRegimeError, before any query, when the grid's size cap
+    exceeds MAX_NASH_GRID.
+    """
+    cap = math.ceil(8.0 * instance.n * instance.n / epsilon) + instance.n + 2
+    if cap > MAX_NASH_GRID:
+        raise ParameterRegimeError(
+            f"epsilon={epsilon} with n={instance.n} allows a Nash grid of {cap} points, "
+            f"over the budget of {MAX_NASH_GRID}; use a larger epsilon")
     step = epsilon / (8.0 * instance.n)
     points = [0.0]
-    cap = math.ceil(8.0 * instance.n * instance.n / epsilon) + instance.n + 2
     while points[-1] < 1.0 and len(points) <= cap:
         nxt = min(cut_query(instance, i, points[-1], step, ledger)
                   for i in range(instance.n))
@@ -244,7 +302,7 @@ def max_nash(instance: Instance, epsilon: float,
         return Allocation((0.0, 1.0)), 1.0
     points = _nash_grid(instance, epsilon, ledger)
     prefix = _prefix_values(instance, points, ledger)
-    table = _run_partition_dp(prefix, "product")
+    table = _nash_dp(prefix)
     nash_product = float(table.values[-1, -1])
     return _dp_allocation(points, table), nash_product ** (1.0 / instance.n)
 

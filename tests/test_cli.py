@@ -139,6 +139,15 @@ def test_nsw_own_value_floor(tmp_path, capsys):
     assert min(report["values"][i][i] for i in range(n)) >= (1.0 - eps) / (4.0 * n)
 
 
+def test_nsw_grid_over_budget_exits_2(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "inst.json", TWO_UNIFORM)
+    monkeypatch.setattr(sys, "argv", ["fairslice", "nsw", "--epsilon", "1e-5", path])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.startswith("error: epsilon=1e-05")
+
+
 def test_perturb_roundtrip(tmp_path, capsys):
     payload = {"intervals": [{"l": 0.0, "r": 0.5}, {"l": 0.5, "r": 1.0}], "eta": 0.1}
     path = write(tmp_path, "ii.json", payload)

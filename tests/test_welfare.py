@@ -7,6 +7,7 @@ from fairslice import (
     BinomialPoly,
     Instance,
     Linear,
+    PiecewiseConstant,
     QueryLedger,
     Uniform,
     brute_force_optimum,
@@ -20,11 +21,39 @@ from fairslice import (
     switching_point,
     welfare_metrics,
 )
-from fairslice.errors import DomainError
-from fairslice.welfare import _prefix_values, _run_partition_dp
-from gen import mlrp_instance
+from fairslice.errors import DomainError, ParameterRegimeError
+from fairslice.welfare import (
+    MAX_NASH_GRID,
+    DpTable,
+    _nash_dp,
+    _nash_grid,
+    _prefix_values,
+    _sw_dp,
+)
+from gen import (
+    binomial_instance,
+    gaussian_instance,
+    linear_instance,
+    mlrp_instance,
+    piecewise_linear_instance,
+)
 
 QUAD = BinomialPoly(3.0, 0.0, 2, 0)
+
+
+def product_dp_oracle(prefix):
+    """Reference for _nash_dp: the plain O(nT^2) scan over every split of every column."""
+    n, tt = prefix.shape
+    values = np.zeros((n, tt))
+    back = np.zeros((n, tt), dtype=int)
+    values[0] = prefix[0]
+    for k in range(1, n):
+        for t in range(tt):
+            cand = values[k - 1, : t + 1] * (prefix[k, t] - prefix[k, : t + 1])
+            best = int(np.argmax(cand))
+            values[k, t] = cand[best]
+            back[k, t] = best
+    return DpTable(values, back)
 
 
 @pytest.fixture
@@ -112,9 +141,10 @@ class TestMaxSocialWelfare:
         led = QueryLedger()
         pset = build_switching_points(unif_quad, 1e-3, led)
         prefix = _prefix_values(unif_quad, pset.points, led)
-        table = _run_partition_dp(prefix, "sum")
-        for row in table.values:
-            assert all(a <= b + 1e-12 for a, b in zip(row, row[1:]))
+        for kernel in (_sw_dp, _nash_dp):
+            table = kernel(prefix)
+            for row in table.values:
+                assert all(a <= b + 1e-12 for a, b in zip(row, row[1:]))
 
     def test_switching_set_size(self):
         rng = np.random.default_rng(37)
@@ -193,6 +223,17 @@ class TestMaxEgalitarian:
         _, achieved, _ = welfare_metrics(unif_quad, alloc)
         assert achieved >= ew - 1e-9
 
+    @pytest.mark.parametrize("eta", [1e-9, 1e-10, 1e-11])
+    def test_reported_value_is_achieved_at_fine_eta(self, eta):
+        # the last knife truncates at 1 within the 1e-9 feasibility slack, so
+        # k*eta can sit above what the last agent's remainder is worth
+        rng = np.random.default_rng(59)
+        instances = [Instance.from_densities([Uniform(), Linear(1.0, 1.0)])]
+        instances += [mlrp_instance(int(rng.integers(2, 6)), rng) for _ in range(12)]
+        for inst in instances:
+            alloc, ew = max_egalitarian(inst, eta, QueryLedger())
+            assert ew <= welfare_metrics(inst, alloc)[1] + 1e-12
+
 
 class TestMaxNash:
     def test_two_uniform(self):
@@ -220,11 +261,50 @@ class TestMaxNash:
             assert min(values[i][i] for i in range(n)) >= (1.0 - eps) / (4.0 * n) - 1e-9
 
     def test_grid_size_bound(self, unif_quad):
-        from fairslice.welfare import _nash_grid
-
         eps = 0.02
         points = _nash_grid(unif_quad, eps, QueryLedger())
         assert len(points) <= 8 * unif_quad.n ** 2 / eps + unif_quad.n + 3
+
+    def test_queries_are_the_grid_and_prefix_only(self):
+        rng = np.random.default_rng(61)
+        for _ in range(4):
+            inst = mlrp_instance(int(rng.integers(2, 6)), rng)
+            points = _nash_grid(inst, 0.05, QueryLedger())
+            led = QueryLedger()
+            max_nash(inst, 0.05, led)
+            assert led.cut_count == inst.n * (len(points) - 1)
+            assert led.eval_count == inst.n * len(points)
+
+    def test_grid_over_budget_rejected_before_any_query(self, unif_quad):
+        eps = 1e-5
+        assert math.ceil(8 * 4 / eps) + 4 > MAX_NASH_GRID  # the cap for n = 2
+        led = QueryLedger()
+        with pytest.raises(ParameterRegimeError):
+            max_nash(unif_quad, eps, led)
+        assert led.cut_count == 0 and led.eval_count == 0
+
+
+def nash_dp_cases():
+    rng = np.random.default_rng(67)
+    for maker in (gaussian_instance, linear_instance, binomial_instance):
+        for n in range(2, 7):
+            yield maker.__name__, maker(n, rng), 0.03
+    for n in (2, 3, 4):
+        yield "piecewise_linear", piecewise_linear_instance(n, 6, rng), 0.05
+    # zero-height steps: flat stretches of values[k-1] and prefix[k]
+    yield "zero_step", Instance.from_densities([
+        PiecewiseConstant((0.3, 0.6), (1.0, 0.0, 2.0)),
+        Uniform(),
+        PiecewiseConstant((0.5,), (0.0, 1.0)),
+    ]), 0.03
+
+
+def test_nash_dp_matches_product_oracle():
+    for name, inst, eps in nash_dp_cases():
+        prefix = _prefix_values(inst, _nash_grid(inst, eps, QueryLedger()), QueryLedger())
+        expected, table = product_dp_oracle(prefix), _nash_dp(prefix)
+        assert np.array_equal(table.values, expected.values), name
+        assert np.array_equal(table.back, expected.back), name
 
 
 class TestReorder:
