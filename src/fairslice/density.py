@@ -7,7 +7,17 @@ truth behind cut queries) are exact to float resolution: closed-form wherever
 the antiderivative inverts analytically, otherwise monotone bisection until the
 bracket's endpoints are adjacent doubles (at most ``BISECT_MAX_ITER`` halvings).
 
-All densities are immutable; every operation is a pure function of its parameters.
+A cut computes F(l) once and hands it to the family as ``base``:
+``_inverse_unscaled(l, target, base)`` returns the leftmost y >= l with
+F(y) - base = target, where base = F(l) exactly as ``_cumulative(l)`` gives it.
+
+All densities are immutable; every operation is a pure function of its
+parameters.  Derived constants (F(1) as ``_top``, knot and prefix tables, the
+Gaussian's ``NormalDist``) are fixed in ``__post_init__`` and never written
+lazily: on CPython 3.11 an attribute added after construction (as
+``functools.cached_property`` does) turns off the fast attribute loads that
+``_cumulative`` relies on; with lazily cached constants ``BinomialPoly._cumulative``
+ran about 1.8x slower.
 """
 
 from __future__ import annotations
@@ -16,7 +26,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 from statistics import NormalDist
 
 from .errors import (
@@ -31,10 +40,6 @@ from .errors import (
 BISECT_MAX_ITER = 200
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def _std_normal_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / _SQRT2))
 
 
 def lipschitz_constant(lower: float, upper: float) -> float:
@@ -68,12 +73,18 @@ class Density:
     """Base class for analytic densities; subclasses are frozen dataclasses.
 
     Subclasses implement the unscaled shape via ``_density``/``_cumulative``
-    (antiderivative from 0) and may override ``_inverse_unscaled`` with a
-    closed form.  The public methods add the ``scale`` factor, domain checks
-    and the cut-query truncation convention.
+    (antiderivative from 0) and may override ``_inverse_unscaled(l, target,
+    base)`` with a closed form; ``base`` is ``_cumulative(l)``, computed once
+    per cut.  The public methods add the ``scale`` factor, domain checks and
+    the cut-query truncation convention.
+
+    Every subclass sets ``_top = _cumulative(1.0)`` and any other derived
+    constant in ``__post_init__`` (see the module docstring for why never
+    lazily), so the attributes of a density do not change after construction.
     """
 
     scale: float
+    _top: float
 
     # -- family internals -------------------------------------------------
 
@@ -83,15 +94,15 @@ class Density:
     def _cumulative(self, x: float) -> float:
         raise NotImplementedError
 
-    def _inverse_unscaled(self, l: float, target: float) -> float:
-        """Leftmost y >= l with cumulative(y) - cumulative(l) = target (no truncation)."""
+    def _inverse_unscaled(self, l: float, target: float, base: float) -> float:
+        """Leftmost y >= l with cumulative(y) - base = target, base = cumulative(l) (no truncation)."""
         lo, hi = l, 1.0
-        base = self._cumulative(l)
+        cumulative = self._cumulative
         for _ in range(BISECT_MAX_ITER):
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break  # lo and hi are adjacent doubles
-            if self._cumulative(mid) - base < target:
+            if cumulative(mid) - base < target:
                 lo = mid
             else:
                 hi = mid
@@ -110,23 +121,26 @@ class Density:
 
     def measure(self, a: float, b: float) -> float:
         """v([a, b]) = F(b) - F(a), exact per-family antiderivative."""
-        _check_point(a, "a")
-        _check_point(b, "b")
-        if a > b:
+        if not 0.0 <= a <= b <= 1.0:
+            _check_point(a, "a")
+            _check_point(b, "b")
             raise DomainError(f"reversed interval [{a}, {b}]")
         return self.scale * (self._cumulative(b) - self._cumulative(a))
 
     def inverse_measure(self, l: float, tau: float) -> float:
         """Smallest y in [l, 1] with measure(l, y) = tau; 1 if tau exceeds measure(l, 1)."""
-        _check_point(l, "l")
-        if tau < 0.0:
-            raise DomainError(f"negative target value tau={tau}")
-        if tau == 0.0:
-            return l
-        if self.measure(l, 1.0) < tau:
+        if not (0.0 <= l <= 1.0 and tau > 0.0):
+            _check_point(l, "l")
+            if tau < 0.0:
+                raise DomainError(f"negative target value tau={tau}")
+            if tau == 0.0:
+                return l
+            raise DomainError(f"target value tau={tau} is not a number")
+        base = self._cumulative(l)
+        if self.scale * (self._top - base) < tau:
             return 1.0
-        y = self._inverse_unscaled(l, tau / self.scale)
-        return min(max(y, l), 1.0)
+        y = self._inverse_unscaled(l, tau / self.scale, base)
+        return l if l > y else (1.0 if y > 1.0 else y)  # min(max(y, l), 1.0), without the calls
 
     def normalized(self) -> "Density":
         """Rescaled copy with total measure 1 over [0, 1]."""
@@ -149,9 +163,16 @@ class Density:
         raise NotImplementedError
 
 
-def _positive_scale(scale: float) -> None:
-    if not scale > 0.0:
-        raise DegenerateDensityError(f"scale must be positive, got {scale}")
+def _check_params(spec: Density, *shape: float) -> None:
+    """DomainError unless the shape parameters and the scale are finite; the scale must be positive."""
+    for v in shape:
+        if not math.isfinite(v):
+            raise DomainError(f"{type(spec).__name__} parameter {v!r} is not finite")
+    scale = spec.scale
+    if not 0.0 < scale < math.inf:
+        if math.isfinite(scale):
+            raise DegenerateDensityError(f"scale must be positive, got {scale}")
+        raise DomainError(f"{type(spec).__name__} scale {scale!r} is not finite")
 
 
 @dataclass(frozen=True)
@@ -159,7 +180,8 @@ class Uniform(Density):
     scale: float = 1.0
 
     def __post_init__(self):
-        _positive_scale(self.scale)
+        _check_params(self)
+        object.__setattr__(self, "_top", self._cumulative(1.0))
 
     def _density(self, x):
         return 1.0
@@ -167,7 +189,7 @@ class Uniform(Density):
     def _cumulative(self, x):
         return x
 
-    def _inverse_unscaled(self, l, target):
+    def _inverse_unscaled(self, l, target, base):
         return l + target
 
     def _range(self):
@@ -182,14 +204,15 @@ def _linear_root(half_slope: float, intercept: float, rhs: float, lo: float, hi:
     if half_slope == 0.0:
         return rhs / intercept
     disc = intercept * intercept + 4.0 * half_slope * rhs
-    disc = math.sqrt(max(disc, 0.0))
-    roots = ((-intercept + disc) / (2.0 * half_slope), (-intercept - disc) / (2.0 * half_slope))
-    best, best_err = None, math.inf
-    for r in roots:
-        err = max(lo - r, r - hi, 0.0)
-        if err < best_err:
-            best, best_err = r, err
-    return min(max(best, lo), hi)
+    disc = math.sqrt(0.0 if disc < 0.0 else disc)
+    root = (-intercept + disc) / (2.0 * half_slope)
+    if lo <= root <= hi:
+        return root
+    # the other root only if it lies strictly closer to [lo, hi]
+    other = (-intercept - disc) / (2.0 * half_slope)
+    if max(lo - other, other - hi, 0.0) < max(lo - root, root - hi, 0.0):
+        root = other
+    return min(max(root, lo), hi)
 
 
 @dataclass(frozen=True)
@@ -201,9 +224,10 @@ class Linear(Density):
     scale: float = 1.0
 
     def __post_init__(self):
-        _positive_scale(self.scale)
+        _check_params(self, self.a, self.b)
         if min(self.b, self.a + self.b) < 0.0:
             raise NotFullSupportError(f"linear density {self.a}*x+{self.b} negative on [0,1]")
+        object.__setattr__(self, "_top", self._cumulative(1.0))
 
     def _density(self, x):
         return self.a * x + self.b
@@ -211,8 +235,8 @@ class Linear(Density):
     def _cumulative(self, x):
         return 0.5 * self.a * x * x + self.b * x
 
-    def _inverse_unscaled(self, l, target):
-        return _linear_root(0.5 * self.a, self.b, target + self._cumulative(l), l, 1.0)
+    def _inverse_unscaled(self, l, target, base):
+        return _linear_root(0.5 * self.a, self.b, target + base, l, 1.0)
 
     def _range(self):
         ends = (self.b, self.a + self.b)
@@ -233,11 +257,14 @@ class BinomialPoly(Density):
     scale: float = 1.0
 
     def __post_init__(self):
-        _positive_scale(self.scale)
+        _check_params(self, self.a, self.b)
         if not (isinstance(self.s, int) and isinstance(self.t, int) and self.s > self.t >= 0):
             raise DomainError(f"binomial exponents must be integers s > t >= 0, got s={self.s}, t={self.t}")
         if min(v for v, _ in self._candidates()) < 0.0:
             raise NotFullSupportError("binomial polynomial negative on [0,1]")
+        object.__setattr__(self, "_s1", self.s + 1)  # exponents of the antiderivative
+        object.__setattr__(self, "_t1", self.t + 1)
+        object.__setattr__(self, "_top", self._cumulative(1.0))
 
     def _candidates(self):
         pts = [0.0, 1.0]
@@ -254,7 +281,7 @@ class BinomialPoly(Density):
         return self.a * x**self.s + self.b * x**self.t
 
     def _cumulative(self, x):
-        return self.a * x ** (self.s + 1) / (self.s + 1) + self.b * x ** (self.t + 1) / (self.t + 1)
+        return self.a * x ** self._s1 / self._s1 + self.b * x ** self._t1 / self._t1
 
     def _range(self):
         vals = [v for v, _ in self._candidates()]
@@ -288,28 +315,23 @@ class PiecewiseLinear(Density):
     scale: float = 1.0
 
     def __post_init__(self):
-        _positive_scale(self.scale)
         object.__setattr__(self, "breakpoints", tuple(float(p) for p in self.breakpoints))
         object.__setattr__(self, "slopes", tuple(float(s) for s in self.slopes))
         object.__setattr__(self, "intercepts", tuple(float(c) for c in self.intercepts))
+        _check_params(self, *self.slopes, *self.intercepts)
         _check_breakpoints(self.breakpoints)
         if len(self.slopes) != len(self.breakpoints) + 1 or len(self.slopes) != len(self.intercepts):
             raise DomainError("need exactly len(breakpoints)+1 segments")
-        for s, c, lo, hi in zip(self.slopes, self.intercepts, self._knots[:-1], self._knots[1:]):
+        knots = (0.0, *self.breakpoints, 1.0)
+        acc, cum = 0.0, [0.0]
+        for s, c, lo, hi in zip(self.slopes, self.intercepts, knots[:-1], knots[1:]):
             if min(s * lo + c, s * hi + c) < -1e-15:
                 raise NotFullSupportError(f"segment {s}*x+{c} negative on [{lo}, {hi}]")
-
-    @property
-    def _knots(self) -> tuple[float, ...]:
-        return (0.0, *self.breakpoints, 1.0)
-
-    @cached_property
-    def _cum(self) -> tuple[float, ...]:
-        acc, out = 0.0, [0.0]
-        for s, c, lo, hi in zip(self.slopes, self.intercepts, self._knots[:-1], self._knots[1:]):
             acc += 0.5 * s * (hi * hi - lo * lo) + c * (hi - lo)
-            out.append(acc)
-        return tuple(out)
+            cum.append(acc)
+        object.__setattr__(self, "_knots", knots)
+        object.__setattr__(self, "_cum", tuple(cum))  # _cum[j] = unscaled mass of [0, _knots[j]]
+        object.__setattr__(self, "_top", self._cumulative(1.0))
 
     def _segment(self, x: float) -> int:
         return min(bisect_right(self._knots, x) - 1, len(self.slopes) - 1)
@@ -323,23 +345,25 @@ class PiecewiseLinear(Density):
         lo = self._knots[j]
         return self._cum[j] + 0.5 * self.slopes[j] * (x * x - lo * lo) + self.intercepts[j] * (x - lo)
 
-    def _inverse_unscaled(self, l, target):
-        goal = self._cumulative(l) + target
-        knots = self._knots
-        for j in range(self._segment(l), len(self.slopes)):
-            start = max(knots[j], l)
-            f_start = self._cumulative(start)
-            if goal <= f_start or f_start >= self._cum[-1]:
+    def _inverse_unscaled(self, l, target, base):
+        goal = base + target
+        knots, cum, last = self._knots, self._cum, len(self.slopes) - 1
+        j = self._segment(l)
+        start, f_start = max(knots[j], l), base  # knots[j] <= l, so F(start) is base
+        while True:
+            if goal <= f_start or f_start >= cum[-1]:
                 # leftmost point: the mass is reached at the segment start, or the
                 # rest of the cake has none (goal overshoots the total by rounding)
                 return start
-            if goal <= self._cum[j + 1] or j == len(self.slopes) - 1:
+            if goal <= cum[j + 1] or j == last:
                 s, c = self.slopes[j], self.intercepts[j]
                 if s == 0.0:  # a step; a zero step has no mass and returned above
                     return start + (goal - f_start) / c
                 rhs = goal - f_start + 0.5 * s * start * start + c * start
                 return _linear_root(0.5 * s, c, rhs, start, knots[j + 1])
-        return 1.0
+            j += 1
+            start = knots[j]
+            f_start = self._cumulative(start)
 
     def _range(self):
         vals = []
@@ -368,20 +392,18 @@ class PiecewiseConstant(Density):
     scale: float = 1.0
 
     def __post_init__(self):
-        _positive_scale(self.scale)
         object.__setattr__(self, "breakpoints", tuple(float(p) for p in self.breakpoints))
         object.__setattr__(self, "heights", tuple(float(h) for h in self.heights))
+        _check_params(self, *self.heights)
         _check_breakpoints(self.breakpoints)
         if len(self.heights) != len(self.breakpoints) + 1:
             raise DomainError("need exactly len(breakpoints)+1 heights")
         if min(self.heights) < 0.0:
             raise NotFullSupportError("negative step height")
-
-    @cached_property
-    def _linear(self) -> PiecewiseLinear:
-        """The same density as a zero-slope PiecewiseLinear, which does the walking."""
-        return PiecewiseLinear(self.breakpoints, (0.0,) * len(self.heights), self.heights,
-                               scale=self.scale)
+        # the same density as a zero-slope PiecewiseLinear, which does the walking
+        object.__setattr__(self, "_linear", PiecewiseLinear(
+            self.breakpoints, (0.0,) * len(self.heights), self.heights, scale=self.scale))
+        object.__setattr__(self, "_top", self._cumulative(1.0))
 
     def _density(self, x):
         return self._linear._density(x)
@@ -389,8 +411,8 @@ class PiecewiseConstant(Density):
     def _cumulative(self, x):
         return self._linear._cumulative(x)
 
-    def _inverse_unscaled(self, l, target):
-        return self._linear._inverse_unscaled(l, target)
+    def _inverse_unscaled(self, l, target, base):
+        return self._linear._inverse_unscaled(l, target, base)
 
     def _range(self):
         return min(self.heights), max(self.heights)
@@ -413,23 +435,25 @@ class GaussianRestricted(Density):
     scale: float = 1.0
 
     def __post_init__(self):
-        _positive_scale(self.scale)
+        _check_params(self, self.mu, self.sigma)
         if not self.sigma > 0.0:
             raise DomainError(f"sigma must be positive, got {self.sigma}")
+        object.__setattr__(self, "_normal", NormalDist(self.mu, self.sigma))
+        object.__setattr__(self, "_top", self._cumulative(1.0))
 
     def _density(self, x):
         z = (x - self.mu) / self.sigma
         return math.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
 
     def _cumulative(self, x):
-        return _std_normal_cdf((x - self.mu) / self.sigma)
+        # the standard normal CDF at z = (x - mu) / sigma, written out for speed
+        return 0.5 * (1.0 + math.erf((x - self.mu) / self.sigma / _SQRT2))
 
-    def _inverse_unscaled(self, l, target):
-        p = self._cumulative(l) + target
-        hi = self._cumulative(1.0)
-        if p >= hi:
+    def _inverse_unscaled(self, l, target, base):
+        p = base + target
+        if p >= self._top:
             return 1.0
-        return NormalDist(self.mu, self.sigma).inv_cdf(p)
+        return self._normal.inv_cdf(p)
 
     def _range(self):
         far = 0.0 if abs(self.mu - 0.0) >= abs(self.mu - 1.0) else 1.0
@@ -448,9 +472,10 @@ class ExponentialRestricted(Density):
     scale: float = 1.0
 
     def __post_init__(self):
-        _positive_scale(self.scale)
+        _check_params(self, self.rate)
         if not self.rate > 0.0:
             raise DomainError(f"rate must be positive, got {self.rate}")
+        object.__setattr__(self, "_top", self._cumulative(1.0))
 
     def _density(self, x):
         return self.rate * math.exp(-self.rate * x)
@@ -458,7 +483,7 @@ class ExponentialRestricted(Density):
     def _cumulative(self, x):
         return 1.0 - math.exp(-self.rate * x)
 
-    def _inverse_unscaled(self, l, target):
+    def _inverse_unscaled(self, l, target, base):
         arg = math.exp(-self.rate * l) - target
         if arg <= math.exp(-self.rate):
             return 1.0

@@ -62,20 +62,23 @@ class Instance:
         return Instance(tuple(self.agents[i] for i in order), self.bounds)
 
 
-def _check_agent(instance: Instance, i: int) -> None:
-    if not 0 <= i < instance.n:
-        raise DomainError(f"agent index {i} out of range for n={instance.n}")
+# The two queries below are the hot path of every algorithm: each checks the
+# agent index inline and makes one density call.
 
 
 def eval_query(instance: Instance, i: int, l: float, r: float, ledger: QueryLedger) -> float:
     """Eval_i(l, r) = v_i([l, r]); one ledger tick."""
-    _check_agent(instance, i)
+    agents = instance.agents
+    if not 0 <= i < len(agents):
+        raise DomainError(f"agent index {i} out of range for n={len(agents)}")
     ledger.eval_count += 1
-    return instance.agents[i].measure(l, r)
+    return agents[i].measure(l, r)
 
 
 def cut_query(instance: Instance, i: int, l: float, tau: float, ledger: QueryLedger) -> float:
     """Cut_i(l, tau): leftmost y with v_i(l, y) = tau, truncated to 1; one ledger tick."""
-    _check_agent(instance, i)
+    agents = instance.agents
+    if not 0 <= i < len(agents):
+        raise DomainError(f"agent index {i} out of range for n={len(agents)}")
     ledger.cut_count += 1
-    return instance.agents[i].inverse_measure(l, tau)
+    return agents[i].inverse_measure(l, tau)

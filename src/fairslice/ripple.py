@@ -83,9 +83,10 @@ def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
     midpoint whose chain endpoint lands in [1 - delta, 1).  Endpoint values
     >= 1 - 1e-15 are treated as "equals 1" (floating-point convention).
 
-    Returns None if ``max_iterations`` is supplied and exhausted (PL-EF's
-    recursion gate); without an explicit cap the theoretical bound
-    2(n-1) log2(2*lambda/delta) is used and exhausting it raises.
+    Returns None if ``max_iterations`` is supplied and exhausted, or float
+    resolution runs out first (PL-EF's recursion gate); without an explicit cap
+    the theoretical bound 2(n-1) log2(2*lambda/delta) is used, and running out
+    of either iterations or float resolution raises.
     """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta={delta} outside (0, 1)")
@@ -104,8 +105,12 @@ def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
     left, right = 0.0, 1.0
     for it in range(1, cap + 1):
         mid = 0.5 * (left + right)
-        if mid <= left or mid >= right:
-            break  # float resolution exhausted
+        if mid <= left or mid >= right:  # left and right are adjacent doubles
+            if max_iterations is not None:
+                return None
+            raise SearchFailedError(
+                f"bin_search ran out of float resolution at iteration {it} (cap {cap}): "
+                f"{left!r} and {right!r} are adjacent doubles and no chain endpoint hit [1-delta, 1)")
         chain = rd_chain(instance, mid, ledger)
         endpoint = chain[-1]
         if endpoint < 1.0 - delta:

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from statistics import NormalDist
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from fairslice.errors import (
     NotFullSupportError,
     UnsupportedFamilyError,
 )
+from fairslice.density import BISECT_MAX_ITER
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 ZERO_TAIL_L = 0.04359839244293869
@@ -262,3 +265,205 @@ def test_lipschitz_sampling():
             assert abs(d.measure(p1, p3) - d.measure(p1, p4)) <= lam * (p4 - p3) + 1e-9
             lhs = abs(d.measure(p1, p3) - d.measure(p2, p4))
             assert lhs <= lam * ((p2 - p1) + (p4 - p3)) + 1e-9
+
+
+# -- non-finite parameters ---------------------------------------------------
+
+NONFINITE = (math.nan, math.inf, -math.inf)
+
+#: one constructor per family and parameter, for the non-finite table
+PARAMETER_SLOTS = {
+    "uniform.scale": lambda x: Uniform(scale=x),
+    "linear.a": lambda x: Linear(x, 1.0),
+    "linear.b": lambda x: Linear(0.5, x),
+    "linear.scale": lambda x: Linear(0.5, 1.0, scale=x),
+    "binomial.a": lambda x: BinomialPoly(x, 1.0, 2, 0),
+    "binomial.b": lambda x: BinomialPoly(1.0, x, 2, 0),
+    "binomial.scale": lambda x: BinomialPoly(1.0, 1.0, 2, 0, scale=x),
+    "piecewise_linear.breakpoint": lambda x: PiecewiseLinear((x,), (0.0, 0.0), (1.0, 1.0)),
+    "piecewise_linear.slope": lambda x: PiecewiseLinear((0.5,), (x, 0.0), (1.0, 1.0)),
+    "piecewise_linear.intercept": lambda x: PiecewiseLinear((0.5,), (0.0, 0.0), (1.0, x)),
+    "piecewise_linear.scale": lambda x: PiecewiseLinear((0.5,), (0.0, 0.0), (1.0, 1.0), scale=x),
+    "piecewise_constant.breakpoint": lambda x: PiecewiseConstant((x,), (1.0, 1.0)),
+    "piecewise_constant.height": lambda x: PiecewiseConstant((0.5,), (1.0, x)),
+    "piecewise_constant.scale": lambda x: PiecewiseConstant((0.5,), (1.0, 1.0), scale=x),
+    "gaussian.mu": lambda x: GaussianRestricted(x, 0.2),
+    "gaussian.sigma": lambda x: GaussianRestricted(0.5, x),
+    "gaussian.scale": lambda x: GaussianRestricted(0.5, 0.2, scale=x),
+    "exponential.rate": lambda x: ExponentialRestricted(x),
+    "exponential.scale": lambda x: ExponentialRestricted(1.5, scale=x),
+}
+
+
+@pytest.mark.parametrize("slot", sorted(PARAMETER_SLOTS))
+@pytest.mark.parametrize("value", NONFINITE, ids=("nan", "inf", "-inf"))
+def test_nonfinite_parameter_rejected(slot, value):
+    with pytest.raises(DomainError):
+        PARAMETER_SLOTS[slot](value)
+
+
+@pytest.mark.parametrize("slot", sorted(k for k in PARAMETER_SLOTS if k.endswith(".scale")))
+@pytest.mark.parametrize("value", (0.0, -1.0))
+def test_nonpositive_scale_is_degenerate(slot, value):
+    with pytest.raises(DegenerateDensityError, match="scale must be positive"):
+        PARAMETER_SLOTS[slot](value)
+
+
+# -- the cut path against the reference cut -----------------------------------
+
+
+def _reference_linear_root(half_slope, intercept, rhs, lo, hi):
+    """Both roots scanned in order, the first one closest to [lo, hi] kept."""
+    if half_slope == 0.0:
+        return rhs / intercept
+    disc = math.sqrt(max(intercept * intercept + 4.0 * half_slope * rhs, 0.0))
+    roots = ((-intercept + disc) / (2.0 * half_slope), (-intercept - disc) / (2.0 * half_slope))
+    best, best_err = None, math.inf
+    for r in roots:
+        err = max(lo - r, r - hi, 0.0)
+        if err < best_err:
+            best, best_err = r, err
+    return min(max(best, lo), hi)
+
+
+def _reference_unscaled(d, l, target):
+    """Each family's cut before F(l) was shared: F(l) and F(1) recomputed, nothing cached."""
+    if isinstance(d, PiecewiseConstant):
+        d = PiecewiseLinear(d.breakpoints, (0.0,) * len(d.heights), d.heights, scale=d.scale)
+    if isinstance(d, Uniform):
+        return l + target
+    if isinstance(d, Linear):
+        return _reference_linear_root(0.5 * d.a, d.b, target + d._cumulative(l), l, 1.0)
+    if isinstance(d, GaussianRestricted):
+        def cdf(x):
+            z = (x - d.mu) / d.sigma
+            return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+        p = cdf(l) + target
+        if p >= cdf(1.0):
+            return 1.0
+        return NormalDist(d.mu, d.sigma).inv_cdf(p)
+    if isinstance(d, ExponentialRestricted):
+        arg = math.exp(-d.rate * l) - target
+        return 1.0 if arg <= math.exp(-d.rate) else -math.log(arg) / d.rate
+    if isinstance(d, PiecewiseLinear):
+        goal = d._cumulative(l) + target
+        knots = (0.0, *d.breakpoints, 1.0)
+        for j in range(d._segment(l), len(d.slopes)):
+            start = max(knots[j], l)
+            f_start = d._cumulative(start)
+            if goal <= f_start or f_start >= d._cum[-1]:
+                return start
+            if goal <= d._cum[j + 1] or j == len(d.slopes) - 1:
+                s, c = d.slopes[j], d.intercepts[j]
+                if s == 0.0:
+                    return start + (goal - f_start) / c
+                rhs = goal - f_start + 0.5 * s * start * start + c * start
+                return _reference_linear_root(0.5 * s, c, rhs, start, knots[j + 1])
+        return 1.0
+    lo, hi = l, 1.0  # BinomialPoly: bisection to adjacent doubles or the cap
+    base = d._cumulative(l)
+    for _ in range(BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if d._cumulative(mid) - base < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def reference_inverse_measure(d, l, tau):
+    """The cut as first written: truncation tested with measure(l, 1), F(l) recomputed."""
+    if tau == 0.0:
+        return l
+    if d.measure(l, 1.0) < tau:
+        return 1.0
+    return min(max(_reference_unscaled(d, l, tau / d.scale), l), 1.0)
+
+
+#: every family, with zero-height steps, a zero-mass tail and unnormalised scales
+CUT_FAMILIES = {
+    "uniform": Uniform(scale=2.5),
+    "linear_rising": Linear(2.0, 0.5).normalized(),
+    "linear_falling": Linear(-1.0, 1.5, scale=0.7),
+    "linear_flat": Linear(0.0, 1.0),
+    "binomial": BinomialPoly(2.0, 0.4, 3, 1).normalized(),
+    "binomial_touching_zero": BinomialPoly(3.0, 0.0, 2, 0),
+    "piecewise_linear": PiecewiseLinear((0.3, 0.8), (2.0, 0.0, -1.5), (0.5, 1.1, 2.3)).normalized(),
+    "piecewise_linear_zero_tail": PiecewiseLinear((0.1709278197011611,), (0.0, 0.0),
+                                                  (4.25242531099244, 0.0)),
+    "piecewise_linear_spike": right_spike_density(),
+    "piecewise_constant_zero_step": PiecewiseConstant((0.4, 0.6), (1.0, 0.0, 1.0)),
+    "piecewise_constant_zero_steps": PiecewiseConstant((0.2, 0.5, 0.7), (0.0, 3.0, 0.0, 0.5),
+                                                       scale=1.3),
+    "gaussian": GaussianRestricted(0.3, 0.25).normalized(),
+    "gaussian_narrow": GaussianRestricted(0.5, 0.1, scale=0.4),
+    "exponential": ExponentialRestricted(1.7).normalized(),
+}
+
+NEAR_ONE = (1.0 - 1e-9, 1.0 - 1e-13, math.nextafter(1.0, 0.0), 1.0)
+
+
+def _cut_grid(d, seed):
+    """Seeded (l, tau) pairs: random, plus tau = 0, above the rest, exactly the rest, near 1."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    ls = [0.0, 0.2, 0.4, 0.5, 0.6, ZERO_TAIL_L, *NEAR_ONE, *(float(x) for x in rng.uniform(0, 1, 40))]
+    for l in ls:
+        rest = d.measure(l, 1.0)
+        taus = [0.0, 5e-324, 1e-12, rest, rest * (1.0 + 1e-15), rest + 1e-9, 2.0 * d.scale + 1.0,
+                *(float(f) * rest for f in rng.uniform(0, 1, 12))]
+        for tau in taus:
+            yield l, tau
+
+
+#: far in a Gaussian tail F(x) rounds to its last digits, so only bit identity is tested there
+FAR_TAIL = {"gaussian_far_tail": GaussianRestricted(0.9, 0.05, scale=0.4)}
+
+
+@pytest.mark.parametrize("name", sorted({**CUT_FAMILIES, **FAR_TAIL}))
+def test_cut_matches_reference_bit_for_bit(name):
+    d = {**CUT_FAMILIES, **FAR_TAIL}[name]
+    for l, tau in _cut_grid(d, seed=len(name)):
+        assert d.inverse_measure(l, tau) == reference_inverse_measure(d, l, tau), (l, tau)
+
+
+@pytest.mark.parametrize("name", sorted(CUT_FAMILIES))
+def test_cut_is_leftmost_and_truncates_to_one(name):
+    d = CUT_FAMILIES[name]
+    for l, tau in _cut_grid(d, seed=100 + len(name)):
+        y = d.inverse_measure(l, tau)
+        rest = d.measure(l, 1.0)
+        if tau > rest:
+            assert y == 1.0, (l, tau)
+            continue
+        assert l <= y <= 1.0
+        assert d.measure(l, y) == pytest.approx(tau, abs=1e-12)
+        if y - 1e-9 >= l:
+            # leftmost: a point 1e-9 to the left is short of tau, also at the start
+            # of a zero-height step or a zero-mass tail
+            assert d.measure(l, y - 1e-9) < tau, (l, tau, y)
+
+
+def test_cut_stops_at_start_of_zero_steps():
+    d = CUT_FAMILIES["piecewise_constant_zero_steps"]
+    assert d.inverse_measure(0.0, d.measure(0.0, 0.5)) == 0.5
+    assert d.inverse_measure(0.1, d.measure(0.0, 0.5)) == 0.5
+    tail = CUT_FAMILIES["piecewise_linear_zero_tail"]
+    assert tail.inverse_measure(0.0, tail.measure(0.0, 1.0)) == pytest.approx(0.1709278197011611,
+                                                                              abs=1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(CUT_FAMILIES))
+def test_queries_write_no_attributes(name):
+    # derived constants are fixed at construction; a lazy write would slow every later call
+    d = replace(CUT_FAMILIES[name])
+    keys = list(vars(d))
+    d.measure(0.1, 0.7)
+    d.inverse_measure(0.2, 0.1 * d.measure(0.2, 1.0))
+    d.inverse_measure(0.95, 10.0)
+    d.value_at(0.3)
+    assert list(vars(d)) == keys

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,32 @@ def test_errors(mixed):
         eval_query(mixed, 0, 0.7, 0.3, led)
     with pytest.raises(DomainError):
         cut_query(mixed, 0, 0.0, -0.1, led)
+
+
+@pytest.mark.parametrize("query, args, message", [
+    (eval_query, (5, 0.0, 1.0), "agent index 5 out of range for n=3"),
+    (eval_query, (-1, 0.0, 1.0), "agent index -1 out of range for n=3"),
+    (cut_query, (3, 0.0, 0.1), "agent index 3 out of range for n=3"),
+    (eval_query, (0, -0.1, 0.5), "a=-0.1 outside [0, 1]"),
+    (eval_query, (0, math.nan, 0.5), "a=nan outside [0, 1]"),
+    (eval_query, (0, 0.2, 1.5), "b=1.5 outside [0, 1]"),
+    (eval_query, (0, 0.7, 0.3), "reversed interval [0.7, 0.3]"),
+    (cut_query, (0, 1.5, 0.1), "l=1.5 outside [0, 1]"),
+    (cut_query, (0, -0.5, 0.0), "l=-0.5 outside [0, 1]"),
+    (cut_query, (0, 0.2, -0.1), "negative target value tau=-0.1"),
+    (cut_query, (0, 0.2, math.nan), "target value tau=nan is not a number"),
+])
+def test_error_messages(mixed, query, args, message):
+    # the in-range fast path falls back to the full checks, one message per fault
+    with pytest.raises(DomainError, match=re.escape(message)):
+        query(mixed, *args, QueryLedger())
+
+
+def test_zero_target_cuts_at_l(mixed):
+    led = QueryLedger()
+    assert cut_query(mixed, 1, 0.3, 0.0, led) == 0.3
+    assert cut_query(mixed, 2, 1.0, 0.0, led) == 1.0
+    assert led.cut_count == 2
 
 
 def test_cut_eval_roundtrip(mixed):

@@ -18,7 +18,7 @@ from fairslice import (
     rd_chain,
     ripple_to_allocation,
 )
-from fairslice.errors import DomainError, NotFullSupportError
+from fairslice.errors import DomainError, NotFullSupportError, SearchFailedError
 from fairslice.ripple import RippleDivision
 from gen import mlrp_instance
 
@@ -114,6 +114,18 @@ class TestBinSearch:
     def test_max_iterations_failure_signal(self):
         inst = Instance.from_densities([Uniform(), Uniform()])
         assert bin_search(inst, 1e-9, QueryLedger(), max_iterations=2) is None
+
+    def test_float_resolution_break_names_itself(self):
+        # no double lies in [1 - 1e-17, 1), so bisection runs out of doubles next
+        # to 0.5 after 54 chains, well before the cap of 115 iterations
+        inst = Instance.from_densities([Uniform(), Uniform()])
+        led = QueryLedger()
+        assert iteration_cap(2, 1.0, 1e-17) == 115
+        with pytest.raises(SearchFailedError, match=r"float resolution at iteration 55 \(cap 115\)"):
+            bin_search(inst, 1e-17, led)
+        assert led.as_dict() == {"eval": 54, "cut": 54}
+        # with an explicit cap it is PL-EF's recursion signal, as before
+        assert bin_search(inst, 1e-17, QueryLedger(), max_iterations=115) is None
 
     def test_immediate_hit_returns_first_midpoint(self):
         # chain endpoint from the very first midpoint already lands in
