@@ -17,9 +17,6 @@ from .oracle import Instance
 from .plef import Division
 from .ripple import Allocation
 
-_OBJECTIVES = ("sw", "ew", "nsw")
-
-
 def as_piece_lists(division) -> list[list[tuple[float, float]]]:
     """Normalize an Allocation / Division / raw nested list to per-agent piece lists."""
     if isinstance(division, Allocation):
@@ -66,77 +63,56 @@ def envy_matrix(instance: Instance, division) -> EnvyMatrix:
 
 def welfare_metrics(instance: Instance, division) -> tuple[float, float, float]:
     """(social, egalitarian, Nash) welfare of the division."""
-    own = np.diag(envy_matrix(instance, division).values)
+    return welfare_from_values(envy_matrix(instance, division).values)
+
+
+def welfare_from_values(values: np.ndarray) -> tuple[float, float, float]:
+    """(social, egalitarian, Nash) welfare read off the diagonal of a value matrix."""
+    own = np.diag(values)
     nsw = float(np.prod(own) ** (1.0 / len(own))) if own.min() > 0.0 else 0.0
     return float(own.sum()), float(own.min()), nsw
 
 
 def _prefix_table(instance: Instance, m: int) -> np.ndarray:
+    if m > 2000:
+        raise UnsupportedSizeError(f"grid m={m} exceeds the supported 2000")
     grid = np.linspace(0.0, 1.0, m + 1)
     return np.array([[agent.measure(0.0, g) for g in grid] for agent in instance.agents])
 
 
-def _objective_grid(prefix: np.ndarray, objective: str):
-    """All MLRP-order-conforming cut tuples on the grid, evaluated exhaustively.
+def _grid_dp(prefix: np.ndarray, value, combine) -> float:
+    """Max over every cut tuple 0 <= t_1 <= ... <= t_{n-1} <= m of the left fold
+    combine(...combine(value(0, v_0), value(1, v_1))..., value(n-1, v_{n-1})), where v_k
+    is agent k's value of [g_{t_k}, g_{t_{k+1}}] on the grid g (t_0 = 0, t_n = m).
 
-    Yields (objective ndarray over cut tuples, per-agent value arrays).  Shapes:
-    n=1 scalar; n=2 vector over the single cut; n=3 matrix over (c1, c2);
-    n=4 is iterated over c1 with matrix inner blocks.
+    Stage k holds, per grid point t, the best fold over agents 0..k sharing [0, g_t].
+    The stagewise max is exact because each combine is nondecreasing in the fold so far.
     """
     n, tt = prefix.shape
-    if objective not in _OBJECTIVES:
-        raise UnsupportedSizeError(f"unknown objective {objective!r}")
+    best = value(0, prefix[0])
+    after = np.tri(tt, k=-1, dtype=bool)  # after[s, t]: s > t, not a cut tuple
+    for k in range(1, n):
+        ends = slice(None) if k < n - 1 else slice(-1, None)  # the last agent ends at 1
+        vals = combine(best[:, None], value(k, prefix[k][None, ends] - prefix[k][:, None]))
+        vals[after[:, ends]] = -np.inf
+        best = vals.max(axis=0)
+    return float(best[-1])
 
-    def combine(values):  # values: list of n broadcastable arrays
-        stack = np.broadcast_arrays(*values)
-        if objective == "sw":
-            return sum(stack)
-        if objective == "ew":
-            return np.minimum.reduce(stack)
-        prod = np.ones_like(stack[0])
-        for v in stack:
-            prod = prod * np.maximum(v, 0.0)
-        return prod ** (1.0 / n)
 
-    if n == 1:
-        yield combine([np.array(prefix[0, -1])])
-    elif n == 2:
-        v1 = prefix[0]
-        v2 = prefix[1, -1] - prefix[1]
-        yield combine([v1, v2])
-    elif n == 3:
-        c1 = prefix[0][:, None]
-        mid = prefix[1][None, :] - prefix[1][:, None]
-        c2 = (prefix[2, -1] - prefix[2])[None, :]
-        vals = combine([c1, mid, c2])
-        t1, t2 = np.meshgrid(np.arange(tt), np.arange(tt), indexing="ij")
-        vals = np.where(t1 <= t2, vals, -np.inf)
-        yield vals
-    elif n == 4:
-        for t1 in range(tt):
-            v1 = np.array(prefix[0, t1])
-            v2 = (prefix[1][:, None] - prefix[1, t1])
-            v3 = prefix[2][None, :] - prefix[2][:, None]
-            v4 = (prefix[3, -1] - prefix[3])[None, :]
-            vals = combine([v1, v2, v3, v4])
-            t2, t3 = np.meshgrid(np.arange(tt), np.arange(tt), indexing="ij")
-            vals = np.where((t1 <= t2) & (t2 <= t3), vals, -np.inf)
-            yield vals
-    else:
-        raise UnsupportedSizeError(f"brute force supports n <= 4, got n={n}")
+_COMBINE = {"sw": (lambda k, v: v, np.add), "ew": (lambda k, v: v, np.minimum),
+            "nsw": (lambda k, v: np.maximum(v, 0.0), np.multiply)}
 
 
 def brute_force_optimum(instance: Instance, objective: str, m: int) -> float:
     """Max SW/EW/NSW over all nondecreasing cut tuples on an m-cell uniform grid.
 
-    Exhaustive by construction (independent of the DP/search paths it audits).
+    An exact O(n m^2) grid DP over the densities, independent of the DP/search
+    paths it audits.
     """
-    if instance.n > 4:
-        raise UnsupportedSizeError(f"brute force supports n <= 4, got n={instance.n}")
-    if m > 2000:
-        raise UnsupportedSizeError(f"grid m={m} exceeds the supported 2000")
-    prefix = _prefix_table(instance, m)
-    return float(max(block.max() for block in _objective_grid(prefix, objective)))
+    if objective not in _COMBINE:
+        raise UnsupportedSizeError(f"unknown objective {objective!r}")
+    best = _grid_dp(_prefix_table(instance, m), *_COMBINE[objective])
+    return best ** (1.0 / instance.n) if objective == "nsw" else best
 
 
 def pareto_dominated_on_grid(instance: Instance, division, m: int) -> bool:
@@ -146,29 +122,15 @@ def pareto_dominated_on_grid(instance: Instance, division, m: int) -> bool:
     Restricting the candidate dominators to MLRP-order-conforming cut tuples
     is lossless when the instance is in MLRP order: any dominating division
     can be repaired into a conforming allocation without lowering values.
+    The grid DP scores an agent's piece -inf if it loses more than 1e-12,
+    1 if it gains more than 1e-9 and 0 otherwise; a dominator sums to >= 1.
     """
-    n = instance.n
-    if n > 3:
-        raise UnsupportedSizeError(f"pareto falsifier supports n <= 3, got n={n}")
     own = np.diag(envy_matrix(instance, division).values)
-    prefix = _prefix_table(instance, m)
-    tt = prefix.shape[1]
-    if n == 1:
-        return False
-    if n == 2:
-        v = [prefix[0], prefix[1, -1] - prefix[1]]
-    else:
-        v = [np.broadcast_to(prefix[0][:, None], (tt, tt)),
-             prefix[1][None, :] - prefix[1][:, None],
-             np.broadcast_to((prefix[2, -1] - prefix[2])[None, :], (tt, tt))]
-        t1, t2 = np.meshgrid(np.arange(tt), np.arange(tt), indexing="ij")
-        v = [np.where(t1 <= t2, x, -np.inf) for x in v]
-    weak = np.ones_like(v[0], dtype=bool)
-    strict = np.zeros_like(v[0], dtype=bool)
-    for i in range(n):
-        weak &= v[i] >= own[i] - 1e-12
-        strict |= v[i] > own[i] + 1e-9
-    return bool((weak & strict).any())
+
+    def score(k, v):
+        return np.where(v < own[k] - 1e-12, -np.inf, (v > own[k] + 1e-9).astype(float))
+
+    return _grid_dp(_prefix_table(instance, m), score, np.add) >= 1.0
 
 
 def is_perfect(instance: Instance, division, tol: float) -> bool:

@@ -29,6 +29,9 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_AUDIT_FAILED = 3
 
+#: Grid cells of the brute-force Nash optimum that the ``nsw`` audit compares against.
+NSW_AUDIT_GRID = 400
+
 
 def _read_json(path: str):
     """Parsed JSON of a UTF-8 file; an unreadable file or malformed JSON is bad input."""
@@ -74,7 +77,7 @@ def _division_pieces_from_file(path: str, n: int) -> list[list[tuple[float, floa
 def _audited(instance: Instance, division) -> dict:
     """Value matrix, max envy and welfare metrics of a division, read off the densities."""
     matrix = audit.envy_matrix(instance, division)
-    sw, ew, nsw = audit.welfare_metrics(instance, division)
+    sw, ew, nsw = audit.welfare_from_values(matrix.values)
     return {"values": matrix.values.tolist(), "max_envy": matrix.max_envy,
             "metrics": {"sw": sw, "ew": ew, "nsw": nsw}}
 
@@ -107,6 +110,20 @@ def _ef_audit_fails(instance: Instance, eta: float, report: dict) -> bool:
             f"(likelihood ratio decreases for adjacent pair {check.violation[:2]}); "
             f"allocation envy {report['max_envy']:.3g} > eta")
     log.error("ef audit failed: max envy %.3g > eta", report["max_envy"])
+    return True
+
+
+def _nsw_audit_fails(instance: Instance, eps: float, report: dict) -> bool:
+    """Some agent is below the (1-eps)/(4n) own-value floor, or NSW is below (1-eps) times
+    the grid optimum (never above the true optimum, so a correct answer always passes)."""
+    n = instance.n
+    if min(report["values"][i][i] for i in range(n)) < (1.0 - eps) / (4.0 * n) - 1e-9:
+        return True
+    best = audit.brute_force_optimum(instance, "nsw", NSW_AUDIT_GRID)
+    if report["metrics"]["nsw"] >= (1.0 - eps) * best:
+        return False
+    log.error("nsw audit failed: NSW %.6g < (1-eps) * grid optimum %.6g",
+              report["metrics"]["nsw"], best)
     return True
 
 
@@ -208,8 +225,7 @@ COMMANDS = {
         lambda inst, eta, report: report["metrics"]["ew"] < report["objective"] - 1e-9)),
     "nsw": ("Nash-social-welfare FPTAS allocation", ("--epsilon", "--queries"), _allocation(
         "epsilon", lambda inst, eps, ledger: welfare.max_nash(inst, eps, ledger),
-        lambda inst, eps, report:  # every agent keeps the (1-eps)/(4n) own-value floor
-        min(report["values"][i][i] for i in range(inst.n)) < (1.0 - eps) / (4.0 * inst.n) - 1e-9)),
+        _nsw_audit_fails)),
     "plef": ("envy-free division for piecewise-linear densities", ("--eta", "--queries"), _plef),
     "reorder": ("repair a division into the MLRP order", ("--division", "--queries"), _reorder),
     "mlrp-order": ("detect the MLRP order", ("--queries",), _mlrp_order),

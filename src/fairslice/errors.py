@@ -34,7 +34,7 @@ class InvalidDivisionError(FairsliceError):
 
 
 class UnsupportedSizeError(FairsliceError):
-    """A brute-force oracle was asked for more agents/grid points than it supports."""
+    """A brute-force grid oracle was asked for a grid over 2000 cells or an unknown objective."""
 
 
 class SearchFailedError(FairsliceError):

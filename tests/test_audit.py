@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -17,8 +19,10 @@ from fairslice import (
     pareto_dominated_on_grid,
     welfare_metrics,
 )
+from fairslice import audit, density, mlrp, oracle, plef, ripple, welfare
+from fairslice.audit import _prefix_table
 from fairslice.errors import InvalidDivisionError, UnsupportedSizeError
-from gen import mlrp_instance
+from gen import mlrp_instance, piecewise_linear_instance
 
 QUAD = BinomialPoly(3.0, 0.0, 2, 0)
 
@@ -32,6 +36,65 @@ def two_step_instance(alpha):
 def two_step_perfect_division(alpha):
     lo, hi = 0.5 - alpha / 2.0, 1.0 - alpha / 2.0
     return [[(lo, hi)], [(0.0, lo), (hi, 1.0)]]
+
+
+def enumeration_optimum(prefix, objective):
+    """Reference for brute_force_optimum: every cut tuple evaluated exhaustively, n <= 4."""
+    n, tt = prefix.shape
+
+    def combine(values):  # values: list of n broadcastable arrays
+        stack = np.broadcast_arrays(*values)
+        if objective == "sw":
+            return sum(stack)
+        if objective == "ew":
+            return np.minimum.reduce(stack)
+        prod = np.ones_like(stack[0])
+        for v in stack:
+            prod = prod * np.maximum(v, 0.0)
+        return prod ** (1.0 / n)
+
+    if n == 1:
+        return float(combine([np.array(prefix[0, -1])]))
+    if n == 2:
+        return float(combine([prefix[0], prefix[1, -1] - prefix[1]]).max())
+    t1, t2 = np.meshgrid(np.arange(tt), np.arange(tt), indexing="ij")
+    if n == 3:
+        vals = combine([prefix[0][:, None], prefix[1][None, :] - prefix[1][:, None],
+                        (prefix[2, -1] - prefix[2])[None, :]])
+        return float(np.where(t1 <= t2, vals, -np.inf).max())
+    assert n == 4
+    best = -np.inf
+    for c1 in range(tt):
+        vals = combine([np.array(prefix[0, c1]), prefix[1][:, None] - prefix[1, c1],
+                        prefix[2][None, :] - prefix[2][:, None], (prefix[3, -1] - prefix[3])[None, :]])
+        best = max(best, float(np.where((c1 <= t1) & (t1 <= t2), vals, -np.inf).max()))
+    return best
+
+
+def enumeration_dominated(prefix, own):
+    """Reference for pareto_dominated_on_grid: every cut tuple checked, n in {2, 3}."""
+    n, tt = prefix.shape
+    if n == 2:
+        v = [prefix[0], prefix[1, -1] - prefix[1]]
+    else:
+        assert n == 3
+        v = [np.broadcast_to(prefix[0][:, None], (tt, tt)),
+             prefix[1][None, :] - prefix[1][:, None],
+             np.broadcast_to((prefix[2, -1] - prefix[2])[None, :], (tt, tt))]
+        t1, t2 = np.meshgrid(np.arange(tt), np.arange(tt), indexing="ij")
+        v = [np.where(t1 <= t2, x, -np.inf) for x in v]
+    weak = np.ones_like(v[0], dtype=bool)
+    strict = np.zeros_like(v[0], dtype=bool)
+    for i in range(n):
+        weak &= v[i] >= own[i] - 1e-12
+        strict |= v[i] > own[i] + 1e-9
+    return bool((weak & strict).any())
+
+
+def random_division(n, rng):
+    """n contiguous pieces at random cuts, handed to the agents in a random order."""
+    cuts = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n - 1)), [1.0]))
+    return [[(float(cuts[j]), float(cuts[j + 1]))] for j in rng.permutation(n)]
 
 
 class TestEnvyMatrix:
@@ -126,8 +189,7 @@ class TestBruteForce:
 
     def test_size_limits(self):
         inst5 = Instance.from_densities([Uniform()] * 5)
-        with pytest.raises(UnsupportedSizeError):
-            brute_force_optimum(inst5, "sw", 100)
+        assert brute_force_optimum(inst5, "ew", 100) == pytest.approx(0.2, abs=1.0 / 100)
         inst2 = Instance.from_densities([Uniform(), Uniform()])
         with pytest.raises(UnsupportedSizeError):
             brute_force_optimum(inst2, "sw", 5000)
@@ -135,7 +197,42 @@ class TestBruteForce:
             brute_force_optimum(inst2, "banana", 100)
 
 
+    def test_grid_dp_equals_enumeration(self):
+        rng = np.random.default_rng(5)
+        cases = 0
+        for n in (1, 2, 3, 4):
+            for m in ((60, 300) if n < 4 else (40,)):
+                for inst in (mlrp_instance(n, rng), mlrp_instance(n, rng),
+                             piecewise_linear_instance(n, 2 * n, rng)):
+                    prefix = _prefix_table(inst, m)
+                    for objective in ("sw", "ew", "nsw"):
+                        expected = enumeration_optimum(prefix, objective)
+                        assert brute_force_optimum(inst, objective, m) == expected, (n, m, objective)
+                        cases += 1
+        assert cases == 63
+
+    def test_any_n(self):
+        inst = Instance.from_densities([Uniform()] * 8)
+        assert brute_force_optimum(inst, "sw", 80) == pytest.approx(1.0, abs=1e-12)
+        assert brute_force_optimum(inst, "nsw", 80) == pytest.approx(0.125, abs=1.0 / 80)
+
+
 class TestParetoFalsifier:
+    def test_grid_dp_equals_enumeration(self):
+        rng = np.random.default_rng(9)
+        answers = []
+        for n in (2, 3):
+            for m in (50, 200):
+                for _ in range(10):
+                    inst = mlrp_instance(n, rng)
+                    for division in (envy_free(inst, 1e-6, QueryLedger()), random_division(n, rng)):
+                        own = np.diag(envy_matrix(inst, division).values)
+                        expected = enumeration_dominated(_prefix_table(inst, m), own)
+                        assert pareto_dominated_on_grid(inst, division, m) == expected
+                        answers.append(expected)
+        assert True in answers and False in answers
+
+
     def test_ef_output_not_dominated(self):
         rng = np.random.default_rng(71)
         inst = mlrp_instance(3, rng)
@@ -156,6 +253,8 @@ class TestParetoFalsifier:
     def test_single_agent(self):
         inst = Instance.from_densities([Uniform()])
         assert not pareto_dominated_on_grid(inst, Allocation((0.0, 1.0)), 100)
+        # half the cake left unallocated: the whole cake dominates it
+        assert pareto_dominated_on_grid(inst, [[(0.0, 0.5)]], 100)
 
 
 class TestIsPerfect:
@@ -172,3 +271,32 @@ class TestIsPerfect:
     def test_identical_uniform_halves(self):
         inst = Instance.from_densities([Uniform(), Uniform()])
         assert is_perfect(inst, Allocation((0.0, 0.5, 1.0)), 1e-12)
+
+
+def package_imports(module):
+    """(module, name) for every name a fairslice module imports from inside the package."""
+    pairs = []
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("fairslice")):
+            source = (node.module or "").removeprefix("fairslice").lstrip(".")
+            pairs += [(source, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            pairs += [(alias.name.removeprefix("fairslice").lstrip("."), "")
+                      for alias in node.names if alias.name.startswith("fairslice")]
+    return pairs
+
+
+class TestIndependence:
+    """The audit referees the algorithms, so neither side may lean on the other."""
+
+    @pytest.mark.parametrize("module", [ripple, welfare, plef, mlrp, oracle, density],
+                             ids=lambda module: module.__name__)
+    def test_algorithms_do_not_import_audit(self, module):
+        for source, name in package_imports(module):
+            assert "audit" not in (source, name), module
+
+    def test_audit_imports_only_data_types(self):
+        pairs = package_imports(audit)
+        assert ("oracle", "Instance") in pairs
+        for source, name in pairs:
+            assert source == "errors" or name in ("Instance", "Allocation", "Division"), name

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import fairslice
+from fairslice import Allocation, welfare
 from fairslice.cli import main, run
 
 TWO_UNIFORM = {"agents": [{"family": "uniform"}, {"family": "uniform"}], "ordered": True}
@@ -137,6 +138,16 @@ def test_nsw_own_value_floor(tmp_path, capsys):
     assert report["parameters"] == {"epsilon": eps}
     n = len(report["values"])
     assert min(report["values"][i][i] for i in range(n)) >= (1.0 - eps) / (4.0 * n)
+
+
+def test_nsw_below_grid_optimum_exits_3(tmp_path, capsys, monkeypatch):
+    # both agents keep the (1-eps)/(4n) floor, but NSW 0.4 < (1-eps) * 0.5
+    path = write(tmp_path, "inst.json", TWO_UNIFORM)
+    monkeypatch.setattr(welfare, "max_nash",
+                        lambda inst, eps, ledger: (Allocation((0.0, 0.2, 1.0)), 0.4))
+    code, report = invoke(capsys, ["nsw", "--epsilon", "0.01", path])
+    assert code == 3
+    assert report["metrics"]["nsw"] == pytest.approx(0.4, abs=1e-12)
 
 
 def test_nsw_grid_over_budget_exits_2(tmp_path, capsys, monkeypatch):
