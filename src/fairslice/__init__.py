@@ -36,7 +36,7 @@ from .mlrp import (
 from .oracle import Instance, QueryLedger, cut_query, eval_query
 from .plef import Division, PlConfig, RecursionStats, pl_config, pl_ef
 from .ripple import Allocation, RippleDivision, bin_search, envy_free, iteration_cap, \
-    rd_chain, ripple_to_allocation
+    rd_chain, ripple_to_allocation, ripple_window
 from .welfare import (
     MovingKnifeRun,
     SwitchingPointSet,

@@ -3,11 +3,14 @@
 The driver halves the current interval; on each half it keeps only the agents
 that value the half at least eta_hat, renormalizes their densities over the
 half, guesses a local MLRP order, and runs the ripple binary search under an
-iteration cap.  If the search exhausts its cap or the resulting local division
-fails an eta_hat-envy audit, it recurses on that half.  Halves without
-breakpoints have linear (hence MLRP) local densities, so they never recurse;
-that bounds the recursion tree by k*(B+1) nodes and the global envy by
-2k(B+1) * eta_hat <= eta.
+iteration cap.  If the search fails (``SearchFailedError``) or the resulting
+local division fails an eta_hat-envy audit, it recurses on that half.  Halves
+without breakpoints where no kept density touches 0 have linear (hence MLRP)
+local densities, so they never recurse; that bounds the recursion tree by
+k*(B+1) nodes and the global envy by 2k(B+1) * eta_hat <= eta.  A linear piece
+touching 0 has an infinite local Lipschitz constant, and its half searches on
+the global budget, which can fail: the tent (PiecewiseLinear((0.5,), (2, -2),
+(0, 2)), Uniform()) recurses to depth 8 at eta = 1e-2.
 """
 
 from __future__ import annotations
@@ -16,20 +19,19 @@ import math
 from dataclasses import dataclass
 
 from .density import as_piecewise_linear, restrict_unit
-from .errors import DomainError, ParameterRegimeError
+from .errors import DomainError, ParameterRegimeError, SearchFailedError
 from .mlrp import detect_order
 from .oracle import Instance, QueryLedger, eval_query
-from .ripple import bin_search, iteration_cap, ripple_to_allocation
+from .ripple import bin_search, envy_free, ripple_to_allocation, ripple_window
 
 
 @dataclass(frozen=True)
 class PlConfig:
     """Derived parameters of a PL-EF run.
 
-    ``delta`` and ``cap`` are the closed-form budget values based on
-    ``lambda_pl = max{U, U/eta_hat, 1/eta_hat}``; the driver prefers the
-    sharper per-node values from each half's local Lipschitz constant and
-    falls back to these when the local constant is infinite.
+    ``lambda_pl = max{U, U/eta_hat, 1/eta_hat}`` and ``cap`` are the closed-form
+    budget of a half whose local Lipschitz constant is infinite; any other half
+    runs ``envy_free`` on its own sharper budget.
     """
 
     eta: float
@@ -37,7 +39,6 @@ class PlConfig:
     upper: float
     eta_hat: float
     lambda_pl: float
-    delta: float
     b_levels: float  # B = 2 log2(k U / eta_hat); recursion depth/count budget
     cap: int
     min_length: float  # base case: |b - a| <= eta^2 / (k^2 U^2)
@@ -60,7 +61,6 @@ def pl_config(eta: float, k: int, upper: float) -> PlConfig:
         upper=upper,
         eta_hat=eta_hat,
         lambda_pl=lambda_pl,
-        delta=eta_hat / lambda_pl,
         b_levels=2.0 * math.log2(k * upper / eta_hat),
         cap=math.ceil(2 * math.log2(2.0 * lambda_pl / eta_hat)),  # times n at use site
         min_length=(eta / (k * upper)) ** 2,
@@ -138,17 +138,15 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
         local = local.reordered(order)
         agents = [keep[o] for o in order]  # local rank -> global agent
 
-        lam_loc = local.bounds.lipschitz
-        if math.isfinite(lam_loc):
-            delta = min(max(cfg.eta_hat / lam_loc, 1e-13), 0.5)
-            cap = iteration_cap(len(agents), lam_loc, delta)
-        else:
-            delta, cap = min(max(cfg.delta, 1e-13), 0.5), global_cap
-        rd = bin_search(local, delta, ledger, max_iterations=cap)
-        if rd is None:
+        try:
+            if math.isfinite(local.bounds.lipschitz):
+                alloc = envy_free(local, cfg.eta_hat, ledger)
+            else:  # a density touches 0 on this half: global budget
+                alloc = ripple_to_allocation(bin_search(
+                    local, ripple_window(cfg.eta_hat, cfg.lambda_pl), ledger, max_iterations=global_cap))
+        except SearchFailedError:
             return False
 
-        alloc = ripple_to_allocation(rd)
         own = [eval_query(local, i, *alloc.interval(i), ledger=ledger)
                for i in range(len(agents))]
         for i in range(len(agents)):

@@ -4,7 +4,7 @@ A delta-ripple division is a set of cut points 0 = x_0 <= x_1 <= ... <= x_n
 with x_n >= 1 - delta in which every agent i < n values its interval
 [x_{i-1}, x_i] and the next interval [x_i, x_{i+1}] equally (and positively).
 Under MLRP such a division induces an envy-free partial allocation; coalescing
-the unassigned tail onto the last agent costs at most lambda * delta envy.
+the unassigned tail onto the last agent costs the envy that ripple_window bounds.
 """
 
 from __future__ import annotations
@@ -75,39 +75,46 @@ def iteration_cap(n: int, lam: float, delta: float) -> int:
     return math.ceil(2 * (n - 1) * math.log2(2.0 * lam / delta))
 
 
+def ripple_window(eta: float, lam: float) -> float:
+    """Search window delta for target envy ``eta`` under Lipschitz constant ``lam``.
+
+    The coalesced tail [x_n, 1] is at most delta long, so it is worth at most
+    U * delta <= lambda * delta = eta to any agent.  The 0.5 ceiling keeps delta
+    in (0, 1); the 1e-13 floor keeps [1 - delta, 1) clear of float resolution
+    near 1 and keeps the eta guarantee whenever U <= eta * 1e13.
+    """
+    return min(max(eta / lam, 1e-13), 0.5)
+
+
 def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
-               max_iterations: int | None = None) -> RippleDivision | None:
+               max_iterations: int | None = None) -> RippleDivision:
     """Find a delta-ripple division by bisecting on the first cut point.
 
     Maintains RD_n(l) < 1 - delta and RD_n(r) = 1 and stops at the first
     midpoint whose chain endpoint lands in [1 - delta, 1).  Endpoint values
     >= 1 - 1e-15 are treated as "equals 1" (floating-point convention).
 
-    Returns None if ``max_iterations`` is supplied and exhausted, or float
-    resolution runs out first (PL-EF's recursion gate); without an explicit cap
-    the theoretical bound 2(n-1) log2(2*lambda/delta) is used, and running out
-    of either iterations or float resolution raises.
+    ``max_iterations`` defaults to the theoretical bound
+    2(n-1) log2(2*lambda/delta).  Running out of iterations or of float
+    resolution raises :class:`SearchFailedError`.
     """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta={delta} outside (0, 1)")
     n = instance.n
     if n == 1:
         return RippleDivision((0.0, 1.0 - 0.5 * delta), delta, 0)
-    if max_iterations is None:
+    cap = max_iterations
+    if cap is None:
         lam = instance.bounds.lipschitz
         if not math.isfinite(lam):
             raise NotFullSupportError(
                 "instance Lipschitz constant is infinite; bin_search needs a density lower bound")
         cap = iteration_cap(n, lam, delta)
-    else:
-        cap = max_iterations
 
     left, right = 0.0, 1.0
     for it in range(1, cap + 1):
         mid = 0.5 * (left + right)
         if mid <= left or mid >= right:  # left and right are adjacent doubles
-            if max_iterations is not None:
-                return None
             raise SearchFailedError(
                 f"bin_search ran out of float resolution at iteration {it} (cap {cap}): "
                 f"{left!r} and {right!r} are adjacent doubles and no chain endpoint hit [1-delta, 1)")
@@ -119,8 +126,6 @@ def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
             right = mid
         else:
             return RippleDivision((0.0, mid, *chain), delta, it)
-    if max_iterations is not None:
-        return None
     raise SearchFailedError(
         f"bin_search exhausted {cap} iterations without hitting [1-delta, 1)")
 
@@ -133,8 +138,8 @@ def ripple_to_allocation(rd: RippleDivision) -> Allocation:
 def envy_free(instance: Instance, eta: float, ledger: QueryLedger) -> Allocation:
     """Allocation with v_i(I_i) >= v_i(I_j) - eta for all i, j (MLRP instance).
 
-    Runs bin_search at delta = eta / lambda and coalesces the tail; the tail's
-    value to any agent is then at most lambda * delta = eta.
+    Runs bin_search over :func:`ripple_window` and coalesces the tail onto
+    the last agent.
     """
     if not eta > 0.0:
         raise DomainError(f"eta={eta} must be positive")
@@ -142,9 +147,4 @@ def envy_free(instance: Instance, eta: float, ledger: QueryLedger) -> Allocation
     if not math.isfinite(lam):
         raise NotFullSupportError(
             "instance Lipschitz constant is infinite; envy_free needs a density lower bound")
-    # The coalesced tail costs each agent at most U * delta, so flooring delta
-    # at 1e-13 keeps the eta guarantee whenever U <= eta * 1e13 while staying
-    # clear of float resolution near 1.
-    delta = min(max(eta / lam, 1e-13), 0.5)
-    rd = bin_search(instance, delta, ledger)
-    return ripple_to_allocation(rd)
+    return ripple_to_allocation(bin_search(instance, ripple_window(eta, lam), ledger))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fairslice as fs
-from fairslice.ripple import iteration_cap
+from fairslice.ripple import iteration_cap, ripple_window
 from gen import (
     binomial_instance,
     gaussian_instance,
@@ -44,7 +44,7 @@ def ef_suite():
         inst = makers[i % 3](n, rng)
         led = fs.QueryLedger()
         lam = inst.bounds.lipschitz
-        delta = min(max(eta / lam, 1e-13), 0.5)
+        delta = ripple_window(eta, lam)
         start = time.perf_counter()
         rd = fs.bin_search(inst, delta, led)
         alloc = fs.ripple_to_allocation(rd)

@@ -13,8 +13,10 @@ from fairslice import (
     envy_matrix,
     pl_config,
     pl_ef,
+    ripple_window,
 )
-from fairslice.errors import ParameterRegimeError, UnsupportedFamilyError
+from fairslice import plef
+from fairslice.errors import ParameterRegimeError, SearchFailedError, UnsupportedFamilyError
 from gen import piecewise_linear_instance
 
 
@@ -23,7 +25,9 @@ class TestPlConfig:
         cfg = pl_config(1e-3, 4, 2.0)
         assert cfg.eta_hat == pytest.approx((1e-3 / 4) ** 2 / 2.0)
         assert cfg.lambda_pl == pytest.approx(max(2.0, 2.0 / cfg.eta_hat, 1.0 / cfg.eta_hat))
-        assert cfg.delta == pytest.approx(cfg.eta_hat / cfg.lambda_pl)
+        assert not hasattr(cfg, "delta")
+        # the zero-touching fallback's window: eta_hat / lambda_pl ~ 4.9e-16, floored
+        assert ripple_window(cfg.eta_hat, cfg.lambda_pl) == max(cfg.eta_hat / cfg.lambda_pl, 1e-13)
         assert cfg.b_levels == pytest.approx(2.0 * math.log2(4 * 2.0 / cfg.eta_hat))
         assert cfg.min_length == pytest.approx((1e-3) ** 2 / (16 * 4.0))
         assert cfg.cap >= 1
@@ -94,3 +98,44 @@ class TestPlEf:
         inst = Instance.from_densities([d, d])
         division, stats = pl_ef(inst, 1e-2, QueryLedger())
         assert envy_matrix(inst, division).max_envy <= 1e-2
+
+
+class TestZeroTouchingFallback:
+    """Halves where a density touches 0 (infinite local lambda) search on the global budget."""
+
+    @staticmethod
+    def fallback_outcomes(monkeypatch):
+        """Record True/False per infinite-lambda bin_search call: settled or failed."""
+        real, outcomes = plef.bin_search, []
+
+        def spy(instance, *args, **kwargs):
+            fallback = math.isinf(instance.bounds.lipschitz)
+            try:
+                rd = real(instance, *args, **kwargs)
+            except SearchFailedError:
+                if fallback:
+                    outcomes.append(False)
+                raise
+            if fallback:
+                outcomes.append(rd is not None)
+            return rd
+
+        monkeypatch.setattr(plef, "bin_search", spy)
+        return outcomes
+
+    @pytest.mark.parametrize("densities, eta, fails, nodes", [
+        ((Linear(2.0, 0.0), Uniform()), 1e-2, 0, 1),  # settled at the root
+        ((Linear(2.0, 0.0), Uniform()), 1e-3, 0, 1),
+        ((Linear(2.0, 0.0), Linear(-2.0, 2.0)), 1e-2, 7, 8),  # fails, recurses
+        ((Linear(2.0, 0.0), Linear(-2.0, 2.0)), 1e-3, 10, 11),
+        ], ids=["up-flat-1e-2", "up-flat-1e-3", "up-down-1e-2", "up-down-1e-3"])
+    def test_bounds_hold(self, monkeypatch, densities, eta, fails, nodes):
+        outcomes = self.fallback_outcomes(monkeypatch)
+        inst = Instance.from_densities(densities)
+        division, stats = pl_ef(inst, eta, QueryLedger())
+        cfg = pl_config(eta, 1, inst.bounds.upper)
+        assert outcomes.count(True) == 1 and outcomes.count(False) == fails
+        assert stats.node_count == nodes
+        assert envy_matrix(inst, division).max_envy <= eta
+        assert stats.node_count <= cfg.k * (cfg.b_levels + 1)
+        assert division.max_pieces() <= 2 * cfg.k * (cfg.b_levels + 1)

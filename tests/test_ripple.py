@@ -113,7 +113,8 @@ class TestBinSearch:
 
     def test_max_iterations_failure_signal(self):
         inst = Instance.from_densities([Uniform(), Uniform()])
-        assert bin_search(inst, 1e-9, QueryLedger(), max_iterations=2) is None
+        with pytest.raises(SearchFailedError, match="exhausted 2 iterations"):
+            bin_search(inst, 1e-9, QueryLedger(), max_iterations=2)
 
     def test_float_resolution_break_names_itself(self):
         # no double lies in [1 - 1e-17, 1), so bisection runs out of doubles next
@@ -124,8 +125,9 @@ class TestBinSearch:
         with pytest.raises(SearchFailedError, match=r"float resolution at iteration 55 \(cap 115\)"):
             bin_search(inst, 1e-17, led)
         assert led.as_dict() == {"eval": 54, "cut": 54}
-        # with an explicit cap it is PL-EF's recursion signal, as before
-        assert bin_search(inst, 1e-17, QueryLedger(), max_iterations=115) is None
+        # an explicit cap fails the same way
+        with pytest.raises(SearchFailedError, match=r"float resolution at iteration 55 \(cap 115\)"):
+            bin_search(inst, 1e-17, QueryLedger(), max_iterations=115)
 
     def test_immediate_hit_returns_first_midpoint(self):
         # chain endpoint from the very first midpoint already lands in
@@ -232,6 +234,15 @@ class TestEnvyFree:
         inst = Instance.from_densities([Uniform(), Uniform()])
         with pytest.raises(DomainError):
             envy_free(inst, 0.0, QueryLedger())
+
+    def test_infinite_lambda_rejected_before_any_query(self):
+        from fairslice import BinomialPoly
+
+        inst = Instance.from_densities([Uniform(), BinomialPoly(3.0, 0.0, 2, 0)])
+        led = QueryLedger()
+        with pytest.raises(NotFullSupportError):
+            envy_free(inst, 1e-6, led)
+        assert led.total() == 0
 
 
 def test_allocation_validation():
