@@ -2,15 +2,16 @@
 
 The driver halves the current interval; on each half it keeps only the agents
 that value the half at least eta_hat, renormalizes their densities over the
-half, guesses a local MLRP order, and runs the ripple binary search under an
-iteration cap.  If the search fails (``SearchFailedError``) or the resulting
-local division fails an eta_hat-envy audit, it recurses on that half.  Halves
-without breakpoints where no kept density touches 0 have linear (hence MLRP)
-local densities, so they never recurse; that bounds the recursion tree by
-k*(B+1) nodes and the global envy by 2k(B+1) * eta_hat <= eta.  A linear piece
-touching 0 has an infinite local Lipschitz constant, and its half searches on
-the global budget, which can fail: the tent (PiecewiseLinear((0.5,), (2, -2),
-(0, 2)), Uniform()) recurses to depth 8 at eta = 1e-2.
+half, guesses a local MLRP order, and runs the ripple binary search on the
+window eta_hat / U of the local densities.  If the search fails
+(``SearchFailedError``) or the resulting local division fails an
+eta_hat-envy audit, it recurses on that half.  Halves without breakpoints
+have linear (hence MLRP) local densities, so they settle unless the search
+runs out of float resolution; that bounds the recursion tree by k*(B+1)
+nodes and the global envy by 2k(B+1) * eta_hat <= eta.  A linear piece
+touching 0 has an infinite local Lipschitz constant, so its half searches
+under the global iteration cap: the tent (PiecewiseLinear((0.5,), (2, -2),
+(0, 2)), Uniform()) settles both halves at the root at eta = 1e-2.
 """
 
 from __future__ import annotations
@@ -22,16 +23,17 @@ from .density import as_piecewise_linear, restrict_unit
 from .errors import DomainError, ParameterRegimeError, SearchFailedError
 from .mlrp import detect_order
 from .oracle import Instance, QueryLedger, eval_query
-from .ripple import bin_search, envy_free, ripple_to_allocation, ripple_window
+from .ripple import bin_search, ripple_to_allocation, ripple_window
 
 
 @dataclass(frozen=True)
 class PlConfig:
     """Derived parameters of a PL-EF run.
 
-    ``lambda_pl = max{U, U/eta_hat, 1/eta_hat}`` and ``cap`` are the closed-form
-    budget of a half whose local Lipschitz constant is infinite; any other half
-    runs ``envy_free`` on its own sharper budget.
+    ``lambda_pl = max{U, U/eta_hat, 1/eta_hat}`` and ``cap`` size the iteration
+    cap of a half whose local Lipschitz constant is infinite; any other half
+    takes bin_search's default cap from its own lambda.  Windows never read
+    lambda: every half searches eta_hat / U of its local densities.
     """
 
     eta: float
@@ -138,12 +140,11 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
         local = local.reordered(order)
         agents = [keep[o] for o in order]  # local rank -> global agent
 
+        # a density touching 0 on this half has infinite local lambda: global cap
+        cap = None if math.isfinite(local.bounds.lipschitz) else global_cap
         try:
-            if math.isfinite(local.bounds.lipschitz):
-                alloc = envy_free(local, cfg.eta_hat, ledger)
-            else:  # a density touches 0 on this half: global budget
-                alloc = ripple_to_allocation(bin_search(
-                    local, ripple_window(cfg.eta_hat, cfg.lambda_pl), ledger, max_iterations=global_cap))
+            alloc = ripple_to_allocation(bin_search(
+                local, ripple_window(cfg.eta_hat, local.bounds.upper), ledger, max_iterations=cap))
         except SearchFailedError:
             return False
 

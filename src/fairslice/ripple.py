@@ -5,6 +5,7 @@ with x_n >= 1 - delta in which every agent i < n values its interval
 [x_{i-1}, x_i] and the next interval [x_i, x_{i+1}] equally (and positively).
 Under MLRP such a division induces an envy-free partial allocation; coalescing
 the unassigned tail onto the last agent costs the envy that ripple_window bounds.
+Windows come from the density upper bound U; lambda only sizes iteration caps.
 """
 
 from __future__ import annotations
@@ -12,11 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NotFullSupportError, SearchFailedError
+from .errors import DomainError, NotFullSupportError, ParameterRegimeError, SearchFailedError
 from .oracle import Instance, QueryLedger, cut_query, eval_query
 
 #: Floating-point threshold below 1 at which the chain endpoint counts as "equals 1".
 ONE_THRESHOLD = 1.0 - 1e-15
+
+#: Narrowest search window: [1 - delta, 1) must span many doubles.
+MIN_WINDOW = 1e-13
 
 
 @dataclass(frozen=True)
@@ -75,15 +79,15 @@ def iteration_cap(n: int, lam: float, delta: float) -> int:
     return math.ceil(2 * (n - 1) * math.log2(2.0 * lam / delta))
 
 
-def ripple_window(eta: float, lam: float) -> float:
-    """Search window delta for target envy ``eta`` under Lipschitz constant ``lam``.
+def ripple_window(eta: float, upper: float) -> float:
+    """Search window delta for target envy ``eta`` under density upper bound ``upper``.
 
     The coalesced tail [x_n, 1] is at most delta long, so it is worth at most
-    U * delta <= lambda * delta = eta to any agent.  The 0.5 ceiling keeps delta
-    in (0, 1); the 1e-13 floor keeps [1 - delta, 1) clear of float resolution
-    near 1 and keeps the eta guarantee whenever U <= eta * 1e13.
+    U * delta = eta to any agent.  The 0.5 ceiling keeps delta in (0, 1); the
+    MIN_WINDOW floor keeps [1 - delta, 1) clear of float resolution near 1,
+    and callers that need the eta bound reject eta / U below it.
     """
-    return min(max(eta / lam, 1e-13), 0.5)
+    return min(max(eta / upper, MIN_WINDOW), 0.5)
 
 
 def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
@@ -139,12 +143,14 @@ def envy_free(instance: Instance, eta: float, ledger: QueryLedger) -> Allocation
     """Allocation with v_i(I_i) >= v_i(I_j) - eta for all i, j (MLRP instance).
 
     Runs bin_search over :func:`ripple_window` and coalesces the tail onto
-    the last agent.
+    the last agent.  Raises ParameterRegimeError, before any query, when
+    eta / U is below MIN_WINDOW.
     """
     if not eta > 0.0:
         raise DomainError(f"eta={eta} must be positive")
-    lam = instance.bounds.lipschitz
-    if not math.isfinite(lam):
-        raise NotFullSupportError(
-            "instance Lipschitz constant is infinite; envy_free needs a density lower bound")
-    return ripple_to_allocation(bin_search(instance, ripple_window(eta, lam), ledger))
+    upper = instance.bounds.upper
+    if eta / upper < MIN_WINDOW:
+        raise ParameterRegimeError(
+            f"eta / U = {eta / upper:.3g} is below {MIN_WINDOW}: the search window "
+            f"[1 - eta / U, 1) is too narrow for float resolution; use a larger eta")
+    return ripple_to_allocation(bin_search(instance, ripple_window(eta, upper), ledger))

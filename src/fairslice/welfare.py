@@ -55,14 +55,6 @@ class MovingKnifeRun:
     value: float  # least interval value: tau, or the eval of a knife truncated at 1
 
 
-def query_lipschitz(instance: Instance) -> float:
-    """Instance lambda, falling back to the eval-Lipschitz bound max(U, 1) when infinite."""
-    lam = instance.bounds.lipschitz
-    if math.isfinite(lam):
-        return lam
-    return max(instance.bounds.upper, 1.0)
-
-
 def switching_point(instance: Instance, i: int, j: int, gamma: float,
                     ledger: QueryLedger) -> float:
     """Estimate of p_ij = inf{x : f_j(x) >= f_i(x)} within gamma, for i < j in MLRP order.
@@ -203,13 +195,13 @@ def max_social_welfare(instance: Instance, eta: float,
     """Allocation with social welfare within eta of the optimum.
 
     The optimum's cut points are switching points; brackets of width
-    eta / (n * lambda) keep every rounded cut's value shift below eta / n.
+    gamma = eta / (n * U) keep every rounded cut's value shift below eta / n.
     """
     if not eta > 0.0:
         raise DomainError(f"eta={eta} must be positive")
     if instance.n == 1:
         return Allocation((0.0, 1.0)), 1.0
-    gamma = min(eta / (instance.n * query_lipschitz(instance)), 0.25)
+    gamma = min(eta / (instance.n * instance.bounds.upper), 0.25)
     pset = build_switching_points(instance, gamma, ledger)
     prefix = _prefix_values(instance, pset.points, ledger)
     table = _sw_dp(prefix)

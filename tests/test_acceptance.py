@@ -43,8 +43,8 @@ def ef_suite():
         n = 2 + i % 5  # n in {2..6}
         inst = makers[i % 3](n, rng)
         led = fs.QueryLedger()
-        lam = inst.bounds.lipschitz
-        delta = ripple_window(eta, lam)
+        lam = inst.bounds.lipschitz  # sizes only criterion 3's iteration cap
+        delta = ripple_window(eta, inst.bounds.upper)
         start = time.perf_counter()
         rd = fs.bin_search(inst, delta, led)
         alloc = fs.ripple_to_allocation(rd)

@@ -16,6 +16,7 @@ UNIF_QUAD = {
                {"family": "binomial_poly", "a": 3, "b": 0, "s": 2, "t": 0}],
     "ordered": True,
 }
+TWO_AGENTS = {"agents": [{"family": "linear", "a": -1, "b": 1.5}, {"family": "uniform"}]}
 GAUSS_TRIO = {
     "agents": [{"family": "gaussian_restricted", "mu": 0.8, "sigma": 0.2},
                {"family": "gaussian_restricted", "mu": 0.2, "sigma": 0.2},
@@ -157,6 +158,16 @@ def test_nsw_grid_over_budget_exits_2(tmp_path, capsys, monkeypatch):
         main()
     assert exit_info.value.code == 2
     assert capsys.readouterr().err.startswith("error: epsilon=1e-05")
+
+
+def test_ef_window_below_float_resolution_exits_2(tmp_path, capsys, monkeypatch):
+    # eta / U = 6.7e-15 < 1e-13: rejected before the search, not failed by the audit
+    path = write(tmp_path, "inst.json", TWO_AGENTS)
+    monkeypatch.setattr(sys, "argv", ["fairslice", "ef", "--eta", "1e-14", path])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.startswith("error: eta / U = 6.67e-15 is below 1e-13")
 
 
 def test_perturb_roundtrip(tmp_path, capsys):

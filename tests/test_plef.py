@@ -26,8 +26,8 @@ class TestPlConfig:
         assert cfg.eta_hat == pytest.approx((1e-3 / 4) ** 2 / 2.0)
         assert cfg.lambda_pl == pytest.approx(max(2.0, 2.0 / cfg.eta_hat, 1.0 / cfg.eta_hat))
         assert not hasattr(cfg, "delta")
-        # the zero-touching fallback's window: eta_hat / lambda_pl ~ 4.9e-16, floored
-        assert ripple_window(cfg.eta_hat, cfg.lambda_pl) == max(cfg.eta_hat / cfg.lambda_pl, 1e-13)
+        # every half's window is eta_hat / U of its local densities; lambda_pl sizes only cap
+        assert ripple_window(cfg.eta_hat, cfg.upper) == cfg.eta_hat / cfg.upper
         assert cfg.b_levels == pytest.approx(2.0 * math.log2(4 * 2.0 / cfg.eta_hat))
         assert cfg.min_length == pytest.approx((1e-3) ** 2 / (16 * 4.0))
         assert cfg.cap >= 1
@@ -87,6 +87,17 @@ class TestPlEf:
         with pytest.raises(ParameterRegimeError):
             pl_ef(inst, 0.5, QueryLedger())
 
+    def test_floored_windows_keep_envy(self):
+        # eta_hat < 1e-13 and local U >= 1, so ripple_window floors every half's
+        # window; the per-half audit still holds each half to eta_hat
+        inst = piecewise_linear_instance(3, 4, np.random.default_rng(61))
+        eta = 1e-6
+        division, stats = pl_ef(inst, eta, QueryLedger())
+        cfg = pl_config(eta, 4, inst.bounds.upper)
+        assert ripple_window(cfg.eta_hat, 1.0) == 1e-13
+        assert envy_matrix(inst, division).max_envy <= eta
+        assert stats.node_count <= cfg.k * (cfg.b_levels + 1)
+
     def test_identical_agents_with_jump(self):
         # discontinuous density with a steep right spike, shared by both agents
         lam = 10.0
@@ -101,7 +112,7 @@ class TestPlEf:
 
 
 class TestZeroTouchingFallback:
-    """Halves where a density touches 0 (infinite local lambda) search on the global budget."""
+    """Halves where a density touches 0 (infinite local lambda) search under the global cap."""
 
     @staticmethod
     def fallback_outcomes(monkeypatch):
@@ -117,25 +128,25 @@ class TestZeroTouchingFallback:
                     outcomes.append(False)
                 raise
             if fallback:
-                outcomes.append(rd is not None)
+                outcomes.append(True)
             return rd
 
         monkeypatch.setattr(plef, "bin_search", spy)
         return outcomes
 
-    @pytest.mark.parametrize("densities, eta, fails, nodes", [
-        ((Linear(2.0, 0.0), Uniform()), 1e-2, 0, 1),  # settled at the root
-        ((Linear(2.0, 0.0), Uniform()), 1e-3, 0, 1),
-        ((Linear(2.0, 0.0), Linear(-2.0, 2.0)), 1e-2, 7, 8),  # fails, recurses
-        ((Linear(2.0, 0.0), Linear(-2.0, 2.0)), 1e-3, 10, 11),
+    @pytest.mark.parametrize("densities, eta, settled", [
+        ((Linear(2.0, 0.0), Uniform()), 1e-2, 1),  # the left half falls back
+        ((Linear(2.0, 0.0), Uniform()), 1e-3, 1),
+        ((Linear(2.0, 0.0), Linear(-2.0, 2.0)), 1e-2, 2),  # both halves fall back
+        ((Linear(2.0, 0.0), Linear(-2.0, 2.0)), 1e-3, 2),
         ], ids=["up-flat-1e-2", "up-flat-1e-3", "up-down-1e-2", "up-down-1e-3"])
-    def test_bounds_hold(self, monkeypatch, densities, eta, fails, nodes):
+    def test_bounds_hold(self, monkeypatch, densities, eta, settled):
         outcomes = self.fallback_outcomes(monkeypatch)
         inst = Instance.from_densities(densities)
         division, stats = pl_ef(inst, eta, QueryLedger())
         cfg = pl_config(eta, 1, inst.bounds.upper)
-        assert outcomes.count(True) == 1 and outcomes.count(False) == fails
-        assert stats.node_count == nodes
+        assert outcomes == [True] * settled  # every fallback settles at the root
+        assert stats.node_count == 1
         assert envy_matrix(inst, division).max_envy <= eta
         assert stats.node_count <= cfg.k * (cfg.b_levels + 1)
         assert division.max_pieces() <= 2 * cfg.k * (cfg.b_levels + 1)

@@ -18,9 +18,11 @@ from fairslice import (
     rd_chain,
     ripple_to_allocation,
 )
-from fairslice.errors import DomainError, NotFullSupportError, SearchFailedError
+from fairslice import ripple
+from fairslice.errors import DomainError, NotFullSupportError, ParameterRegimeError, SearchFailedError
+from fairslice.mlrp import perturb
 from fairslice.ripple import RippleDivision
-from gen import mlrp_instance
+from gen import mlrp_instance, op_intervals
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -243,6 +245,53 @@ class TestEnvyFree:
         with pytest.raises(NotFullSupportError):
             envy_free(inst, 1e-6, led)
         assert led.total() == 0
+
+    def test_window_is_eta_over_upper(self, monkeypatch):
+        real, deltas = ripple.bin_search, []
+
+        def spy(instance, delta, ledger, max_iterations=None):
+            deltas.append(delta)
+            return real(instance, delta, ledger, max_iterations)
+
+        monkeypatch.setattr(ripple, "bin_search", spy)
+        inst = Instance.from_densities([GaussianRestricted(m, 0.2) for m in (0.3, 0.7)])
+        assert inst.bounds.lipschitz > 10.0 * inst.bounds.upper
+        envy_free(inst, 1e-6, QueryLedger())
+        assert deltas == [1e-6 / inst.bounds.upper]
+
+    def test_window_below_float_resolution_rejected_before_any_query(self):
+        # eta / U = 4.7e-15: no window near 1 is that narrow (a 1e-13 one gives envy 8.3e-14)
+        inst = Instance.from_densities([Linear(1.0, 0.5), GaussianRestricted(0.7, 0.2)])
+        led = QueryLedger()
+        with pytest.raises(ParameterRegimeError, match="below 1e-13"):
+            envy_free(inst, 1e-14, led)
+        assert led.total() == 0
+
+
+def perturbed_intervals(seed, count, n_of, perturbation):
+    """``count`` perturbed comonotone interval instances, the t-th with n_of(t) agents."""
+    rng = np.random.default_rng(seed)
+    return [perturb(op_intervals(n_of(t), rng), perturbation) for t in range(count)]
+
+
+@pytest.mark.parametrize("eta", [1e-4, 1e-6])
+def test_perturbed_interval_sweep(eta):
+    # lambda reaches 1.7e8 while U <= 2.3: a window of eta / lambda would lie
+    # below float resolution near 1 (8 of these 30 searches fail at eta 1e-6)
+    for inst in perturbed_intervals(3, 30, lambda t: 2 + t % 4, 0.1):
+        alloc = envy_free(inst, eta, QueryLedger())
+        assert envy_matrix(inst, alloc).max_envy <= eta
+
+
+@pytest.mark.xfail(strict=True, raises=SearchFailedError,
+                   reason="lambda 6e13 to 6e39: between two adjacent doubles of x_1 the "
+                          "chain endpoint jumps past any window (ROADMAP item 1)")
+@pytest.mark.parametrize("perturbation", [1e-4, 1e-6])
+def test_steep_perturbed_interval_sweep(perturbation):
+    # 4 of 50 searches fail at perturbation 1e-4 (n = 5, 6), all 50 at 1e-6
+    for inst in perturbed_intervals(17, 50, lambda t: 3 + t % 4, perturbation):
+        alloc = envy_free(inst, 1e-6, QueryLedger())
+        assert envy_matrix(inst, alloc).max_envy <= 1e-6
 
 
 def test_allocation_validation():

@@ -131,6 +131,14 @@ class TestMaxSocialWelfare:
             lam = inst.bounds.lipschitz
             assert sw >= oracle - (eta + 2.0 * lam / m)
 
+    def test_fine_eta_against_oracle(self):
+        # brackets of eta / (n * lambda) sink into float noise here: 5 of these 40 miss
+        eta = 1e-10
+        for seed in range(40):
+            inst = mlrp_instance(2 + seed % 3, np.random.default_rng(seed))
+            _, sw = max_social_welfare(inst, eta, QueryLedger())
+            assert sw >= brute_force_optimum(inst, "sw", 2000) - eta
+
     def test_mlrp_order_conforming(self):
         rng = np.random.default_rng(35)
         inst = mlrp_instance(3, rng)
