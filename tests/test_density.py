@@ -23,6 +23,7 @@ from fairslice.errors import (
     UnsupportedFamilyError,
 )
 from fairslice.density import BISECT_MAX_ITER
+from gen import binomial_instance
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 ZERO_TAIL_L = 0.04359839244293869
@@ -109,8 +110,9 @@ class TestInverseMeasure:
 
     @pytest.mark.parametrize("tau", [0.05, 0.6])
     def test_bisection_stops_at_adjacent_floats(self, tau):
-        # bisection stops once the bracket's endpoints are adjacent doubles, about
-        # 55 halvings from [0, 1], well before the 200-step cap
+        # the cut stops once the bracket's endpoints are adjacent doubles, well
+        # before the 200-step cap: about 55 halvings from [0, 1] for bisection
+        # alone, under 10 evaluations with the Newton stage
         class Counting(BinomialPoly):
             calls = 0
 
@@ -392,6 +394,13 @@ CUT_FAMILIES = {
     "linear_flat": Linear(0.0, 1.0),
     "binomial": BinomialPoly(2.0, 0.4, 3, 1).normalized(),
     "binomial_touching_zero": BinomialPoly(3.0, 0.0, 2, 0),
+    "binomial_s8_t1": BinomialPoly(1.5, 0.5, 8, 1).normalized(),
+    "binomial_s8_t7": BinomialPoly(0.7, 2.0, 8, 7, scale=3.0),
+    "binomial_a_zero": BinomialPoly(0.0, 1.3, 5, 2),
+    "binomial_b_zero_s8": BinomialPoly(2.0, 0.0, 8, 3).normalized(),
+    # a < 0: F's rounding is not monotone, and these cuts keep the plain bisection
+    "binomial_mixed_sign": BinomialPoly(-0.5, 1.0, 2, 0).normalized(),
+    "binomial_mixed_sign_touching_zero": BinomialPoly(-2.0, 2.0, 6, 1),
     "piecewise_linear": PiecewiseLinear((0.3, 0.8), (2.0, 0.0, -1.5), (0.5, 1.1, 2.3)).normalized(),
     "piecewise_linear_zero_tail": PiecewiseLinear((0.1709278197011611,), (0.0, 0.0),
                                                   (4.25242531099244, 0.0)),
@@ -408,7 +417,11 @@ NEAR_ONE = (1.0 - 1e-9, 1.0 - 1e-13, math.nextafter(1.0, 0.0), 1.0)
 
 
 def _cut_grid(d, seed):
-    """Seeded (l, tau) pairs: random, plus tau = 0, above the rest, exactly the rest, near 1."""
+    """Seeded (l, tau) pairs: random, plus tau = 0, above the rest, exactly the rest, near 1.
+
+    At l = 0, tau = 5e-324 cuts below 2**-147 on densities that touch zero there,
+    where the bisection stops at its cap (``test_bisection_cap_binds_on_tiny_cuts``).
+    """
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -468,3 +481,41 @@ def test_queries_write_no_attributes(name):
     d.inverse_measure(0.95, 10.0)
     d.value_at(0.3)
     assert list(vars(d)) == keys
+
+
+def test_bisection_cap_binds_on_tiny_cuts():
+    # the leftmost double is about 5e-162, but 200 halvings from [0, 1] end at 2**-200
+    assert BinomialPoly(2.0, 0.4, 3, 1).normalized().inverse_measure(0.0, 5e-324) == 2.0**-200
+
+
+def test_binomial_cut_newton_stage_saves_evaluations():
+    # safeguarded Newton narrows the bracket before the bisection finishes it:
+    # under 10 evaluations of F per cut instead of about 55, with the same doubles
+    class Counting(BinomialPoly):
+        calls = 0
+
+        def _cumulative(self, x):
+            Counting.calls += 1
+            return super()._cumulative(x)
+
+    rng = np.random.default_rng(7)
+    cuts = 0
+    Counting.calls = 0
+    for n in (2, 5, 9):
+        for agent in binomial_instance(n, rng).agents:
+            d = Counting(agent.a, agent.b, agent.s, agent.t, scale=agent.scale)
+            for l, frac in zip(rng.uniform(0.0, 1.0, 20), rng.uniform(0.0, 1.0, 20)):
+                l, tau = float(l), float(frac) * agent.measure(float(l), 1.0)
+                assert d.inverse_measure(l, tau) == reference_inverse_measure(agent, l, tau)
+                cuts += 1
+    assert Counting.calls / cuts <= 20
+
+
+@pytest.mark.xfail(strict=True, reason="F = 0.5 * (1 + erf(z / sqrt 2)) cancels in the left "
+                                       "tail, so the cut lands right of the leftmost point "
+                                       "(ROADMAP item 3)")
+def test_gaussian_left_tail_cut_is_leftmost():
+    d = GaussianRestricted(0.9, 0.05, scale=0.4)
+    tau = 1e-12
+    y = d.inverse_measure(0.0, tau)
+    assert d.measure(0.0, y - 1e-9) < tau
