@@ -12,6 +12,7 @@ post-hoc audit (an implementation bug, not user error).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -237,7 +238,13 @@ COMMANDS = {
 }
 
 
-def run(argv: list[str]) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``run`` of a process and reused after it.
+
+    Not built at import, which the process pays even when it runs nothing.
+    Reuse is safe: ``parse_args`` fills a fresh namespace on every call.
+    """
     parser = argparse.ArgumentParser(prog="fairslice", description="Fair cake division under MLRP")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags, _) in COMMANDS.items():
@@ -246,8 +253,11 @@ def run(argv: list[str]) -> int:
         for flag in flags:
             p.add_argument(flag, **FLAGS[flag])
         p.add_argument("--pretty", action="store_true", help="indented JSON output")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def run(argv: list[str]) -> int:
+    args = _parser().parse_args(argv)
     level = os.environ.get("FAIRSLICE_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import fairslice
-from fairslice import Allocation, welfare
+from fairslice import Allocation, cli, welfare
 from fairslice.cli import main, run
 
 TWO_UNIFORM = {"agents": [{"family": "uniform"}, {"family": "uniform"}], "ordered": True}
@@ -222,6 +222,36 @@ def test_queries_flag_prints_to_stderr(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.err.startswith("queries: eval=")
+
+
+def test_parser_reuse_changes_no_output(tmp_path, capsys):
+    # the parser is built once per process; every report and error must be what a fresh one gives
+    inst = write(tmp_path, "inst.json", TWO_AGENTS)
+    division = write(tmp_path, "div.json", {"pieces": [[[0.0, 0.4]], [[0.4, 1.0]]]})
+    argvs = [["sw", "--eta", "1e-8", inst], ["mlrp-check", inst],
+             ["check", "--division", division, inst], ["sw", "--json", inst]]
+
+    def outcome(argv):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        report = json.loads(out) if out else None
+        if report:
+            del report["wall_time_s"]
+        return code, report, err
+
+    first = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        first.append(outcome(argv))
+    for _ in range(2):
+        assert [outcome(argv) for argv in argvs] == first
+    assert [code for code, _, _ in first] == [0, 0, 0, 2]
+    assert first[1][1]["verified"] == [True]
+    assert first[-1][2].startswith("usage: fairslice [-h]")
+    assert "unrecognized arguments: --json" in first[-1][2]
 
 
 UNREAD_FLAGS = [

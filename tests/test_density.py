@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 from dataclasses import replace
 from statistics import NormalDist
 
@@ -481,6 +482,35 @@ def test_queries_write_no_attributes(name):
     d.inverse_measure(0.95, 10.0)
     d.value_at(0.3)
     assert list(vars(d)) == keys
+
+
+def test_segment_lookup_matches_knot_walk():
+    # _segment bisects the breakpoints alone; the knot walk it replaced clipped x = 1 to the last segment
+    rng = np.random.default_rng(11)
+    for d in (CUT_FAMILIES["piecewise_linear"], CUT_FAMILIES["piecewise_linear_spike"],
+              PiecewiseLinear((), (1.0,), (0.5,)),
+              PiecewiseLinear(tuple(np.sort(rng.uniform(0.0, 1.0, 40))), (0.0,) * 41, (1.0,) * 41)):
+        knots = (0.0, *d.breakpoints, 1.0)
+        points = [*knots, *np.nextafter(knots, 0.0), *np.nextafter(knots, 1.0), *rng.uniform(0.0, 1.0, 500)]
+        for x in (float(x) for x in points if 0.0 <= x <= 1.0):
+            assert d._segment(x) == min(bisect_right(knots, x) - 1, len(d.slopes) - 1)
+
+
+@pytest.mark.parametrize("name", sorted(CUT_FAMILIES))
+def test_normalized_equals_replace(name):
+    # normalized copies the derived constants instead of running __post_init__ again
+    d = replace(CUT_FAMILIES[name])
+    n = d.normalized()
+    assert type(n) is type(d)
+    assert vars(n) == vars(replace(d, scale=n.scale))
+    if isinstance(n, PiecewiseConstant):
+        assert n._linear.scale == n.scale
+
+
+@pytest.mark.parametrize("density", [Linear(0.0, 1e-310), PiecewiseConstant((0.5,), (1e-310, 0.0))])
+def test_normalized_scale_overflow_raises(density):
+    with pytest.raises(DomainError, match="scale inf is not finite"):
+        density.normalized()
 
 
 def test_bisection_cap_binds_on_tiny_cuts():

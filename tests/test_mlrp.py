@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from fairslice import (
     BinomialPoly,
+    ExponentialRestricted,
     GaussianRestricted,
     Instance,
     IntervalInstance,
     Linear,
     PiecewiseConstant,
+    PiecewiseLinear,
     QueryLedger,
     Uniform,
     check_binomial_pair,
@@ -22,9 +26,9 @@ from fairslice import (
     perturbation_density,
     verify_instance,
 )
-from fairslice.errors import DomainError, OrderingError
-from fairslice.mlrp import perturbation_height_factor
-from gen import op_intervals
+from fairslice.errors import DomainError, NotFullSupportError, OrderingError
+from fairslice.mlrp import _GRID_BLOCK, DEFAULT_GRID, RATIO_SLACK, perturbation_height_factor
+from gen import mlrp_instance, op_intervals
 
 QUAD = BinomialPoly(3.0, 0.0, 2, 0)  # f(x) = 3x^2
 
@@ -78,6 +82,164 @@ class TestPairGrid:
     def test_grid_too_small(self):
         with pytest.raises(DomainError):
             check_pair_grid(Uniform(), Uniform(), 1)
+
+
+def reference_check_pair_grid(f_i, f_j, m=DEFAULT_GRID, slack=RATIO_SLACK):
+    """The scalar loop ``check_pair_grid`` replaced: two ``value_at`` calls per grid point."""
+    if m < 2:
+        raise DomainError(f"grid size m={m} must be at least 2")
+    prev_ratio, prev_x = None, 0.0
+    for k in range(m):
+        x = k / (m - 1)
+        num, den = f_j.value_at(x), f_i.value_at(x)
+        if num < 0.0 or den < 0.0 or (num == 0.0 and den == 0.0):
+            raise NotFullSupportError(f"degenerate density values at x={x}")
+        ratio = math.inf if den == 0.0 else num / den
+        if prev_ratio is not None and ratio < prev_ratio - slack:
+            return False, (prev_x, x)
+        if prev_ratio is None or ratio > prev_ratio:
+            prev_ratio, prev_x = ratio, x
+    return True, None
+
+
+def grid_outcome(check, f_i, f_j, m):
+    """(ok, witness), or the type and message of the error the check raised."""
+    try:
+        return check(f_i, f_j, m)
+    except NotFullSupportError as exc:
+        return type(exc), str(exc)
+
+
+def random_density(rng, family):
+    if family == "uniform":
+        return Uniform(scale=float(rng.uniform(0.5, 2.0)))
+    if family == "linear":
+        b = float(rng.uniform(0.1, 2.0))
+        return Linear(float(rng.uniform(-b, 3.0)), b)
+    if family == "binomial":
+        s = int(rng.integers(1, 6))
+        return BinomialPoly(float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.05, 2.0)),
+                            s, int(rng.integers(0, s)))
+    if family in ("piecewise_linear", "piecewise_constant"):
+        k = int(rng.integers(0, 5))
+        brk = tuple(float(p) for p in np.sort(rng.uniform(0.02, 0.98, k)))
+        heights = tuple(float(h) for h in rng.uniform(0.1, 2.0, k + 1))
+        if family == "piecewise_constant":
+            return PiecewiseConstant(brk, heights)
+        slopes = tuple(float(v) for v in rng.uniform(-0.1, 2.0, k + 1))
+        return PiecewiseLinear(brk, slopes, heights)
+    if family == "gaussian":
+        return GaussianRestricted(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.05, 0.6)))
+    return ExponentialRestricted(float(rng.uniform(0.1, 5.0)))
+
+
+FAMILIES = ("uniform", "linear", "binomial", "piecewise_linear", "piecewise_constant",
+            "gaussian", "exponential")
+#: Families whose array kernel uses the same operations as value_at, so the same doubles.
+EXACT_KERNELS = ("uniform", "linear", "piecewise_linear", "piecewise_constant")
+
+
+class TestGridOracle:
+    """check_pair_grid against the scalar loop: the same verdict, witness and error."""
+
+    def assert_same(self, f_i, f_j, m):
+        expected = grid_outcome(reference_check_pair_grid, f_i, f_j, m)
+        assert grid_outcome(check_pair_grid, f_i, f_j, m) == expected
+        return expected
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_seeded_pairs(self, family):
+        rng = np.random.default_rng(sum(map(ord, family)))
+        for _ in range(12):
+            f_i = random_density(rng, family).normalized()
+            f_j = random_density(rng, FAMILIES[int(rng.integers(len(FAMILIES)))]).normalized()
+            for m in (2, 3, 257, DEFAULT_GRID):
+                self.assert_same(f_i, f_j, m)
+                self.assert_same(f_j, f_i, m)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_mlrp_instances(self, seed):
+        # the adjacent pairs verify_instance checks on generated MLRP instances
+        inst = mlrp_instance(5, np.random.default_rng(seed))
+        for f_i, f_j in zip(inst.agents, inst.agents[1:]):
+            assert self.assert_same(f_i, f_j, DEFAULT_GRID) == (True, None)
+            assert self.assert_same(f_j, f_i, DEFAULT_GRID)[0] is False
+
+    @pytest.mark.parametrize("m", [2, 3, 512, DEFAULT_GRID])
+    def test_mlrp_and_violating_pairs(self, m):
+        assert self.assert_same(Uniform(), QUAD, m) == (True, None)
+        assert self.assert_same(QUAD, Uniform(), m)[0] is False
+
+    @pytest.mark.parametrize("m", [2, 3, 1000])
+    def test_infinite_ratios(self, m):
+        rising = Linear(2.0, 0.0)  # zero at x = 0: an infinite first ratio
+        gap = PiecewiseConstant((0.3, 0.6), (1.0, 0.0, 2.0))  # zero in the middle
+        for f_i, f_j in ((rising, Uniform()), (Uniform(), rising), (gap, Uniform()),
+                         (Uniform(), gap), (gap, rising), (rising, gap)):
+            self.assert_same(f_i, f_j, m)
+        assert self.assert_same(rising, Uniform(), m) == (False, (0.0, 1.0 / (m - 1)))
+
+    def test_zero_over_zero_before_and_after_a_violation(self):
+        # both densities vanish at x = 0, before anything can decrease
+        before = self.assert_same(Linear(2.0, 0.0), QUAD, 101)
+        assert before == (NotFullSupportError, "degenerate density values at x=0.0")
+        # the ratio falls from 2 to 1 at x = 0.25; both vanish from x = 0.5 on
+        f_i = PiecewiseConstant((0.5,), (1.0, 0.0))
+        f_j = PiecewiseConstant((0.25, 0.5), (2.0, 1.0, 0.0))
+        assert self.assert_same(f_i, f_j, 101) == (False, (0.0, 0.25))
+        # a negative value that is also the first decrease: the error wins
+        dipping = PiecewiseLinear((0.5,), (0.0, 0.0), (1.0, -1e-16))
+        assert self.assert_same(Uniform(), dipping, 5) == (
+            NotFullSupportError, "degenerate density values at x=0.5")
+
+    def test_undefined_ratios_follow_the_loop(self):
+        # raw densities whose values overflow to inf: inf/inf is NaN, which the loop
+        # skips, or keeps as its maximum when it comes first
+        steep = Linear(1e308, 1e308)  # inf at x = 1 only
+        assert self.assert_same(steep, steep, 11) == (True, None)
+        everywhere = Linear(0.0, 1e308, scale=10.0)  # inf at every point
+        first = PiecewiseConstant((0.5,), (1e308, 1.0), scale=10.0)  # inf, then 10
+        assert self.assert_same(everywhere, first, 11) == (True, None)
+        assert self.assert_same(first, everywhere, 11) == (True, None)
+        # ratios NaN, 2, 1: the first NaN stays the maximum, and nothing falls below it
+        f_i = PiecewiseConstant((0.25,), (1e308, 1.0), scale=10.0)
+        f_j = PiecewiseConstant((0.25, 0.5), (1e308, 2.0, 1.0), scale=10.0)
+        assert self.assert_same(f_i, f_j, 11) == (True, None)
+        # ratios 1, NaN, 0.5: a later NaN is skipped, and 0.5 falls below 1
+        f_i = PiecewiseConstant((0.3, 0.6), (1.0, 1e308, 1.0), scale=10.0)
+        f_j = PiecewiseConstant((0.3, 0.6), (1.0, 1e308, 0.5), scale=10.0)
+        assert self.assert_same(f_i, f_j, 11) == (False, (0.0, 0.6))
+
+    def test_witness_straddles_a_block_boundary(self):
+        m = _GRID_BLOCK + 1
+        last = (m - 2) / (m - 1)  # the last point of the first block
+        # the ratio rises up to the first block's last point, then drops at x = 1
+        f_j = PiecewiseLinear((0.5 * (last + 1.0),), (1.0, 0.0), (1.0, 0.1))
+        assert self.assert_same(Uniform(), f_j, m) == (False, (last, 1.0))
+        # a plateau from x = 0 carries its first x across the boundary
+        f_j = PiecewiseConstant((0.5 * (last + 1.0),), (1.0, 0.5))
+        assert self.assert_same(Uniform(), f_j, m) == (False, (0.0, 1.0))
+        # the maximum in the second block, the drop after it
+        m = 2 * _GRID_BLOCK + 1
+        top = (_GRID_BLOCK + 7) / (m - 1)
+        f_j = PiecewiseLinear((top + 0.5 / (m - 1),), (1.0, 0.0), (1.0, 0.1))
+        assert self.assert_same(Uniform(), f_j, m) == (False, (top, (_GRID_BLOCK + 8) / (m - 1)))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_kernels_match_value_at(self, family):
+        rng = np.random.default_rng(len(family))
+        xs = np.concatenate((np.arange(DEFAULT_GRID) / (DEFAULT_GRID - 1), rng.uniform(0.0, 1.0, 500)))
+        for _ in range(10):
+            d = random_density(rng, family)
+            if hasattr(d, "breakpoints"):  # every breakpoint and its neighbouring doubles
+                xs = np.concatenate((xs, d.breakpoints, np.nextafter(d.breakpoints, 0.0),
+                                     np.nextafter(d.breakpoints, 1.0)))
+            for d in (d, d.normalized()):
+                expected = np.array([d.value_at(float(x)) for x in xs])
+                if family in EXACT_KERNELS:
+                    assert np.array_equal(d._values_at(xs), expected)
+                else:  # numpy's exp and power against libm's, then up to three roundings
+                    np.testing.assert_array_max_ulp(d._values_at(xs), expected, maxulp=4)
 
 
 class TestBinomialPair:
