@@ -1,4 +1,4 @@
-# Envy-free division via ripple binary search
+# Envy-free division via the ripple chain search
 #
 # Three agents with same-variance Gaussian tastes peaked at different spots
 # of the cake.  Same variance means the densities satisfy the monotone
@@ -23,7 +23,8 @@ for x in (0.1, 0.2, 0.3):
     chain = fs.rd_chain(instance, x, ledger)
     print(f"first cut {x:.2f} -> chain endpoint {chain[-1]:.4f}")
 
-# Binary search drives the chain endpoint into [1 - delta, 1).
+# An interpolating search on the first cut drives the chain endpoint into
+# [1 - delta, 1).
 ledger = fs.QueryLedger()
 allocation = fs.envy_free(instance, eta=1e-6, ledger=ledger)
 print("\ncuts:", np.round(allocation.cuts, 6))

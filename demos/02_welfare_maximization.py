@@ -21,7 +21,7 @@ print(f"SW cut {alloc.cuts[1]:.6f}  (analytic {1/math.sqrt(3):.6f})")
 print(f"SW value {sw:.6f}  oracle {fs.brute_force_optimum(instance, 'sw', 2000):.6f}")
 
 # Egalitarian welfare: moving-knife feasibility is monotone in the target
-# value, so binary search over multiples of eta finds the best share floor.
+# value, so a search over multiples of eta finds the best share floor.
 ledger = fs.QueryLedger()
 alloc, ew = fs.max_egalitarian(instance, eta=1e-4, ledger=ledger)
 print(f"\nEW value {ew:.4f}  cut {alloc.cuts[1]:.4f}  "

@@ -215,7 +215,7 @@ FLAGS = {
 # subcommand -> (help text, the flags it reads, handler (args, ledger) -> (report fields, exit
 # code)).  Library functions are looked up when a command runs, so patched attributes apply.
 COMMANDS = {
-    "ef": ("envy-free allocation via ripple-division binary search", ("--eta", "--queries"),
+    "ef": ("envy-free allocation via ripple-division chain search", ("--eta", "--queries"),
            _allocation("eta", lambda inst, eta, ledger: (ripple.envy_free(inst, eta, ledger), None),
                        _ef_audit_fails)),
     "sw": ("social-welfare maximizing allocation", ("--eta", "--queries"), _allocation(

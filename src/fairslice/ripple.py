@@ -1,4 +1,4 @@
-"""Ripple divisions: the cut/eval chain, binary search, and envy-free allocation.
+"""Ripple divisions: the cut/eval chain, its search, and envy-free allocation.
 
 A delta-ripple division is a set of cut points 0 = x_0 <= x_1 <= ... <= x_n
 with x_n >= 1 - delta in which every agent i < n values its interval
@@ -6,6 +6,16 @@ with x_n >= 1 - delta in which every agent i < n values its interval
 Under MLRP such a division induces an envy-free partial allocation; coalescing
 the unassigned tail onto the last agent costs the envy that ripple_window bounds.
 Windows come from the density upper bound U; lambda only sizes iteration caps.
+
+The chain searches here and in ``welfare.max_egalitarian`` pick each probe with
+:func:`_probe`, an ITP-style rule (Oliveira and Takahashi, ACM TOMS 47(1),
+2021): interpolate where the nondecreasing chain value reaches its goal, then
+project that estimate onto a shrinking neighbourhood of the bracket midpoint.
+The projection keeps every bracket within 2**SLACK times bisection's width:
+a search reaches any bracket width at most SLACK = 1 iteration after
+bisection would, so its worst case is bisection's plus one iteration, which
+the paper's iteration cap still covers.  (A single search can still end later
+than a bisection whose midpoint happens to land in the window early.)
 """
 
 from __future__ import annotations
@@ -21,6 +31,9 @@ ONE_THRESHOLD = 1.0 - 1e-15
 
 #: Narrowest search window: [1 - delta, 1) must span many doubles.
 MIN_WINDOW = 1e-13
+
+#: Halvings by which an interpolating search's bracket may trail bisection's.
+SLACK = 1
 
 
 @dataclass(frozen=True)
@@ -63,10 +76,14 @@ def rd_chain(instance: Instance, x: float, ledger: QueryLedger) -> list[float]:
     """Chain points x_2, ..., x_n from first cut x_1 = x (n-1 cuts, n-1 evals).
 
     x_2 = Cut_1(x, Eval_1(0, x)); thereafter x_{i+1} makes agent i indifferent
-    between [x_{i-1}, x_i] and [x_i, x_{i+1}].  Truncation at 1 propagates.
+    between [x_{i-1}, x_i] and [x_i, x_{i+1}].  Truncation at 1 propagates:
+    a cut from 1 returns 1, so once a point is 1.0 the rest are 1.0 unasked.
     """
     xs = [0.0, x]
     for agent in range(instance.n - 1):
+        if xs[-1] == 1.0:
+            xs.append(1.0)
+            continue
         target = eval_query(instance, agent, xs[-2], xs[-1], ledger)
         xs.append(cut_query(instance, agent, xs[-1], target, ledger))
     return xs[2:]
@@ -90,17 +107,48 @@ def ripple_window(eta: float, upper: float) -> float:
     return min(max(eta / upper, MIN_WINDOW), 0.5)
 
 
+def _probe(left: float, right: float, points: list[tuple[float, float]], goal: float,
+           k: int, w0: float) -> float:
+    """Probe for step ``k`` (0-based) of a chain search on the bracket (left, right).
+
+    ``points`` are the uncensored (x, value) pairs seen so far, oldest first,
+    from a nondecreasing function.  Estimates of where the value reaches
+    ``goal`` are, in turn, inverse quadratic interpolation through the last
+    three points when their values increase strictly, the secant through the
+    last two when theirs do, and the midpoint; the first that lies inside the
+    open bracket is projected onto midpoint +- r with
+    r = w0 2**(SLACK - k - 1) - (right - left) / 2.  That keeps the bracket
+    after step k at most 2**SLACK times bisection's w0 / 2**(k + 1).
+    """
+    mid = 0.5 * (left + right)
+    estimates = []
+    if len(points) >= 3 and points[-3][1] < points[-2][1] < points[-1][1]:
+        (x0, y0), (x1, y1), (x2, y2) = points[-3:]
+        estimates.append(x0 * (goal - y1) / (y0 - y1) * (goal - y2) / (y0 - y2)
+                         + x1 * (goal - y0) / (y1 - y0) * (goal - y2) / (y1 - y2)
+                         + x2 * (goal - y0) / (y2 - y0) * (goal - y1) / (y2 - y1))
+    if len(points) >= 2 and points[-2][1] < points[-1][1]:
+        (x0, y0), (x1, y1) = points[-2:]
+        estimates.append(x1 + (goal - y1) * (x1 - x0) / (y1 - y0))
+    est = next((e for e in estimates if left < e < right), mid)  # a NaN is never inside
+    r = max(w0 * 2.0 ** (SLACK - k - 1) - 0.5 * (right - left), 0.0)
+    return min(max(est, mid - r), mid + r)
+
+
 def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
                max_iterations: int | None = None) -> RippleDivision:
-    """Find a delta-ripple division by bisecting on the first cut point.
+    """Find a delta-ripple division by searching on the first cut point.
 
     Maintains RD_n(l) < 1 - delta and RD_n(r) = 1 and stops at the first
-    midpoint whose chain endpoint lands in [1 - delta, 1).  Endpoint values
-    >= 1 - 1e-15 are treated as "equals 1" (floating-point convention).
+    probe whose chain endpoint lands in [1 - delta, 1).  Endpoint values
+    >= 1 - 1e-15 are treated as "equals 1" (floating-point convention) and
+    only move r; every other endpoint is exact and steers the next probe,
+    which :func:`_probe` aims at 1 - delta/2, starting from RD_n(0) = 0.
 
     ``max_iterations`` defaults to the theoretical bound
-    2(n-1) log2(2*lambda/delta).  Running out of iterations or of float
-    resolution raises :class:`SearchFailedError`.
+    2(n-1) log2(2*lambda/delta), which still covers the probe rule: its
+    bracket trails bisection's by at most SLACK = 1 halving.  Running out
+    of iterations or of float resolution raises :class:`SearchFailedError`.
     """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta={delta} outside (0, 1)")
@@ -116,20 +164,24 @@ def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
         cap = iteration_cap(n, lam, delta)
 
     left, right = 0.0, 1.0
+    points = [(0.0, 0.0)]  # uncensored (x_1, RD_n(x_1))
+    goal = 1.0 - 0.5 * delta
     for it in range(1, cap + 1):
         mid = 0.5 * (left + right)
         if mid <= left or mid >= right:  # left and right are adjacent doubles
             raise SearchFailedError(
                 f"bin_search ran out of float resolution at iteration {it} (cap {cap}): "
                 f"{left!r} and {right!r} are adjacent doubles and no chain endpoint hit [1-delta, 1)")
-        chain = rd_chain(instance, mid, ledger)
+        x = _probe(left, right, points, goal, it - 1, 1.0)
+        chain = rd_chain(instance, x, ledger)
         endpoint = chain[-1]
         if endpoint < 1.0 - delta:
-            left = mid
+            left = x
+            points.append((x, endpoint))
         elif endpoint >= ONE_THRESHOLD:
-            right = mid
+            right = x
         else:
-            return RippleDivision((0.0, mid, *chain), delta, it)
+            return RippleDivision((0.0, x, *chain), delta, it)
     raise SearchFailedError(
         f"bin_search exhausted {cap} iterations without hitting [1-delta, 1)")
 

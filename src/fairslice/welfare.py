@@ -2,13 +2,13 @@
 
 Social welfare: binary-search each pairwise switching point into a gamma-wide
 bracket, then run an interval-partition dynamic program over the bracketed
-points.  Egalitarian welfare: binary search over target values of a moving-
-knife chain, using feasibility monotonicity.  Nash welfare: product-form DP
-over an adaptively generated value grid of T <= 8n^2/eps + n + 2 points (n
-cut queries per point; caps above MAX_NASH_GRID are rejected), solved in
-O(nT log T) time because the best split points are monotone.  All cut points
-are assigned left to right in MLRP order, which is where every Pareto optimum
-lives.
+points.  Egalitarian welfare: an interpolating search (ripple's probe rule)
+over target values of a moving-knife chain, using feasibility monotonicity.
+Nash welfare: product-form DP over an adaptively generated value grid of
+T <= 8n^2/eps + n + 2 points (n cut queries per point; caps above
+MAX_NASH_GRID are rejected), solved in O(nT log T) time because the best
+split points are monotone.  All cut points are assigned left to right in
+MLRP order, which is where every Pareto optimum lives.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterRegimeError, SearchFailedError, UnsupportedFamilyError
 from .oracle import Instance, QueryLedger, cut_query, eval_query
-from .ripple import Allocation
+from .ripple import Allocation, _probe
 
 #: Grid points closer than this are merged before a DP runs.
 MERGE_TOL = 1e-12
@@ -215,11 +215,18 @@ def mk_chain(instance: Instance, tau: float, ledger: QueryLedger) -> MovingKnife
     truncated at 1 (checked with an eval only when a knife lands on 1).  The
     run's ``value`` is the least of tau and those evals, so a truncation that
     passes the 1e-9 feasibility slack still reports what its interval is worth.
+    Knives after one at 1.0 are 1.0 and their intervals [1, 1] are worth 0.0,
+    so they are filled in without queries.
     """
     if tau < 0.0:
         raise DomainError(f"negative target value tau={tau}")
     knives, prev, value = [], 0.0, tau
     for i in range(instance.n):
+        if prev == 1.0:
+            knives.append(1.0)
+            if tau > 0.0:
+                value = min(value, 0.0)
+            continue
         y = cut_query(instance, i, prev, tau, ledger)
         knives.append(y)
         if y >= 1.0 and tau > 0.0:
@@ -232,10 +239,17 @@ def max_egalitarian(instance: Instance, eta: float,
                     ledger: QueryLedger) -> tuple[Allocation, float]:
     """Allocation with egalitarian welfare >= optimum - eta.
 
-    Binary search over target values {k*eta} using feasibility monotonicity:
-    once a moving-knife run truncates, all larger targets truncate too.  The
-    reported value is the one the allocation achieves: k*eta, or less when
-    the last knife was truncated within the feasibility slack.
+    Searches target values {k*eta} using feasibility monotonicity: once a
+    moving-knife run truncates, all larger targets truncate too.  Each probe
+    is ripple's :func:`_probe` aimed at a last knife of 1.0 through the
+    (k, last knife) points of feasible runs, starting from MK_n(0) = 0,
+    rounded down and clamped into [lo + 1, hi - 1]; a midpoint probe is
+    (lo + hi) // 2 (for kmax < 2**53).  Infeasible runs only move hi.  The
+    search ends at lo + 1 == hi, at the same largest feasible k as
+    bisection, with a bracket that trails bisection's by at most one
+    halving (plus the rounding to integers).  The reported
+    value is the one the allocation achieves: k*eta, or less when the last
+    knife was truncated within the feasibility slack.
     """
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta={eta} outside (0, 1)")
@@ -251,11 +265,15 @@ def max_egalitarian(instance: Instance, eta: float,
         best = top
     else:
         lo, hi = 0, kmax  # feasible(lo) holds, feasible(hi) fails
+        points = [(0, 0.0)]  # (k, last knife) of feasible runs
+        step = 0
         while lo + 1 < hi:
-            mid = (lo + hi) // 2
+            mid = min(max(math.floor(_probe(lo, hi, points, 1.0, step, kmax)), lo + 1), hi - 1)
+            step += 1
             run = feasible(mid)
             if run is not None:
                 lo, best = mid, run
+                points.append((mid, run.knives[-1]))
             else:
                 hi = mid
     cuts = (0.0, *best.knives[:-1], 1.0)

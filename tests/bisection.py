@@ -1,0 +1,79 @@
+"""Test-only references: the plain bisection searches and the chains that always query.
+
+The library's chain searches pick each probe by interpolation
+(``ripple._probe``), and its chains stop querying once a point reaches 1.0.
+The loops below are the plain versions they replaced, so that tests can
+compare cuts, values, iteration counts and ledgers against them.
+"""
+
+from __future__ import annotations
+
+import math
+
+from fairslice import Allocation, Instance, QueryLedger, cut_query, eval_query, iteration_cap
+from fairslice.errors import SearchFailedError
+from fairslice.ripple import ONE_THRESHOLD, RippleDivision
+from fairslice.welfare import MovingKnifeRun
+
+
+def full_rd_chain(instance: Instance, x: float, ledger: QueryLedger) -> list[float]:
+    """``rd_chain`` with an eval and a cut for every agent, saturated or not."""
+    xs = [0.0, x]
+    for agent in range(instance.n - 1):
+        target = eval_query(instance, agent, xs[-2], xs[-1], ledger)
+        xs.append(cut_query(instance, agent, xs[-1], target, ledger))
+    return xs[2:]
+
+
+def full_mk_chain(instance: Instance, tau: float, ledger: QueryLedger) -> MovingKnifeRun:
+    """``mk_chain`` with a cut for every agent and an eval for every knife at 1."""
+    knives, prev, value = [], 0.0, tau
+    for i in range(instance.n):
+        y = cut_query(instance, i, prev, tau, ledger)
+        knives.append(y)
+        if y >= 1.0 and tau > 0.0:
+            value = min(value, eval_query(instance, i, prev, 1.0, ledger))
+        prev = y
+    return MovingKnifeRun(tau, tuple(knives), value >= tau - 1e-9, value)
+
+
+def bisection_search(instance: Instance, delta: float, ledger: QueryLedger,
+                     max_iterations: int | None = None) -> RippleDivision:
+    """``bin_search`` probing the bracket midpoint every time."""
+    cap = max_iterations
+    if cap is None:
+        cap = iteration_cap(instance.n, instance.bounds.lipschitz, delta)
+    left, right = 0.0, 1.0
+    for it in range(1, cap + 1):
+        mid = 0.5 * (left + right)
+        if mid <= left or mid >= right:
+            raise SearchFailedError(f"bisection ran out of float resolution at iteration {it}")
+        chain = full_rd_chain(instance, mid, ledger)
+        endpoint = chain[-1]
+        if endpoint < 1.0 - delta:
+            left = mid
+        elif endpoint >= ONE_THRESHOLD:
+            right = mid
+        else:
+            return RippleDivision((0.0, mid, *chain), delta, it)
+    raise SearchFailedError(f"bisection exhausted {cap} iterations")
+
+
+def bisection_egalitarian(instance: Instance, eta: float,
+                          ledger: QueryLedger) -> tuple[Allocation, float]:
+    """``max_egalitarian`` bisecting the target index k every time."""
+    kmax = math.ceil(1.0 / eta)
+    best = full_mk_chain(instance, 0.0, ledger)
+    top = full_mk_chain(instance, kmax * eta, ledger)
+    if top.feasible:
+        best = top
+    else:
+        lo, hi = 0, kmax
+        while lo + 1 < hi:
+            mid = (lo + hi) // 2
+            run = full_mk_chain(instance, mid * eta, ledger)
+            if run.feasible:
+                lo, best = mid, run
+            else:
+                hi = mid
+    return Allocation((0.0, *best.knives[:-1], 1.0)), best.value

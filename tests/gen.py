@@ -11,11 +11,14 @@ import numpy as np
 
 from fairslice import (
     BinomialPoly,
+    ExponentialRestricted,
     GaussianRestricted,
     Instance,
     IntervalInstance,
     Linear,
     PiecewiseLinear,
+    Uniform,
+    perturb,
 )
 
 
@@ -44,6 +47,19 @@ def binomial_instance(n: int, rng: np.random.Generator) -> Instance:
         densities.append(BinomialPoly(a, b, s, 0))
     densities.sort(key=lambda d: d.a / d.b)
     return Instance.from_densities(densities)
+
+
+def mixed_sign_pair() -> Instance:
+    """Binomial pair whose first agent has a < 0: its cuts keep the plain bisection."""
+    return Instance.from_densities([BinomialPoly(-0.5, 1.0, 2, 0), BinomialPoly(1.0, 1.0, 2, 0)])
+
+
+def family_sweep(seed: int) -> list[Instance]:
+    """Gaussian, linear and binomial instances at n in {2, 5, 9, 16}, then the mixed-sign pair."""
+    rng = np.random.default_rng(seed)
+    instances = [maker(n, rng) for maker in (gaussian_instance, linear_instance, binomial_instance)
+                 for n in (2, 5, 9, 16)]
+    return instances + [mixed_sign_pair()]
 
 
 def mlrp_instance(n: int, rng: np.random.Generator) -> Instance:
@@ -83,3 +99,15 @@ def piecewise_linear_instance(n: int, k: int, rng: np.random.Generator) -> Insta
         densities.append(PiecewiseLinear(tuple(float(b) for b in brk),
                                          tuple(slopes), tuple(intercepts)))
     return Instance.from_densities(densities)
+
+
+def every_family_instances() -> list[Instance]:
+    """A few seeded instances of every density family, the mixed-sign binomial pair included."""
+    rng = np.random.default_rng(31)
+    instances = [maker(n, rng) for maker in (gaussian_instance, linear_instance, binomial_instance)
+                 for n in (2, 4, 7)]
+    instances += [piecewise_linear_instance(3, 4, rng), perturb(op_intervals(4, rng), 0.1),
+                  Instance.from_densities([Uniform()] * 3),
+                  Instance.from_densities([ExponentialRestricted(r) for r in (3.0, 1.0, 0.2)]),
+                  mixed_sign_pair()]
+    return instances

@@ -17,6 +17,7 @@ from fairslice import (
 )
 from fairslice import plef
 from fairslice.errors import ParameterRegimeError, SearchFailedError, UnsupportedFamilyError
+from bisection import bisection_search
 from gen import piecewise_linear_instance
 
 
@@ -66,6 +67,28 @@ class TestPlEf:
         cfg = pl_config(eta, 4, inst.bounds.upper)
         assert stats.node_count <= cfg.k * (cfg.b_levels + 1)
         assert division.max_pieces() <= 2 * cfg.k * (cfg.b_levels + 1)
+
+    @pytest.mark.parametrize("eta", [1e-2, 1e-3])
+    def test_budgets_hold_with_either_search(self, monkeypatch, eta):
+        # the same fixtures under the interpolating search and the plain bisection:
+        # both take 43 recursion nodes at either eta, the former about half the queries
+        real = plef.bin_search
+        queries = {}
+        for name, search in (("interpolating", real), ("bisection", bisection_search)):
+            monkeypatch.setattr(plef, "bin_search", search)
+            rng = np.random.default_rng(2024)
+            queries[name] = 0
+            for _ in range(20):
+                n, k = int(rng.integers(2, 5)), int(rng.integers(1, 7))
+                inst = piecewise_linear_instance(n, k, rng)
+                led = QueryLedger()
+                division, stats = pl_ef(inst, eta, led)
+                cfg = pl_config(eta, k, inst.bounds.upper)
+                assert envy_matrix(inst, division).max_envy <= eta
+                assert stats.node_count <= k * (cfg.b_levels + 1)
+                assert division.max_pieces() <= 2 * k * (cfg.b_levels + 1)
+                queries[name] += led.total()
+        assert queries["interpolating"] < queries["bisection"]
 
     def test_division_covers_cake(self):
         rng = np.random.default_rng(67)

@@ -17,12 +17,23 @@ from fairslice import (
     iteration_cap,
     rd_chain,
     ripple_to_allocation,
+    ripple_window,
 )
 from fairslice import ripple
 from fairslice.errors import DomainError, NotFullSupportError, ParameterRegimeError, SearchFailedError
 from fairslice.mlrp import perturb
-from fairslice.ripple import RippleDivision
-from gen import mlrp_instance, op_intervals
+from fairslice.ripple import SLACK, RippleDivision
+from bisection import bisection_search, full_rd_chain
+from gen import (
+    binomial_instance,
+    every_family_instances,
+    family_sweep,
+    gaussian_instance,
+    linear_instance,
+    mlrp_instance,
+    op_intervals,
+    piecewise_linear_instance,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -43,7 +54,9 @@ class TestRdChain:
 
     def test_one_maps_to_ones(self):
         inst = Instance.from_densities([Uniform()] * 3)
-        assert rd_chain(inst, 1.0, QueryLedger()) == [1.0, 1.0]
+        led = QueryLedger()
+        assert rd_chain(inst, 1.0, led) == [1.0, 1.0]
+        assert led.total() == 0  # a saturated chain asks nothing
 
     def test_two_uniform(self):
         inst = Instance.from_densities([Uniform(), Uniform()])
@@ -67,6 +80,101 @@ class TestRdChain:
             left = inst.agents[i].measure(xs[i], xs[i + 1])
             right = inst.agents[i].measure(xs[i + 1], xs[i + 2])
             assert left == pytest.approx(right, abs=1e-9)
+
+    def test_matches_full_chain_with_no_larger_ledger(self):
+        saved = 0
+        for inst in every_family_instances():
+            for x in np.linspace(0.0, 1.0, 41):
+                led, full_led = QueryLedger(), QueryLedger()
+                assert rd_chain(inst, float(x), led) == full_rd_chain(inst, float(x), full_led)
+                assert led.eval_count <= full_led.eval_count
+                assert led.cut_count <= full_led.cut_count
+                saved += full_led.total() - led.total()
+        assert saved > 0
+
+
+def probe_log(monkeypatch, module):
+    """Record (left, right, k, w0, probe, unprojected estimate) for every probe of ``module``."""
+    real, log = module._probe, []
+
+    def spy(left, right, points, goal, k, w0):
+        x = real(left, right, points, goal, k, w0)
+        log.append((left, right, k, w0, x, real(left, right, points, goal, k, math.inf)))
+        return x
+
+    monkeypatch.setattr(module, "_probe", spy)
+    return log
+
+
+def sweep_searches():
+    """(instance, delta) for the family sweeps at eta 1e-3, 1e-6, 1e-9 and the perturbation-0.1 sweep."""
+    cases = [(inst, ripple_window(eta, inst.bounds.upper))
+             for seed in (0, 1, 2) for inst in family_sweep(seed) for eta in (1e-3, 1e-6, 1e-9)]
+    cases += [(inst, ripple_window(eta, inst.bounds.upper))
+              for inst in perturbed_intervals(3, 30, lambda t: 2 + t % 4, 0.1) for eta in (1e-4, 1e-6)]
+    return cases
+
+
+def steep_perturbed_instance():
+    """A perturbed interval instance whose chain endpoint defeats interpolation near 1."""
+    return perturbed_intervals(3, 30, lambda t: 2 + t % 4, 0.1)[11]
+
+
+class TestInterpolatingSearch:
+    def test_probe_interpolates_then_projects(self):
+        points = [(0.0, 0.0), (0.25, 0.5)]  # secant estimate 0.45 for goal 0.9
+        assert ripple._probe(0.25, 0.5, points, 0.9, 2, 1.0) == pytest.approx(0.45)
+        # at step 4 the bracket [0.25, 0.5] is as wide as the rule allows: midpoint
+        assert ripple._probe(0.25, 0.5, points, 0.9, 4, 1.0) == 0.375
+        # and at step 1 the estimate is pulled to within 0.125 of the midpoint 0.625
+        assert ripple._probe(0.25, 1.0, points, 0.9, 1, 1.0) == 0.5
+        # quadratic through three points, else the secant, else the midpoint
+        points.append((0.5, 0.75))
+        assert ripple._probe(0.5, 1.0, points, 0.9, 1, 1.0) == pytest.approx(0.69)
+        assert ripple._probe(0.5, 0.68, points, 0.9, 1, 1.0) == pytest.approx(0.65)
+        assert ripple._probe(0.5, 0.6, points, 0.9, 1, 1.0) == 0.55
+        # values that do not increase strictly give the midpoint
+        assert ripple._probe(0.5, 1.0, [(0.0, 0.0), (0.5, 0.0)], 0.9, 1, 1.0) == 0.75
+
+    def test_bracket_and_iterations_against_bisection(self, monkeypatch):
+        log = probe_log(monkeypatch, ripple)
+        total, reference = 0, 0
+        for inst, delta in sweep_searches():
+            del log[:]
+            rd = bin_search(inst, delta, QueryLedger())
+            ref = bisection_search(inst, delta, QueryLedger())
+            assert rd.iterations_used <= iteration_cap(inst.n, inst.bounds.lipschitz, delta)
+            assert len(log) == rd.iterations_used
+            for left, right, k, w0, x, _ in log:
+                assert left < x < right
+                # before step k the bracket is at most 2**SLACK times bisection's
+                assert right - left <= w0 * 2.0 ** (SLACK - k) + 4 * math.ulp(right)
+            total += rd.iterations_used
+            reference += ref.iterations_used
+        assert total <= 0.75 * reference
+
+    def test_projection_binds_where_interpolation_does_badly(self, monkeypatch):
+        log = probe_log(monkeypatch, ripple)
+        inst = steep_perturbed_instance()
+        delta = ripple_window(1e-6, inst.bounds.upper)
+        rd = bin_search(inst, delta, QueryLedger())
+        assert envy_matrix(inst, ripple_to_allocation(rd)).max_envy <= 1e-6
+        bound = [entry for entry in log if entry[4] != entry[5]]
+        assert len(bound) >= 10
+        for left, right, k, w0, x, _ in bound:
+            r = w0 * 2.0 ** (SLACK - k - 1) - 0.5 * (right - left)
+            assert abs(x - 0.5 * (left + right)) == pytest.approx(max(r, 0.0), abs=4 * math.ulp(right))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="bisection's midpoint can land in the window while its bracket is "
+                              "still wider than twice the window's preimage; the interpolating "
+                              "search only keeps its bracket within one halving of bisection's "
+                              "(30 -> 35 iterations here)")
+    def test_never_more_than_one_iteration_beyond_bisection(self):
+        inst = steep_perturbed_instance()
+        delta = ripple_window(1e-6, inst.bounds.upper)
+        rd = bin_search(inst, delta, QueryLedger())
+        assert rd.iterations_used <= bisection_search(inst, delta, QueryLedger()).iterations_used + 1
 
 
 class TestBinSearch:

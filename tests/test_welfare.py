@@ -21,6 +21,7 @@ from fairslice import (
     switching_point,
     welfare_metrics,
 )
+from fairslice import welfare
 from fairslice.errors import DomainError, ParameterRegimeError
 from fairslice.welfare import (
     MAX_NASH_GRID,
@@ -30,8 +31,11 @@ from fairslice.welfare import (
     _prefix_values,
     _sw_dp,
 )
+from bisection import bisection_egalitarian, full_mk_chain
 from gen import (
     binomial_instance,
+    every_family_instances,
+    family_sweep,
     gaussian_instance,
     linear_instance,
     mlrp_instance,
@@ -206,8 +210,40 @@ class TestMkChain:
                     assert not f
                 seen_false = seen_false or not f
 
+    def test_matches_full_chain_with_no_larger_ledger(self):
+        saved = 0
+        for inst in every_family_instances():
+            for tau in np.linspace(0.0, 1.0, 41):
+                led, full_led = QueryLedger(), QueryLedger()
+                assert mk_chain(inst, float(tau), led) == full_mk_chain(inst, float(tau), full_led)
+                assert led.eval_count <= full_led.eval_count
+                assert led.cut_count <= full_led.cut_count
+                saved += full_led.total() - led.total()
+        assert saved > 0
+
 
 class TestMaxEgalitarian:
+    @pytest.mark.parametrize("eta", [1e-3, 1e-6, 1e-9])
+    def test_same_result_as_bisection_from_fewer_queries(self, monkeypatch, eta):
+        real, probes = welfare._probe, []
+
+        def spy(lo, hi, points, goal, k, w0):
+            x = real(lo, hi, points, goal, k, w0)
+            probes.append((lo, hi, x))
+            return x
+
+        monkeypatch.setattr(welfare, "_probe", spy)
+        queries, reference_queries = 0, 0
+        for inst in family_sweep(0) + family_sweep(1):
+            led, ref_led = QueryLedger(), QueryLedger()
+            alloc, value = max_egalitarian(inst, eta, led)
+            ref_alloc, ref_value = bisection_egalitarian(inst, eta, ref_led)
+            assert alloc.cuts == ref_alloc.cuts and value == ref_value
+            queries += led.total()
+            reference_queries += ref_led.total()
+        assert all(lo < x < hi for lo, hi, x in probes)
+        assert queries < reference_queries
+
     def test_three_uniform(self):
         inst = Instance.from_densities([Uniform()] * 3)
         alloc, ew = max_egalitarian(inst, 1e-4, QueryLedger())
