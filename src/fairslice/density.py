@@ -4,12 +4,13 @@ Every family stores its shape parameters plus a positive ``scale`` multiplier
 and knows its exact antiderivative, so interval measures are closed-form
 differences F(b) - F(a) rather than quadrature.  Inverse measures (the ground
 truth behind cut queries) are exact to float resolution: closed-form wherever
-the antiderivative inverts analytically, otherwise bisection on the test
-``F(mid) - F(l) < target`` until the bracket's endpoints are adjacent doubles
-(at most ``BISECT_MAX_ITER`` halvings).
+the antiderivative inverts analytically, otherwise (``BinomialPoly``) bisection
+on the test ``F(mid) - F(l) < target`` until the bracket's endpoints are
+adjacent doubles.
 
-``BinomialPoly`` first narrows that bracket with safeguarded Newton steps and
-then finishes it with the same bisection; the result is the same double.
+When a >= 0 and b >= 0, ``BinomialPoly`` first narrows that bracket with Newton
+steps, for as long as each step is under half the one before, and then
+finishes it with the same bisection; the result is the same double.
 While the test is monotone over the doubles of [l, 1], the bisection returns
 the least double where it is false (or 1.0 if there is none), and so does any
 bracket that moves only on evaluated values of the test and ends at adjacent
@@ -17,8 +18,7 @@ doubles.  The test is monotone when a >= 0 and b >= 0: every operation of
 ``a * x**(s+1) / (s+1) + b * x**(t+1) / (t+1)`` then rounds a nondecreasing
 function.  With a < 0 the two terms cancel, the float F is not monotone, and
 a narrowed bracket can end on a double a few ulps away, so such densities keep
-the plain bisection.  So do cuts below 2**-140, where the plain bisection's
-halvings run out before its bracket is one ulp wide.
+the plain bisection.
 
 A cut computes F(l) once and hands it to the family as ``base``:
 ``_inverse_unscaled(l, target, base)`` returns the leftmost y >= l with
@@ -51,17 +51,8 @@ from .errors import (
     UnsupportedFamilyError,
 )
 
-#: Bisection iteration cap.  Bisection from (l, 1) stops once the bracket's
-#: endpoints are adjacent doubles, about 55 halvings for a cut near 1, but a cut
-#: below about 2**-147 needs more than 200 and stops at the cap instead: a cut
-#: of 5e-324 from 0 on ``BinomialPoly(2.0, 0.4, 3, 1)`` returns 2**-200, not the
-#: leftmost double.  Changing the cap would change such cuts bit-wise.
-BISECT_MAX_ITER = 200
-
 _SQRT2 = math.sqrt(2.0)
 _EPS = sys.float_info.epsilon
-#: Cuts at or above this reach adjacent doubles within BISECT_MAX_ITER halvings of (l, 1).
-_CAP_FREE = 2.0**-140
 
 
 def lipschitz_constant(lower: float, upper: float) -> float:
@@ -95,10 +86,10 @@ class Density:
     """Base class for analytic densities; subclasses are frozen dataclasses.
 
     Subclasses implement the unscaled shape via ``_density``/``_cumulative``
-    (antiderivative from 0) and may override ``_inverse_unscaled(l, target,
-    base)`` with a closed form; ``base`` is ``_cumulative(l)``, computed once
-    per cut.  The public methods add the ``scale`` factor, domain checks and
-    the cut-query truncation convention.
+    (antiderivative from 0) and the cut via ``_inverse_unscaled(l, target,
+    base)``; ``base`` is ``_cumulative(l)``, computed once per cut.  The
+    public methods add the ``scale`` factor, domain checks and the cut-query
+    truncation convention.
 
     Every subclass sets ``_top = _cumulative(1.0)`` and any other derived
     constant in ``__post_init__`` (see the module docstring for why never
@@ -126,25 +117,7 @@ class Density:
 
     def _inverse_unscaled(self, l: float, target: float, base: float) -> float:
         """Leftmost y >= l with cumulative(y) - base = target, base = cumulative(l) (no truncation)."""
-        return self._bisect(l, 1.0, target, base)
-
-    def _bisect(self, lo: float, hi: float, target: float, base: float) -> float:
-        """Bisect (lo, hi) on ``cumulative(mid) - base < target`` to adjacent doubles; returns hi.
-
-        lo must be l or a point where the test held, hi 1.0 or a point where it
-        failed; then, while the test is monotone, the result does not depend on
-        the bracket it starts from (see the module docstring).
-        """
-        cumulative = self._cumulative
-        for _ in range(BISECT_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break  # lo and hi are adjacent doubles
-            if cumulative(mid) - base < target:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+        raise NotImplementedError
 
     def _range(self) -> tuple[float, float]:
         """(min, max) of the unscaled density over [0, 1]."""
@@ -175,11 +148,7 @@ class Density:
         return self.scale * (self._cumulative(b) - self._cumulative(a))
 
     def inverse_measure(self, l: float, tau: float) -> float:
-        """Smallest y in [l, 1] with measure(l, y) = tau; 1 if tau exceeds measure(l, 1).
-
-        Exact to the double, except that a bisected cut below about 2**-147
-        stops where ``BISECT_MAX_ITER`` halvings end, above the leftmost double.
-        """
+        """Smallest y in [l, 1] with measure(l, y) = tau, to the double; 1 if tau exceeds measure(l, 1)."""
         if not (0.0 <= l <= 1.0 and tau > 0.0):
             _check_point(l, "l")
             if tau < 0.0:
@@ -360,48 +329,53 @@ class BinomialPoly(Density):
         return self.a * x ** self._s1 / self._s1 + self.b * x ** self._t1 / self._t1
 
     def _inverse_unscaled(self, l, target, base):
-        if not self._newton:
-            return self._bisect(l, 1.0, target, base)
-        # rtsafe (Numerical Recipes 9.4): Newton steps that stay in the bracket
-        # and at least halve the step before last, midpoints otherwise.  Every
-        # evaluated point moves lo or hi by the bisection's own test.
-        cumulative, density = self._cumulative, self._density
         lo, hi = l, 1.0
-        if l < _CAP_FREE:
-            if not cumulative(_CAP_FREE) - base < target:
-                # the cut is below 2**-140, where the plain bisection can run out
-                # of halvings before its bracket is one ulp wide: return where it stops
-                return self._bisect(l, 1.0, target, base)
-            lo = _CAP_FREE
-        x = l + (1.0 - l) * (target / (self._top - base))  # root of the chord over [l, 1]
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        last = older = 1.0 - l
-        for _ in range(BISECT_MAX_ITER):
-            if not lo < x < hi:
-                break  # lo and hi are adjacent: like the bisection, never evaluate them
-            value = cumulative(x) - base
-            if value < target:
-                lo = x
-            else:
-                hi = x
-            if hi - lo <= 2.0 * _EPS * hi:
-                break  # a few ulps wide
-            slope = density(x)
-            dx = (value - target) / slope if slope > 0.0 else math.inf
-            if abs(dx) <= _EPS * x:
-                # converged: probe an ulp or two past the root, so that the
-                # next point brackets it from the other side
-                dx += math.copysign(_EPS * x, dx)
-            elif abs(dx) > 0.5 * older:
-                dx = math.inf  # Newton is slow here: bisect instead
-            if lo < x - dx < hi:
+        if self._newton:
+            # Newton from the chord root over [l, 1], while each step is under half
+            # the one before; every evaluated point moves lo or hi by the
+            # bisection's own test, and the bisection finishes the bracket
+            cumulative, density = self._cumulative, self._density
+            x = l + (1.0 - l) * (target / (self._top - base))
+            last, nudged = math.inf, False
+            while lo < x < hi:
+                value = cumulative(x) - base
+                if value < target:
+                    lo = x
+                else:
+                    hi = x
+                if nudged:
+                    break
+                slope = density(x)
+                if not slope > 0.0:
+                    break
+                dx = (value - target) / slope
+                if abs(dx) <= _EPS * x:
+                    # converged: step an ulp or two past the root, so that the
+                    # bracket closes from the other side
+                    dx += math.copysign(_EPS * x, dx)
+                    nudged = True
+                elif not abs(dx) < 0.5 * last:
+                    break  # slow, NaN or inf
+                last = abs(dx)
                 x -= dx
-            else:
-                dx = 0.5 * (hi - lo)
-                x = lo + dx
-            older, last = last, abs(dx)
         return self._bisect(lo, hi, target, base)
+
+    def _bisect(self, lo: float, hi: float, target: float, base: float) -> float:
+        """Bisect (lo, hi) on ``cumulative(mid) - base < target`` to adjacent doubles; returns hi.
+
+        lo must be l or a point where the test held, hi 1.0 or a point where it
+        failed; then, while the test is monotone, the result does not depend on
+        the bracket it starts from (see the module docstring).
+        """
+        cumulative = self._cumulative
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                return hi  # lo and hi are adjacent doubles
+            if cumulative(mid) - base < target:
+                lo = mid
+            else:
+                hi = mid
 
     def _range(self):
         vals = [v for v, _ in self._candidates()]

@@ -54,9 +54,9 @@ def detect_order(instance: Instance, ledger: QueryLedger) -> list[int]:
     return sorted(range(instance.n), key=lambda i: tail_values[i])
 
 
-def check_pair_grid(f_i: Density, f_j: Density, m: int = DEFAULT_GRID,
-                    slack: float = RATIO_SLACK) -> tuple[bool, tuple[float, float] | None]:
-    """True iff f_j/f_i is nondecreasing on m uniform samples; else a witness pair.
+def check_pair_grid(f_i: Density, f_j: Density,
+                    m: int = DEFAULT_GRID) -> tuple[bool, tuple[float, float] | None]:
+    """True iff f_j/f_i is nondecreasing, within RATIO_SLACK, on m uniform samples; else a witness pair.
 
     A zero f_i with positive f_j gives an infinite ratio, which participates in
     the comparison like any other value; 0/0 or a negative sample is an error
@@ -77,7 +77,7 @@ def check_pair_grid(f_i: Density, f_j: Density, m: int = DEFAULT_GRID,
         # running[k]: the maximum of the ratios before point k
         running = np.maximum.accumulate(np.concatenate(([best], np.where(undefined, -np.inf, ratio))))
         degenerate = (num < 0.0) | (den < 0.0) | ((num == 0.0) & (den == 0.0))
-        stops = np.flatnonzero(degenerate | (ratio < running[:-1] - slack))
+        stops = np.flatnonzero(degenerate | (ratio < running[:-1] - RATIO_SLACK))
         if stops.size:
             k = stops[0]
             if degenerate[k]:

@@ -31,15 +31,6 @@ MAX_NASH_GRID = 1_000_000
 
 
 @dataclass(frozen=True)
-class SwitchingPointSet:
-    """Bracket midpoints for all pairwise switching points, plus the cake ends."""
-
-    estimates: tuple[tuple[int, int, float], ...]  # (i, j, estimate) for i < j
-    gamma: float
-    points: tuple[float, ...]  # sorted, deduplicated, includes 0 and 1
-
-
-@dataclass(frozen=True)
 class DpTable:
     """Interval-partition DP state: values[k][t] plus the chosen split per cell."""
 
@@ -92,21 +83,19 @@ def switching_point(instance: Instance, i: int, j: int, gamma: float,
 
 
 def build_switching_points(instance: Instance, gamma: float,
-                           ledger: QueryLedger) -> SwitchingPointSet:
-    estimates = []
+                           ledger: QueryLedger) -> tuple[float, ...]:
+    """Every pairwise switching point estimate plus 0 and 1: sorted, merged within MERGE_TOL, ending at 1."""
     points = [0.0, 1.0]
     for i in range(instance.n):
         for j in range(i + 1, instance.n):
-            p = switching_point(instance, i, j, gamma, ledger)
-            estimates.append((i, j, p))
-            points.append(p)
+            points.append(switching_point(instance, i, j, gamma, ledger))
     points.sort()
     merged = [points[0]]
     for p in points[1:]:
         if p - merged[-1] > MERGE_TOL:
             merged.append(p)
     merged[-1] = 1.0
-    return SwitchingPointSet(tuple(estimates), gamma, tuple(merged))
+    return tuple(merged)
 
 
 def _prefix_values(instance: Instance, points, ledger: QueryLedger) -> np.ndarray:
@@ -202,10 +191,10 @@ def max_social_welfare(instance: Instance, eta: float,
     if instance.n == 1:
         return Allocation((0.0, 1.0)), 1.0
     gamma = min(eta / (instance.n * instance.bounds.upper), 0.25)
-    pset = build_switching_points(instance, gamma, ledger)
-    prefix = _prefix_values(instance, pset.points, ledger)
+    points = build_switching_points(instance, gamma, ledger)
+    prefix = _prefix_values(instance, points, ledger)
     table = _sw_dp(prefix)
-    return _dp_allocation(pset.points, table), float(table.values[-1, -1])
+    return _dp_allocation(points, table), float(table.values[-1, -1])
 
 
 def mk_chain(instance: Instance, tau: float, ledger: QueryLedger) -> MovingKnifeRun:

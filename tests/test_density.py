@@ -23,7 +23,6 @@ from fairslice.errors import (
     NotFullSupportError,
     UnsupportedFamilyError,
 )
-from fairslice.density import BISECT_MAX_ITER
 from gen import binomial_instance
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -111,9 +110,9 @@ class TestInverseMeasure:
 
     @pytest.mark.parametrize("tau", [0.05, 0.6])
     def test_bisection_stops_at_adjacent_floats(self, tau):
-        # the cut stops once the bracket's endpoints are adjacent doubles, well
-        # before the 200-step cap: about 55 halvings from [0, 1] for bisection
-        # alone, under 10 evaluations with the Newton stage
+        # the cut stops once the bracket's endpoints are adjacent doubles: about
+        # 55 halvings from [0, 1] for bisection alone, under 10 evaluations with
+        # the Newton stage
         class Counting(BinomialPoly):
             calls = 0
 
@@ -365,17 +364,22 @@ def _reference_unscaled(d, l, target):
                 rhs = goal - f_start + 0.5 * s * start * start + c * start
                 return _reference_linear_root(0.5 * s, c, rhs, start, knots[j + 1])
         return 1.0
-    lo, hi = l, 1.0  # BinomialPoly: bisection to adjacent doubles or the cap
-    base = d._cumulative(l)
-    for _ in range(BISECT_MAX_ITER):
+    return _plain_bisection(d, l, target)[0]  # BinomialPoly
+
+
+def _plain_bisection(d, l, target):
+    """Bisection of (l, 1) on F(mid) - F(l) < target to adjacent doubles: (cut, evaluations of F)."""
+    lo, hi = l, 1.0
+    base, calls = d._cumulative(l), 1
+    while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            break
+            return hi, calls
+        calls += 1
         if d._cumulative(mid) - base < target:
             lo = mid
         else:
             hi = mid
-    return hi
 
 
 def reference_inverse_measure(d, l, tau):
@@ -420,8 +424,8 @@ NEAR_ONE = (1.0 - 1e-9, 1.0 - 1e-13, math.nextafter(1.0, 0.0), 1.0)
 def _cut_grid(d, seed):
     """Seeded (l, tau) pairs: random, plus tau = 0, above the rest, exactly the rest, near 1.
 
-    At l = 0, tau = 5e-324 cuts below 2**-147 on densities that touch zero there,
-    where the bisection stops at its cap (``test_bisection_cap_binds_on_tiny_cuts``).
+    At l = 0, tau = 5e-324 cuts far below 2**-147 on densities that touch zero
+    there, and still ends at the leftmost double (``test_tiny_cut_is_leftmost_double``).
     """
     import numpy as np
 
@@ -513,13 +517,16 @@ def test_normalized_scale_overflow_raises(density):
         density.normalized()
 
 
-def test_bisection_cap_binds_on_tiny_cuts():
-    # the leftmost double is about 5e-162, but 200 halvings from [0, 1] end at 2**-200
-    assert BinomialPoly(2.0, 0.4, 3, 1).normalized().inverse_measure(0.0, 5e-324) == 2.0**-200
+def test_tiny_cut_is_leftmost_double():
+    # 589 halvings from [0, 1]: the bisection runs until its ends are adjacent doubles
+    d = BinomialPoly(2.0, 0.4, 3, 1).normalized()
+    y = d.inverse_measure(0.0, 5e-324)
+    assert y == 4.158400847013625e-162
+    assert d.measure(0.0, y) >= 5e-324 > d.measure(0.0, math.nextafter(y, 0.0))
 
 
 def test_binomial_cut_newton_stage_saves_evaluations():
-    # safeguarded Newton narrows the bracket before the bisection finishes it:
+    # Newton narrows the bracket before the bisection finishes it:
     # under 10 evaluations of F per cut instead of about 55, with the same doubles
     class Counting(BinomialPoly):
         calls = 0
@@ -541,9 +548,49 @@ def test_binomial_cut_newton_stage_saves_evaluations():
     assert Counting.calls / cuts <= 20
 
 
+NEWTON_BINOMIALS = ((3.0, 0.0, 2, 0), (2.0, 0.4, 3, 1), (1.5, 0.5, 8, 1), (2.0, 0.0, 8, 3))
+
+
+def _newton_stage_cuts():
+    """(density, l, tau): remaining-mass cuts, tiny cuts from 0, random cuts and a creeping one."""
+    rng = np.random.default_rng(13)
+    for shape in NEWTON_BINOMIALS:
+        d = BinomialPoly(*shape).normalized()
+        for l in (0.0, *(float(x) for x in rng.uniform(0.0, 1.0, 19))):
+            yield d, l, d.measure(l, 1.0)
+            yield d, l, float(rng.uniform(0.0, 1.0)) * d.measure(l, 1.0)
+        yield d, 0.0, 1e-25
+        yield d, 0.0, 1e-40
+    # F underflows near the root, so F(x) - F(0) equals the target on a run of
+    # doubles and Newton's step there is 0: the nudge must end the stage
+    yield BinomialPoly(1.08819491548366, 0.0, 1, 0).normalized(), 0.0, 1.391e-320
+
+
+def test_binomial_cut_costs_at_most_the_plain_bisection_plus_8():
+    # Newton hands over to the bisection once its steps stop halving, so a cut
+    # where Newton is slow costs little more than bisecting from (l, 1)
+    class Counting(BinomialPoly):
+        calls = 0  # evaluations of F and f together
+
+        def _cumulative(self, x):
+            Counting.calls += 1
+            return super()._cumulative(x)
+
+        def _density(self, x):
+            Counting.calls += 1
+            return super()._density(x)
+
+    for d, l, tau in _newton_stage_cuts():
+        counting = Counting(d.a, d.b, d.s, d.t, scale=d.scale)
+        plain, plain_calls = _plain_bisection(d, l, tau / d.scale)
+        Counting.calls = 0
+        assert counting.inverse_measure(l, tau) == plain, (d, l, tau)
+        assert Counting.calls <= plain_calls + 8, (d, l, tau, Counting.calls, plain_calls)
+
+
 @pytest.mark.xfail(strict=True, reason="F = 0.5 * (1 + erf(z / sqrt 2)) cancels in the left "
                                        "tail, so the cut lands right of the leftmost point "
-                                       "(ROADMAP item 3)")
+                                       "(ROADMAP item 4)")
 def test_gaussian_left_tail_cut_is_leftmost():
     d = GaussianRestricted(0.9, 0.05, scale=0.4)
     tau = 1e-12

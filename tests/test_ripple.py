@@ -393,7 +393,7 @@ def test_perturbed_interval_sweep(eta):
 
 @pytest.mark.xfail(strict=True, raises=SearchFailedError,
                    reason="lambda 6e13 to 6e39: between two adjacent doubles of x_1 the "
-                          "chain endpoint jumps past any window (ROADMAP item 1)")
+                          "chain endpoint jumps past any window (ROADMAP item 2)")
 @pytest.mark.parametrize("perturbation", [1e-4, 1e-6])
 def test_steep_perturbed_interval_sweep(perturbation):
     # 4 of 50 searches fail at perturbation 1e-4 (n = 5, 6), all 50 at 1e-6

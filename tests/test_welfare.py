@@ -151,8 +151,8 @@ class TestMaxSocialWelfare:
 
     def test_dp_values_monotone_in_t(self, unif_quad):
         led = QueryLedger()
-        pset = build_switching_points(unif_quad, 1e-3, led)
-        prefix = _prefix_values(unif_quad, pset.points, led)
+        points = build_switching_points(unif_quad, 1e-3, led)
+        prefix = _prefix_values(unif_quad, points, led)
         for kernel in (_sw_dp, _nash_dp):
             table = kernel(prefix)
             for row in table.values:
@@ -161,9 +161,10 @@ class TestMaxSocialWelfare:
     def test_switching_set_size(self):
         rng = np.random.default_rng(37)
         inst = mlrp_instance(5, rng)
-        pset = build_switching_points(inst, 1e-3, QueryLedger())
-        assert len(pset.points) <= 5 * 4 // 2 + 2
-        assert pset.points[0] == 0.0 and pset.points[-1] == 1.0
+        points = build_switching_points(inst, 1e-3, QueryLedger())
+        assert len(points) <= 5 * 4 // 2 + 2
+        assert points[0] == 0.0 and points[-1] == 1.0
+        assert list(points) == sorted(points)
 
 
 class TestMkChain:
