@@ -9,8 +9,10 @@ on the test ``F(mid) - F(l) < target`` until the bracket's endpoints are
 adjacent doubles.
 
 When a >= 0 and b >= 0, ``BinomialPoly`` first narrows that bracket with Newton
-steps, for as long as each step is under half the one before, and then
-finishes it with the same bisection; the result is the same double.
+steps, for as long as each step is under half the one before.  The step that
+converges or fails to halve is pushed an ulp or more past the root and then
+doubled until the test flips, so the bracket closes from both sides, and the
+same bisection finishes it; the result is the same double.
 While the test is monotone over the doubles of [l, 1], the bisection returns
 the least double where it is false (or 1.0 if there is none), and so does any
 bracket that moves only on evaluated values of the test and ends at adjacent
@@ -332,32 +334,40 @@ class BinomialPoly(Density):
         lo, hi = l, 1.0
         if self._newton:
             # Newton from the chord root over [l, 1], while each step is under half
-            # the one before; every evaluated point moves lo or hi by the
-            # bisection's own test, and the bisection finishes the bracket
+            # the one before, then a step past the root, doubled until the test
+            # flips; every evaluated point moves lo or hi by the bisection's own
+            # test, and the bisection finishes the bracket
             cumulative, density = self._cumulative, self._density
             x = l + (1.0 - l) * (target / (self._top - base))
-            last, nudged = math.inf, False
+            last, nudge, side = math.inf, 0.0, None
             while lo < x < hi:
                 value = cumulative(x) - base
-                if value < target:
+                below = value < target
+                if below:
                     lo = x
                 else:
                     hi = x
-                if nudged:
-                    break
+                if side is not None:
+                    if below != side:
+                        break  # the nudge crossed the root: the bracket is closed
+                    nudge *= 2.0  # still on the root's near side
+                    x -= nudge
+                    continue
                 slope = density(x)
                 if not slope > 0.0:
                     break
                 dx = (value - target) / slope
-                if abs(dx) <= _EPS * x:
-                    # converged: step an ulp or two past the root, so that the
-                    # bracket closes from the other side
-                    dx += math.copysign(_EPS * x, dx)
-                    nudged = True
-                elif not abs(dx) < 0.5 * last:
-                    break  # slow, NaN or inf
-                last = abs(dx)
-                x -= dx
+                if _EPS * x < abs(dx) < 0.5 * last:
+                    last = abs(dx)
+                    x -= dx
+                    continue
+                if not math.isfinite(dx):
+                    break
+                # converged, or too slow to halve: step an ulp or more past the
+                # root, doubling the step until the bracket closes from the other side
+                nudge = dx + math.copysign(math.ulp(x), dx)
+                side = below
+                x -= nudge
         return self._bisect(lo, hi, target, base)
 
     def _bisect(self, lo: float, hi: float, target: float, base: float) -> float:
@@ -598,13 +608,15 @@ class ExponentialRestricted(Density):
         return self.rate * np.exp(-self.rate * xs)
 
     def _cumulative(self, x):
-        return 1.0 - math.exp(-self.rate * x)
+        return -math.expm1(-self.rate * x)  # keeps its relative precision near 0
 
     def _inverse_unscaled(self, l, target, base):
-        arg = math.exp(-self.rate * l) - target
-        if arg <= math.exp(-self.rate):
+        # exp(-rate y) = exp(-rate l) (1 - u) with u = target exp(rate l).  A
+        # truncated cut returns before this, so rate l stays below exp's overflow.
+        u = target * math.exp(self.rate * l)
+        if u >= 1.0:
             return 1.0
-        return -math.log(arg) / self.rate
+        return l - math.log1p(-u) / self.rate
 
     def _range(self):
         return self._density(1.0), self._density(0.0)

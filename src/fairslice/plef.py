@@ -4,11 +4,11 @@ The driver halves the current interval; on each half it keeps only the agents
 that value the half at least eta_hat, renormalizes their densities over the
 half, guesses a local MLRP order, and runs the ripple search on the window
 eta_hat / U of the local densities.  That search interpolates its probes
-(``ripple._probe``, projected to stay within SLACK = 1 halving of bisection's
-bracket), so its worst case is one iteration beyond bisection's, under the
-same iteration cap.  If the search fails (``SearchFailedError``) or the
-resulting local division fails an eta_hat-envy audit, it recurses on that
-half.  Halves without breakpoints
+(``ripple._probe``, projected to stay within SLACK = 4 halvings of
+bisection's bracket), so its worst case is SLACK iterations beyond what
+bisection needs, under the same iteration cap.  If the search fails
+(``SearchFailedError``) or the resulting local division fails an
+eta_hat-envy audit, it recurses on that half.  Halves without breakpoints
 have linear (hence MLRP) local densities, so they settle unless the search
 runs out of float resolution; that bounds the recursion tree by k*(B+1)
 nodes and the global envy by 2k(B+1) * eta_hat <= eta.  A linear piece

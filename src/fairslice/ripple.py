@@ -11,11 +11,18 @@ The chain searches here and in ``welfare.max_egalitarian`` pick each probe with
 :func:`_probe`, an ITP-style rule (Oliveira and Takahashi, ACM TOMS 47(1),
 2021): interpolate where the nondecreasing chain value reaches its goal, then
 project that estimate onto a shrinking neighbourhood of the bracket midpoint.
-The projection keeps every bracket within 2**SLACK times bisection's width:
-a search reaches any bracket width at most SLACK = 1 iteration after
-bisection would, so its worst case is bisection's plus one iteration, which
-the paper's iteration cap still covers.  (A single search can still end later
-than a bisection whose midpoint happens to land in the window early.)
+The first probe comes from the uniform-agents model, where RD_n(x) = n x and
+MK_n(k) = n k eta.  The projection keeps every bracket within 2**SLACK times
+bisection's width: a search reaches any bracket width at most SLACK = 4
+iterations after bisection would.  Its worst case is therefore the iterations
+bisection needs to narrow the bracket below the window's preimage, plus SLACK.
+The paper's cap 2(n-1) log2(2 lambda / delta) leaves that margin: a chain of
+2(n-1) lambda-Lipschitz queries gives bisection's need as at most
+2(n-1) log2(lambda) + log2(1/delta) + 1, which is SLACK or more below the cap
+for n >= 3 at every delta <= 1/2, and for n = 2 once delta <= 1/8; coarser
+two-agent windows rest on the cap's own slack, not on this argument.  (A
+single search can still end later than a bisection whose midpoint happens to
+land in the window early.)
 """
 
 from __future__ import annotations
@@ -32,8 +39,8 @@ ONE_THRESHOLD = 1.0 - 1e-15
 #: Narrowest search window: [1 - delta, 1) must span many doubles.
 MIN_WINDOW = 1e-13
 
-#: Halvings by which an interpolating search's bracket may trail bisection's.
-SLACK = 1
+#: Halvings by which an interpolating search's bracket may trail bisection's (ITP's n0).
+SLACK = 4
 
 
 @dataclass(frozen=True)
@@ -108,17 +115,19 @@ def ripple_window(eta: float, upper: float) -> float:
 
 
 def _probe(left: float, right: float, points: list[tuple[float, float]], goal: float,
-           k: int, w0: float) -> float:
+           k: int, w0: float, slope: float) -> float:
     """Probe for step ``k`` (0-based) of a chain search on the bracket (left, right).
 
     ``points`` are the uncensored (x, value) pairs seen so far, oldest first,
     from a nondecreasing function.  Estimates of where the value reaches
     ``goal`` are, in turn, inverse quadratic interpolation through the last
     three points when their values increase strictly, the secant through the
-    last two when theirs do, and the midpoint; the first that lies inside the
-    open bracket is projected onto midpoint +- r with
-    r = w0 2**(SLACK - k - 1) - (right - left) / 2.  That keeps the bracket
-    after step k at most 2**SLACK times bisection's w0 / 2**(k + 1).
+    last two when theirs do, and the midpoint; from a single point, the line
+    through it with ``slope`` (the caller's uniform-agents model) replaces the
+    secant.  The first estimate that lies inside the open bracket is projected
+    onto midpoint +- r with r = w0 2**(SLACK - k - 1) - (right - left) / 2.
+    That keeps the bracket after step k at most 2**SLACK times bisection's
+    w0 / 2**(k + 1).
     """
     mid = 0.5 * (left + right)
     estimates = []
@@ -130,6 +139,9 @@ def _probe(left: float, right: float, points: list[tuple[float, float]], goal: f
     if len(points) >= 2 and points[-2][1] < points[-1][1]:
         (x0, y0), (x1, y1) = points[-2:]
         estimates.append(x1 + (goal - y1) * (x1 - x0) / (y1 - y0))
+    elif len(points) == 1:
+        (x0, y0), = points
+        estimates.append(x0 + (goal - y0) / slope)
     est = next((e for e in estimates if left < e < right), mid)  # a NaN is never inside
     r = max(w0 * 2.0 ** (SLACK - k - 1) - 0.5 * (right - left), 0.0)
     return min(max(est, mid - r), mid + r)
@@ -145,10 +157,14 @@ def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
     only move r; every other endpoint is exact and steers the next probe,
     which :func:`_probe` aims at 1 - delta/2, starting from RD_n(0) = 0.
 
+    The first probe is (1 - delta/2) / n, exact when all n agents are
+    uniform.
+
     ``max_iterations`` defaults to the theoretical bound
-    2(n-1) log2(2*lambda/delta), which still covers the probe rule: its
-    bracket trails bisection's by at most SLACK = 1 halving.  Running out
-    of iterations or of float resolution raises :class:`SearchFailedError`.
+    2(n-1) log2(2*lambda/delta), which still covers the probe rule (see the
+    module docstring): its bracket trails bisection's by at most SLACK = 4
+    halvings.  Running out of iterations or of float resolution raises
+    :class:`SearchFailedError`.
     """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta={delta} outside (0, 1)")
@@ -172,7 +188,7 @@ def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
             raise SearchFailedError(
                 f"bin_search ran out of float resolution at iteration {it} (cap {cap}): "
                 f"{left!r} and {right!r} are adjacent doubles and no chain endpoint hit [1-delta, 1)")
-        x = _probe(left, right, points, goal, it - 1, 1.0)
+        x = _probe(left, right, points, goal, it - 1, 1.0, n)
         chain = rd_chain(instance, x, ledger)
         endpoint = chain[-1]
         if endpoint < 1.0 - delta:

@@ -229,16 +229,18 @@ def max_egalitarian(instance: Instance, eta: float,
     """Allocation with egalitarian welfare >= optimum - eta.
 
     Searches target values {k*eta} using feasibility monotonicity: once a
-    moving-knife run truncates, all larger targets truncate too.  Each probe
-    is ripple's :func:`_probe` aimed at a last knife of 1.0 through the
-    (k, last knife) points of feasible runs, starting from MK_n(0) = 0,
+    moving-knife run truncates, all larger targets truncate too.  The run at
+    k = 0 costs no queries: a cut of 0 from 0 is 0 in every family.  Each
+    probe is ripple's :func:`_probe` aimed at a last knife of 1.0 through the
+    (k, last knife) points of feasible runs, starting from MK_n(0) = 0 with
+    the uniform-agents slope n*eta (so the first probe is k = 1 / (n eta)),
     rounded down and clamped into [lo + 1, hi - 1]; a midpoint probe is
     (lo + hi) // 2 (for kmax < 2**53).  Infeasible runs only move hi.  The
     search ends at lo + 1 == hi, at the same largest feasible k as
-    bisection, with a bracket that trails bisection's by at most one
-    halving (plus the rounding to integers).  The reported
-    value is the one the allocation achieves: k*eta, or less when the last
-    knife was truncated within the feasibility slack.
+    bisection, with a bracket that trails bisection's by at most SLACK = 4
+    halvings (plus the rounding to integers).  The reported value is the one
+    the allocation achieves: k*eta, or less when the last knife was
+    truncated within the feasibility slack.
     """
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta={eta} outside (0, 1)")
@@ -248,16 +250,17 @@ def max_egalitarian(instance: Instance, eta: float,
         run = mk_chain(instance, k * eta, ledger)
         return run if run.feasible else None
 
-    best = mk_chain(instance, 0.0, ledger)
+    best = MovingKnifeRun(0.0, (0.0,) * instance.n, True, 0.0)  # cuts of 0 from 0 are 0
     top = feasible(kmax)
     if top is not None:
         best = top
     else:
         lo, hi = 0, kmax  # feasible(lo) holds, feasible(hi) fails
         points = [(0, 0.0)]  # (k, last knife) of feasible runs
+        slope = instance.n * eta  # MK_n(k) = n k eta for n uniform agents
         step = 0
         while lo + 1 < hi:
-            mid = min(max(math.floor(_probe(lo, hi, points, 1.0, step, kmax)), lo + 1), hi - 1)
+            mid = min(max(math.floor(_probe(lo, hi, points, 1.0, step, kmax, slope)), lo + 1), hi - 1)
             step += 1
             run = feasible(mid)
             if run is not None:

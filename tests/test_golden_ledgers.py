@@ -24,36 +24,36 @@ ETA = 1e-6
 
 # (seed, n): envy-free cuts and (eval, cut) counts, egalitarian cuts, value and counts
 GOLDEN = {
-    (11, 2): ((0.0, 0.5763014182006932, 1.0), (8, 8),
-              (0.0, 0.5951007187627113, 1.0), 0.5189079999999999, (8, 25)),
-    (12, 2): ((0.0, 0.5867226288529341, 1.0), (7, 7),
-              (0.0, 0.6723313071584126, 1.0), 0.585649, (6, 21)),
-    (11, 5): ((0.0, 0.2475057264752182, 0.4854647773216093, 0.6937103348218734,
-               0.8636291125129476, 1.0), (26, 26),
+    (11, 2): ((0.0, 0.5763014182007138, 1.0), (4, 4),
+              (0.0, 0.5951007187627113, 1.0), 0.5189079999999999, (2, 11)),
+    (12, 2): ((0.0, 0.5867226288530001, 1.0), (4, 4),
+              (0.0, 0.6723313071584126, 1.0), 0.585649, (2, 11)),
+    (11, 5): ((0.0, 0.24750572616376698, 0.4854647767329611, 0.6937103340425566,
+               0.8636291116159522, 1.0), (16, 16),
               (0.0, 0.2553139970513072, 0.5139526484631259, 0.7333015125228962,
-               0.895651803055918, 1.0), 0.23098, (5, 50)),
-    (12, 5): ((0.0, 0.24334001541065395, 0.4827105021927214, 0.7001666003324074,
-               0.8789005474259186, 1.0), (26, 26),
+               0.895651803055918, 1.0), 0.23098, (4, 35)),
+    (12, 5): ((0.0, 0.2433400162775858, 0.48271050387156145, 0.7001666025634907,
+               0.8789005499017856, 1.0), (26, 26),
               (0.0, 0.2652416230677436, 0.5373283614034603, 0.775045503387368,
-               0.9125565202102272, 1.0), 0.245081, (5, 50)),
-    (11, 9): ((0.0, 0.14684756015789013, 0.2915991733176316, 0.4283905054974684,
-               0.5529446506904804, 0.6641882739121504, 0.7635414293716357,
-               0.851483494144618, 0.9296289230440713, 1.0), (60, 60),
+               0.9125565202102272, 1.0), 0.245081, (4, 35)),
+    (11, 9): ((0.0, 0.14684754616872217, 0.29159914592705594, 0.42839046674882114,
+               0.5529446032131601, 0.664188219951376, 0.7635413704896886,
+               0.8514834314149677, 0.9296288571435236, 1.0), (32, 32),
               (0.0, 0.13749437865906214, 0.2866497917524972, 0.43256423170195085,
                0.5657005408271609, 0.6833810414044121, 0.7844603431535687,
-               0.8705318274177931, 0.9465951532488202, 1.0), 0.12374099999999999, (5, 82)),
-    (12, 9): ((0.0, 0.14667047915857193, 0.2928015744641608, 0.43541567239554224,
-               0.5688904321498282, 0.689139536337336, 0.792346418133216,
-               0.874233156288768, 0.9421620529663267, 1.0), (68, 68),
+               0.8705318274177931, 0.9465951532488202, 1.0), 0.12374099999999999, (5, 64)),
+    (12, 9): ((0.0, 0.14667047914827536, 0.2928015744437182, 0.4354156723658957,
+               0.5688904321131362, 0.6891395362960795, 0.7923464180895171,
+               0.874233156243559, 0.9421620529199732, 1.0), (46, 46),
               (0.0, 0.14422962336090384, 0.2976843602545997, 0.45322458039939134,
                0.5983059791071716, 0.7256694068949544, 0.8191053730848835,
-               0.8945711835235871, 0.9552022048558, 1.0), 0.133092, (13, 141)),
+               0.8945711835235871, 0.9552022048558, 1.0), 0.133092, (4, 55)),
 }
 
 #: a < 0 in the first agent: its cuts keep the plain bisection
 MIXED_SIGN = ((-0.5, 1.0), (1.0, 1.0))
-MIXED_GOLDEN = ((0.0, 0.4299093741570802, 1.0), (12, 12),
-                (0.0, 0.5094303305430893, 1.0), 0.5848749999999999, (6, 21))
+MIXED_GOLDEN = ((0.0, 0.429909382461094, 1.0), (15, 15),
+                (0.0, 0.5094303305430893, 1.0), 0.5848749999999999, (2, 11))
 
 # instance key: envy-free and egalitarian (eval, cut) counts of the bisection searches
 BISECTION_LEDGERS = {

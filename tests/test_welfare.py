@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fairslice import (
+    Allocation,
     BinomialPoly,
     Instance,
     Linear,
@@ -228,8 +229,8 @@ class TestMaxEgalitarian:
     def test_same_result_as_bisection_from_fewer_queries(self, monkeypatch, eta):
         real, probes = welfare._probe, []
 
-        def spy(lo, hi, points, goal, k, w0):
-            x = real(lo, hi, points, goal, k, w0)
+        def spy(lo, hi, points, goal, k, w0, slope):
+            x = real(lo, hi, points, goal, k, w0, slope)
             probes.append((lo, hi, x))
             return x
 
@@ -244,6 +245,17 @@ class TestMaxEgalitarian:
             reference_queries += ref_led.total()
         assert all(lo < x < hi for lo, hi, x in probes)
         assert queries < reference_queries
+
+    def test_zero_target_run_costs_no_queries(self):
+        # targets 0.5 and 1.0 both truncate, so the answer is the tau = 0 run,
+        # whose cuts from 0 are 0 in every family
+        inst = Instance.from_densities([Uniform()] * 3)
+        led, runs = QueryLedger(), QueryLedger()
+        result = max_egalitarian(inst, 0.5, led)
+        assert result == bisection_egalitarian(inst, 0.5, QueryLedger())
+        assert result == (Allocation((0.0, 0.0, 0.0, 1.0)), 0.0)
+        assert not mk_chain(inst, 1.0, runs).feasible and not mk_chain(inst, 0.5, runs).feasible
+        assert led == runs
 
     def test_three_uniform(self):
         inst = Instance.from_densities([Uniform()] * 3)
