@@ -9,10 +9,12 @@ on the test ``F(mid) - F(l) < target`` until the bracket's endpoints are
 adjacent doubles.
 
 When a >= 0 and b >= 0, ``BinomialPoly`` first narrows that bracket with Newton
-steps, for as long as each step is under half the one before.  The step that
-converges or fails to halve is pushed an ulp or more past the root and then
-doubled until the test flips, so the bracket closes from both sides, and the
-same bisection finishes it; the result is the same double.
+steps, for as long as each step is under half the one before; a step that
+would leave the bracket is replaced by the bracket's midpoint, and Newton goes
+on from there.  The step that converges or fails to halve is pushed an ulp or
+more past the root and then doubled until the test flips, so the bracket
+closes from both sides, and the same bisection finishes it; the result is the
+same double.
 While the test is monotone over the doubles of [l, 1], the bisection returns
 the least double where it is false (or 1.0 if there is none), and so does any
 bracket that moves only on evaluated values of the test and ends at adjacent
@@ -27,12 +29,13 @@ A cut computes F(l) once and hands it to the family as ``base``:
 F(y) - base = target, where base = F(l) exactly as ``_cumulative(l)`` gives it.
 
 All densities are immutable; every operation is a pure function of its
-parameters.  Derived constants (F(1) as ``_top``, knot and prefix tables, the
-Gaussian's ``NormalDist``) are fixed in ``__post_init__`` and never written
-lazily: on CPython 3.11 an attribute added after construction (as
-``functools.cached_property`` does) turns off the fast attribute loads that
+parameters.  Derived constants (F(0) and F(1) as ``_bottom`` and ``_top``, knot
+and prefix tables, the Gaussian's ``NormalDist``) are fixed in ``__post_init__``
+and never written lazily: on CPython 3.11 an attribute added after construction
+(as ``functools.cached_property`` does) turns off the fast attribute loads that
 ``_cumulative`` relies on; with lazily cached constants ``BinomialPoly._cumulative``
-ran about 1.8x slower.
+ran about 1.8x slower.  ``measure`` reads ``_bottom`` for intervals from 0, so a
+Gaussian eval there costs one ``erf`` instead of two.
 """
 
 from __future__ import annotations
@@ -93,17 +96,18 @@ class Density:
     public methods add the ``scale`` factor, domain checks and the cut-query
     truncation convention.
 
-    Every subclass sets ``_top = _cumulative(1.0)`` and any other derived
-    constant in ``__post_init__`` (see the module docstring for why never
-    lazily), so the attributes of a density do not change after construction,
-    and names them in ``_derived``.
+    Every subclass sets its derived constants in ``__post_init__`` (see the
+    module docstring for why never lazily), among them ``_bottom`` and ``_top``
+    through ``_set_ends``, so the attributes of a density do not change after
+    construction, and names them in ``_derived`` in the order it sets them.
     """
 
     scale: float
+    _bottom: float
     _top: float
     #: The constants ``__post_init__`` derives from the shape, none of which
     #: depends on the scale: a rescaled copy takes them as they are.
-    _derived: tuple[str, ...] = ("_top",)
+    _derived: tuple[str, ...] = ("_bottom", "_top")
 
     # -- family internals -------------------------------------------------
 
@@ -125,6 +129,11 @@ class Density:
         """(min, max) of the unscaled density over [0, 1]."""
         raise NotImplementedError
 
+    def _set_ends(self) -> None:
+        """Fix F(0) as ``_bottom`` and F(1) as ``_top``, once the shape's other constants are set."""
+        object.__setattr__(self, "_bottom", self._cumulative(0.0))
+        object.__setattr__(self, "_top", self._cumulative(1.0))
+
     # -- public operations -------------------------------------------------
 
     def value_at(self, x: float) -> float:
@@ -142,12 +151,12 @@ class Density:
         return self.scale * self._densities(xs)
 
     def measure(self, a: float, b: float) -> float:
-        """v([a, b]) = F(b) - F(a), exact per-family antiderivative."""
+        """v([a, b]) = F(b) - F(a), exact per-family antiderivative; F(0) is ``_bottom``."""
         if not 0.0 <= a <= b <= 1.0:
             _check_point(a, "a")
             _check_point(b, "b")
             raise DomainError(f"reversed interval [{a}, {b}]")
-        return self.scale * (self._cumulative(b) - self._cumulative(a))
+        return self.scale * (self._cumulative(b) - (self._bottom if a == 0.0 else self._cumulative(a)))
 
     def inverse_measure(self, l: float, tau: float) -> float:
         """Smallest y in [l, 1] with measure(l, y) = tau, to the double; 1 if tau exceeds measure(l, 1)."""
@@ -216,7 +225,7 @@ class Uniform(Density):
 
     def __post_init__(self):
         _check_params(self)
-        object.__setattr__(self, "_top", self._cumulative(1.0))
+        self._set_ends()
 
     def _density(self, x):
         return 1.0
@@ -265,7 +274,7 @@ class Linear(Density):
         _check_params(self, self.a, self.b)
         if min(self.b, self.a + self.b) < 0.0:
             raise NotFullSupportError(f"linear density {self.a}*x+{self.b} negative on [0,1]")
-        object.__setattr__(self, "_top", self._cumulative(1.0))
+        self._set_ends()
 
     def _density(self, x):
         return self.a * x + self.b
@@ -296,7 +305,7 @@ class BinomialPoly(Density):
     s: int
     t: int
     scale: float = 1.0
-    _derived = ("_s1", "_t1", "_top", "_newton")
+    _derived = ("_s1", "_t1", "_bottom", "_top", "_newton")
 
     def __post_init__(self):
         _check_params(self, self.a, self.b)
@@ -306,7 +315,7 @@ class BinomialPoly(Density):
             raise NotFullSupportError("binomial polynomial negative on [0,1]")
         object.__setattr__(self, "_s1", self.s + 1)  # exponents of the antiderivative
         object.__setattr__(self, "_t1", self.t + 1)
-        object.__setattr__(self, "_top", self._cumulative(1.0))
+        self._set_ends()
         # Newton-narrowed cuts only where F's rounding is monotone (see the module docstring)
         object.__setattr__(self, "_newton", self.a >= 0.0 and self.b >= 0.0)
 
@@ -334,9 +343,10 @@ class BinomialPoly(Density):
         lo, hi = l, 1.0
         if self._newton:
             # Newton from the chord root over [l, 1], while each step is under half
-            # the one before, then a step past the root, doubled until the test
-            # flips; every evaluated point moves lo or hi by the bisection's own
-            # test, and the bisection finishes the bracket
+            # the one before (a midpoint where a step leaves the bracket), then a
+            # step past the root, doubled until the test flips; every evaluated
+            # point moves lo or hi by the bisection's own test, and the bisection
+            # finishes the bracket
             cumulative, density = self._cumulative, self._density
             x = l + (1.0 - l) * (target / (self._top - base))
             last, nudge, side = math.inf, 0.0, None
@@ -360,6 +370,8 @@ class BinomialPoly(Density):
                 if _EPS * x < abs(dx) < 0.5 * last:
                     last = abs(dx)
                     x -= dx
+                    if not lo < x < hi:
+                        x = 0.5 * (lo + hi)  # the step left the bracket: bisect once, then Newton again
                     continue
                 if not math.isfinite(dx):
                     break
@@ -417,7 +429,7 @@ class PiecewiseLinear(Density):
     slopes: tuple[float, ...]
     intercepts: tuple[float, ...]
     scale: float = 1.0
-    _derived = ("_knots", "_cum", "_top")
+    _derived = ("_knots", "_cum", "_bottom", "_top")
 
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", tuple(float(p) for p in self.breakpoints))
@@ -436,7 +448,7 @@ class PiecewiseLinear(Density):
             cum.append(acc)
         object.__setattr__(self, "_knots", knots)
         object.__setattr__(self, "_cum", tuple(cum))  # _cum[j] = unscaled mass of [0, _knots[j]]
-        object.__setattr__(self, "_top", self._cumulative(1.0))
+        self._set_ends()
 
     def _segment(self, x: float) -> int:
         """Index of the segment that holds x in [0, 1]; the last one holds 1.0."""
@@ -500,7 +512,7 @@ class PiecewiseConstant(Density):
     breakpoints: tuple[float, ...]
     heights: tuple[float, ...]
     scale: float = 1.0
-    _derived = ("_linear", "_top")
+    _derived = ("_linear", "_bottom", "_top")
 
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", tuple(float(p) for p in self.breakpoints))
@@ -514,7 +526,7 @@ class PiecewiseConstant(Density):
         # the same density as a zero-slope PiecewiseLinear, which does the walking
         object.__setattr__(self, "_linear", PiecewiseLinear(
             self.breakpoints, (0.0,) * len(self.heights), self.heights, scale=self.scale))
-        object.__setattr__(self, "_top", self._cumulative(1.0))
+        self._set_ends()
 
     def _density(self, x):
         return self._linear._density(x)
@@ -552,14 +564,14 @@ class GaussianRestricted(Density):
     mu: float
     sigma: float
     scale: float = 1.0
-    _derived = ("_normal", "_top")
+    _derived = ("_normal", "_bottom", "_top")
 
     def __post_init__(self):
         _check_params(self, self.mu, self.sigma)
         if not self.sigma > 0.0:
             raise DomainError(f"sigma must be positive, got {self.sigma}")
         object.__setattr__(self, "_normal", NormalDist(self.mu, self.sigma))
-        object.__setattr__(self, "_top", self._cumulative(1.0))
+        self._set_ends()
 
     def _density(self, x):
         z = (x - self.mu) / self.sigma
@@ -599,7 +611,7 @@ class ExponentialRestricted(Density):
         _check_params(self, self.rate)
         if not self.rate > 0.0:
             raise DomainError(f"rate must be positive, got {self.rate}")
-        object.__setattr__(self, "_top", self._cumulative(1.0))
+        self._set_ends()
 
     def _density(self, x):
         return self.rate * math.exp(-self.rate * x)

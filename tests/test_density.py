@@ -574,26 +574,63 @@ def _newton_stage_cuts():
     yield BinomialPoly(1.08819491548366, 0.0, 1, 0).normalized(), 0.0, 1.391e-320
 
 
+class _CountingBinomial(BinomialPoly):
+    calls = 0  # evaluations of F and f together
+
+    def _cumulative(self, x):
+        _CountingBinomial.calls += 1
+        return super()._cumulative(x)
+
+    def _density(self, x):
+        _CountingBinomial.calls += 1
+        return super()._density(x)
+
+
+def _counted_cut(d, l, tau):
+    """(d.inverse_measure(l, tau), evaluations of F and f it took)."""
+    counting = _CountingBinomial(d.a, d.b, d.s, d.t, scale=d.scale)
+    _CountingBinomial.calls = 0
+    return counting.inverse_measure(l, tau), _CountingBinomial.calls
+
+
 def test_binomial_cut_costs_at_most_the_plain_bisection_plus_8():
     # Newton hands over to the bisection once its steps stop halving, so a cut
     # where Newton is slow costs little more than bisecting from (l, 1)
-    class Counting(BinomialPoly):
-        calls = 0  # evaluations of F and f together
-
-        def _cumulative(self, x):
-            Counting.calls += 1
-            return super()._cumulative(x)
-
-        def _density(self, x):
-            Counting.calls += 1
-            return super()._density(x)
-
     for d, l, tau in _newton_stage_cuts():
-        counting = Counting(d.a, d.b, d.s, d.t, scale=d.scale)
         plain, plain_calls = _plain_bisection(d, l, tau / d.scale)
-        Counting.calls = 0
-        assert counting.inverse_measure(l, tau) == plain, (d, l, tau)
-        assert Counting.calls <= plain_calls + 8, (d, l, tau, Counting.calls, plain_calls)
+        y, calls = _counted_cut(d, l, tau)
+        assert y == plain, (d, l, tau)
+        assert calls <= plain_calls + 8, (d, l, tau, calls, plain_calls)
+
+
+def test_binomial_newton_step_out_of_bracket_bisects_once():
+    # the second Newton step lands at 1.005, past the bracket; a midpoint step
+    # and more Newton follow (ending the stage there bisected (0.697, 1): 54)
+    d = BinomialPoly(1.264595376033435, 0.0, 3, 0, scale=3.1630670772706058)
+    l, tau = 0.12499787685547115, 0.6538962771821724
+    y, calls = _counted_cut(d, l, tau)
+    assert y == _plain_bisection(d, l, tau / d.scale)[0]
+    assert calls <= 16
+
+
+def test_binomial_random_shape_cuts_match_bisection():
+    # shapes with s up to 8 and b = 0 half the time, where Newton steps often
+    # leave the bracket; a stage that ended there averaged about 22 evaluations
+    rng = np.random.default_rng(5)
+    costs = []
+    for _ in range(4000):
+        s = int(rng.integers(1, 9))
+        t = int(rng.integers(0, s))
+        a = float(rng.uniform(0.05, 4.0))
+        b = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.05, 4.0))
+        d = BinomialPoly(a, b, s, t).normalized()
+        l = float(rng.uniform(0.0, 1.0))
+        tau = float(rng.uniform(0.0, 1.0)) * d.measure(l, 1.0)
+        if tau > 0.0:
+            y, calls = _counted_cut(d, l, tau)
+            assert y == _plain_bisection(d, l, tau / d.scale)[0], (d, l, tau)
+            costs.append(calls)
+    assert sum(costs) / len(costs) <= 15
 
 
 @pytest.mark.parametrize("tau", [1e-14, 1e-20, 1e-100, 1e-300])

@@ -27,6 +27,7 @@ from fairslice.errors import DomainError, ParameterRegimeError
 from fairslice.welfare import (
     MAX_NASH_GRID,
     DpTable,
+    _dp_allocation,
     _nash_dp,
     _nash_grid,
     _prefix_values,
@@ -46,19 +47,32 @@ from gen import (
 QUAD = BinomialPoly(3.0, 0.0, 2, 0)
 
 
-def product_dp_oracle(prefix):
-    """Reference for _nash_dp: the plain O(nT^2) scan over every split of every column."""
+def scan_dp_oracle(prefix, combine):
+    """Reference for the partition DPs: the plain O(nT^2) scan over every split of every cell.
+
+    ``combine`` is np.add for _sw_dp and np.multiply for _nash_dp; ties go to
+    the smallest split, as np.argmax gives.
+    """
     n, tt = prefix.shape
     values = np.zeros((n, tt))
     back = np.zeros((n, tt), dtype=int)
     values[0] = prefix[0]
     for k in range(1, n):
         for t in range(tt):
-            cand = values[k - 1, : t + 1] * (prefix[k, t] - prefix[k, : t + 1])
+            cand = combine(values[k - 1, : t + 1], prefix[k, t] - prefix[k, : t + 1])
             best = int(np.argmax(cand))
             values[k, t] = cand[best]
             back[k, t] = best
     return DpTable(values, back)
+
+
+def assert_kernel_matches_oracle(points, table, expected, name):
+    """Every cell a DP kernel fills: rows 0..n-2 in full, then the last row's final cell."""
+    assert np.array_equal(table.values[:-1], expected.values[:-1]), name
+    assert np.array_equal(table.back[:-1], expected.back[:-1]), name
+    assert table.values[-1, -1] == expected.values[-1, -1], name
+    assert table.back[-1, -1] == expected.back[-1, -1], name
+    assert _dp_allocation(points, table) == _dp_allocation(points, expected), name
 
 
 @pytest.fixture
@@ -150,13 +164,15 @@ class TestMaxSocialWelfare:
         alloc, _ = max_social_welfare(inst, 1e-4, QueryLedger())
         assert all(a <= b for a, b in zip(alloc.cuts, alloc.cuts[1:]))
 
-    def test_dp_values_monotone_in_t(self, unif_quad):
+    def test_dp_values_monotone_in_t(self):
+        # the rows the kernels fill in full; the last row holds one cell
+        inst = binomial_instance(5, np.random.default_rng(39))
         led = QueryLedger()
-        points = build_switching_points(unif_quad, 1e-3, led)
-        prefix = _prefix_values(unif_quad, points, led)
+        points = build_switching_points(inst, 1e-3, led)
+        prefix = _prefix_values(inst, points, led)
         for kernel in (_sw_dp, _nash_dp):
             table = kernel(prefix)
-            for row in table.values:
+            for row in table.values[:-1]:
                 assert all(a <= b + 1e-12 for a, b in zip(row, row[1:]))
 
     def test_switching_set_size(self):
@@ -354,14 +370,34 @@ def nash_dp_cases():
         Uniform(),
         PiecewiseConstant((0.5,), (0.0, 1.0)),
     ]), 0.03
+    # the last two agents share a zero-height step, so the last agent's final
+    # cell ties over the splits in it: the SW cell on switching points, then
+    # the Nash cell on its grid
+    yield "shared_gap_sw", Instance.from_densities([
+        Uniform(),
+        PiecewiseConstant((0.3, 0.6), (2.0, 0.0, 1.0)),
+        PiecewiseConstant((0.3, 0.6), (1.0, 0.0, 2.0)),
+    ]), 0.03
+    yield "shared_gap_nash", Instance.from_densities([
+        Uniform(),
+        PiecewiseConstant((0.3,), (1.0, 0.0)),
+        PiecewiseConstant((0.6,), (0.0, 1.0)),
+    ]), 0.03
 
 
 def test_nash_dp_matches_product_oracle():
     for name, inst, eps in nash_dp_cases():
-        prefix = _prefix_values(inst, _nash_grid(inst, eps, QueryLedger()), QueryLedger())
-        expected, table = product_dp_oracle(prefix), _nash_dp(prefix)
-        assert np.array_equal(table.values, expected.values), name
-        assert np.array_equal(table.back, expected.back), name
+        points = _nash_grid(inst, eps, QueryLedger())
+        prefix = _prefix_values(inst, points, QueryLedger())
+        assert_kernel_matches_oracle(points, _nash_dp(prefix), scan_dp_oracle(prefix, np.multiply), name)
+
+
+def test_sw_dp_matches_sum_oracle():
+    for name, inst, _ in nash_dp_cases():
+        for gamma in (0.1, 1e-3):
+            points = build_switching_points(inst, gamma, QueryLedger())
+            prefix = _prefix_values(inst, points, QueryLedger())
+            assert_kernel_matches_oracle(points, _sw_dp(prefix), scan_dp_oracle(prefix, np.add), name)
 
 
 class TestReorder:
