@@ -2,7 +2,8 @@
 
 This module is the referee: it reads densities directly (no ledger) to
 compute exact envy matrices and welfare metrics, and provides brute-force
-grid oracles for optima and Pareto dominance.  Algorithms must never import
+grid oracles for optima and Pareto dominance and a float bisection for the
+egalitarian optimum.  Algorithms must never import
 it; tests and the CLI use it to certify advertised guarantees.
 """
 
@@ -113,6 +114,35 @@ def brute_force_optimum(instance: Instance, objective: str, m: int) -> float:
         raise UnsupportedSizeError(f"unknown objective {objective!r}")
     best = _grid_dp(_prefix_table(instance, m), *_COMBINE[objective])
     return best ** (1.0 / instance.n) if objective == "nsw" else best
+
+
+def egalitarian_optimum(instance: Instance) -> float:
+    """The largest tau, to adjacent doubles, at which the moving-knife chain feeds every agent.
+
+    The chain runs in the instance's agent order, which is where the paper's
+    egalitarian optimum lives under MLRP: each knife cuts tau from the last
+    one with ``inverse_measure``, and tau is feasible iff no interval is cut
+    short at 1.  Feasibility is monotone in tau, so a float bisection of
+    [0, 1] ends on two adjacent doubles and returns the feasible one.  Reads
+    the densities directly, with no ledger.
+    """
+    def feasible(tau: float) -> bool:
+        knife = 0.0
+        for agent in instance.agents:
+            y = agent.inverse_measure(knife, tau)
+            if y >= 1.0 and agent.measure(knife, 1.0) < tau:
+                return False
+            knife = y
+        return True
+
+    lo, hi = 0.0, 1.0
+    if feasible(hi):
+        return hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
 
 
 def pareto_dominated_on_grid(instance: Instance, division, m: int) -> bool:

@@ -128,6 +128,20 @@ def _nsw_audit_fails(instance: Instance, eps: float, report: dict) -> bool:
     return True
 
 
+def _ew_audit_fails(instance: Instance, eta: float, report: dict) -> bool:
+    """The allocation is worth less than the reported objective, or its egalitarian welfare
+    is more than eta below the optimum that the moving-knife bisection reads off the densities."""
+    ew = report["metrics"]["ew"]
+    if ew < report["objective"] - 1e-9:
+        log.error("ew audit failed: EW %.17g < reported objective %.17g", ew, report["objective"])
+        return True
+    best = audit.egalitarian_optimum(instance)
+    if ew >= best - eta:
+        return False
+    log.error("ew audit failed: EW %.17g < optimum %.17g - eta", ew, best)
+    return True
+
+
 def _plef(args, ledger):
     instance, order = _instance_and_order(args.instance, ledger)
     instance = instance.reordered(order)
@@ -223,7 +237,7 @@ COMMANDS = {
         lambda inst, eta, report: abs(report["metrics"]["sw"] - report["objective"]) > 1e-6)),
     "ew": ("egalitarian-welfare maximizing allocation", ("--eta", "--queries"), _allocation(
         "eta", lambda inst, eta, ledger: welfare.max_egalitarian(inst, eta, ledger),
-        lambda inst, eta, report: report["metrics"]["ew"] < report["objective"] - 1e-9)),
+        _ew_audit_fails)),
     "nsw": ("Nash-social-welfare FPTAS allocation", ("--epsilon", "--queries"), _allocation(
         "epsilon", lambda inst, eps, ledger: welfare.max_nash(inst, eps, ledger),
         _nsw_audit_fails)),

@@ -3,16 +3,23 @@
 Social welfare: binary-search each pairwise switching point into a gamma-wide
 bracket, then run an interval-partition dynamic program over the bracketed
 points.  Egalitarian welfare: an interpolating search (ripple's probe rule)
-over target values of a moving-knife chain, using feasibility monotonicity.
+over target values of a moving-knife chain, using feasibility monotonicity;
+a run is feasible only when no interval is cut short, with no slack.
 Nash welfare: product-form DP over an adaptively generated value grid of
-T <= 8n^2/eps + n + 2 points (caps above MAX_NASH_GRID are rejected).  The
-grid walk is a plain loop of n cut queries per point, keeping the least cut;
-the prefix table is n*T eval queries from 0, each of which reads F(0) as the
-density's ``_bottom`` constant.  The DP runs in O(nT log T) time because the
-best split points are monotone; both DPs score the last agent only at the
-final column, in one dense pass over its T splits.  All cut points are
-assigned left to right in MLRP order, which is where every Pareto optimum
-lives.
+T <= 8n^2/eps + n + 2 points (caps above MAX_NASH_GRID are rejected), each
+cell worth at most eps/(8n) to every agent.  The grid walk is guided by the
+MLRP upper envelope: a stack pass of at most 2n - 3 switching-point searches
+splits the cake into stretches on which one agent has the highest density,
+and inside a stretch the walk asks that agent alone for one cut per point;
+near the envelope's switching points it asks all n and keeps the least cut.
+The prefix table is n*T eval queries from 0, each of which reads F(0) as the
+density's ``_bottom`` constant; its column differences are every agent's
+value of every cell, so max_nash checks the cell bound from it and, should a
+cell break it (agents out of MLRP order), walks again asking all n agents
+at every point.  The DP runs in O(nT log T) time because the best split
+points are monotone; both DPs score the last agent only at the final
+column, in one dense pass over its T splits.  All cut points are assigned
+left to right in MLRP order, which is where every Pareto optimum lives.
 """
 
 from __future__ import annotations
@@ -30,10 +37,18 @@ from .ripple import Allocation, _probe
 MERGE_TOL = 1e-12
 
 #: Largest Nash grid size cap, 8n^2/eps + n + 2 points, that max_nash accepts.
-#: The grid walk costs n cut queries per point; at this cap a call on seeded
-#: Gaussian instances (n = 2..6, 0.3M-0.85M grid points) takes 4 s on a 2-core
-#: Xeon, and 1.7 s for two uniform agents.
+#: The guided grid walk costs one cut query per point inside the envelope's
+#: stretches, and the prefix table n evals per point; at this cap a call on
+#: seeded Gaussian instances (n = 2, 4, 6; 0.79M, 0.42M, 0.27M grid points)
+#: takes 2.2-3.3 s on a 2-core Xeon, and 1.1 s for two uniform agents.
 MAX_NASH_GRID = 1_000_000
+
+#: Width within which the Nash grid walk estimates the envelope's switching points.
+NASH_ENVELOPE_GAMMA = 1e-7
+
+#: Float tolerance on the Nash cell bound: a cell worth more than epsilon/(8n)
+#: plus this to some agent sends max_nash back to the all-agents walk.
+NASH_CELL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -90,6 +105,40 @@ def switching_point(instance: Instance, i: int, j: int, gamma: float,
     bracket_lo = max((first - 2) * half, 0.0)
     bracket_hi = min(first * half, 1.0)
     return 0.5 * (bracket_lo + bracket_hi)
+
+
+def _upper_envelope(instance: Instance, gamma: float,
+                    ledger: QueryLedger) -> list[tuple[int, float, float]]:
+    """Stretches ``(agent, lo, hi)``, left to right, on which ``agent`` has the highest density.
+
+    Under MLRP, for i < j the set {f_j >= f_i} is the up-set [p_ij, 1], so
+    the agent that attains max_i f_i(x) moves only right as x grows (the
+    matrix f_i(x) is totally monotone; Aggarwal, Klawe, Moran, Shor and
+    Wilber 1987).  A stack pass in MLRP order finds that upper envelope, as
+    for pseudolines: agent j pops the top b while the estimate of p(b, j) is
+    at or before b's start (for the bottom of the stack, start 0 within
+    gamma), then j goes on top, starting at p(b, j).  Each agent is pushed
+    once and popped at most once, so the pass makes at most 2n - 3
+    :func:`switching_point` searches.  Each estimate is within gamma of its
+    p_ij, so every stretch keeps a margin of 2 gamma from the estimated
+    switching points and from the ends of the cake; stretches that the
+    margins empty are left out.  Off MLRP order the stretches promise
+    nothing, which is why max_nash checks the cells of the walk they guide.
+    """
+    stack = [(0, 0.0)]  # (agent, estimated start of its stretch)
+    for j in range(1, instance.n):
+        while stack:
+            b, start = stack[-1]
+            p = switching_point(instance, b, j, gamma, ledger)
+            if p > max(start, gamma):
+                stack.append((j, p))
+                break
+            stack.pop()
+        else:
+            stack.append((j, 0.0))
+    ends = [start for _, start in stack[1:]] + [1.0]
+    return [(agent, start + 2.0 * gamma, end - 2.0 * gamma)
+            for (agent, start), end in zip(stack, ends) if end - start > 4.0 * gamma]
 
 
 def build_switching_points(instance: Instance, gamma: float,
@@ -228,8 +277,9 @@ def mk_chain(instance: Instance, tau: float, ledger: QueryLedger) -> MovingKnife
 
     Feasible iff every agent's interval really has value tau, i.e. no cut was
     truncated at 1 (checked with an eval only when a knife lands on 1).  The
-    run's ``value`` is the least of tau and those evals, so a truncation that
-    passes the 1e-9 feasibility slack still reports what its interval is worth.
+    run's ``value`` is the least of tau and those evals, and the run is
+    feasible iff ``value >= tau``, with no slack: a slack wider than the
+    caller's grid of targets would end its search on a truncated run.
     Knives after one at 1.0 are 1.0 and their intervals [1, 1] are worth 0.0,
     so they are filled in without queries.
     """
@@ -247,7 +297,7 @@ def mk_chain(instance: Instance, tau: float, ledger: QueryLedger) -> MovingKnife
         if y >= 1.0 and tau > 0.0:
             value = min(value, eval_query(instance, i, prev, 1.0, ledger))
         prev = y
-    return MovingKnifeRun(tau, tuple(knives), value >= tau - 1e-9, value)
+    return MovingKnifeRun(tau, tuple(knives), value >= tau, value)
 
 
 def max_egalitarian(instance: Instance, eta: float,
@@ -264,9 +314,8 @@ def max_egalitarian(instance: Instance, eta: float,
     (lo + hi) // 2 (for kmax < 2**53).  Infeasible runs only move hi.  The
     search ends at lo + 1 == hi, at the same largest feasible k as
     bisection, with a bracket that trails bisection's by at most SLACK = 4
-    halvings (plus the rounding to integers).  The reported value is the one
-    the allocation achieves: k*eta, or less when the last knife was
-    truncated within the feasibility slack.
+    halvings (plus the rounding to integers).  The reported value is k*eta,
+    the target every interval of a feasible run is cut to.
     """
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta={eta} outside (0, 1)")
@@ -298,11 +347,18 @@ def max_egalitarian(instance: Instance, eta: float,
     return Allocation(cuts), best.value
 
 
-def _nash_grid(instance: Instance, epsilon: float, ledger: QueryLedger) -> list[float]:
-    """Adaptive grid: every cell is worth at most epsilon/(8n) to every agent.
+def _nash_grid(instance: Instance, epsilon: float, ledger: QueryLedger,
+               guided: bool = True) -> list[float]:
+    """Adaptive grid whose every cell is worth at most epsilon/(8n) to every agent, under MLRP.
 
-    Raises ParameterRegimeError, before any query, when the grid's size cap
-    exceeds MAX_NASH_GRID.
+    Each point is the least of the n cuts of epsilon/(8n) from the last one.
+    With ``guided``, inside a stretch of :func:`_upper_envelope` the
+    stretch's agent has the highest density, so its cut is that least cut:
+    the walk asks it alone, and keeps its cut when it lands at or before the
+    stretch's end.  Elsewhere, or when it lands beyond, the walk asks the
+    other agents too.  Without ``guided`` it asks all n at every point, which
+    bounds the cells for any densities.  Raises ParameterRegimeError, before
+    any query, when the grid's size cap exceeds MAX_NASH_GRID.
     """
     cap = math.ceil(8.0 * instance.n * instance.n / epsilon) + instance.n + 2
     if cap > MAX_NASH_GRID:
@@ -310,14 +366,23 @@ def _nash_grid(instance: Instance, epsilon: float, ledger: QueryLedger) -> list[
             f"epsilon={epsilon} with n={instance.n} allows a Nash grid of {cap} points, "
             f"over the budget of {MAX_NASH_GRID}; use a larger epsilon")
     n, step = instance.n, epsilon / (8.0 * instance.n)
+    # stretches still ahead of the walk, the nearest last
+    ahead = _upper_envelope(instance, NASH_ENVELOPE_GAMMA, ledger)[::-1] if guided else []
     points, x = [0.0], 0.0
     while x < 1.0 and len(points) <= cap:
-        # the least of the n cuts from x, the first of equal ones; a cut is at most 1
-        nxt = cut_query(instance, 0, x, step, ledger)
-        for i in range(1, n):
-            y = cut_query(instance, i, x, step, ledger)
-            if y < nxt:
-                nxt = y
+        while ahead and ahead[-1][2] <= x:
+            ahead.pop()
+        agent, nxt, hi = -1, math.inf, 1.0  # outside every stretch, no cut asked yet
+        if ahead and ahead[-1][1] <= x:
+            agent, _, hi = ahead[-1]
+            nxt = cut_query(instance, agent, x, step, ledger)
+        if nxt > hi:
+            # the least of the n cuts from x, the stretch agent's among them; a cut is at most 1
+            for i in range(n):
+                if i != agent:
+                    y = cut_query(instance, i, x, step, ledger)
+                    if y < nxt:
+                        nxt = y
         x = 1.0 if nxt <= x + MERGE_TOL else nxt  # no agent has step mass left: close the grid
         points.append(x)
     points[-1] = 1.0
@@ -326,13 +391,26 @@ def _nash_grid(instance: Instance, epsilon: float, ledger: QueryLedger) -> list[
 
 def max_nash(instance: Instance, epsilon: float,
              ledger: QueryLedger) -> tuple[Allocation, float]:
-    """Allocation with Nash social welfare at least (1 - epsilon) times the optimum."""
+    """Allocation with Nash social welfare at least (1 - epsilon) times the optimum.
+
+    The guarantee rests on a grid whose every cell is worth at most
+    epsilon/(8n) to every agent.  The envelope-guided :func:`_nash_grid`
+    meets that bound when the agents are in MLRP order; the prefix table's
+    column differences, which the DP needs anyway, are every agent's value
+    of every cell, so the bound is checked without a further query.  When
+    some cell exceeds epsilon/(8n) by more than NASH_CELL_TOL, the grid and
+    its prefix table are rebuilt by the all-agents walk, which meets the
+    bound for any densities; the ledger counts both.
+    """
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon={epsilon} outside (0, 1)")
     if instance.n == 1:
         return Allocation((0.0, 1.0)), 1.0
     points = _nash_grid(instance, epsilon, ledger)
     prefix = _prefix_values(instance, points, ledger)
+    if np.diff(prefix).max() > epsilon / (8.0 * instance.n) + NASH_CELL_TOL:
+        points = _nash_grid(instance, epsilon, ledger, guided=False)
+        prefix = _prefix_values(instance, points, ledger)
     table = _nash_dp(prefix)
     nash_product = float(table.values[-1, -1])
     return _dp_allocation(points, table), nash_product ** (1.0 / instance.n)

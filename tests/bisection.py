@@ -1,9 +1,12 @@
-"""Test-only references: the plain bisection searches and the chains that always query.
+"""Test-only references: the plain bisection searches, the chains that always query
+and the Nash grid walk that asks every agent.
 
 The library's chain searches pick each probe by interpolation
-(``ripple._probe``), and its chains stop querying once a point reaches 1.0.
-The loops below are the plain versions they replaced, so that tests can
-compare cuts, values, iteration counts and ledgers against them.
+(``ripple._probe``), its chains stop querying once a point reaches 1.0, and
+its Nash grid walk asks one agent inside a stretch of the MLRP upper
+envelope.  The loops below are the plain versions they replaced, so that
+tests can compare cuts, values, grids, iteration counts and ledgers against
+them.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 from fairslice import Allocation, Instance, QueryLedger, cut_query, eval_query, iteration_cap
 from fairslice.errors import SearchFailedError
 from fairslice.ripple import ONE_THRESHOLD, RippleDivision
-from fairslice.welfare import MovingKnifeRun
+from fairslice.welfare import MERGE_TOL, MovingKnifeRun
 
 
 def full_rd_chain(instance: Instance, x: float, ledger: QueryLedger) -> list[float]:
@@ -34,7 +37,7 @@ def full_mk_chain(instance: Instance, tau: float, ledger: QueryLedger) -> Moving
         if y >= 1.0 and tau > 0.0:
             value = min(value, eval_query(instance, i, prev, 1.0, ledger))
         prev = y
-    return MovingKnifeRun(tau, tuple(knives), value >= tau - 1e-9, value)
+    return MovingKnifeRun(tau, tuple(knives), value >= tau, value)
 
 
 def bisection_search(instance: Instance, delta: float, ledger: QueryLedger,
@@ -77,3 +80,16 @@ def bisection_egalitarian(instance: Instance, eta: float,
             else:
                 hi = mid
     return Allocation((0.0, *best.knives[:-1], 1.0)), best.value
+
+
+def full_nash_grid(instance: Instance, epsilon: float, ledger: QueryLedger) -> list[float]:
+    """``_nash_grid`` asking all n agents at every point: the least cut, agent 0's first."""
+    cap = math.ceil(8.0 * instance.n * instance.n / epsilon) + instance.n + 2
+    step = epsilon / (8.0 * instance.n)
+    points, x = [0.0], 0.0
+    while x < 1.0 and len(points) <= cap:
+        nxt = min(cut_query(instance, i, x, step, ledger) for i in range(instance.n))
+        x = 1.0 if nxt <= x + MERGE_TOL else nxt
+        points.append(x)
+    points[-1] = 1.0
+    return points

@@ -20,7 +20,7 @@ from fairslice import (
     welfare_metrics,
 )
 from fairslice import audit, density, mlrp, oracle, plef, ripple, welfare
-from fairslice.audit import _prefix_table
+from fairslice.audit import _prefix_table, egalitarian_optimum
 from fairslice.errors import InvalidDivisionError, UnsupportedSizeError
 from gen import mlrp_instance, piecewise_linear_instance
 
@@ -186,6 +186,18 @@ class TestBruteForce:
     def test_four_agents_small_grid(self):
         inst = Instance.from_densities([Uniform()] * 4)
         assert brute_force_optimum(inst, "ew", 80) == pytest.approx(0.25, abs=1 / 80)
+
+    def test_egalitarian_optimum_at_least_the_grid_optimum(self):
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 4, 5):
+            for _ in range(3):
+                inst = mlrp_instance(n, rng)
+                assert egalitarian_optimum(inst) >= brute_force_optimum(inst, "ew", 400)
+
+    def test_egalitarian_optimum_of_equal_agents(self):
+        assert egalitarian_optimum(Instance.from_densities([Uniform()])) == 1.0
+        assert egalitarian_optimum(Instance.from_densities([Uniform()] * 2)) == 0.5
+        assert egalitarian_optimum(Instance.from_densities([Uniform()] * 3)) == pytest.approx(1 / 3, abs=1e-15)
 
     def test_size_limits(self):
         inst5 = Instance.from_densities([Uniform()] * 5)

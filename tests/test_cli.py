@@ -131,6 +131,22 @@ def test_ew_objective_is_achieved(tmp_path, capsys):
     assert report["objective"] <= report["metrics"]["ew"]
 
 
+def test_ew_below_optimum_exits_3(tmp_path, capsys, monkeypatch):
+    # the allocation is worth the reported 0.4 to both agents, but EW* = 0.5
+    path = write(tmp_path, "inst.json", TWO_UNIFORM)
+    monkeypatch.setattr(welfare, "max_egalitarian",
+                        lambda inst, eta, ledger: (Allocation((0.0, 0.4, 1.0)), 0.4))
+    code, report = invoke(capsys, ["ew", "--eta", "1e-6", path])
+    assert code == 3
+    assert report["metrics"]["ew"] == pytest.approx(0.4, abs=1e-12)
+
+
+def test_ew_at_fine_eta_passes_the_optimum_audit(tmp_path, capsys):
+    path = write(tmp_path, "inst.json", GAUSS_TRIO)
+    code, report = invoke(capsys, ["ew", "--eta", "1e-12", path])
+    assert code == 0
+
+
 def test_nsw_own_value_floor(tmp_path, capsys):
     path = write(tmp_path, "inst.json", LINEAR_PAIR)
     eps = 0.05

@@ -6,6 +6,8 @@ import pytest
 from fairslice import (
     Allocation,
     BinomialPoly,
+    ExponentialRestricted,
+    GaussianRestricted,
     Instance,
     Linear,
     PiecewiseConstant,
@@ -20,20 +22,25 @@ from fairslice import (
     mk_chain,
     reorder_to_mlrp,
     switching_point,
+    verify_instance,
     welfare_metrics,
 )
 from fairslice import welfare
+from fairslice.audit import egalitarian_optimum
 from fairslice.errors import DomainError, ParameterRegimeError
 from fairslice.welfare import (
     MAX_NASH_GRID,
+    NASH_CELL_TOL,
+    NASH_ENVELOPE_GAMMA,
     DpTable,
     _dp_allocation,
     _nash_dp,
     _nash_grid,
     _prefix_values,
     _sw_dp,
+    _upper_envelope,
 )
-from bisection import bisection_egalitarian, full_mk_chain
+from bisection import bisection_egalitarian, full_mk_chain, full_nash_grid
 from gen import (
     binomial_instance,
     every_family_instances,
@@ -307,6 +314,13 @@ class TestMaxEgalitarian:
             alloc, ew = max_egalitarian(inst, eta, QueryLedger())
             assert ew <= welfare_metrics(inst, alloc)[1] + 1e-12
 
+    @pytest.mark.parametrize("eta", [1e-10, 1e-12, 1e-14])
+    def test_within_eta_of_the_optimum_at_fine_eta(self, eta):
+        for seed in range(40):
+            inst = mlrp_instance(2 + seed % 3, np.random.default_rng(seed))
+            _, ew = max_egalitarian(inst, eta, QueryLedger())
+            assert egalitarian_optimum(inst) - eta <= ew <= egalitarian_optimum(inst)
+
 
 class TestMaxNash:
     def test_two_uniform(self):
@@ -339,14 +353,22 @@ class TestMaxNash:
         assert len(points) <= 8 * unif_quad.n ** 2 / eps + unif_quad.n + 3
 
     def test_queries_are_the_grid_and_prefix_only(self):
+        # the envelope's evals, then one cut for a step inside a stretch that
+        # ends at or before the stretch's end and n cuts for any other step,
+        # then n evals per grid point for the prefix table
         rng = np.random.default_rng(61)
         for _ in range(4):
             inst = mlrp_instance(int(rng.integers(2, 6)), rng)
+            envelope_led, led = QueryLedger(), QueryLedger()
+            stretches = _upper_envelope(inst, NASH_ENVELOPE_GAMMA, envelope_led)
             points = _nash_grid(inst, 0.05, QueryLedger())
-            led = QueryLedger()
             max_nash(inst, 0.05, led)
-            assert led.cut_count == inst.n * (len(points) - 1)
-            assert led.eval_count == inst.n * len(points)
+            single = sum(any(lo <= x < y <= hi for _, lo, hi in stretches)
+                         for x, y in zip(points, points[1:]))
+            assert 0 < single < len(points) - 1
+            assert envelope_led.cut_count == 0
+            assert led.cut_count == single + inst.n * (len(points) - 1 - single)
+            assert led.eval_count == envelope_led.eval_count + inst.n * len(points)
 
     def test_grid_over_budget_rejected_before_any_query(self, unif_quad):
         eps = 1e-5
@@ -383,6 +405,101 @@ def nash_dp_cases():
         PiecewiseConstant((0.3,), (1.0, 0.0)),
         PiecewiseConstant((0.6,), (0.0, 1.0)),
     ]), 0.03
+
+
+#: Agents that tie on some stretch, or nearly tie everywhere: cuts may move by
+#: ulps against the all-agents walk, but every cell stays within the bound.
+NASH_TIE_CASES = {
+    "identical_uniform": [Uniform(), Uniform()],
+    "identical_gaussian": [GaussianRestricted(0.4, 0.2)] * 3,
+    "near_tie_gaussian": [GaussianRestricted(0.5, 0.2), GaussianRestricted(0.5 + 1e-12, 0.2)],
+    "equal_middle": [PiecewiseConstant((1.0 / 3.0, 2.0 / 3.0), (2.0, 1.0, 0.5)),
+                     PiecewiseConstant((1.0 / 3.0, 2.0 / 3.0), (0.5, 1.0, 2.0))],
+}
+#: Agents out of MLRP order, on which the guided walk alone breaks the cell bound.
+NASH_NON_MLRP_CASES = {
+    "uniform_linear_uniform": [Uniform(), Linear(1.0, 1.0), Uniform()],
+    "uniform_exponential": [Uniform(), ExponentialRestricted(3.0)],
+}
+
+
+def reference_max_nash(inst, eps):
+    """``max_nash`` on the all-agents walk's grid."""
+    points = full_nash_grid(inst, eps, QueryLedger())
+    table = _nash_dp(_prefix_values(inst, points, QueryLedger()))
+    return _dp_allocation(points, table), float(table.values[-1, -1]) ** (1.0 / inst.n)
+
+
+def max_cell_excess(inst, points, step):
+    """Largest value of a grid cell to any agent, minus step; read off the densities."""
+    return max(agent.measure(x, y) for agent in inst.agents
+               for x, y in zip(points, points[1:])) - step
+
+
+class TestEnvelopeGuidedWalk:
+    def test_grid_matches_all_agents_walk_on_mlrp_cases(self):
+        checked = 0
+        for name, inst, eps in nash_dp_cases():
+            if name.endswith("_instance"):  # the cases drawn from gen's MLRP generators
+                assert _nash_grid(inst, eps, QueryLedger()) == full_nash_grid(inst, eps, QueryLedger())
+                checked += 1
+        assert checked == 15
+
+    @pytest.mark.parametrize("name", sorted(NASH_TIE_CASES) + sorted(NASH_NON_MLRP_CASES))
+    def test_max_nash_grid_meets_cell_bound(self, monkeypatch, name):
+        inst = Instance.from_densities({**NASH_TIE_CASES, **NASH_NON_MLRP_CASES}[name])
+        eps = 0.03
+        step = eps / (8.0 * inst.n)
+        grids, real = [], welfare._prefix_values
+
+        def spy(instance, points, ledger):
+            grids.append(list(points))
+            return real(instance, points, ledger)
+
+        monkeypatch.setattr(welfare, "_prefix_values", spy)
+        result = max_nash(inst, eps, QueryLedger())
+        assert max_cell_excess(inst, grids[-1], step) <= NASH_CELL_TOL
+        if name in NASH_NON_MLRP_CASES:
+            # the guided grid alone breaks the bound; max_nash falls back to the all-agents walk
+            assert max_cell_excess(inst, grids[0], step) > 0.3 * step
+            assert grids[-1] == full_nash_grid(inst, eps, QueryLedger())
+            assert result == reference_max_nash(inst, eps)
+
+    def test_envelope_pair_searches_at_most_2n_minus_3(self, monkeypatch):
+        calls, real = [], welfare.switching_point
+
+        def spy(*args):
+            calls.append(args[1:3])
+            return real(*args)
+
+        monkeypatch.setattr(welfare, "switching_point", spy)
+        instances = family_sweep(0) + every_family_instances()
+        instances += [Instance.from_densities(ds)
+                      for ds in (*NASH_TIE_CASES.values(), *NASH_NON_MLRP_CASES.values())]
+        for inst in instances:
+            if inst.n < 2:
+                continue
+            calls.clear()
+            _upper_envelope(inst, NASH_ENVELOPE_GAMMA, QueryLedger())
+            assert 1 <= len(calls) <= 2 * inst.n - 3
+            assert all(i < j for i, j in calls)
+
+    def test_stretch_agent_has_the_highest_density(self):
+        # every instance here is in MLRP order
+        instances = family_sweep(1) + [inst for inst in every_family_instances()
+                                       if verify_instance(inst).all_verified]
+        instances += [Instance.from_densities(NASH_TIE_CASES[name])
+                      for name in ("identical_uniform", "identical_gaussian", "equal_middle")]
+        checked = 0
+        for inst in instances:
+            stretches = _upper_envelope(inst, NASH_ENVELOPE_GAMMA, QueryLedger())
+            assert all(a < b for (_, _, a), (_, b, _) in zip(stretches, stretches[1:]))
+            for agent, lo, hi in stretches:
+                for x in np.linspace(lo, hi, 11)[1:-1]:
+                    values = [other.value_at(float(x)) for other in inst.agents]
+                    assert inst.agents[agent].value_at(float(x)) == max(values)
+                    checked += 1
+        assert checked > 0
 
 
 def test_nash_dp_matches_product_oracle():
