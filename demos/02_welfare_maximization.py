@@ -1,8 +1,9 @@
 # Social, egalitarian, and Nash welfare maximization
 #
 # The running pair: a uniform agent against f(x) = 3x^2.  All three optima
-# have closed forms, so the dynamic programs and the moving-knife search can
-# be checked against both analysis and the brute-force grid oracle.
+# have closed forms, so the envelope, the moving-knife search and the Nash
+# dynamic program can be checked against both analysis and the brute-force
+# grid oracle.
 
 import math
 
@@ -13,8 +14,10 @@ instance = fs.Instance.from_densities([
     fs.BinomialPoly(3.0, 0.0, 2, 0),  # 3x^2
 ])
 
-# Social welfare: the optimal cut is the switching point where the densities
-# cross, here 3x^2 = 1 at x = 1/sqrt(3).
+# Social welfare: the optimum is the integral of the upper envelope of the
+# densities, and its cut is where they cross, here 3x^2 = 1 at x = 1/sqrt(3).
+# A golden-section search on prefix values finds that switching point; no
+# dynamic program follows.
 ledger = fs.QueryLedger()
 alloc, sw = fs.max_social_welfare(instance, eta=1e-4, ledger=ledger)
 print(f"SW cut {alloc.cuts[1]:.6f}  (analytic {1/math.sqrt(3):.6f})")

@@ -39,7 +39,6 @@ from .ripple import Allocation, RippleDivision, bin_search, envy_free, iteration
     rd_chain, ripple_to_allocation, ripple_window
 from .welfare import (
     MovingKnifeRun,
-    build_switching_points,
     max_egalitarian,
     max_nash,
     max_social_welfare,

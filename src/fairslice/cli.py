@@ -33,6 +33,9 @@ EXIT_AUDIT_FAILED = 3
 #: Grid cells of the brute-force Nash optimum that the ``nsw`` audit compares against.
 NSW_AUDIT_GRID = 400
 
+#: Float slack of the ``sw`` audit per agent and per unit of max(1, U) (see _sw_audit_fails).
+SW_AUDIT_TOL = 8.0 * 2.0 ** -52
+
 
 def _read_json(path: str):
     """Parsed JSON of a UTF-8 file; an unreadable file or malformed JSON is bad input."""
@@ -100,17 +103,40 @@ def _allocation(param: str, solve, audit_fails):
     return handler
 
 
-def _ef_audit_fails(instance: Instance, eta: float, report: dict) -> bool:
-    if report["max_envy"] <= eta:
-        return False
-    # distinguish a violated MLRP promise (user error) from a bug
+def _require_mlrp(instance: Instance, failure: str) -> None:
+    """Raise FairsliceError (bad input) if the instance breaks the MLRP promise that an
+    audit ``failure`` rests on; otherwise the failure is a bug and its audit exits 3."""
     check = mlrp.verify_instance(instance)
     if not check.all_verified:
         raise FairsliceError(
             "instance violates the MLRP promise "
-            f"(likelihood ratio decreases for adjacent pair {check.violation[:2]}); "
-            f"allocation envy {report['max_envy']:.3g} > eta")
+            f"(likelihood ratio decreases for adjacent pair {check.violation[:2]}); {failure}")
+
+
+def _ef_audit_fails(instance: Instance, eta: float, report: dict) -> bool:
+    if report["max_envy"] <= eta:
+        return False
+    _require_mlrp(instance, f"allocation envy {report['max_envy']:.3g} > eta")
     log.error("ef audit failed: max envy %.3g > eta", report["max_envy"])
+    return True
+
+
+def _sw_audit_fails(instance: Instance, eta: float, report: dict) -> bool:
+    """The allocation is worth other than the reported objective, or its social welfare is
+    below ``audit.social_optimum`` - eta - SW_AUDIT_TOL * n * max(1, U).
+
+    Both the optimum and the report's welfare are sums of measures within
+    4n * 2^-52 * max(1, U) of their exact values, so a correct answer never exits 3.
+    """
+    sw = report["metrics"]["sw"]
+    if abs(sw - report["objective"]) > 1e-6:
+        log.error("sw audit failed: SW %.17g != reported objective %.17g", sw, report["objective"])
+        return True
+    best = audit.social_optimum(instance)
+    if sw >= best - eta - SW_AUDIT_TOL * instance.n * max(1.0, instance.bounds.upper):
+        return False
+    _require_mlrp(instance, f"social welfare {sw:.17g} < optimum {best:.17g} - eta")
+    log.error("sw audit failed: SW %.17g < optimum %.17g - eta", sw, best)
     return True
 
 
@@ -234,7 +260,7 @@ COMMANDS = {
                        _ef_audit_fails)),
     "sw": ("social-welfare maximizing allocation", ("--eta", "--queries"), _allocation(
         "eta", lambda inst, eta, ledger: welfare.max_social_welfare(inst, eta, ledger),
-        lambda inst, eta, report: abs(report["metrics"]["sw"] - report["objective"]) > 1e-6)),
+        _sw_audit_fails)),
     "ew": ("egalitarian-welfare maximizing allocation", ("--eta", "--queries"), _allocation(
         "eta", lambda inst, eta, ledger: welfare.max_egalitarian(inst, eta, ledger),
         _ew_audit_fails)),

@@ -1,25 +1,17 @@
 """Welfare maximization under MLRP in the Robertson-Webb model.
 
-Social welfare: binary-search each pairwise switching point into a gamma-wide
-bracket, then run an interval-partition dynamic program over the bracketed
-points.  Egalitarian welfare: an interpolating search (ripple's probe rule)
-over target values of a moving-knife chain, using feasibility monotonicity;
-a run is feasible only when no interval is cut short, with no slack.
-Nash welfare: product-form DP over an adaptively generated value grid of
-T <= 8n^2/eps + n + 2 points (caps above MAX_NASH_GRID are rejected), each
-cell worth at most eps/(8n) to every agent.  The grid walk is guided by the
-MLRP upper envelope: a stack pass of at most 2n - 3 switching-point searches
-splits the cake into stretches on which one agent has the highest density,
-and inside a stretch the walk asks that agent alone for one cut per point;
-near the envelope's switching points it asks all n and keeps the least cut.
-The prefix table is n*T eval queries from 0, each of which reads F(0) as the
-density's ``_bottom`` constant; its column differences are every agent's
-value of every cell, so max_nash checks the cell bound from it and, should a
-cell break it (agents out of MLRP order), walks again asking all n agents
-at every point.  The DP runs in O(nT log T) time because the best split
-points are monotone; both DPs score the last agent only at the final
-column, in one dense pass over its T splits.  All cut points are assigned
-left to right in MLRP order, which is where every Pareto optimum lives.
+Under MLRP the agent with the highest density moves only right, so a stack
+pass over at most 2n - 3 golden-section switching-point searches finds the
+upper envelope of the densities.  Social welfare: the optimum is the
+integral of max_i f_i, and the allocation that follows the envelope is
+within eta of it, with no table or DP.  Egalitarian welfare: an
+interpolating search (ripple's probe rule) over target values of a
+moving-knife chain, using feasibility monotonicity; a run is feasible only
+when no interval is cut short.  Nash welfare: a product-form DP over an
+adaptive grid whose every cell is worth at most eps/(8n) to every agent,
+walked with one cut per point inside the envelope's stretches (see
+max_nash).  All cut points are assigned left to right in MLRP order, which
+is where every Pareto optimum lives.
 """
 
 from __future__ import annotations
@@ -33,8 +25,15 @@ from .errors import DomainError, ParameterRegimeError, SearchFailedError, Unsupp
 from .oracle import Instance, QueryLedger, cut_query, eval_query
 from .ripple import Allocation, _probe
 
-#: Grid points closer than this are merged before a DP runs.
+#: A Nash grid step that advances by at most this closes the grid at 1.
 MERGE_TOL = 1e-12
+
+#: 1/phi, the factor by which each golden-section step shrinks a switching-point bracket.
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: Smallest switching-point width accepted, 16 doubles below 1: a wider bracket keeps
+#: its golden-section points strictly inside after rounding, so every step shrinks it.
+MIN_SWITCHING_GAMMA = 2.0 ** -49
 
 #: Largest Nash grid size cap, 8n^2/eps + n + 2 points, that max_nash accepts.
 #: The guided grid walk costs one cut query per point inside the envelope's
@@ -73,57 +72,64 @@ class MovingKnifeRun:
 
 def switching_point(instance: Instance, i: int, j: int, gamma: float,
                     ledger: QueryLedger) -> float:
-    """Estimate of p_ij = inf{x : f_j(x) >= f_i(x)} within gamma, for i < j in MLRP order.
+    """A point within gamma of the argmin set of D_ij(x) = v_j(0, x) - v_i(0, x), for i < j in MLRP order.
 
-    Buckets of width gamma/2 satisfy v_j < v_i strictly left of the bucket
-    containing p_ij and v_j >= v_i strictly right of it, so binary search for
-    the first bucket with v_j >= v_i brackets p_ij within two buckets.
+    Under MLRP D_ij falls while f_j < f_i, is flat while f_j = f_i and then
+    rises, so its argmin set is where the pair's cake splits best, and a cut
+    within gamma of it loses the pair at most U * gamma.  Golden-section
+    search (Kiefer 1953) keeps a bracket that meets that set, shrinking it by
+    1/phi per new point (two prefix evals) until it is at most gamma wide,
+    and returns the point of least D_ij seen, the smallest on ties, the ends
+    included: D_ij(0) = 0 needs no query, D_ij(1) costs two evals.  Rounded
+    evals flip a comparison only between points whose gaps agree to
+    rounding, so noise costs value, not position.  (Where both densities
+    vanish on a stretch outside the argmin set, D_ij is flat there too, and
+    a tie there may discard the argmin.)
+
+    Costs 2 * (3 + ceil(log(gamma) / log(1/phi))) evals.  Raises
+    ParameterRegimeError, before any query, for gamma < MIN_SWITCHING_GAMMA.
     """
     if not (0 <= i < j < instance.n):
         raise DomainError(f"need agent indices i < j in range, got ({i}, {j})")
     if not 0.0 < gamma < 1.0:
         raise DomainError(f"gamma={gamma} outside (0, 1)")
-    half = 0.5 * gamma
-    buckets = math.ceil(1.0 / half)
+    if gamma < MIN_SWITCHING_GAMMA:
+        raise ParameterRegimeError(
+            f"switching-point width gamma={gamma:.3g} is below {MIN_SWITCHING_GAMMA:.3g}, "
+            f"the finest bracket doubles resolve; use a larger eta")
 
-    def dominates(k: int) -> bool:  # v_j(B_k) >= v_i(B_k) for bucket k in [1, buckets]
-        lo, hi = min((k - 1) * half, 1.0), min(k * half, 1.0)
-        return eval_query(instance, j, lo, hi, ledger) >= eval_query(instance, i, lo, hi, ledger)
+    def gap(x: float) -> float:
+        return eval_query(instance, j, 0.0, x, ledger) - eval_query(instance, i, 0.0, x, ledger)
 
-    lo, hi = 1, buckets
-    if dominates(1):
-        first = 1
-    else:
-        # invariant: not dominates(lo), dominates(hi) would close the bracket
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if dominates(mid):
-                hi = mid
-            else:
-                lo = mid
-        first = hi
-    bracket_lo = max((first - 2) * half, 0.0)
-    bracket_hi = min(first * half, 1.0)
-    return 0.5 * (bracket_lo + bracket_hi)
+    a, b = 0.0, 1.0
+    c, d = 1.0 - INV_PHI, INV_PHI
+    gc, gd = gap(c), gap(d)
+    seen = [(0.0, 0.0), (gap(1.0), 1.0), (gc, c), (gd, d)]  # (D_ij(x), x)
+    while b - a > gamma:
+        if gc <= gd:  # an argmin lies in [a, d]
+            b, d, gd = d, c, gc
+            c = b - INV_PHI * (b - a)
+            gc = gap(c)
+            seen.append((gc, c))
+        else:  # an argmin lies in [c, b]
+            a, c, gc = c, d, gd
+            d = a + INV_PHI * (b - a)
+            gd = gap(d)
+            seen.append((gd, d))
+    return min(seen)[1]
 
 
-def _upper_envelope(instance: Instance, gamma: float,
+def _envelope_stack(instance: Instance, gamma: float,
                     ledger: QueryLedger) -> list[tuple[int, float, float]]:
-    """Stretches ``(agent, lo, hi)``, left to right, on which ``agent`` has the highest density.
+    """The MLRP upper envelope as stretches ``(agent, start, end)``, tiling [0, 1] left to right.
 
-    Under MLRP, for i < j the set {f_j >= f_i} is the up-set [p_ij, 1], so
-    the agent that attains max_i f_i(x) moves only right as x grows (the
-    matrix f_i(x) is totally monotone; Aggarwal, Klawe, Moran, Shor and
-    Wilber 1987).  A stack pass in MLRP order finds that upper envelope, as
-    for pseudolines: agent j pops the top b while the estimate of p(b, j) is
-    at or before b's start (for the bottom of the stack, start 0 within
-    gamma), then j goes on top, starting at p(b, j).  Each agent is pushed
-    once and popped at most once, so the pass makes at most 2n - 3
-    :func:`switching_point` searches.  Each estimate is within gamma of its
-    p_ij, so every stretch keeps a margin of 2 gamma from the estimated
-    switching points and from the ends of the cake; stretches that the
-    margins empty are left out.  Off MLRP order the stretches promise
-    nothing, which is why max_nash checks the cells of the walk they guide.
+    Under MLRP, for i < j the set {f_j >= f_i} is an up-set [p_ij, 1], so the
+    agent that attains max_i f_i(x) moves only right as x grows (f_i(x) is
+    totally monotone; Aggarwal, Klawe, Moran, Shor and Wilber 1987).  As for
+    pseudolines, agent j pops the top b while the estimate of p(b, j) is at
+    or before b's start (start 0 within gamma at the bottom), then goes on
+    top from p(b, j).  Each agent is pushed once and popped at most once, so
+    the pass makes at most 2n - 3 :func:`switching_point` searches.
     """
     stack = [(0, 0.0)]  # (agent, estimated start of its stretch)
     for j in range(1, instance.n):
@@ -137,53 +143,27 @@ def _upper_envelope(instance: Instance, gamma: float,
         else:
             stack.append((j, 0.0))
     ends = [start for _, start in stack[1:]] + [1.0]
+    return [(agent, start, end) for (agent, start), end in zip(stack, ends)]
+
+
+def _upper_envelope(instance: Instance, gamma: float,
+                    ledger: QueryLedger) -> list[tuple[int, float, float]]:
+    """Stretches ``(agent, lo, hi)``, left to right, on which ``agent`` has the highest density.
+
+    Those of :func:`_envelope_stack` less a margin of 2 gamma at each end, as
+    each estimate is within gamma of its pair's argmin set; stretches that the
+    margins empty are left out.  Off MLRP order they promise nothing, so
+    max_nash checks the cells of the walk they guide.
+    """
     return [(agent, start + 2.0 * gamma, end - 2.0 * gamma)
-            for (agent, start), end in zip(stack, ends) if end - start > 4.0 * gamma]
-
-
-def build_switching_points(instance: Instance, gamma: float,
-                           ledger: QueryLedger) -> tuple[float, ...]:
-    """Every pairwise switching point estimate plus 0 and 1: sorted, merged within MERGE_TOL, ending at 1."""
-    points = [0.0, 1.0]
-    for i in range(instance.n):
-        for j in range(i + 1, instance.n):
-            points.append(switching_point(instance, i, j, gamma, ledger))
-    points.sort()
-    merged = [points[0]]
-    for p in points[1:]:
-        if p - merged[-1] > MERGE_TOL:
-            merged.append(p)
-    merged[-1] = 1.0
-    return tuple(merged)
+            for agent, start, end in _envelope_stack(instance, gamma, ledger)
+            if end - start > 4.0 * gamma]
 
 
 def _prefix_values(instance: Instance, points, ledger: QueryLedger) -> np.ndarray:
     """prefix[k][t] = v_k(0, points[t]); n*(T+1) eval queries."""
     return np.array([[eval_query(instance, k, 0.0, p, ledger) for p in points]
                      for k in range(instance.n)])
-
-
-def _sw_dp(prefix: np.ndarray) -> DpTable:
-    """Left-to-right interval partition DP for social welfare over grid points.
-
-    values[k][t] = best value sum allocating [0, points[t]] to agents 0..k,
-    for k < n - 1; the last agent's row holds only its final cell (see
-    :func:`_last_cell`).  Ties break toward the smallest split index, so
-    outputs are deterministic.  An exact O(nT^2) scan: T <= n(n-1)/2 + 2 here.
-    Needs n >= 2.
-    """
-    n, tt = prefix.shape
-    values = np.zeros((n, tt))
-    back = np.zeros((n, tt), dtype=int)
-    values[0] = prefix[0]
-    for k in range(1, n - 1):
-        for t in range(tt):
-            seg = prefix[k, t] - prefix[k, : t + 1]  # v_k(points[t'], points[t])
-            cand = values[k - 1, : t + 1] + seg
-            best = int(np.argmax(cand))
-            values[k, t] = cand[best]
-            back[k, t] = best
-    return _last_cell(values, back, values[-2] + (prefix[-1, -1] - prefix[-1]))
 
 
 def _nash_dp(prefix: np.ndarray) -> DpTable:
@@ -230,11 +210,12 @@ def _nash_dp(prefix: np.ndarray) -> DpTable:
 
 
 def _last_cell(values: np.ndarray, back: np.ndarray, scores: np.ndarray) -> DpTable:
-    """Fill the last agent's final cell from ``scores[t']``, the objective of every split t'.
+    """Fill the Nash DP's last cell from ``scores[t']``, the product for every split t'.
 
-    Only that cell of the last row is read (by :func:`_dp_allocation` and the
-    reported welfare), so one dense pass over all T splits replaces the row.
-    ``np.argmax`` returns the smallest maximizer, the DPs' tie rule.
+    Only the last agent's final cell is read (by :func:`_dp_allocation` and
+    the reported Nash welfare), so one dense pass over all T splits replaces
+    that agent's row.  ``np.argmax`` returns the smallest maximizer, the
+    DP's tie rule.
     """
     best = int(np.argmax(scores))
     values[-1, -1], back[-1, -1] = scores[best], best
@@ -256,20 +237,38 @@ def _dp_allocation(points, table: DpTable) -> Allocation:
 
 def max_social_welfare(instance: Instance, eta: float,
                        ledger: QueryLedger) -> tuple[Allocation, float]:
-    """Allocation with social welfare within eta of the optimum.
+    """Allocation with social welfare within eta of the optimum, the integral of max_i f_i.
 
-    The optimum's cut points are switching points; brackets of width
-    gamma = eta / (n * U) keep every rounded cut's value shift below eta / n.
+    Each agent of :func:`_envelope_stack`, run with gamma = eta / (4 n U) (U
+    bounds every density), gets its stretch, and the popped agents get empty
+    pieces; the reported welfare is the sum of the stretch owners' evals.
+
+    Bound, with exact evals.  Let Phi_j be the integral of max_{i<=j} f_i
+    less the welfare of the stack after agent j: Phi_0 = 0, and the loss is
+    Phi_{n-1}.  Say agent j pops P_j agents and lands on a at s, within
+    gamma of the argmin set [p, p'] of D(a, j).  Then f_j <= f_a left of p'
+    and f_j >= f_a right of p, and a popped agent with start t is beaten by
+    f_j beyond max(t, gamma) + gamma.  Step j raises Phi by at most the mass
+    of (f_j - f_a)^+ on [0, s], of (f_old - f_j)^+ on [s, 1] and of
+    (f_old - f_a)^+ where a takes over, f_old being the old stack's owner.
+    These vanish outside (p', s], [s, p) and the first gamma of each popped
+    stretch (2 gamma for a popped bottom, when there is no a), so step j
+    adds at most (2 + P_j) U gamma.  The pops total at most n - 1, so the
+    loss is at most 3 (n - 1) U gamma < eta.
     """
     if not eta > 0.0:
         raise DomainError(f"eta={eta} must be positive")
-    if instance.n == 1:
+    n = instance.n
+    if n == 1:
         return Allocation((0.0, 1.0)), 1.0
-    gamma = min(eta / (instance.n * instance.bounds.upper), 0.25)
-    points = build_switching_points(instance, gamma, ledger)
-    prefix = _prefix_values(instance, points, ledger)
-    table = _sw_dp(prefix)
-    return _dp_allocation(points, table), float(table.values[-1, -1])
+    gamma = min(eta / (4.0 * n * instance.bounds.upper), 0.25)
+    stretches = _envelope_stack(instance, gamma, ledger)
+    welfare = sum(eval_query(instance, agent, start, end, ledger)
+                  for agent, start, end in stretches)
+    # agent k's piece starts where the first envelope agent at or after k starts
+    cuts = [min((start for agent, start, _ in stretches if agent >= k), default=1.0)
+             for k in range(n)]
+    return Allocation((*cuts, 1.0)), welfare
 
 
 def mk_chain(instance: Instance, tau: float, ledger: QueryLedger) -> MovingKnifeRun:

@@ -1,12 +1,13 @@
-"""Test-only references: the plain bisection searches, the chains that always query
-and the Nash grid walk that asks every agent.
+"""Test-only references: the plain bisection searches, the chains that always query,
+the Nash grid walk that asks every agent and the all-pairs switching points.
 
 The library's chain searches pick each probe by interpolation
-(``ripple._probe``), its chains stop querying once a point reaches 1.0, and
-its Nash grid walk asks one agent inside a stretch of the MLRP upper
-envelope.  The loops below are the plain versions they replaced, so that
-tests can compare cuts, values, grids, iteration counts and ledgers against
-them.
+(``ripple._probe``), its chains stop querying once a point reaches 1.0, its
+Nash grid walk asks one agent inside a stretch of the MLRP upper envelope,
+and its social-welfare search follows that envelope instead of running a
+partition DP over every pairwise switching point.  The loops below are the
+plain versions they replaced, so that tests can compare cuts, values, grids,
+iteration counts and ledgers against them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from fairslice import Allocation, Instance, QueryLedger, cut_query, eval_query, iteration_cap
 from fairslice.errors import SearchFailedError
 from fairslice.ripple import ONE_THRESHOLD, RippleDivision
-from fairslice.welfare import MERGE_TOL, MovingKnifeRun
+from fairslice.welfare import MERGE_TOL, MovingKnifeRun, switching_point
 
 
 def full_rd_chain(instance: Instance, x: float, ledger: QueryLedger) -> list[float]:
@@ -93,3 +94,23 @@ def full_nash_grid(instance: Instance, epsilon: float, ledger: QueryLedger) -> l
         points.append(x)
     points[-1] = 1.0
     return points
+
+
+def all_pairs_switching_points(instance: Instance, gamma: float,
+                               ledger: QueryLedger) -> tuple[float, ...]:
+    """Every pairwise ``switching_point`` plus 0 and 1: sorted, merged within MERGE_TOL, ending at 1.
+
+    The n(n-1)/2 searches that the social-welfare DP ran over before the
+    envelope pass replaced it.
+    """
+    points = [0.0, 1.0]
+    for i in range(instance.n):
+        for j in range(i + 1, instance.n):
+            points.append(switching_point(instance, i, j, gamma, ledger))
+    points.sort()
+    merged = [points[0]]
+    for p in points[1:]:
+        if p - merged[-1] > MERGE_TOL:
+            merged.append(p)
+    merged[-1] = 1.0
+    return tuple(merged)

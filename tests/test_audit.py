@@ -9,6 +9,7 @@ from fairslice import (
     Allocation,
     BinomialPoly,
     Instance,
+    Linear,
     PiecewiseConstant,
     QueryLedger,
     Uniform,
@@ -20,7 +21,7 @@ from fairslice import (
     welfare_metrics,
 )
 from fairslice import audit, density, mlrp, oracle, plef, ripple, welfare
-from fairslice.audit import _prefix_table, egalitarian_optimum
+from fairslice.audit import _prefix_table, egalitarian_optimum, social_optimum
 from fairslice.errors import InvalidDivisionError, UnsupportedSizeError
 from gen import mlrp_instance, piecewise_linear_instance
 
@@ -198,6 +199,23 @@ class TestBruteForce:
         assert egalitarian_optimum(Instance.from_densities([Uniform()])) == 1.0
         assert egalitarian_optimum(Instance.from_densities([Uniform()] * 2)) == 0.5
         assert egalitarian_optimum(Instance.from_densities([Uniform()] * 3)) == pytest.approx(1 / 3, abs=1e-15)
+
+    def test_social_optimum_at_least_the_grid_optimum(self):
+        rng = np.random.default_rng(8)
+        for n in (2, 3, 4, 5):
+            for _ in range(3):
+                inst = mlrp_instance(n, rng)
+                # both sums of measures, each a few rounding errors of 1 off
+                assert social_optimum(inst) >= brute_force_optimum(inst, "sw", 400) - 1e-15
+
+    def test_social_optimum_closed_forms(self):
+        # densities 1 and (1 + x) / 1.5 cross at 1/2; 1 and 3x^2 cross at 1/sqrt(3)
+        linear = Instance.from_densities([Uniform(), Linear(1.0, 1.0)])
+        assert social_optimum(linear) == pytest.approx(0.5 + 0.875 / 1.5, abs=1e-15)
+        quad = Instance.from_densities([Uniform(), QUAD])
+        c = 1.0 / math.sqrt(3.0)
+        assert social_optimum(quad) == pytest.approx(c + 1.0 - c ** 3, abs=1e-15)
+        assert social_optimum(Instance.from_densities([Uniform()] * 3)) == 1.0
 
     def test_size_limits(self):
         inst5 = Instance.from_densities([Uniform()] * 5)

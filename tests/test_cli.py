@@ -4,10 +4,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fairslice
-from fairslice import Allocation, cli, welfare
+import gen
+from fairslice import Allocation, audit, cli, welfare
 from fairslice.cli import main, run
 
 TWO_UNIFORM = {"agents": [{"family": "uniform"}, {"family": "uniform"}], "ordered": True}
@@ -59,6 +61,48 @@ def test_sw_cut_near_analytic(tmp_path, capsys):
     code, report = invoke(capsys, ["sw", "--eta", "1e-4", path])
     assert code == 0
     assert report["cuts"][1] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-3)
+
+
+def test_sw_below_optimum_exits_3(tmp_path, capsys, monkeypatch):
+    # the reported objective is the allocation's own SW, so only the optimum audit fails
+    path = write(tmp_path, "inst.json", UNIF_QUAD)
+    monkeypatch.setattr(welfare, "max_social_welfare",
+                        lambda inst, eta, ledger: (Allocation((0.0, 0.5, 1.0)), 0.5 + 0.875))
+    code, report = invoke(capsys, ["sw", "--eta", "1e-4", path])
+    assert code == 3
+    assert report["metrics"]["sw"] == pytest.approx(1.375, abs=1e-12)
+
+
+def test_sw_miss_off_mlrp_order_exits_2(tmp_path, capsys, monkeypatch):
+    # the uniform agent sits between the linear ones against the MLRP order
+    path = write(tmp_path, "inst.json", {"agents": [
+        {"family": "uniform"}, {"family": "linear", "a": 1, "b": 1}, {"family": "uniform"}],
+        "ordered": True})
+    alloc = Allocation((0.0, 0.1, 0.2, 1.0))  # SW 0.1 + 0.115 / 1.5 + 0.8 < 1
+    monkeypatch.setattr(welfare, "max_social_welfare", lambda inst, eta, ledger: (
+        alloc, audit.welfare_metrics(inst, alloc)[0]))
+    monkeypatch.setattr(sys, "argv", ["fairslice", "sw", "--eta", "1e-4", path])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 2
+    assert "violates the MLRP promise" in capsys.readouterr().err
+
+
+def test_sw_at_fine_eta_passes_the_optimum_audit(tmp_path, capsys):
+    inst = gen.gaussian_instance(3, np.random.default_rng(0))
+    path = write(tmp_path, "inst.json", {"agents": [a.to_dict() for a in inst.agents]})
+    code, report = invoke(capsys, ["sw", "--eta", "1e-12", path])
+    assert code == 0
+    assert report["metrics"]["sw"] >= audit.social_optimum(inst.reordered(report["order"])) - 1e-12
+
+
+def test_sw_eta_below_float_resolution_exits_2(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "inst.json", UNIF_QUAD)
+    monkeypatch.setattr(sys, "argv", ["fairslice", "sw", "--eta", "1e-300", path])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.startswith("error: switching-point width gamma=")
 
 
 def test_mlrp_order_gaussian_trio(tmp_path, capsys):

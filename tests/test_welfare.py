@@ -14,7 +14,6 @@ from fairslice import (
     QueryLedger,
     Uniform,
     brute_force_optimum,
-    build_switching_points,
     envy_matrix,
     max_egalitarian,
     max_nash,
@@ -26,21 +25,24 @@ from fairslice import (
     welfare_metrics,
 )
 from fairslice import welfare
-from fairslice.audit import egalitarian_optimum
+from fairslice.audit import egalitarian_optimum, social_optimum
 from fairslice.errors import DomainError, ParameterRegimeError
 from fairslice.welfare import (
+    INV_PHI,
     MAX_NASH_GRID,
+    MIN_SWITCHING_GAMMA,
     NASH_CELL_TOL,
     NASH_ENVELOPE_GAMMA,
     DpTable,
     _dp_allocation,
+    _envelope_stack,
     _nash_dp,
     _nash_grid,
     _prefix_values,
-    _sw_dp,
     _upper_envelope,
 )
-from bisection import bisection_egalitarian, full_mk_chain, full_nash_grid
+from bisection import all_pairs_switching_points, bisection_egalitarian, full_mk_chain, \
+    full_nash_grid
 from gen import (
     binomial_instance,
     every_family_instances,
@@ -57,8 +59,9 @@ QUAD = BinomialPoly(3.0, 0.0, 2, 0)
 def scan_dp_oracle(prefix, combine):
     """Reference for the partition DPs: the plain O(nT^2) scan over every split of every cell.
 
-    ``combine`` is np.add for _sw_dp and np.multiply for _nash_dp; ties go to
-    the smallest split, as np.argmax gives.
+    ``combine`` is np.multiply for _nash_dp, and np.add for the social-welfare
+    DP over every pairwise switching point, the envelope's reference; ties go
+    to the smallest split, as np.argmax gives.
     """
     n, tt = prefix.shape
     values = np.zeros((n, tt))
@@ -80,6 +83,11 @@ def assert_kernel_matches_oracle(points, table, expected, name):
     assert table.values[-1, -1] == expected.values[-1, -1], name
     assert table.back[-1, -1] == expected.back[-1, -1], name
     assert _dp_allocation(points, table) == _dp_allocation(points, expected), name
+
+
+def smallest_accepted_eta(inst):
+    """The eta at which max_social_welfare's gamma = eta / (4 n U) is MIN_SWITCHING_GAMMA."""
+    return MIN_SWITCHING_GAMMA * 4.0 * inst.n * inst.bounds.upper
 
 
 @pytest.fixture
@@ -106,25 +114,34 @@ class TestSwitchingPoint:
         assert p == pytest.approx(0.5, abs=gamma + 1e-3)
 
     def test_query_cost_logarithmic(self, unif_quad):
-        led = QueryLedger()
-        switching_point(unif_quad, 0, 1, 1e-6, led)
-        assert led.eval_count <= 2 * (math.log2(2e6) + 3)
+        # D(1), the two first golden-section points, then one point per 1/phi shrink
+        for gamma in (1e-3, 1e-6, 1e-9, 1e-12, MIN_SWITCHING_GAMMA):
+            led = QueryLedger()
+            switching_point(unif_quad, 0, 1, gamma, led)
+            assert led.eval_count == 2 * (3 + math.ceil(math.log(gamma) / math.log(INV_PHI)))
+            assert led.cut_count == 0
 
     def test_sign_structure(self, unif_quad):
-        # left of the bracket every bucket has v_j < v_i; right of it v_j >= v_i
+        # f_j < f_i more than gamma left of the estimate, f_j >= f_i more than gamma right of it
         gamma = 1e-3
         p = switching_point(unif_quad, 0, 1, gamma, QueryLedger())
-        half = gamma / 2.0
         f_i, f_j = unif_quad.agents
-        k = 1
-        while k * half <= 1.0:
-            lo, hi = (k - 1) * half, min(k * half, 1.0)
-            vi, vj = f_i.measure(lo, hi), f_j.measure(lo, hi)
-            if hi <= p - gamma:
-                assert vj < vi
-            elif lo >= p + gamma:
-                assert vj >= vi
-            k += 1
+        for x in np.linspace(0.0, 1.0, 2001):
+            if x <= p - gamma:
+                assert f_j.value_at(float(x)) < f_i.value_at(float(x))
+            elif x >= p + gamma:
+                assert f_j.value_at(float(x)) >= f_i.value_at(float(x))
+
+    def test_prefix_gap_least_at_the_estimate(self):
+        # the estimate's D_ij = v_j(0, x) - v_i(0, x) is within U * gamma of its least value
+        gamma = 1e-6
+        for inst in family_sweep(0):
+            for i in range(inst.n):
+                for j in range(i + 1, inst.n):
+                    p = switching_point(inst, i, j, gamma, QueryLedger())
+                    gaps = [inst.agents[j].measure(0.0, x) - inst.agents[i].measure(0.0, x)
+                            for x in (p, *np.linspace(0.0, 1.0, 501))]
+                    assert gaps[0] <= min(gaps) + inst.bounds.upper * gamma
 
 
 class TestMaxSocialWelfare:
@@ -158,12 +175,47 @@ class TestMaxSocialWelfare:
             assert sw >= oracle - (eta + 2.0 * lam / m)
 
     def test_fine_eta_against_oracle(self):
-        # brackets of eta / (n * lambda) sink into float noise here: 5 of these 40 miss
-        eta = 1e-10
+        # gamma-wide bucket sign tests sank into float noise here: 32 of these 40 missed at 1e-12
         for seed in range(40):
             inst = mlrp_instance(2 + seed % 3, np.random.default_rng(seed))
+            grid, exact = brute_force_optimum(inst, "sw", 2000), social_optimum(inst)
+            assert grid <= exact + 1e-12
+            for eta in (1e-10, 1e-12):
+                _, sw = max_social_welfare(inst, eta, QueryLedger())
+                assert exact - eta <= sw <= exact + 1e-12
+
+    def test_eta_sweep_against_exact_optimum(self):
+        # (Uniform, Linear(1, 1)): densities 1 and (1 + x) / 1.5 cross at 1/2, and the
+        # optimum is 1/2 + 0.875 / 1.5
+        inst = Instance.from_densities([Uniform(), Linear(1.0, 1.0)])
+        exact = 0.5 + 0.875 / 1.5
+        for eta in [10.0 ** -k for k in range(4, 14)] + [smallest_accepted_eta(inst)]:
             _, sw = max_social_welfare(inst, eta, QueryLedger())
-            assert sw >= brute_force_optimum(inst, "sw", 2000) - eta
+            assert exact - eta <= sw <= exact + 1e-15
+
+    def test_eta_too_fine_for_floats_rejected_before_any_query(self):
+        inst = Instance.from_densities([Uniform(), Linear(1.0, 1.0)])
+        for eta in (1e-300, 0.5 * smallest_accepted_eta(inst)):
+            led = QueryLedger()
+            with pytest.raises(ParameterRegimeError):
+                max_social_welfare(inst, eta, led)
+            assert led.total() == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 9, 12, 16])
+    def test_envelope_at_least_the_all_pairs_dp(self, n):
+        # the DP over every pairwise switching point, the pipeline the envelope pass replaced
+        eta = 1e-8
+        for maker in (gaussian_instance, linear_instance, binomial_instance):
+            inst = maker(n, np.random.default_rng(n))
+            gamma = eta / (4.0 * n * inst.bounds.upper)
+            points = all_pairs_switching_points(inst, gamma, QueryLedger())
+            prefix = _prefix_values(inst, points, QueryLedger())
+            dp = scan_dp_oracle(prefix, np.add).values[-1, -1]
+            led = QueryLedger()
+            alloc, sw = max_social_welfare(inst, eta, led)
+            assert sw >= dp - eta and sw >= social_optimum(inst) - eta
+            assert sw == pytest.approx(welfare_metrics(inst, alloc)[0], abs=1e-15)
+            assert led.cut_count == 0
 
     def test_mlrp_order_conforming(self):
         rng = np.random.default_rng(35)
@@ -172,23 +224,35 @@ class TestMaxSocialWelfare:
         assert all(a <= b for a, b in zip(alloc.cuts, alloc.cuts[1:]))
 
     def test_dp_values_monotone_in_t(self):
-        # the rows the kernels fill in full; the last row holds one cell
+        # the rows the Nash kernel fills in full; the last row holds one cell
         inst = binomial_instance(5, np.random.default_rng(39))
         led = QueryLedger()
-        points = build_switching_points(inst, 1e-3, led)
-        prefix = _prefix_values(inst, points, led)
-        for kernel in (_sw_dp, _nash_dp):
-            table = kernel(prefix)
-            for row in table.values[:-1]:
-                assert all(a <= b + 1e-12 for a, b in zip(row, row[1:]))
+        points = all_pairs_switching_points(inst, 1e-3, led)
+        table = _nash_dp(_prefix_values(inst, points, led))
+        for row in table.values[:-1]:
+            assert all(a <= b + 1e-12 for a, b in zip(row, row[1:]))
 
     def test_switching_set_size(self):
+        # the envelope's starts are the cuts: at most n - 1 of them inside the cake
         rng = np.random.default_rng(37)
         inst = mlrp_instance(5, rng)
-        points = build_switching_points(inst, 1e-3, QueryLedger())
-        assert len(points) <= 5 * 4 // 2 + 2
-        assert points[0] == 0.0 and points[-1] == 1.0
-        assert list(points) == sorted(points)
+        stack = _envelope_stack(inst, 1e-3, QueryLedger())
+        starts = [start for _, start, _ in stack]
+        assert 1 <= len(stack) <= 5 and starts[0] == 0.0 and stack[-1][2] == 1.0
+        assert all(a < b < 1.0 for a, b in zip(starts, starts[1:]))
+        assert [end for _, _, end in stack[:-1]] == starts[1:]
+        assert [agent for agent, _, _ in stack] == sorted({agent for agent, _, _ in stack})
+        alloc, _ = max_social_welfare(inst, 1e-3 * 4 * 5 * inst.bounds.upper, QueryLedger())
+        assert sorted(set(alloc.cuts) - {1.0}) == starts
+
+    def test_agents_off_the_envelope_get_empty_pieces(self):
+        # agent 2 ties agent 1 everywhere, so it pops agent 1, which keeps [p, p]
+        inst = Instance.from_densities([Uniform(), Linear(1.0, 0.5), Linear(1.0, 0.5)])
+        alloc, sw = max_social_welfare(inst, 1e-9, QueryLedger())
+        assert [agent for agent, _, _ in _envelope_stack(inst, 1e-9, QueryLedger())] == [0, 2]
+        # near its argmin the prefix gap is flat to rounding within ~1e-8, which costs no value
+        assert alloc.cuts[1] == alloc.cuts[2] == pytest.approx(0.5, abs=1e-7)
+        assert sw == pytest.approx(1.125, abs=1e-15)
 
 
 class TestMkChain:
@@ -393,8 +457,7 @@ def nash_dp_cases():
         PiecewiseConstant((0.5,), (0.0, 1.0)),
     ]), 0.03
     # the last two agents share a zero-height step, so the last agent's final
-    # cell ties over the splits in it: the SW cell on switching points, then
-    # the Nash cell on its grid
+    # cell ties over the splits in it
     yield "shared_gap_sw", Instance.from_densities([
         Uniform(),
         PiecewiseConstant((0.3, 0.6), (2.0, 0.0, 1.0)),
@@ -507,14 +570,6 @@ def test_nash_dp_matches_product_oracle():
         points = _nash_grid(inst, eps, QueryLedger())
         prefix = _prefix_values(inst, points, QueryLedger())
         assert_kernel_matches_oracle(points, _nash_dp(prefix), scan_dp_oracle(prefix, np.multiply), name)
-
-
-def test_sw_dp_matches_sum_oracle():
-    for name, inst, _ in nash_dp_cases():
-        for gamma in (0.1, 1e-3):
-            points = build_switching_points(inst, gamma, QueryLedger())
-            prefix = _prefix_values(inst, points, QueryLedger())
-            assert_kernel_matches_oracle(points, _sw_dp(prefix), scan_dp_oracle(prefix, np.add), name)
 
 
 class TestReorder:
