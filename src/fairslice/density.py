@@ -30,8 +30,10 @@ F(y) - base = target, where base = F(l) exactly as ``_cumulative(l)`` gives it.
 
 All densities are immutable; every operation is a pure function of its
 parameters.  Derived constants (F(0) and F(1) as ``_bottom`` and ``_top``, knot
-and prefix tables, the Gaussian's ``NormalDist``) are fixed in ``__post_init__``
-and never written lazily: on CPython 3.11 an attribute added after construction
+and prefix tables with the piecewise-linear range, the Gaussian's
+``NormalDist``) are fixed in ``__post_init__`` (or, for the normalized
+restrictions of ``restrict_unit``, by the same steps in the same order) and
+never written lazily: on CPython 3.11 an attribute added after construction
 (as ``functools.cached_property`` does) turns off the fast attribute loads that
 ``_cumulative`` relies on; with lazily cached constants ``BinomialPoly._cumulative``
 ran about 1.8x slower.  ``measure`` reads ``_bottom`` for intervals from 0, so a
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
@@ -429,7 +431,7 @@ class PiecewiseLinear(Density):
     slopes: tuple[float, ...]
     intercepts: tuple[float, ...]
     scale: float = 1.0
-    _derived = ("_knots", "_cum", "_bottom", "_top")
+    _derived = ("_knots", "_cum", "_extent", "_bottom", "_top")
 
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", tuple(float(p) for p in self.breakpoints))
@@ -439,15 +441,35 @@ class PiecewiseLinear(Density):
         _check_breakpoints(self.breakpoints)
         if len(self.slopes) != len(self.breakpoints) + 1 or len(self.slopes) != len(self.intercepts):
             raise DomainError("need exactly len(breakpoints)+1 segments")
+        self._set_tables()
+
+    def _set_tables(self) -> None:
+        """Fix the knots, the prefix masses, the clamped (min, max) of ``_range`` and the ends.
+
+        One pass over the segments checks that none is negative (beyond
+        -1e-15) at either end, sums their masses and keeps the extremes of
+        their end values; ``restrict_unit`` builds its densities through it too.
+        """
         knots = (0.0, *self.breakpoints, 1.0)
         acc, cum = 0.0, [0.0]
+        low, high = math.inf, -math.inf  # the first-seen extremes, as min() and max() keep them
         for s, c, lo, hi in zip(self.slopes, self.intercepts, knots[:-1], knots[1:]):
-            if min(s * lo + c, s * hi + c) < -1e-15:
+            f_lo, f_hi = s * lo + c, s * hi + c
+            if f_lo < -1e-15 or f_hi < -1e-15:
                 raise NotFullSupportError(f"segment {s}*x+{c} negative on [{lo}, {hi}]")
             acc += 0.5 * s * (hi * hi - lo * lo) + c * (hi - lo)
             cum.append(acc)
+            if f_lo < low:
+                low = f_lo
+            if f_hi < low:
+                low = f_hi
+            if f_lo > high:
+                high = f_lo
+            if f_hi > high:
+                high = f_hi
         object.__setattr__(self, "_knots", knots)
         object.__setattr__(self, "_cum", tuple(cum))  # _cum[j] = unscaled mass of [0, _knots[j]]
+        object.__setattr__(self, "_extent", (max(low, 0.0), high))
         self._set_ends()
 
     def _segment(self, x: float) -> int:
@@ -470,7 +492,7 @@ class PiecewiseLinear(Density):
     def _inverse_unscaled(self, l, target, base):
         goal = base + target
         knots, cum, last = self._knots, self._cum, len(self.slopes) - 1
-        j = self._segment(l)
+        j = bisect_right(self.breakpoints, l)  # _segment(l), inlined
         start, f_start = max(knots[j], l), base  # knots[j] <= l, so F(start) is base
         while True:
             if goal <= f_start or f_start >= cum[-1]:
@@ -485,13 +507,10 @@ class PiecewiseLinear(Density):
                 return _linear_root(0.5 * s, c, rhs, start, knots[j + 1])
             j += 1
             start = knots[j]
-            f_start = self._cumulative(start)
+            f_start = cum[j]  # what _cumulative(start) gives: it adds only signed zeros to it
 
     def _range(self):
-        vals = []
-        for s, c, lo, hi in zip(self.slopes, self.intercepts, self._knots[:-1], self._knots[1:]):
-            vals += [s * lo + c, s * hi + c]
-        return max(min(vals), 0.0), max(vals)
+        return self._extent
 
     def to_dict(self):
         return {
@@ -654,29 +673,48 @@ def as_piecewise_linear(spec: Density) -> PiecewiseLinear:
 
 
 def restrict_unit(spec: PiecewiseLinear, a: float, b: float) -> PiecewiseLinear:
-    """Reparametrize spec's restriction to [a, b] onto the unit cake.
+    """Spec's restriction to [a, b], reparametrized onto the unit cake and normalized.
 
-    The result g satisfies g(y) = f(a + y*(b-a)) * (b-a), so the measure of
-    [p, q] under g equals the measure of the mapped subinterval under f.
+    The unscaled shape is g(y) = f(a + y*(b-a)) * (b-a), so the measure of
+    [p, q] under g is proportional to the measure of the mapped subinterval
+    under f; the scale makes g's total measure 1.  The result is the one
+    ``PiecewiseLinear(...)`` followed by ``.normalized()`` gives, by the same
+    float operations (the segment pass of ``_set_tables``, F(0) and F(1),
+    the scale spec.scale / (spec.scale * (F(1) - F(0))) and its checks),
+    built once.  The breakpoints increase strictly inside (0, 1) and every
+    coefficient is finite by construction, so neither is checked again.
     """
     if not 0.0 <= a < b <= 1.0:
         raise DomainError(f"invalid restriction window [{a}, {b}]")
     w = b - a
-    kept: list[tuple[float, float]] = []  # (original knot, mapped knot)
-    for t in spec.breakpoints:
-        if a < t < b:
-            y = (t - a) / w
-            if 0.0 < y < 1.0 and (not kept or y > kept[-1][1]):
-                kept.append((t, y))
-    edges = [a, *(t for t, _ in kept), b]
+    brk = spec.breakpoints
+    kept: list[float] = []  # original breakpoints that map strictly inside (0, 1), in order
+    new_brk: list[float] = []
+    for t in brk[bisect_right(brk, a):bisect_left(brk, b)]:  # the t with a < t < b
+        y = (t - a) / w
+        if 0.0 < y < 1.0 and (not new_brk or y > new_brk[-1]):
+            kept.append(t)
+            new_brk.append(y)
     slopes, intercepts = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        j = spec._segment(0.5 * (lo + hi))
+    lo = a
+    for hi in (*kept, b):
+        j = bisect_right(brk, 0.5 * (lo + hi))  # spec._segment of the edge's midpoint
         s, c = spec.slopes[j], spec.intercepts[j]
         slopes.append(s * w * w)
         intercepts.append((s * a + c) * w)
-    new_brk = tuple(y for _, y in kept)
-    return PiecewiseLinear(new_brk, tuple(slopes), tuple(intercepts), scale=spec.scale)
+        lo = hi
+    g = object.__new__(PiecewiseLinear)  # the fields in the constructor's order, then its tables
+    object.__setattr__(g, "breakpoints", tuple(new_brk))
+    object.__setattr__(g, "slopes", tuple(slopes))
+    object.__setattr__(g, "intercepts", tuple(intercepts))
+    object.__setattr__(g, "scale", spec.scale)
+    g._set_tables()
+    total = spec.scale * (g._top - g._bottom)  # measure(0, 1), as normalized() asks it
+    if total <= 0.0:
+        raise DegenerateDensityError("density has nonpositive total measure")
+    object.__setattr__(g, "scale", spec.scale / total)
+    _check_params(g)
+    return g
 
 
 # -- JSON schema -------------------------------------------------------------

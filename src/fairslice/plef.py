@@ -1,9 +1,11 @@
 """Recursive envy-free division for piecewise-linear densities (possibly disconnected).
 
 The driver halves the current interval; on each half it keeps only the agents
-that value the half at least eta_hat, renormalizes their densities over the
-half, guesses a local MLRP order, and runs the ripple search on the window
-eta_hat / U of the local densities.  That search interpolates its probes
+that value the half at least eta_hat, builds the local instance from their
+densities restricted to the half (``restrict_unit`` reparametrizes each onto
+the unit cake and normalizes it in one pass, so the instance takes them as
+they are), guesses a local MLRP order, and runs the ripple search on the
+window eta_hat / U of the local densities.  That search interpolates its probes
 (``ripple._probe``, projected to stay within SLACK = 4 halvings of
 bisection's bracket), so its worst case is SLACK iterations beyond what
 bisection needs, under the same iteration cap.  If the search fails
@@ -138,7 +140,8 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
         if len(keep) == 1:
             pieces[keep[0]].append((lo, hi))
             return True
-        local = Instance.from_densities([restrict_unit(pls[i], lo, hi) for i in keep])
+        local = Instance.from_densities([restrict_unit(pls[i], lo, hi) for i in keep],
+                                        normalize=False)  # restrict_unit normalizes
         order = detect_order(local, ledger)
         local = local.reordered(order)
         agents = [keep[o] for o in order]  # local rank -> global agent
@@ -146,23 +149,22 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
         # a density touching 0 on this half has infinite local lambda: global cap
         cap = None if math.isfinite(local.bounds.lipschitz) else global_cap
         try:
-            alloc = ripple_to_allocation(bin_search(
-                local, ripple_window(cfg.eta_hat, local.bounds.upper), ledger, max_iterations=cap))
+            cuts = ripple_to_allocation(bin_search(
+                local, ripple_window(cfg.eta_hat, local.bounds.upper), ledger, max_iterations=cap)).cuts
         except SearchFailedError:
             return False
 
-        own = [eval_query(local, i, *alloc.interval(i), ledger=ledger)
-               for i in range(len(agents))]
-        for i in range(len(agents)):
-            for j in range(len(agents)):
-                if i == j:
-                    continue
-                if eval_query(local, i, *alloc.interval(j), ledger=ledger) > own[i] + cfg.eta_hat + 1e-12:
+        m = len(agents)
+        own = [eval_query(local, i, cuts[i], cuts[i + 1], ledger) for i in range(m)]
+        for i in range(m):
+            bound = own[i] + cfg.eta_hat + 1e-12
+            for j in range(m):
+                if j != i and eval_query(local, i, cuts[j], cuts[j + 1], ledger) > bound:
                     return False
 
         width = hi - lo
         for rank, agent in enumerate(agents):
-            a, b = alloc.interval(rank)
+            a, b = cuts[rank], cuts[rank + 1]
             if b > a:
                 pieces[agent].append((lo + a * width, lo + b * width))
         return True

@@ -86,14 +86,16 @@ def rd_chain(instance: Instance, x: float, ledger: QueryLedger) -> list[float]:
     between [x_{i-1}, x_i] and [x_i, x_{i+1}].  Truncation at 1 propagates:
     a cut from 1 returns 1, so once a point is 1.0 the rest are 1.0 unasked.
     """
-    xs = [0.0, x]
+    chain = []
+    prev, cur = 0.0, x
     for agent in range(instance.n - 1):
-        if xs[-1] == 1.0:
-            xs.append(1.0)
-            continue
-        target = eval_query(instance, agent, xs[-2], xs[-1], ledger)
-        xs.append(cut_query(instance, agent, xs[-1], target, ledger))
-    return xs[2:]
+        if cur == 1.0:
+            chain += [1.0] * (instance.n - 1 - agent)
+            break
+        target = eval_query(instance, agent, prev, cur, ledger)
+        prev, cur = cur, cut_query(instance, agent, cur, target, ledger)
+        chain.append(cur)
+    return chain
 
 
 def iteration_cap(n: int, lam: float, delta: float) -> int:
@@ -130,19 +132,21 @@ def _probe(left: float, right: float, points: list[tuple[float, float]], goal: f
     w0 / 2**(k + 1).
     """
     mid = 0.5 * (left + right)
-    estimates = []
+    est = math.nan  # each estimate is computed only if the one before is not inside
     if len(points) >= 3 and points[-3][1] < points[-2][1] < points[-1][1]:
         (x0, y0), (x1, y1), (x2, y2) = points[-3:]
-        estimates.append(x0 * (goal - y1) / (y0 - y1) * (goal - y2) / (y0 - y2)
-                         + x1 * (goal - y0) / (y1 - y0) * (goal - y2) / (y1 - y2)
-                         + x2 * (goal - y0) / (y2 - y0) * (goal - y1) / (y2 - y1))
-    if len(points) >= 2 and points[-2][1] < points[-1][1]:
-        (x0, y0), (x1, y1) = points[-2:]
-        estimates.append(x1 + (goal - y1) * (x1 - x0) / (y1 - y0))
-    elif len(points) == 1:
-        (x0, y0), = points
-        estimates.append(x0 + (goal - y0) / slope)
-    est = next((e for e in estimates if left < e < right), mid)  # a NaN is never inside
+        est = (x0 * (goal - y1) / (y0 - y1) * (goal - y2) / (y0 - y2)
+               + x1 * (goal - y0) / (y1 - y0) * (goal - y2) / (y1 - y2)
+               + x2 * (goal - y0) / (y2 - y0) * (goal - y1) / (y2 - y1))
+    if not left < est < right:
+        if len(points) >= 2 and points[-2][1] < points[-1][1]:
+            (x0, y0), (x1, y1) = points[-2:]
+            est = x1 + (goal - y1) * (x1 - x0) / (y1 - y0)
+        elif len(points) == 1:
+            (x0, y0), = points
+            est = x0 + (goal - y0) / slope
+        if not left < est < right:  # a NaN is never inside
+            est = mid
     r = max(w0 * 2.0 ** (SLACK - k - 1) - 0.5 * (right - left), 0.0)
     return min(max(est, mid - r), mid + r)
 

@@ -603,6 +603,20 @@ def test_binomial_cut_costs_at_most_the_plain_bisection_plus_8():
         assert calls <= plain_calls + 8, (d, l, tau, calls, plain_calls)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="Newton converges linearly from the right (steps 0.103, then 0.084), so "
+                          "the stage ends as too slow to halve and the doubled nudge closes a wide "
+                          "bracket: 62 F+f evaluations against the plain bisection's 54 "
+                          "(ROADMAP item 4)")
+def test_binomial_slow_newton_cut_costs_no_more_than_bisection():
+    d = BinomialPoly(3.8223640231155613, 0.0, 8, 2, scale=2.354563810660873)
+    l, tau = 0.07525620998358462, 0.03973518659912339
+    plain, plain_calls = _plain_bisection(d, l, tau / d.scale)
+    y, calls = _counted_cut(d, l, tau)
+    assert y == plain
+    assert calls <= plain_calls
+
+
 def test_binomial_newton_step_out_of_bracket_bisects_once():
     # the second Newton step lands at 1.005, past the bracket; a midpoint step
     # and more Newton follow (ending the stage there bisected (0.697, 1): 54)

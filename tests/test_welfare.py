@@ -26,7 +26,7 @@ from fairslice import (
 )
 from fairslice import welfare
 from fairslice.audit import egalitarian_optimum, social_optimum
-from fairslice.errors import DomainError, ParameterRegimeError
+from fairslice.errors import DomainError, FairsliceError, ParameterRegimeError
 from fairslice.welfare import (
     INV_PHI,
     MAX_NASH_GRID,
@@ -253,6 +253,21 @@ class TestMaxSocialWelfare:
         # near its argmin the prefix gap is flat to rounding within ~1e-8, which costs no value
         assert alloc.cuts[1] == alloc.cuts[2] == pytest.approx(0.5, abs=1e-7)
         assert sw == pytest.approx(1.125, abs=1e-15)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="both densities vanish on (0.3, 0.7), so {f_1 >= f_0} is not an up-set: "
+                          "SW cuts at 0.3 for 1.31061 against a grid optimum of 1.32576, the "
+                          "audit agrees and mlrp-check rejects the input (ROADMAP item 4)")
+def test_sw_where_both_densities_vanish_reaches_the_grid_optimum_or_rejects():
+    inst = Instance.from_densities([PiecewiseConstant((0.3, 0.7, 0.85), (2.0, 0.0, 1.0, 0.5)),
+                                    PiecewiseConstant((0.3, 0.7, 0.85), (1.0, 0.0, 0.8, 2.0))])
+    eta = 1e-6
+    try:
+        _, sw = max_social_welfare(inst, eta, QueryLedger())
+    except FairsliceError:
+        return  # rejecting the input keeps the guarantee too
+    assert sw >= brute_force_optimum(inst, "sw", 2000) - eta
 
 
 class TestMkChain:
