@@ -24,19 +24,24 @@ function.  With a < 0 the two terms cancel, the float F is not monotone, and
 a narrowed bracket can end on a double a few ulps away, so such densities keep
 the plain bisection.
 
+``PiecewiseLinear`` and ``PiecewiseConstant`` share one set of segment
+kernels (``_Segments``): a step density is the piecewise-linear one whose
+slopes are (0.0,) * m and whose intercepts are its heights, so both families
+take the same float operations in every eval and cut.
+
 A cut computes F(l) once and hands it to the family as ``base``:
 ``_inverse_unscaled(l, target, base)`` returns the leftmost y >= l with
 F(y) - base = target, where base = F(l) exactly as ``_cumulative(l)`` gives it.
 
 All densities are immutable; every operation is a pure function of its
 parameters.  Derived constants (F(0) and F(1) as ``_bottom`` and ``_top``, knot
-and prefix tables with the piecewise-linear range, the Gaussian's
-``NormalDist``) are fixed in ``__post_init__`` (or, for the normalized
-restrictions of ``restrict_unit``, by the same steps in the same order) and
-never written lazily: on CPython 3.11 an attribute added after construction
-(as ``functools.cached_property`` does) turns off the fast attribute loads that
-``_cumulative`` relies on; with lazily cached constants ``BinomialPoly._cumulative``
-ran about 1.8x slower.  ``measure`` reads ``_bottom`` for intervals from 0, so a
+and prefix tables with the piecewise-linear range, a step density's slopes and
+intercepts, the Gaussian's ``NormalDist``) are fixed in ``__post_init__`` (or,
+for the normalized restrictions of ``restrict_unit``, by the same steps in the
+same order) and never written lazily: on CPython 3.11 an attribute added
+after construction (as ``functools.cached_property`` does) turns off the fast
+attribute loads that ``_cumulative`` relies on; with lazily cached constants
+``BinomialPoly._cumulative`` ran about 1.8x slower.  ``measure`` reads ``_bottom`` for intervals from 0, so a
 Gaussian eval there costs one ``erf`` instead of two.
 """
 
@@ -419,44 +424,34 @@ def _check_breakpoints(breakpoints: tuple[float, ...]) -> None:
         prev = p
 
 
-@dataclass(frozen=True)
-class PiecewiseLinear(Density):
-    """Piecewise linear density: segment j is slope[j]*x + intercept[j] on [knot_j, knot_{j+1}].
+class _Segments(Density):
+    """The segment kernels of the piecewise-linear families.
 
-    Knots are (0, *breakpoints, 1).  Segments need not join continuously and may
-    touch zero, but no segment may be negative anywhere.
+    Segment j is slopes[j]*x + intercepts[j] on [knot_j, knot_{j+1}], with
+    knots (0, *breakpoints, 1).  A subclass sets ``breakpoints``, ``slopes``
+    and ``intercepts`` (as fields, or derived from its own) and then calls
+    ``_set_tables``.
     """
 
     breakpoints: tuple[float, ...]
     slopes: tuple[float, ...]
     intercepts: tuple[float, ...]
-    scale: float = 1.0
     _derived = ("_knots", "_cum", "_extent", "_bottom", "_top")
 
-    def __post_init__(self):
-        object.__setattr__(self, "breakpoints", tuple(float(p) for p in self.breakpoints))
-        object.__setattr__(self, "slopes", tuple(float(s) for s in self.slopes))
-        object.__setattr__(self, "intercepts", tuple(float(c) for c in self.intercepts))
-        _check_params(self, *self.slopes, *self.intercepts)
-        _check_breakpoints(self.breakpoints)
-        if len(self.slopes) != len(self.breakpoints) + 1 or len(self.slopes) != len(self.intercepts):
-            raise DomainError("need exactly len(breakpoints)+1 segments")
-        self._set_tables()
-
     def _set_tables(self) -> None:
-        """Fix the knots, the prefix masses, the clamped (min, max) of ``_range`` and the ends.
+        """Fix the knots, the prefix masses, the (min, max) of ``_range`` and the ends.
 
-        One pass over the segments checks that none is negative (beyond
-        -1e-15) at either end, sums their masses and keeps the extremes of
-        their end values; ``restrict_unit`` builds its densities through it too.
+        One pass over the segments sums their masses and keeps the extremes
+        of their end values, the low one clamped at 0; ``restrict_unit``
+        builds its densities through it too.  It checks no sign: a
+        constructor rejects negative input before, and a restricted segment
+        that falls to 0 at a knot may end a few ulps below it.
         """
         knots = (0.0, *self.breakpoints, 1.0)
         acc, cum = 0.0, [0.0]
         low, high = math.inf, -math.inf  # the first-seen extremes, as min() and max() keep them
         for s, c, lo, hi in zip(self.slopes, self.intercepts, knots[:-1], knots[1:]):
             f_lo, f_hi = s * lo + c, s * hi + c
-            if f_lo < -1e-15 or f_hi < -1e-15:
-                raise NotFullSupportError(f"segment {s}*x+{c} negative on [{lo}, {hi}]")
             acc += 0.5 * s * (hi * hi - lo * lo) + c * (hi - lo)
             cum.append(acc)
             if f_lo < low:
@@ -512,6 +507,34 @@ class PiecewiseLinear(Density):
     def _range(self):
         return self._extent
 
+
+@dataclass(frozen=True)
+class PiecewiseLinear(_Segments):
+    """Piecewise linear density: segment j is slope[j]*x + intercept[j] on [knot_j, knot_{j+1}].
+
+    Knots are (0, *breakpoints, 1).  Segments need not join continuously and may
+    touch zero, but no segment may be negative anywhere (beyond -1e-15 at an end).
+    """
+
+    breakpoints: tuple[float, ...]
+    slopes: tuple[float, ...]
+    intercepts: tuple[float, ...]
+    scale: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "breakpoints", tuple(float(p) for p in self.breakpoints))
+        object.__setattr__(self, "slopes", tuple(float(s) for s in self.slopes))
+        object.__setattr__(self, "intercepts", tuple(float(c) for c in self.intercepts))
+        _check_params(self, *self.slopes, *self.intercepts)
+        _check_breakpoints(self.breakpoints)
+        if len(self.slopes) != len(self.breakpoints) + 1 or len(self.slopes) != len(self.intercepts):
+            raise DomainError("need exactly len(breakpoints)+1 segments")
+        knots = (0.0, *self.breakpoints, 1.0)
+        for s, c, lo, hi in zip(self.slopes, self.intercepts, knots[:-1], knots[1:]):
+            if s * lo + c < -1e-15 or s * hi + c < -1e-15:
+                raise NotFullSupportError(f"segment {s}*x+{c} negative on [{lo}, {hi}]")
+        self._set_tables()
+
     def to_dict(self):
         return {
             "family": "piecewise_linear",
@@ -522,16 +545,17 @@ class PiecewiseLinear(Density):
 
 
 @dataclass(frozen=True)
-class PiecewiseConstant(Density):
+class PiecewiseConstant(_Segments):
     """Step density: heights[j] on [knot_j, knot_{j+1}] with knots (0, *breakpoints, 1).
 
-    Evaluated and inverted through the equivalent zero-slope PiecewiseLinear.
+    Its segments have ``slopes`` (0.0,) * m and ``intercepts`` equal to the
+    heights, derived constants that the shared segment kernels read.
     """
 
     breakpoints: tuple[float, ...]
     heights: tuple[float, ...]
     scale: float = 1.0
-    _derived = ("_linear", "_bottom", "_top")
+    _derived = ("slopes", "intercepts", *_Segments._derived)
 
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", tuple(float(p) for p in self.breakpoints))
@@ -542,30 +566,9 @@ class PiecewiseConstant(Density):
             raise DomainError("need exactly len(breakpoints)+1 heights")
         if min(self.heights) < 0.0:
             raise NotFullSupportError("negative step height")
-        # the same density as a zero-slope PiecewiseLinear, which does the walking
-        object.__setattr__(self, "_linear", PiecewiseLinear(
-            self.breakpoints, (0.0,) * len(self.heights), self.heights, scale=self.scale))
-        self._set_ends()
-
-    def _density(self, x):
-        return self._linear._density(x)
-
-    def _densities(self, xs):
-        return self._linear._densities(xs)
-
-    def _cumulative(self, x):
-        return self._linear._cumulative(x)
-
-    def _inverse_unscaled(self, l, target, base):
-        return self._linear._inverse_unscaled(l, target, base)
-
-    def _rescaled(self, scale):
-        copy = super()._rescaled(scale)
-        object.__setattr__(copy, "_linear", self._linear._rescaled(scale))
-        return copy
-
-    def _range(self):
-        return min(self.heights), max(self.heights)
+        object.__setattr__(self, "slopes", (0.0,) * len(self.heights))
+        object.__setattr__(self, "intercepts", self.heights)
+        self._set_tables()
 
     def to_dict(self):
         return {
@@ -659,20 +662,18 @@ class ExponentialRestricted(Density):
 # -- conversion helpers ------------------------------------------------------
 
 
-def as_piecewise_linear(spec: Density) -> PiecewiseLinear:
-    """Represent a uniform/linear/piecewise density as PiecewiseLinear."""
-    if isinstance(spec, PiecewiseLinear):
+def as_piecewise_linear(spec: Density) -> PiecewiseLinear | PiecewiseConstant:
+    """A uniform or linear density as PiecewiseLinear; a piecewise one as it is."""
+    if isinstance(spec, _Segments):
         return spec
     if isinstance(spec, Uniform):
         return PiecewiseLinear((), (0.0,), (1.0,), scale=spec.scale)
     if isinstance(spec, Linear):
         return PiecewiseLinear((), (spec.a,), (spec.b,), scale=spec.scale)
-    if isinstance(spec, PiecewiseConstant):
-        return spec._linear
     raise UnsupportedFamilyError(f"{type(spec).__name__} is not piecewise linear")
 
 
-def restrict_unit(spec: PiecewiseLinear, a: float, b: float) -> PiecewiseLinear:
+def restrict_unit(spec: PiecewiseLinear | PiecewiseConstant, a: float, b: float) -> PiecewiseLinear:
     """Spec's restriction to [a, b], reparametrized onto the unit cake and normalized.
 
     The unscaled shape is g(y) = f(a + y*(b-a)) * (b-a), so the measure of
@@ -682,7 +683,11 @@ def restrict_unit(spec: PiecewiseLinear, a: float, b: float) -> PiecewiseLinear:
     float operations (the segment pass of ``_set_tables``, F(0) and F(1),
     the scale spec.scale / (spec.scale * (F(1) - F(0))) and its checks),
     built once.  The breakpoints increase strictly inside (0, 1) and every
-    coefficient is finite by construction, so neither is checked again.
+    coefficient is finite by construction, so neither is checked again.  Nor
+    is the sign, since spec is nonnegative: a segment that falls to 0 at one
+    of spec's knots may end a few ulps below 0 after the cancelling
+    (s*a + c), which the constructor would reject, and ``bounds()`` reads
+    that low end as 0.
     """
     if not 0.0 <= a < b <= 1.0:
         raise DomainError(f"invalid restriction window [{a}, {b}]")

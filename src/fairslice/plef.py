@@ -14,8 +14,9 @@ eta_hat-envy audit, it recurses on that half.  Halves without breakpoints
 have linear (hence MLRP) local densities, so they settle unless the search
 runs out of float resolution; that bounds the recursion tree by k*(B+1)
 nodes and the global envy by 2k(B+1) * eta_hat <= eta.  A linear piece
-touching 0 has an infinite local Lipschitz constant, so its half searches
-under the global iteration cap: the tent (PiecewiseLinear((0.5,), (2, -2),
+touching 0 (also where its restriction rounds that end to a few ulps below
+0) has an infinite local Lipschitz constant, so its half searches under the
+global iteration cap: the tent (PiecewiseLinear((0.5,), (2, -2),
 (0, 2)), Uniform()) settles both halves at the root at eta = 1e-2.
 """
 

@@ -51,18 +51,6 @@ NASH_CELL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class DpTable:
-    """Interval-partition DP state: values[k][t] plus the chosen split per cell.
-
-    The last agent's row holds only its final cell, the one the allocation
-    and the reported welfare read; its other cells stay 0.
-    """
-
-    values: np.ndarray  # shape (n, T+1)
-    back: np.ndarray  # back[k][t] = argmax t' (smallest on ties)
-
-
-@dataclass(frozen=True)
 class MovingKnifeRun:
     tau: float
     knives: tuple[float, ...]  # MK_1 .. MK_n
@@ -166,26 +154,29 @@ def _prefix_values(instance: Instance, points, ledger: QueryLedger) -> np.ndarra
                      for k in range(instance.n)])
 
 
-def _nash_dp(prefix: np.ndarray) -> DpTable:
+def _nash_dp(points, prefix: np.ndarray) -> tuple[Allocation, float]:
     """Left-to-right interval partition DP for the Nash product over grid points.
 
-    values[k][t] = max over t' <= t of values[k-1][t'] * (prefix[k][t] - prefix[k][t']),
-    with back[k][t] the smallest maximizing t', for k < n - 1; the last
-    agent's row holds only its final cell (see :func:`_last_cell`).  For
-    splits a < b the score difference changes with t by
-    (values[k-1][b] - values[k-1][a]) times the growth of prefix[k][t], which
-    is >= 0 since both rows are nondecreasing; so a split that beats every
-    smaller one keeps doing so, and back[k] is nondecreasing in t (the
-    monotone-maxima structure of Knuth 1971 and Aggarwal et al. 1987).
-    Divide and conquer over columns then scores O(T log T) candidates per
-    agent, one numpy pass per recursion level.  Needs n >= 2.
+    Returns the allocation whose cuts are grid points and the product it
+    attains, the largest over such allocations.  Row k holds, for every
+    column t, max over t' <= t of row[k-1][t'] * (prefix[k][t] - prefix[k][t']),
+    with back[k][t] the smallest maximizing t', for k < n - 1; the last agent
+    is scored only at the final column, over every split in one dense pass
+    (``np.argmax`` returns the smallest maximizer, the same tie rule), and
+    the cuts follow ``back`` from there.  For splits a < b the score
+    difference changes with t by (row[k-1][b] - row[k-1][a]) times the
+    growth of prefix[k][t], which is >= 0 since both rows are nondecreasing;
+    so a split that beats every smaller one keeps doing so, and back[k] is
+    nondecreasing in t (the monotone-maxima structure of Knuth 1971 and
+    Aggarwal et al. 1987).  Divide and conquer over columns then scores
+    O(T log T) candidates per agent, one numpy pass per recursion level.
+    Needs n >= 2.
     """
     n, tt = prefix.shape
-    values = np.zeros((n, tt))
-    back = np.zeros((n, tt), dtype=int)
-    values[0] = prefix[0]
+    prev, backs = prefix[0], []
     for k in range(1, n - 1):
-        prev, cum = values[k - 1], prefix[k]
+        cum = prefix[k]
+        row, back = np.empty(tt), np.empty(tt, dtype=int)
         # open subproblems: columns [col_lo, col_hi] whose maximizers lie in [opt_lo, opt_hi]
         col_lo, col_hi = np.array([0]), np.array([tt - 1])
         opt_lo, opt_hi = np.array([0]), np.array([tt - 1])
@@ -199,40 +190,25 @@ def _nash_dp(prefix: np.ndarray) -> DpTable:
             best = np.maximum.reduceat(score, starts)
             hits = np.where(score == np.repeat(best, counts), flat, flat.size)
             arg = cand[np.minimum.reduceat(hits, starts)]
-            values[k, mid] = best
-            back[k, mid] = arg
+            row[mid] = best
+            back[mid] = arg
             left, right = col_lo < mid, mid < col_hi
             col_lo, col_hi = (np.concatenate((col_lo[left], mid[right] + 1)),
                               np.concatenate((mid[left] - 1, col_hi[right])))
             opt_lo, opt_hi = (np.concatenate((opt_lo[left], arg[right])),
                               np.concatenate((arg[left], opt_hi[right])))
-    return _last_cell(values, back, values[-2] * (prefix[-1, -1] - prefix[-1]))
-
-
-def _last_cell(values: np.ndarray, back: np.ndarray, scores: np.ndarray) -> DpTable:
-    """Fill the Nash DP's last cell from ``scores[t']``, the product for every split t'.
-
-    Only the last agent's final cell is read (by :func:`_dp_allocation` and
-    the reported Nash welfare), so one dense pass over all T splits replaces
-    that agent's row.  ``np.argmax`` returns the smallest maximizer, the
-    DP's tie rule.
-    """
-    best = int(np.argmax(scores))
-    values[-1, -1], back[-1, -1] = scores[best], best
-    return DpTable(values, back)
-
-
-def _dp_allocation(points, table: DpTable) -> Allocation:
-    n, tt = table.values.shape
-    cuts = [float(points[-1])]
-    t = tt - 1
-    for k in range(n - 1, 0, -1):
-        t = int(table.back[k, t])
+        prev = row
+        backs.append(back)
+    scores = prev * (prefix[-1, -1] - prefix[-1])
+    t = int(np.argmax(scores))
+    product = float(scores[t])
+    cuts = [1.0, float(points[t])]
+    for back in reversed(backs):
+        t = int(back[t])
         cuts.append(float(points[t]))
     cuts.append(0.0)
     cuts.reverse()
-    cuts[0], cuts[-1] = 0.0, 1.0
-    return Allocation(tuple(cuts))
+    return Allocation(tuple(cuts)), product
 
 
 def max_social_welfare(instance: Instance, eta: float,
@@ -399,7 +375,9 @@ def max_nash(instance: Instance, epsilon: float,
     of every cell, so the bound is checked without a further query.  When
     some cell exceeds epsilon/(8n) by more than NASH_CELL_TOL, the grid and
     its prefix table are rebuilt by the all-agents walk, which meets the
-    bound for any densities; the ledger counts both.
+    bound for any densities; the ledger counts both.  :func:`_nash_dp` then
+    returns the best allocation with cuts on the grid and its product, whose
+    n-th root is the reported welfare.
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon={epsilon} outside (0, 1)")
@@ -410,9 +388,8 @@ def max_nash(instance: Instance, epsilon: float,
     if np.diff(prefix).max() > epsilon / (8.0 * instance.n) + NASH_CELL_TOL:
         points = _nash_grid(instance, epsilon, ledger, guided=False)
         prefix = _prefix_values(instance, points, ledger)
-    table = _nash_dp(prefix)
-    nash_product = float(table.values[-1, -1])
-    return _dp_allocation(points, table), nash_product ** (1.0 / instance.n)
+    allocation, product = _nash_dp(points, prefix)
+    return allocation, product ** (1.0 / instance.n)
 
 
 def reorder_to_mlrp(instance: Instance, pieces, ledger: QueryLedger) -> list[tuple[float, float]]:

@@ -168,6 +168,18 @@ def test_plef_report(tmp_path, capsys):
     assert set(report["pieces"]) == {"0", "1"}
 
 
+def test_plef_steep_segment_to_zero_exits_0(tmp_path, capsys):
+    # the first segment falls to exactly 0 at the breakpoint; a half's restriction
+    # rounds that end below -1e-15, and the half still settles
+    inst = {"agents": [{"family": "piecewise_linear", "breakpoints": [0.53],
+                        "segments": [{"slope": -1000, "intercept": 530},
+                                     {"slope": 0, "intercept": 1}]},
+                       {"family": "linear", "a": 1, "b": 1}]}
+    code, report = invoke(capsys, ["plef", "--eta", "1e-2", write(tmp_path, "inst.json", inst)])
+    assert code == 0
+    assert report["max_envy"] <= 1e-2
+
+
 def test_ew_objective_is_achieved(tmp_path, capsys):
     path = write(tmp_path, "inst.json", GAUSS_TRIO)
     code, report = invoke(capsys, ["ew", "--eta", "1e-4", path])

@@ -11,19 +11,27 @@ from fairslice import (
     BinomialPoly,
     ExponentialRestricted,
     GaussianRestricted,
+    Instance,
     Linear,
     PiecewiseConstant,
     PiecewiseLinear,
+    QueryLedger,
     Uniform,
     density_from_dict,
+    envy_free,
+    max_nash,
+    perturb,
+    pl_ef,
 )
+from fairslice.density import as_piecewise_linear
 from fairslice.errors import (
     DegenerateDensityError,
     DomainError,
+    FairsliceError,
     NotFullSupportError,
     UnsupportedFamilyError,
 )
-from gen import binomial_instance
+from gen import binomial_instance, op_intervals
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 ZERO_TAIL_L = 0.04359839244293869
@@ -174,6 +182,11 @@ class TestBounds:
     def test_negative_density_rejected(self):
         with pytest.raises(NotFullSupportError):
             Linear(-2.0, 0.5)
+
+    def test_piecewise_linear_rejects_a_segment_end_below_minus_1e_15(self):
+        PiecewiseLinear((0.5,), (0.0, 0.0), (1.0, -5e-16))
+        with pytest.raises(NotFullSupportError, match=r"^segment 0\.0\*x\+-2e-15 negative on \[0\.5, 1\.0\]$"):
+            PiecewiseLinear((0.5,), (0.0, 0.0), (1.0, -2e-15))
 
 
 class TestParsing:
@@ -507,8 +520,41 @@ def test_normalized_equals_replace(name):
     n = d.normalized()
     assert type(n) is type(d)
     assert vars(n) == vars(replace(d, scale=n.scale))
-    if isinstance(n, PiecewiseConstant):
-        assert n._linear.scale == n.scale
+
+
+def _zero_slope(step: PiecewiseConstant) -> PiecewiseLinear:
+    return PiecewiseLinear(step.breakpoints, (0.0,) * len(step.heights), step.heights, scale=step.scale)
+
+
+def _outcome(run, inst):
+    """repr of a driver's result (it keeps every bit of a float) and its ledger, or its error."""
+    ledger = QueryLedger()
+    try:
+        result = repr(run(inst, ledger))
+    except FairsliceError as exc:
+        result = (type(exc), str(exc))
+    return result, ledger.as_dict()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_step_densities_run_the_piecewise_linear_kernels(n):
+    # a step density is the zero-slope PiecewiseLinear with its heights as
+    # intercepts: the same tables, and the same cuts, pieces, values and
+    # ledgers in every driver
+    rng = np.random.default_rng(n)
+    drivers = (lambda inst, ledger: envy_free(inst, 1e-4, ledger),
+               lambda inst, ledger: pl_ef(inst, 1e-2, ledger),
+               lambda inst, ledger: max_nash(inst, 0.05, ledger))
+    for _ in range(3):
+        steps = perturb(op_intervals(n, rng), 0.1)
+        linear = Instance.from_densities([_zero_slope(d) for d in steps.agents], normalize=False)
+        for step, line in zip(steps.agents, linear.agents):
+            assert as_piecewise_linear(step) is step
+            for name in ("slopes", "intercepts", *PiecewiseLinear._derived):
+                assert repr(getattr(step, name)) == repr(getattr(line, name)), name
+        assert repr(steps.bounds) == repr(linear.bounds)
+        for run in drivers:
+            assert _outcome(run, steps) == _outcome(run, linear)
 
 
 @pytest.mark.parametrize("density", [Linear(0.0, 1e-310), PiecewiseConstant((0.5,), (1e-310, 0.0))])

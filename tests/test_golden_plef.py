@@ -12,7 +12,9 @@ default_rng(seed))``.
 ``restrict_unit`` is also checked against its reference, the
 ``PiecewiseLinear`` constructor on the restricted segments followed by
 ``normalized()``: every field, derived constant and bound must match
-bit-for-bit, and so must the errors.
+bit-for-bit, and so must the errors, but for one: the constructor rejects a
+segment end below -1e-15, which a restricted segment that falls to 0 at a
+breakpoint can reach by rounding, and ``restrict_unit`` keeps that segment.
 """
 
 import hashlib
@@ -100,8 +102,8 @@ def test_golden_plef(key):
     assert (ledger.eval_count, ledger.cut_count) == queries
 
 
-def reference_restrict_unit(spec: PiecewiseLinear, a: float, b: float) -> PiecewiseLinear:
-    """The restriction through the constructor, then ``normalized()``: two objects per agent."""
+def reference_segments(spec: PiecewiseLinear, a: float, b: float):
+    """The restriction's breakpoints, slopes and intercepts, before any table is built."""
     w = b - a
     kept: list[tuple[float, float]] = []  # (original knot, mapped knot)
     for t in spec.breakpoints:
@@ -116,8 +118,12 @@ def reference_restrict_unit(spec: PiecewiseLinear, a: float, b: float) -> Piecew
         s, c = spec.slopes[j], spec.intercepts[j]
         slopes.append(s * w * w)
         intercepts.append((s * a + c) * w)
-    new_brk = tuple(y for _, y in kept)
-    return PiecewiseLinear(new_brk, tuple(slopes), tuple(intercepts), scale=spec.scale).normalized()
+    return tuple(y for _, y in kept), tuple(slopes), tuple(intercepts)
+
+
+def reference_restrict_unit(spec: PiecewiseLinear, a: float, b: float) -> PiecewiseLinear:
+    """The restriction through the constructor, then ``normalized()``: two objects per agent."""
+    return PiecewiseLinear(*reference_segments(spec, a, b), scale=spec.scale).normalized()
 
 
 def _outcome(restrict, spec, a, b):
@@ -128,8 +134,17 @@ def _outcome(restrict, spec, a, b):
 
 
 def _assert_same_restriction(spec, a, b):
+    """Check ``restrict_unit`` against its reference; returns the reference's error type, or None."""
     got = _outcome(restrict_unit, spec, a, b)
     want = _outcome(reference_restrict_unit, spec, a, b)
+    if isinstance(want, tuple) and want[0] is NotFullSupportError and not isinstance(got, tuple):
+        # spec is nonnegative, so the constructor rejects only a segment end that
+        # rounds below -1e-15; restrict_unit keeps those segments, and its bounds
+        # start at 0
+        got_segments = (got.breakpoints, got.slopes, got.intercepts)
+        assert repr(got_segments) == repr(reference_segments(spec, a, b))
+        assert got.bounds().lower == 0.0
+        return NotFullSupportError
     if isinstance(want, tuple) or isinstance(got, tuple):
         assert got == want
         return want[0]
@@ -169,16 +184,22 @@ def test_restrict_unit_matches_constructor_then_normalized_on_golden_agents():
     PiecewiseLinear((0.25, 0.5), (4.0, -4.0, 0.0), (0.0, 2.0, 0.0)),  # 0 on a whole segment
     PiecewiseLinear((), (2.0,), (0.0,), scale=0.5),  # Linear(2, 0) at half scale
     PiecewiseLinear((), (-2.0,), (2.0,)),  # Linear(-2, 2)
-], ids=["tent", "zero-segment", "rising-from-0", "falling-to-0"])
+    PiecewiseLinear((0.4,), (-1000.0, 0.0), (400.0, 1.0)),  # steeply down to 0 at 0.4
+], ids=["tent", "zero-segment", "rising-from-0", "falling-to-0", "steeply-falling-to-0"])
 def test_restrict_unit_matches_reference_where_segments_touch_zero(spec):
     rng = np.random.default_rng(11)
     errors = [_assert_same_restriction(spec, a, b) for a, b in _windows(spec, rng)]
     if spec.intercepts == (0.0, 2.0, 0.0):  # a window inside the zero segment has no mass
         assert DegenerateDensityError in errors
+    if spec.slopes[0] == -1000.0:  # some windows round the zero end below -1e-15
+        assert NotFullSupportError in errors
 
 
-def test_restrict_unit_rejects_a_window_that_rounds_a_zero_end_negative():
+def test_restrict_unit_keeps_a_window_that_rounds_a_zero_end_negative():
     # the segment falls to exactly 0 at its breakpoint 0.4; restricted to [0.36, 0.4]
-    # it reaches -1.4e-15 at y = 1, so both paths raise the same NotFullSupportError
+    # it reaches -1.4e-15 at y = 1, which the constructor rejects
     spec = PiecewiseLinear((0.4,), (-1000.0, 0.0), (400.0, 1.0))
+    with pytest.raises(NotFullSupportError, match="negative on"):
+        reference_restrict_unit(spec, 0.36, 0.4)
+    assert restrict_unit(spec, 0.36, 0.4).bounds().lower == 0.0
     assert _assert_same_restriction(spec, 0.36, 0.4) is NotFullSupportError

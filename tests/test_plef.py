@@ -173,3 +173,27 @@ class TestZeroTouchingFallback:
         assert envy_matrix(inst, division).max_envy <= eta
         assert stats.node_count <= cfg.k * (cfg.b_levels + 1)
         assert division.max_pieces() <= 2 * cfg.k * (cfg.b_levels + 1)
+
+    def test_steep_segment_to_zero_at_a_breakpoint(self, monkeypatch):
+        # the first segment falls to exactly 0 at 0.53; restricted to the right half
+        # it ends at -1.4e-15 after rounding, so that half searches under the global cap
+        outcomes = self.fallback_outcomes(monkeypatch)
+        inst = Instance.from_densities([PiecewiseLinear((0.53,), (-1000.0, 0.0), (530.0, 1.0)),
+                                        Linear(1.0, 1.0)])
+        division, stats = pl_ef(inst, 1e-2, QueryLedger())
+        assert outcomes == [True]
+        assert stats.node_count == 1
+        assert envy_matrix(inst, division).max_envy <= 1e-2
+
+    def test_steep_segments_to_zero_sweep(self):
+        # a first segment s*x - s*p, s from -3 to -1000, falls to exactly 0 at a uniform
+        # breakpoint p, where the restrictions of a half may round its end below 0
+        rng = np.random.default_rng(38)
+        for t in range(200):
+            p = float(rng.uniform(0.05, 0.95))
+            s = -float(np.exp(rng.uniform(np.log(3.0), np.log(1000.0))))
+            eta = (1e-2, 1e-3)[t % 2]
+            inst = Instance.from_densities([PiecewiseLinear((p,), (s, 0.0), (-(s * p), 1.0)),
+                                            Linear(1.0, 1.0)])
+            division, _ = pl_ef(inst, eta, QueryLedger())
+            assert envy_matrix(inst, division).max_envy <= eta, (p, s, eta)

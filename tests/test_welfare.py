@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -33,8 +34,6 @@ from fairslice.welfare import (
     MIN_SWITCHING_GAMMA,
     NASH_CELL_TOL,
     NASH_ENVELOPE_GAMMA,
-    DpTable,
-    _dp_allocation,
     _envelope_stack,
     _nash_dp,
     _nash_grid,
@@ -56,6 +55,24 @@ from gen import (
 QUAD = BinomialPoly(3.0, 0.0, 2, 0)
 
 
+@dataclass(frozen=True)
+class OracleTable:
+    """Every cell of a partition DP: values[k][t], and back[k][t] its smallest best split."""
+
+    values: np.ndarray  # shape (n, T+1)
+    back: np.ndarray
+
+    def allocation(self, points):
+        """The cuts that ``back`` leads to from the last agent's final cell."""
+        n, tt = self.values.shape
+        cuts, t = [1.0], tt - 1
+        for k in range(n - 1, 0, -1):
+            t = int(self.back[k, t])
+            cuts.append(float(points[t]))
+        cuts.append(0.0)
+        return Allocation(tuple(reversed(cuts)))
+
+
 def scan_dp_oracle(prefix, combine):
     """Reference for the partition DPs: the plain O(nT^2) scan over every split of every cell.
 
@@ -73,16 +90,16 @@ def scan_dp_oracle(prefix, combine):
             best = int(np.argmax(cand))
             values[k, t] = cand[best]
             back[k, t] = best
-    return DpTable(values, back)
+    return OracleTable(values, back)
 
 
-def assert_kernel_matches_oracle(points, table, expected, name):
-    """Every cell a DP kernel fills: rows 0..n-2 in full, then the last row's final cell."""
-    assert np.array_equal(table.values[:-1], expected.values[:-1]), name
-    assert np.array_equal(table.back[:-1], expected.back[:-1]), name
-    assert table.values[-1, -1] == expected.values[-1, -1], name
-    assert table.back[-1, -1] == expected.back[-1, -1], name
-    assert _dp_allocation(points, table) == _dp_allocation(points, expected), name
+def assert_nash_dp_matches_oracle(points, prefix, name):
+    """_nash_dp's allocation and product, bit for bit those of the full scan."""
+    expected = scan_dp_oracle(prefix, np.multiply)
+    allocation, product = _nash_dp(points, prefix)
+    assert allocation == expected.allocation(points), name
+    assert product.hex() == float(expected.values[-1, -1]).hex(), name
+    return allocation, product
 
 
 def smallest_accepted_eta(inst):
@@ -224,11 +241,11 @@ class TestMaxSocialWelfare:
         assert all(a <= b for a, b in zip(alloc.cuts, alloc.cuts[1:]))
 
     def test_dp_values_monotone_in_t(self):
-        # the rows the Nash kernel fills in full; the last row holds one cell
+        # the premise of the Nash kernel's divide and conquer, on the rows it fills in full
         inst = binomial_instance(5, np.random.default_rng(39))
         led = QueryLedger()
         points = all_pairs_switching_points(inst, 1e-3, led)
-        table = _nash_dp(_prefix_values(inst, points, led))
+        table = scan_dp_oracle(_prefix_values(inst, points, led), np.multiply)
         for row in table.values[:-1]:
             assert all(a <= b + 1e-12 for a, b in zip(row, row[1:]))
 
@@ -504,8 +521,8 @@ NASH_NON_MLRP_CASES = {
 def reference_max_nash(inst, eps):
     """``max_nash`` on the all-agents walk's grid."""
     points = full_nash_grid(inst, eps, QueryLedger())
-    table = _nash_dp(_prefix_values(inst, points, QueryLedger()))
-    return _dp_allocation(points, table), float(table.values[-1, -1]) ** (1.0 / inst.n)
+    allocation, product = _nash_dp(points, _prefix_values(inst, points, QueryLedger()))
+    return allocation, product ** (1.0 / inst.n)
 
 
 def max_cell_excess(inst, points, step):
@@ -583,8 +600,32 @@ class TestEnvelopeGuidedWalk:
 def test_nash_dp_matches_product_oracle():
     for name, inst, eps in nash_dp_cases():
         points = _nash_grid(inst, eps, QueryLedger())
-        prefix = _prefix_values(inst, points, QueryLedger())
-        assert_kernel_matches_oracle(points, _nash_dp(prefix), scan_dp_oracle(prefix, np.multiply), name)
+        assert_nash_dp_matches_oracle(points, _prefix_values(inst, points, QueryLedger()), name)
+
+
+#: Hand-built prefix tables on points 0, 0.2, ..., 1 whose splits tie
+#: exactly: (rows, cuts, product).
+NASH_DP_TIES = {
+    # agent 0 has all its mass in the first cell and agent 1 none before the
+    # third, so agent 1's cell may start at 1 or 2 for the same product, and
+    # agent 2, with mass only in the last cell, may start at 3 or 4: the
+    # smallest split wins both ties
+    "equal_columns": ([[0.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+                       [0.0, 0.0, 0.0, 1.0, 1.0, 1.0],
+                       [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]], (0.0, 0.2, 0.6, 1.0), 1.0),
+    # an agent that values nothing makes every product 0: every cut at the first split
+    "all_zero_row": ([[0.0, 0.5, 0.5, 1.0, 1.0, 1.0],
+                      [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]], (0.0, 0.0, 0.0, 1.0), 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NASH_DP_TIES))
+def test_nash_dp_ties_go_to_the_smallest_split(name):
+    rows, cuts, product = NASH_DP_TIES[name]
+    points = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+    got = assert_nash_dp_matches_oracle(points, np.array(rows), name)
+    assert got == (Allocation(cuts), product)
 
 
 class TestReorder:
