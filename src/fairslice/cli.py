@@ -187,16 +187,30 @@ def _plef(args, ledger):
 
 
 def _reorder(args, ledger):
+    """Exit 3 when an agent's value of its interval drops by more than 1e-9, read off the
+    densities; on an instance that breaks the MLRP promise the drop is bad input."""
     instance, order = _instance_and_order(args.instance, ledger)
     instance = instance.reordered(order)
     pieces = _division_pieces_from_file(args.division, instance.n)
+    if any(len(plist) != 1 for plist in pieces):
+        raise FairsliceError(f"{args.division}: reorder needs exactly one interval per agent, "
+                             f"got {[len(plist) for plist in pieces]}")
     # follow the applied agent order
-    result = welfare.reorder_to_mlrp(instance, [pieces[i] for i in order], ledger)
-    return {
+    before = [pieces[i][0] for i in order]
+    result = welfare.reorder_to_mlrp(instance, before, ledger)
+    report = {
         "order": order,
         "pieces": {str(i): [list(result[i])] for i in range(instance.n)},
         "values": audit.envy_matrix(instance, [[iv] for iv in result]).values.tolist(),
-    }, EXIT_OK
+    }
+    drop, k = max((agent.measure(*old) - agent.measure(*new), k)
+                  for k, (agent, old, new) in enumerate(zip(instance.agents, before, result)))
+    if drop <= 1e-9:
+        return report, EXIT_OK
+    failure = f"the value of agent {order[k]} (rank {k}) drops by {drop:.3g}"
+    _require_mlrp(instance, failure)
+    log.error("reorder audit failed: %s", failure)
+    return report, EXIT_AUDIT_FAILED
 
 
 def _mlrp_order(args, ledger):

@@ -47,10 +47,11 @@ Gaussian eval there costs one ``erf`` instead of two.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -109,6 +110,7 @@ class Density:
     construction, and names them in ``_derived`` in the order it sets them.
     """
 
+    family: str  # the family's name in the JSON schema, set by each family class
     scale: float
     _bottom: float
     _top: float
@@ -211,7 +213,12 @@ class Density:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """The JSON object of ``density_from_dict``: the family, then the fields in order, tuples as lists."""
+        out = {"family": self.family}
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            out[name] = list(value) if isinstance(value, tuple) else value
+        return out
 
 
 def _check_params(spec: Density, *shape: float) -> None:
@@ -229,6 +236,7 @@ def _check_params(spec: Density, *shape: float) -> None:
 @dataclass(frozen=True)
 class Uniform(Density):
     scale: float = 1.0
+    family = "uniform"
 
     def __post_init__(self):
         _check_params(self)
@@ -248,9 +256,6 @@ class Uniform(Density):
 
     def _range(self):
         return 1.0, 1.0
-
-    def to_dict(self):
-        return {"family": "uniform", "scale": self.scale}
 
 
 def _linear_root(half_slope: float, intercept: float, rhs: float, lo: float, hi: float) -> float:
@@ -276,6 +281,7 @@ class Linear(Density):
     a: float
     b: float
     scale: float = 1.0
+    family = "linear"
 
     def __post_init__(self):
         _check_params(self, self.a, self.b)
@@ -299,9 +305,6 @@ class Linear(Density):
         ends = (self.b, self.a + self.b)
         return min(ends), max(ends)
 
-    def to_dict(self):
-        return {"family": "linear", "a": self.a, "b": self.b, "scale": self.scale}
-
 
 @dataclass(frozen=True)
 class BinomialPoly(Density):
@@ -312,6 +315,7 @@ class BinomialPoly(Density):
     s: int
     t: int
     scale: float = 1.0
+    family = "binomial_poly"
     _derived = ("_s1", "_t1", "_bottom", "_top", "_newton")
 
     def __post_init__(self):
@@ -409,9 +413,6 @@ class BinomialPoly(Density):
     def _range(self):
         vals = [v for v, _ in self._candidates()]
         return min(vals), max(vals)
-
-    def to_dict(self):
-        return {"family": "binomial_poly", "a": self.a, "b": self.b, "s": self.s, "t": self.t, "scale": self.scale}
 
 
 def _check_breakpoints(breakpoints: tuple[float, ...]) -> None:
@@ -520,6 +521,7 @@ class PiecewiseLinear(_Segments):
     slopes: tuple[float, ...]
     intercepts: tuple[float, ...]
     scale: float = 1.0
+    family = "piecewise_linear"
 
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", tuple(float(p) for p in self.breakpoints))
@@ -537,7 +539,7 @@ class PiecewiseLinear(_Segments):
 
     def to_dict(self):
         return {
-            "family": "piecewise_linear",
+            "family": self.family,
             "breakpoints": list(self.breakpoints),
             "segments": [{"slope": s, "intercept": c} for s, c in zip(self.slopes, self.intercepts)],
             "scale": self.scale,
@@ -555,6 +557,7 @@ class PiecewiseConstant(_Segments):
     breakpoints: tuple[float, ...]
     heights: tuple[float, ...]
     scale: float = 1.0
+    family = "piecewise_constant"
     _derived = ("slopes", "intercepts", *_Segments._derived)
 
     def __post_init__(self):
@@ -570,14 +573,6 @@ class PiecewiseConstant(_Segments):
         object.__setattr__(self, "intercepts", self.heights)
         self._set_tables()
 
-    def to_dict(self):
-        return {
-            "family": "piecewise_constant",
-            "breakpoints": list(self.breakpoints),
-            "heights": list(self.heights),
-            "scale": self.scale,
-        }
-
 
 @dataclass(frozen=True)
 class GaussianRestricted(Density):
@@ -586,6 +581,7 @@ class GaussianRestricted(Density):
     mu: float
     sigma: float
     scale: float = 1.0
+    family = "gaussian_restricted"
     _derived = ("_normal", "_bottom", "_top")
 
     def __post_init__(self):
@@ -618,9 +614,6 @@ class GaussianRestricted(Density):
         near = min(max(self.mu, 0.0), 1.0)
         return self._density(far), self._density(near)
 
-    def to_dict(self):
-        return {"family": "gaussian_restricted", "mu": self.mu, "sigma": self.sigma, "scale": self.scale}
-
 
 @dataclass(frozen=True)
 class ExponentialRestricted(Density):
@@ -628,6 +621,7 @@ class ExponentialRestricted(Density):
 
     rate: float
     scale: float = 1.0
+    family = "exponential_restricted"
 
     def __post_init__(self):
         _check_params(self, self.rate)
@@ -654,9 +648,6 @@ class ExponentialRestricted(Density):
 
     def _range(self):
         return self._density(1.0), self._density(0.0)
-
-    def to_dict(self):
-        return {"family": "exponential_restricted", "rate": self.rate, "scale": self.scale}
 
 
 # -- conversion helpers ------------------------------------------------------
@@ -742,6 +733,39 @@ def _exponent(v) -> int:
     return v
 
 
+def _numbers(v) -> tuple[float, ...]:
+    """JSON list of numbers, each read by ``_num``."""
+    return tuple(_num(x) for x in v)
+
+
+#: The reader of a JSON value, by the declared type of the field it fills.
+_READERS = {"float": _num, "int": _exponent, "tuple[float, ...]": _numbers}
+
+
+def _read_piecewise_linear(d: dict) -> PiecewiseLinear:
+    """A piecewise-linear density from its breakpoints and its nested ``segments`` list."""
+    scale, breakpoints, segments = _num(d.get("scale", 1.0)), _numbers(d["breakpoints"]), d["segments"]
+    return PiecewiseLinear(breakpoints, tuple(_num(seg["slope"]) for seg in segments),
+                           tuple(_num(seg["intercept"]) for seg in segments), scale=scale)
+
+
+def _field_reader(cls: type):
+    """Reader of a ``cls`` JSON object: (name, reader, required) for each field, fixed once.
+
+    A missing optional field keeps its default.  The optional fields (the
+    scale) are read first, so a malformed scale is reported before a missing key.
+    """
+    fields = sorted(((f.name, _READERS[f.type], f.default is MISSING) for f in dataclasses.fields(cls)),
+                    key=lambda field: field[2])
+    return lambda d: cls(**{name: read(d[name]) for name, read, required in fields if required or name in d})
+
+
+#: family -> reader of its JSON object, built once at import.
+_FAMILIES = {cls.family: _field_reader(cls) for cls in (Uniform, Linear, BinomialPoly, PiecewiseConstant,
+                                                         GaussianRestricted, ExponentialRestricted)}
+_FAMILIES[PiecewiseLinear.family] = _read_piecewise_linear
+
+
 def density_from_dict(d: dict) -> Density:
     """Parse the per-family JSON schema into a density; malformed input is a DomainError."""
     try:
@@ -749,37 +773,12 @@ def density_from_dict(d: dict) -> Density:
     except (TypeError, KeyError):
         raise DomainError("density object missing 'family'") from None
     try:
-        return _parse_family(family, d)
+        read = _FAMILIES[family]
+    except (TypeError, KeyError):  # TypeError: an unhashable family
+        raise UnsupportedFamilyError(f"unknown density family {family!r}") from None
+    try:
+        return read(d)
     except KeyError as exc:
         raise DomainError(f"{family!r} density is missing {exc}") from None
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise DomainError(f"malformed {family!r} density: {exc}") from None
-
-
-def _parse_family(family: str, d: dict) -> Density:
-    scale = _num(d.get("scale", 1.0))
-    if family == "uniform":
-        return Uniform(scale=scale)
-    if family == "linear":
-        return Linear(_num(d["a"]), _num(d["b"]), scale=scale)
-    if family == "binomial_poly":
-        return BinomialPoly(_num(d["a"]), _num(d["b"]), _exponent(d["s"]), _exponent(d["t"]), scale=scale)
-    if family == "piecewise_linear":
-        segs = d["segments"]
-        return PiecewiseLinear(
-            tuple(_num(p) for p in d["breakpoints"]),
-            tuple(_num(s["slope"]) for s in segs),
-            tuple(_num(s["intercept"]) for s in segs),
-            scale=scale,
-        )
-    if family == "piecewise_constant":
-        return PiecewiseConstant(
-            tuple(_num(p) for p in d["breakpoints"]),
-            tuple(_num(h) for h in d["heights"]),
-            scale=scale,
-        )
-    if family == "gaussian_restricted":
-        return GaussianRestricted(_num(d["mu"]), _num(d["sigma"]), scale=scale)
-    if family == "exponential_restricted":
-        return ExponentialRestricted(_num(d["rate"]), scale=scale)
-    raise UnsupportedFamilyError(f"unknown density family {family!r}")

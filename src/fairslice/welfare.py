@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterRegimeError, SearchFailedError, UnsupportedFamilyError
+from .errors import DomainError, ParameterRegimeError
 from .oracle import Instance, QueryLedger, cut_query, eval_query
 from .ripple import Allocation, _probe
 
@@ -395,50 +395,49 @@ def max_nash(instance: Instance, epsilon: float,
 def reorder_to_mlrp(instance: Instance, pieces, ledger: QueryLedger) -> list[tuple[float, float]]:
     """Repair an interval division into MLRP order without lowering any agent's value.
 
-    ``pieces[i]`` is agent i's single interval; the pieces must tile [0, 1].
-    Adjacent intervals assigned against the MLRP order are swapped about the
-    point q' at which the right agent's normalized value matches the left
-    agent's old share (one cut query per swap).  Leftmost violation first;
-    this is a bubble sort of the positional agent sequence, so at most
-    n(n-1)/2 swaps occur (a defensive n^2 pass cap reports non-termination).
+    ``pieces[i]`` is agent i's one interval ``(l, r)``; any other count is a
+    DomainError.  Sorted, the intervals must abut within 1e-9: adjacency is
+    checked, not coverage of [0, 1].  Adjacent intervals held against the
+    MLRP order are swapped about the point q' at which the right agent's
+    normalized value matches the left agent's old share (three evals and a
+    cut per swap).  One insertion pass repairs the leftmost violation first:
+    a swap changes no pair left of it but the adjacent one, so the pass
+    steps back one position.  Each swap removes one inversion of the agent
+    sequence, so at most n(n-1)/2 swaps occur.
     """
-    assignment = []
-    for agent, piece in enumerate(pieces):
-        if isinstance(piece, (list, tuple)) and piece and isinstance(piece[0], (list, tuple)):
-            if len(piece) != 1:
-                raise UnsupportedFamilyError("reorder_to_mlrp needs one interval per agent")
-            piece = piece[0]
-        l, r = float(piece[0]), float(piece[1])
+    try:
+        assignment = [[float(l), float(r), agent] for agent, (l, r) in enumerate(pieces)]
+    except (TypeError, ValueError):
+        raise DomainError("reorder_to_mlrp needs one (l, r) interval per agent") from None
+    if len(assignment) != instance.n:
+        raise DomainError(f"reorder_to_mlrp got {len(assignment)} intervals for n={instance.n} agents")
+    for l, r, _ in assignment:
         if not 0.0 <= l <= r <= 1.0:
             raise DomainError(f"interval [{l}, {r}] outside the cake")
-        assignment.append([l, r, agent])
     assignment.sort(key=lambda seg: (seg[0], seg[1]))
     for left, right in zip(assignment, assignment[1:]):
         if abs(left[1] - right[0]) > 1e-9:
             raise DomainError("pieces do not tile the cake")
 
-    for _ in range(instance.n * instance.n):
-        swapped = False
-        for pos in range(len(assignment) - 1):
-            p, q, j = assignment[pos]  # agent j currently holds the left interval
-            _, r, i = assignment[pos + 1]  # agent i holds the right interval
-            if j <= i or r - p <= 0.0:
-                continue
-            # agent i precedes j in MLRP order but sits to the right: swap about
-            # the q' where j's normalized share matches i's current share.
-            beta = eval_query(instance, i, q, r, ledger)
-            total_i = eval_query(instance, i, p, r, ledger)
-            total_j = eval_query(instance, j, p, r, ledger)
-            share = 0.0 if total_i == 0.0 else beta / total_i
-            q_prime = cut_query(instance, j, p, share * total_j, ledger)
-            q_prime = min(max(q_prime, p), r)
-            assignment[pos] = [p, q_prime, i]
-            assignment[pos + 1] = [q_prime, r, j]
-            swapped = True
-            break
-        if not swapped:
-            out = [(0.0, 0.0)] * instance.n
-            for l, r, agent in assignment:
-                out[agent] = (l, r)
-            return out
-    raise SearchFailedError("reorder_to_mlrp did not converge within n^2 passes")
+    pos = 0
+    while pos < len(assignment) - 1:
+        p, q, j = assignment[pos]  # agent j currently holds the left interval
+        _, r, i = assignment[pos + 1]  # agent i holds the right interval
+        if j <= i or r - p <= 0.0:
+            pos += 1
+            continue
+        # agent i precedes j in MLRP order but sits to the right: swap about
+        # the q' where j's normalized share matches i's current share.
+        beta = eval_query(instance, i, q, r, ledger)
+        total_i = eval_query(instance, i, p, r, ledger)
+        total_j = eval_query(instance, j, p, r, ledger)
+        share = 0.0 if total_i == 0.0 else beta / total_i
+        q_prime = cut_query(instance, j, p, share * total_j, ledger)
+        q_prime = min(max(q_prime, p), r)
+        assignment[pos] = [p, q_prime, i]
+        assignment[pos + 1] = [q_prime, r, j]
+        pos = max(pos - 1, 0)
+    out = [(0.0, 0.0)] * instance.n
+    for l, r, agent in assignment:
+        out[agent] = (l, r)
+    return out

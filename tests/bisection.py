@@ -1,13 +1,15 @@
 """Test-only references: the plain bisection searches, the chains that always query,
-the Nash grid walk that asks every agent and the all-pairs switching points.
+the Nash grid walk that asks every agent, the all-pairs switching points and the
+reorder scan that restarts after every swap.
 
 The library's chain searches pick each probe by interpolation
 (``ripple._probe``), its chains stop querying once a point reaches 1.0, its
 Nash grid walk asks one agent inside a stretch of the MLRP upper envelope,
 and its social-welfare search follows that envelope instead of running a
-partition DP over every pairwise switching point.  The loops below are the
-plain versions they replaced, so that tests can compare cuts, values, grids,
-iteration counts and ledgers against them.
+partition DP over every pairwise switching point; ``reorder_to_mlrp`` steps
+back one position after a swap.  The loops below are the plain versions they
+replaced, so that tests can compare cuts, values, grids, intervals, iteration
+counts and ledgers against them.
 """
 
 from __future__ import annotations
@@ -114,3 +116,30 @@ def all_pairs_switching_points(instance: Instance, gamma: float,
             merged.append(p)
     merged[-1] = 1.0
     return tuple(merged)
+
+
+def plain_reorder(instance: Instance, pieces, ledger: QueryLedger) -> list[tuple[float, float]]:
+    """``reorder_to_mlrp`` rescanning from the leftmost pair after every swap, under an n^2 pass cap."""
+    assignment = sorted(([float(l), float(r), agent] for agent, (l, r) in enumerate(pieces)),
+                        key=lambda seg: (seg[0], seg[1]))
+    for _ in range(instance.n * instance.n):
+        for pos in range(len(assignment) - 1):
+            p, q, j = assignment[pos]
+            _, r, i = assignment[pos + 1]
+            if j <= i or r - p <= 0.0:
+                continue
+            beta = eval_query(instance, i, q, r, ledger)
+            total_i = eval_query(instance, i, p, r, ledger)
+            total_j = eval_query(instance, j, p, r, ledger)
+            share = 0.0 if total_i == 0.0 else beta / total_i
+            q_prime = cut_query(instance, j, p, share * total_j, ledger)
+            q_prime = min(max(q_prime, p), r)
+            assignment[pos] = [p, q_prime, i]
+            assignment[pos + 1] = [q_prime, r, j]
+            break
+        else:
+            out = [(0.0, 0.0)] * instance.n
+            for l, r, agent in assignment:
+                out[agent] = (l, r)
+            return out
+    raise SearchFailedError("plain_reorder did not converge within n^2 passes")

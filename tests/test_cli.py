@@ -260,6 +260,37 @@ def test_reorder_subcommand(tmp_path, capsys):
     code, report = invoke(capsys, ["reorder", "--division", dpath, path])
     assert code == 0
     assert report["pieces"]["0"][0][1] == pytest.approx(2.0 ** (-1.0 / 3.0), abs=1e-9)
+    # the uniform agent held 0.5 and the quadratic one 0.125: neither value is lower after
+    assert report["values"][0][0] >= 0.5 and report["values"][1][1] >= 0.125
+
+
+#: Two Gaussians about 0.5, the narrow one first: their likelihood ratio is not monotone.
+GAUSS_NON_MLRP = {"agents": [{"family": "gaussian_restricted", "mu": 0.5, "sigma": 0.05},
+                             {"family": "gaussian_restricted", "mu": 0.5, "sigma": 0.5}]}
+
+
+def test_reorder_value_drop_off_mlrp_exits_2(tmp_path, capsys, monkeypatch):
+    # the repair is only guaranteed under MLRP: agent 0's value falls from 0.977 to 0.616
+    path = write(tmp_path, "inst.json", GAUSS_NON_MLRP)
+    dpath = write(tmp_path, "div.json", [[[0.0, 0.6]], [[0.6, 1.0]]])
+    monkeypatch.setattr(sys, "argv", ["fairslice", "reorder", "--division", dpath, path])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: instance violates the MLRP promise")
+    assert "the value of agent 0 (rank 1) drops by 0.361" in err
+
+
+def test_reorder_value_drop_under_mlrp_exits_3(tmp_path, capsys, monkeypatch):
+    # a repair that hands agent 1 less than it held is a bug on an MLRP instance
+    path = write(tmp_path, "inst.json", UNIF_QUAD)
+    dpath = write(tmp_path, "div.json", [[[0.0, 0.5]], [[0.5, 1.0]]])
+    monkeypatch.setattr(welfare, "reorder_to_mlrp",
+                        lambda inst, pieces, ledger: [(0.0, 0.9), (0.9, 1.0)])
+    code, report = invoke(capsys, ["reorder", "--division", dpath, path])
+    assert code == 3
+    assert report["pieces"] == {"0": [[0.0, 0.9]], "1": [[0.9, 1.0]]}
 
 
 def test_invalid_inputs_exit_2(tmp_path, capsys):
@@ -362,6 +393,9 @@ MALFORMED = [
     ("division agent negative", "check", TWO_UNIFORM, {"pieces": {"-1": [[0.0, 1.0]]}}),
     ("division piece not a pair", "check", TWO_UNIFORM, {"pieces": [[[0.0, 0.5, 1.0]], []]}),
     ("division too short", "check", TWO_UNIFORM, [[[0.0, 1.0]]]),
+    ("reorder agent with no piece", "reorder", TWO_AGENTS, {"pieces": {"1": [[0.0, 1.0]]}}),
+    ("reorder agent with two pieces", "reorder", TWO_AGENTS,
+     {"pieces": {"0": [[0.0, 0.2], [0.6, 1.0]], "1": [[0.2, 0.6]]}}),
 ]
 
 

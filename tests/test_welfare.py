@@ -41,7 +41,7 @@ from fairslice.welfare import (
     _upper_envelope,
 )
 from bisection import all_pairs_switching_points, bisection_egalitarian, full_mk_chain, \
-    full_nash_grid
+    full_nash_grid, plain_reorder
 from gen import (
     binomial_instance,
     every_family_instances,
@@ -669,6 +669,40 @@ class TestReorder:
             # result conforms to MLRP order: intervals appear left-to-right
             lefts = [out[i][0] for i in range(n)]
             assert all(x <= y + 1e-12 for x, y in zip(lefts, lefts[1:]))
+
+    def test_wrong_interval_count_is_a_domain_error(self):
+        inst = Instance.from_densities([Uniform(), Linear(1.0, 1.0)])
+        for pieces in ([(0.0, 0.3), (0.3, 0.6), (0.6, 1.0)],  # three intervals for two agents
+                       [(0.0, 1.0)],  # one interval for two agents
+                       [[(0.0, 0.5)], [(0.5, 1.0)]]):  # per-agent piece lists, not intervals
+            ledger = QueryLedger()
+            with pytest.raises(DomainError):
+                reorder_to_mlrp(inst, pieces, ledger)
+            assert ledger.total() == 0
+
+    def test_insertion_pass_matches_restart_scan(self):
+        # permuted tilings, some with empty intervals, on MLRP-ordered and other instances
+        rng = np.random.default_rng(97)
+        cases = 0
+        for n in range(2, 10):
+            for trial in range(24):
+                inst = mlrp_instance(n, rng) if trial % 2 else Instance.from_densities(
+                    [mlrp_instance(1, rng).agents[0] for _ in range(n)])
+                cuts = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n - 1)), [1.0]))
+                for k in 1 + np.flatnonzero(rng.uniform(size=n - 1) < 0.2):  # interior cuts
+                    cuts[k] = cuts[k - 1] if rng.uniform() < 0.5 else cuts[k + 1]
+                perm = rng.permutation(n)
+                pieces = [None] * n
+                for pos, agent in enumerate(perm):
+                    pieces[agent] = (float(cuts[pos]), float(cuts[pos + 1]))
+                ledger, plain_ledger = QueryLedger(), QueryLedger()
+                out = reorder_to_mlrp(inst, pieces, ledger)
+                assert out == plain_reorder(inst, pieces, plain_ledger), (n, trial)
+                assert ledger == plain_ledger
+                assert ledger.cut_count <= n * (n - 1) // 2
+                assert ledger.eval_count == 3 * ledger.cut_count
+                cases += ledger.cut_count > 0
+        assert cases > 100  # most divisions need at least one swap
 
     def test_eta_validation(self, unif_quad):
         with pytest.raises(DomainError):
