@@ -32,7 +32,6 @@ print(np.round(matrix.values, 5))
 print("max envy:", matrix.max_envy, "<= eta:", matrix.max_envy <= eta)
 
 cfg = fs.pl_config(eta, k=2, upper=instance.bounds.upper)
-print(f"\nrecursion-node budget k(B+1) = {cfg.k * (cfg.b_levels + 1):.1f}, "
-      f"used {stats.node_count}")
-print(f"per-agent piece budget 2k(B+1) = {2 * cfg.k * (cfg.b_levels + 1):.1f}, "
+print(f"\nrecursion-node budget k(B+1) = {cfg.node_budget}, used {stats.node_count}")
+print(f"per-agent piece budget 2k(B+1) = {2 * cfg.node_budget}, "
       f"used {division.max_pieces()}")

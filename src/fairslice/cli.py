@@ -37,11 +37,11 @@ NSW_AUDIT_GRID = 400
 SW_AUDIT_TOL = 8.0 * 2.0 ** -52
 
 
-def _read_json(path: str):
+def _read_json(path: str, object_pairs_hook=None):
     """Parsed JSON of a UTF-8 file; an unreadable file or malformed JSON is bad input."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=object_pairs_hook)
     except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
         raise FairsliceError(f"cannot read JSON from {path}: {exc}") from exc
 
@@ -60,16 +60,30 @@ def _instance_and_order(path: str, ledger: QueryLedger) -> tuple[Instance, list[
     return instance, list(range(instance.n)) if ordered else mlrp.detect_order(instance, ledger)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object whose keys are all distinct; a repeated key is malformed."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _division_pieces_from_file(path: str, n: int) -> list[list[tuple[float, float]]]:
-    raw = _read_json(path)
+    """Per-agent pieces: a list of n piece lists, or a ``{"pieces": {...}}`` object keyed
+    by agent index in canonical decimal ("0", "1", ...), each key at most once."""
+    raw = _read_json(path, _unique_keys)
     payload = raw.get("pieces", raw) if isinstance(raw, dict) else raw
     try:
         if isinstance(payload, dict):
+            agents = {str(i): i for i in range(n)}
             pieces = [[] for _ in range(n)]
             for key, plist in payload.items():
-                if not 0 <= int(key) < n:
-                    raise FairsliceError(f"{path}: agent {key} out of range for n={n}")
-                pieces[int(key)] = [(float(l), float(r)) for l, r in plist]
+                if key not in agents:
+                    raise FairsliceError(f"{path}: key {key!r} is not an agent index 0..{n - 1} "
+                                         f"in canonical decimal")
+                pieces[agents[key]] = [(float(l), float(r)) for l, r in plist]
             return pieces
         if len(payload) != n:
             raise FairsliceError(f"{path}: division has {len(payload)} agents, instance has {n}")

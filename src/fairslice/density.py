@@ -259,12 +259,22 @@ class Uniform(Density):
 
 
 def _linear_root(half_slope: float, intercept: float, rhs: float, lo: float, hi: float) -> float:
-    """Solve half_slope*y^2 + intercept*y = rhs for the root in [lo, hi]."""
+    """Solve half_slope*y^2 + intercept*y = rhs for the root in [lo, hi].
+
+    Where the intercept is positive and 4|half_slope*rhs| < intercept^2 2^-10,
+    -intercept + disc loses 10 bits or more to cancellation, so the first root
+    is taken in the rationalized form 2 rhs / (intercept + disc) (Goldberg,
+    "What Every Computer Scientist Should Know About Floating-Point
+    Arithmetic", 1991).
+    """
     if half_slope == 0.0:
         return rhs / intercept
     disc = intercept * intercept + 4.0 * half_slope * rhs
     disc = math.sqrt(0.0 if disc < 0.0 else disc)
-    root = (-intercept + disc) / (2.0 * half_slope)
+    if intercept > 0.0 and 4.0 * abs(half_slope * rhs) < intercept * intercept * 2.0 ** -10:
+        root = 2.0 * rhs / (intercept + disc)
+    else:
+        root = (-intercept + disc) / (2.0 * half_slope)
     if lo <= root <= hi:
         return root
     # the other root only if it lies strictly closer to [lo, hi]

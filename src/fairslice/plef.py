@@ -1,23 +1,48 @@
 """Recursive envy-free division for piecewise-linear densities (possibly disconnected).
 
-The driver halves the current interval; on each half it keeps only the agents
-that value the half at least eta_hat, builds the local instance from their
-densities restricted to the half (``restrict_unit`` reparametrizes each onto
-the unit cake and normalizes it in one pass, so the instance takes them as
-they are), guesses a local MLRP order, and runs the ripple search on the
-window eta_hat / U of the local densities.  That search interpolates its probes
-(``ripple._probe``, projected to stay within SLACK = 4 halvings of
-bisection's bracket), so its worst case is SLACK iterations beyond what
-bisection needs, under the same iteration cap.  If the search fails
-(``SearchFailedError``) or the resulting local division fails an
-eta_hat-envy audit, it recurses on that half.  Halves without breakpoints
-have linear (hence MLRP) local densities, so they settle unless the search
-runs out of float resolution; that bounds the recursion tree by k*(B+1)
-nodes and the global envy by 2k(B+1) * eta_hat <= eta.  A linear piece
-touching 0 (also where its restriction rounds that end to a few ulps below
-0) has an infinite local Lipschitz constant, so its half searches under the
-global iteration cap: the tent (PiecewiseLinear((0.5,), (2, -2),
-(0, 2)), Uniform()) settles both halves at the root at eta = 1e-2.
+``pl_ef`` halves the current interval.  On each half it keeps only the agents
+that value the half at least the drop value e_d, builds the local instance
+from their densities restricted to the half (``restrict_unit`` reparametrizes
+each onto the unit cake and normalizes it in one pass, so the instance takes
+them as they are), guesses a local MLRP order, and runs the ripple search on
+the window ``ripple_window(e_a, U_local)``, e_a = eta/3, of the local
+densities.  That search interpolates its probes (``ripple._probe``, projected
+to stay within SLACK = 4 halvings of bisection's bracket), so its worst case
+is SLACK iterations beyond what bisection needs, under the same iteration cap.
+If the search fails (``SearchFailedError``) or some kept agent's local envy
+exceeds e_a + AUDIT_SLACK, it recurses on that half.  Halves without
+breakpoints have linear (hence MLRP) local densities, so they settle unless
+the search runs out of float resolution; a level below the root then holds
+at most k recursed halves, and the tree at most k(B+1) nodes.  ``pl_ef``
+stops with ``SearchFailedError`` once it passes that node budget, so the
+count holds unconditionally.
+
+Envy bound, in three shares of eta/3.  Every settled half and every node no
+longer than ``min_length`` is a leaf; leaves are disjoint and cover the cake,
+and an agent's envy of another is the sum over leaves of its value of the
+other's part minus its value of its own part.
+- Audited halves.  A kept agent's local densities are its own, divided by its
+  value v_i(half) of the half, so a local envy e costs e * v_i(half)
+  globally.  The audit holds e to e_a + AUDIT_SLACK; over disjoint halves the
+  v_i(half) sum to at most 1, so these leaves add at most e_a = eta/3 plus
+  the slack, however many settle.
+- Unaudited leaves: a half an agent was dropped from, a one-agent or empty
+  half, a ``min_length`` node.  On such a leaf an agent either holds all of
+  it (the one kept agent; agent 0 of an empty half or a small node) and
+  envies no one there, or values it below e_d.  B is the first depth whose
+  nodes, 2^(1-B) long, are worth U 2^(1-B) < e_d = eta / (6k(B+1)), and
+  ``min_length`` = 2^(1-B).  A tree of at most k(B+1) nodes, each with at
+  most two children, has at most 2k(B+1) leaves, so these add less than
+  2k(B+1) e_d = eta/3.
+- Audit slack.  The 1e-12 slack added over the audited halves is at most
+  eta/3; ``pl_config`` rejects a smaller eta.
+So every agent's envy is at most eta, and every agent holds at most one
+interval per leaf, 2k(B+1) in all.
+
+A linear piece touching 0 (also where its restriction rounds that end to a
+few ulps below 0) has an infinite local Lipschitz constant, so its half
+searches under the global iteration cap: the tent (PiecewiseLinear((0.5,),
+(2, -2), (0, 2)), Uniform()) settles both halves at the root at eta = 1e-2.
 """
 
 from __future__ import annotations
@@ -29,27 +54,38 @@ from .density import as_piecewise_linear, restrict_unit
 from .errors import DomainError, ParameterRegimeError, SearchFailedError
 from .mlrp import detect_order
 from .oracle import Instance, QueryLedger, eval_query
-from .ripple import bin_search, ripple_to_allocation, ripple_window
+from .ripple import bin_search, iteration_cap, ripple_to_allocation, ripple_window
+
+
+#: Local envy an audited half may keep beyond e_a, for the float error of its queries.
+AUDIT_SLACK = 1e-12
+
+#: Deepest B (the root is depth 1): the nodes PL-EF halves, at depths below B, are
+#: at least 2^-52 long and dyadic, so their midpoints are exact doubles.
+MAX_DEPTH = 54
 
 
 @dataclass(frozen=True)
 class PlConfig:
-    """Derived parameters of a PL-EF run.
+    """Derived parameters of a PL-EF run (the module docstring proves the bound).
 
-    ``lambda_pl = max{U, U/eta_hat, 1/eta_hat}`` and ``cap`` size the iteration
-    cap of a half whose local Lipschitz constant is infinite; any other half
-    takes bin_search's default cap from its own lambda.  Windows never read
-    lambda: every half searches eta_hat / U of its local densities.
+    ``lambda_pl = max{U, U/drop_value, 1/drop_value}`` bounds the local
+    Lipschitz constant of a kept agent, and ``cap`` is the iterations two
+    such agents need on the narrowest window; times n it caps a half whose
+    local Lipschitz constant is infinite.  Any other half takes bin_search's
+    default cap from its own lambda.
     """
 
     eta: float
     k: int
     upper: float
-    eta_hat: float
+    audit_envy: float  # e_a = eta / 3: local envy an audited half may keep
+    drop_value: float  # e_d = eta / (6 node_budget): an agent valuing a half less is dropped
+    b_levels: int  # B: nodes at depth B (root at 1) are min_length long and end the recursion
+    node_budget: int  # k(B+1): the recursion tree's node count
+    min_length: float  # 2^(1-B), with U * min_length < drop_value
     lambda_pl: float
-    b_levels: float  # B = 2 log2(k U / eta_hat); recursion depth/count budget
     cap: int
-    min_length: float  # base case: |b - a| <= eta^2 / (k^2 U^2)
 
 
 def pl_config(eta: float, k: int, upper: float) -> PlConfig:
@@ -60,18 +96,34 @@ def pl_config(eta: float, k: int, upper: float) -> PlConfig:
     upper = max(upper, 1.0)
     if k * upper / eta < 4.0:
         raise ParameterRegimeError(
-            f"kU/eta = {k * upper / eta:.3g} < 4; the envy telescoping bound needs kU/eta >= 4")
-    eta_hat = (eta / k) ** 2 / upper
-    lambda_pl = max(upper, upper / eta_hat, 1.0 / eta_hat)
+            f"kU/eta = {k * upper / eta:.3g} < 4; PL-EF runs in the regime kU/eta >= 4")
+    if 3.0 * AUDIT_SLACK > eta:
+        raise ParameterRegimeError(
+            f"eta={eta:.3g} < {3.0 * AUDIT_SLACK:.3g}: the audit slack {AUDIT_SLACK:g} "
+            f"per half would exceed eta/3")
+    for b_levels in range(1, MAX_DEPTH + 1):
+        node_budget = k * (b_levels + 1)
+        drop_value = eta / (6.0 * node_budget)
+        min_length = 2.0 ** (1 - b_levels)
+        if upper * min_length < drop_value:
+            break
+    else:
+        raise ParameterRegimeError(
+            f"eta={eta:.3g} with kU = {k * upper:.3g} needs halves shorter than 2^-53, "
+            f"the spacing of doubles in [0.5, 1); use a larger eta")
+    audit_envy = eta / 3.0
+    lambda_pl = max(upper, upper / drop_value, 1.0 / drop_value)
     return PlConfig(
         eta=eta,
         k=k,
         upper=upper,
-        eta_hat=eta_hat,
+        audit_envy=audit_envy,
+        drop_value=drop_value,
+        b_levels=b_levels,
+        node_budget=node_budget,
+        min_length=min_length,
         lambda_pl=lambda_pl,
-        b_levels=2.0 * math.log2(k * upper / eta_hat),
-        cap=math.ceil(2 * math.log2(2.0 * lambda_pl / eta_hat)),  # times n at use site
-        min_length=(eta / (k * upper)) ** 2,
+        cap=iteration_cap(2, lambda_pl, ripple_window(audit_envy, lambda_pl)),  # times n at use site
         )
 
 
@@ -118,9 +170,15 @@ def _merge_pieces(raw: list[list[tuple[float, float]]]) -> Division:
 def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division, RecursionStats]:
     """eta-envy-free cake division for piecewise-linear densities.
 
-    Returns the division together with recursion statistics; the recursion
-    tree has at most k*(B+1) nodes and every agent ends up with at most
-    2k(B+1) intervals.
+    Returns the division together with recursion statistics.  The envy bound
+    splits eta into three shares of eta/3 (the module docstring has the
+    proof): audited halves keep local envy e_a = eta/3, which costs each
+    agent its value of the half times that, eta/3 over all of them; each of
+    the at most 2k(B+1) unaudited leaves is worth less than
+    e_d = eta / (6k(B+1)) to every agent it can make envious; and the audit's
+    1e-12 slack is at most eta/3.  The recursion tree has at most
+    ``cfg.node_budget`` = k(B+1) nodes: one more raises ``SearchFailedError``
+    naming the budget.  Every agent ends up with at most 2k(B+1) intervals.
     """
     pls = [as_piecewise_linear(d) for d in instance.agents]
     n = instance.n
@@ -134,9 +192,9 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
     def solve_half(lo: float, hi: float) -> bool:
         """Try to settle [lo, hi] without recursing; True on success."""
         values = [eval_query(instance, i, lo, hi, ledger) for i in range(n)]
-        keep = [i for i in range(n) if values[i] >= cfg.eta_hat]
+        keep = [i for i in range(n) if values[i] >= cfg.drop_value]
         if not keep:
-            pieces[0].append((lo, hi))  # everyone values the half below eta_hat
+            pieces[0].append((lo, hi))  # everyone values the half below e_d
             return True
         if len(keep) == 1:
             pieces[keep[0]].append((lo, hi))
@@ -151,14 +209,14 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
         cap = None if math.isfinite(local.bounds.lipschitz) else global_cap
         try:
             cuts = ripple_to_allocation(bin_search(
-                local, ripple_window(cfg.eta_hat, local.bounds.upper), ledger, max_iterations=cap)).cuts
+                local, ripple_window(cfg.audit_envy, local.bounds.upper), ledger, max_iterations=cap)).cuts
         except SearchFailedError:
             return False
 
         m = len(agents)
         own = [eval_query(local, i, cuts[i], cuts[i + 1], ledger) for i in range(m)]
         for i in range(m):
-            bound = own[i] + cfg.eta_hat + 1e-12
+            bound = own[i] + cfg.audit_envy + AUDIT_SLACK
             for j in range(m):
                 if j != i and eval_query(local, i, cuts[j], cuts[j + 1], ledger) > bound:
                     return False
@@ -172,6 +230,10 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
 
     def recurse(lo: float, hi: float, depth: int) -> None:
         stats.node_count += 1
+        if stats.node_count > cfg.node_budget:
+            raise SearchFailedError(
+                f"PL-EF passed its node budget k(B+1) = {cfg.node_budget} "
+                f"(k={cfg.k}, B={cfg.b_levels}): halves without breakpoints keep failing to settle")
         stats.max_depth = max(stats.max_depth, depth)
         if hi - lo <= cfg.min_length:
             stats.small_interval_nodes += 1

@@ -177,8 +177,8 @@ def test_criterion_7_piecewise_linear():
         envy = fs.envy_matrix(inst, division).max_envy
         cfg = fs.pl_config(eta, k, inst.bounds.upper)
         assert envy <= eta
-        assert stats.node_count <= k * (cfg.b_levels + 1)
-        assert division.max_pieces() <= 2 * k * (cfg.b_levels + 1)
+        assert stats.node_count <= cfg.node_budget
+        assert division.max_pieces() <= 2 * cfg.node_budget
         budget = PLEF_QUERY_CONSTANT * n * n * k * math.log2(k * cfg.upper / eta) ** 2
         assert led.total() <= budget
         worst_c = max(worst_c, led.total() / (budget / PLEF_QUERY_CONSTANT))

@@ -391,6 +391,12 @@ MALFORMED = [
     ("division not JSON", "check", TWO_UNIFORM, "{not json"),
     ("division agent out of range", "check", TWO_UNIFORM, {"pieces": {"7": [[0.0, 1.0]]}}),
     ("division agent negative", "check", TWO_UNIFORM, {"pieces": {"-1": [[0.0, 1.0]]}}),
+    # "0" and "00" would both name agent 0, and the later would replace the earlier
+    ("division agent key not canonical", "check", TWO_UNIFORM,
+     {"pieces": {"0": [[0.0, 0.5]], "00": [[0.5, 1.0]], "1": [[0.0, 0.5]]}}),
+    ("division agent key with a sign", "check", TWO_UNIFORM, {"pieces": {"+0": [[0.0, 0.5]]}}),
+    ("division agent key repeated", "check", TWO_UNIFORM,
+     '{"pieces": {"0": [[0.0, 0.5]], "0": [[0.5, 1.0]], "1": [[0.0, 0.5]]}}'),
     ("division piece not a pair", "check", TWO_UNIFORM, {"pieces": [[[0.0, 0.5, 1.0]], []]}),
     ("division too short", "check", TWO_UNIFORM, [[[0.0, 1.0]]]),
     ("reorder agent with no piece", "reorder", TWO_AGENTS, {"pieces": {"1": [[0.0, 1.0]]}}),

@@ -23,7 +23,7 @@ from fairslice import (
     perturb,
     pl_ef,
 )
-from fairslice.density import as_piecewise_linear
+from fairslice.density import as_piecewise_linear, restrict_unit
 from fairslice.errors import (
     DegenerateDensityError,
     DomainError,
@@ -329,11 +329,15 @@ def test_nonpositive_scale_is_degenerate(slot, value):
 
 
 def _reference_linear_root(half_slope, intercept, rhs, lo, hi):
-    """Both roots scanned in order, the first one closest to [lo, hi] kept."""
+    """Both roots scanned in order, the first one closest to [lo, hi] kept; the first
+    root is rationalized where its textbook form loses 10 bits or more."""
     if half_slope == 0.0:
         return rhs / intercept
     disc = math.sqrt(max(intercept * intercept + 4.0 * half_slope * rhs, 0.0))
-    roots = ((-intercept + disc) / (2.0 * half_slope), (-intercept - disc) / (2.0 * half_slope))
+    first = (-intercept + disc) / (2.0 * half_slope)
+    if intercept > 0.0 and abs(4.0 * half_slope * rhs) < intercept * intercept / 1024.0:
+        first = 2.0 * rhs / (intercept + disc)
+    roots = (first, (-intercept - disc) / (2.0 * half_slope))
     best, best_err = None, math.inf
     for r in roots:
         err = max(lo - r, r - hi, 0.0)
@@ -569,6 +573,44 @@ def test_tiny_cut_is_leftmost_double():
     y = d.inverse_measure(0.0, 5e-324)
     assert y == 4.158400847013625e-162
     assert d.measure(0.0, y) >= 5e-324 > d.measure(0.0, math.nextafter(y, 0.0))
+
+
+def _worst_cut_error(d) -> float:
+    """Largest |measure(l, y) - tau| over a grid of cuts, in ulps of 1.0."""
+    worst = 0.0
+    for l in (0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 0.9, 0.999):
+        rest = d.measure(l, 1.0)
+        for frac in (1e-6, 0.01, 0.3, 0.5, 0.77, 0.9, 0.999999):
+            y = d.inverse_measure(l, rest * frac)
+            worst = max(worst, abs(d.measure(l, y) - rest * frac) / math.ulp(1.0))
+    return worst
+
+
+@pytest.mark.parametrize("slope", [10.0 ** -e for e in range(4, 16)])
+def test_near_flat_linear_cut_is_exact(slope):
+    # where 4|h c| < b^2 2^-10 the textbook root loses 10 bits or more to cancellation
+    # (4.4e-5 at slope 1e-12); the rationalized root keeps the cut within a few ulps
+    for a in (slope, -slope):
+        assert _worst_cut_error(Linear(a, 1.0).normalized()) <= 4.0, a
+        flat = PiecewiseLinear((0.3, 0.7), (a, -a, 2.0 * a), (1.0, 1.0 + 0.6 * a, 1.0 - 0.8 * a))
+        assert _worst_cut_error(flat.normalized()) <= 4.0, a
+
+
+def test_cut_at_the_rationalized_root_threshold():
+    # slope 1e-3: cuts past 4|h c| = b^2 2^-10 keep the textbook root and its loss
+    # of at most about 11 bits, which leaves the max_nash and ledger pins bit-identical
+    for a in (1e-3, -1e-3):
+        assert _worst_cut_error(Linear(a, 1.0).normalized()) <= 2.0 ** 11
+
+
+@pytest.mark.parametrize("depth", range(13, 53, 3))
+def test_near_flat_restricted_segment_cut_is_exact(depth):
+    # PL-EF's halves at depth d restrict a linear density to 2^-d of the cake, a segment
+    # whose slope is about 2^-d of its intercept
+    for a, b in ((2.0, 1.0), (-0.9, 1.0)):
+        for lo in (0.0, 0.5, 0.75):
+            d = restrict_unit(as_piecewise_linear(Linear(a, b)), lo, lo + 2.0 ** -depth)
+            assert _worst_cut_error(d) <= 4.0, (a, lo)
 
 
 def test_binomial_cut_newton_stage_saves_evaluations():

@@ -1,13 +1,13 @@
 """Golden divisions, recursion statistics and query counts of ``pl_ef``.
 
-The pins were recorded before each PL-EF half began to build its local
-instance in one pass (``restrict_unit`` returning the normalized restriction)
-and to ask its chain and audit queries through leaner loops; those are speed
-changes that must leave every division, ``RecursionStats`` field and ledger
-bit-identical.  A division is pinned by agent 0's first cut, the number of
-pieces per agent and a digest of every endpoint's ``float.hex``.  The
-instance for (n, k, seed) is ``gen.piecewise_linear_instance(n, k,
-default_rng(seed))``.
+The pins were recorded when each PL-EF half began to keep local envy eta/3
+in its own normalized values and to drop agents that value it below
+eta / (6k(B+1)), with the cancellation-free root of near-flat linear cuts;
+speed changes to ``pl_ef`` must leave every division, ``RecursionStats``
+field and ledger bit-identical.  A division is pinned by agent 0's first
+cut, the number of pieces per agent and a digest of every endpoint's
+``float.hex``.  The instance for (n, k, seed) is
+``gen.piecewise_linear_instance(n, k, default_rng(seed))``.
 
 ``restrict_unit`` is also checked against its reference, the
 ``PiecewiseLinear`` constructor on the restricted segments followed by
@@ -31,54 +31,54 @@ import gen
 # (node_count, max_depth, small_interval_nodes, binsearch_hits, recursed_halves),
 # (eval, cut) counts
 GOLDEN = {
-    (3, 4, 0, 0.01): (0.16725980456001688, (3, 4, 4), '6c1cfaec045b8a8f',
-                      (3, 3, 0, 4, 2), (139, 56)),
-    (3, 4, 0, 0.001): (0.16725987447151738, (3, 4, 4), '783533691945eec5',
-                       (3, 3, 0, 4, 2), (147, 64)),
-    (4, 9, 1, 0.01): (0.05590638932657872, (3, 4, 4, 4), '8a544b3b26eb1f1a',
-                      (3, 2, 0, 4, 2), (337, 213)),
-    (4, 9, 1, 0.001): (0.055906400864567496, (3, 4, 4, 4), '66a94276dab99868',
-                       (3, 2, 0, 4, 2), (355, 231)),
-    (5, 7, 2, 0.01): (0.16909452095132294, (7, 7, 7, 7, 7), 'eaa00be1711167c7',
-                      (6, 5, 0, 7, 5), (842, 498)),
-    (5, 7, 2, 0.001): (0.1690945670164636, (7, 7, 7, 7, 7), '77ffe615056cfbed',
-                       (6, 5, 0, 7, 5), (922, 578)),
-    (3, 5, 3, 0.01): (0.16804734188790357, (2, 2, 2), '2a22b952afb7ba44',
-                      (1, 1, 0, 2, 0), (48, 18)),
-    (3, 5, 3, 0.001): (0.16804741354097538, (2, 2, 2), 'b59d5120c5d94007',
-                       (1, 1, 0, 2, 0), (48, 18)),
-    (4, 10, 4, 0.01): (0.09411974854259302, (5, 5, 4, 5), '022d8147d06a2902',
-                       (4, 3, 0, 5, 3), (398, 214)),
-    (4, 10, 4, 0.001): (0.09411975800340996, (5, 5, 4, 5), 'fb7041148ffed442',
-                        (4, 3, 0, 5, 3), (425, 241)),
-    (5, 8, 5, 0.01): (0.04970984480091246, (22, 22, 22, 21, 21), 'ab4b3bef6f53e941',
-                      (21, 10, 0, 22, 20), (2623, 1426)),
-    (5, 8, 5, 0.001): (0.049709857278257594, (22, 22, 22, 21, 21), 'c32461acdb65f760',
-                       (21, 10, 0, 22, 20), (2983, 1786)),
-    (3, 6, 6, 0.01): (0.08352328251494122, (6, 4, 6), '067138e02039a4db',
-                      (5, 5, 0, 6, 4), (332, 188)),
-    (3, 6, 6, 0.001): (0.08352331743889653, (6, 4, 6), '217cb0d9d2899ff1',
-                       (5, 5, 0, 6, 4), (354, 210)),
-    (4, 4, 7, 0.01): (0.05862694070390878, (5, 5, 5, 5), 'b5b41fd4c88190b3',
-                      (4, 3, 0, 5, 3), (390, 222)),
-    (4, 4, 7, 0.001): (0.05862700856313186, (5, 5, 5, 5), '7dfeb726d7a6fef1',
-                       (4, 3, 0, 5, 3), (468, 300)),
-    (5, 9, 8, 0.01): (0.14311291443545124, (6, 5, 6, 6, 6), 'b51d1fe9f16b3bc7',
-                      (5, 5, 0, 6, 4), (707, 395)),
-    (5, 9, 8, 0.001): (0.14311294102482167, (6, 5, 6, 6, 6), '623d8075e9569c7d',
-                       (5, 5, 0, 6, 4), (759, 447)),
-    (3, 7, 9, 0.01): (0.16290678348637747, (3, 3, 3), '1825ae1f07260dab',
-                      (2, 2, 0, 3, 1), (125, 68)),
-    (3, 7, 9, 0.001): (0.16290688713597004, (3, 3, 3), '8f829766f45478d0',
-                       (2, 2, 0, 3, 1), (131, 74)),
-    (4, 5, 10, 0.01): (0.05382730155987808, (9, 9, 9, 8), 'dbf37e2cf4db67da',
-                       (8, 5, 0, 9, 7), (645, 308)),
-    (4, 5, 10, 0.001): (0.05382733316238893, (9, 9, 9, 8), '337c816fa04d9114',
-                        (8, 5, 0, 9, 7), (717, 380)),
-    (5, 10, 11, 0.01): (0.25, (12, 13, 13, 12, 13), '2180567c801215e8',
-                        (12, 8, 0, 13, 11), (1459, 729)),
-    (5, 10, 11, 0.001): (0.25, (12, 13, 13, 12, 13), '909b455077ebdf20',
-                         (12, 8, 0, 13, 11), (1675, 945)),
+    (3, 4, 0, 0.01): (0.16719070220868085, (3, 4, 4), '613bf4a80233f360',
+                      (3, 3, 0, 4, 2), (127, 44)),
+    (3, 4, 0, 0.001): (0.16725372866415666, (3, 4, 4), 'fe39a1abf743d873',
+                       (3, 3, 0, 4, 2), (131, 48)),
+    (4, 9, 1, 0.01): (0.05586441386885493, (3, 4, 4, 4), 'e968aad3cd5a6394',
+                      (3, 2, 0, 4, 2), (220, 96)),
+    (4, 9, 1, 0.001): (0.05590167993552515, (3, 4, 4, 4), '6e82956fa2e7afb5',
+                       (3, 2, 0, 4, 2), (253, 129)),
+    (5, 7, 2, 0.01): (0.16894985353424904, (4, 4, 4, 4, 4), '19545e3610c40cba',
+                      (3, 3, 0, 4, 2), (328, 146)),
+    (5, 7, 2, 0.001): (0.16907946107542896, (6, 6, 6, 6, 6), '4a4d4020eea5d668',
+                       (5, 4, 0, 6, 4), (551, 262)),
+    (3, 5, 3, 0.01): (0.16792341681079506, (2, 2, 2), '9307db3e014de71d',
+                      (1, 1, 0, 2, 0), (38, 8)),
+    (3, 5, 3, 0.001): (0.16803819683011734, (2, 2, 2), 'e2a6cc6847f23109',
+                       (1, 1, 0, 2, 0), (42, 12)),
+    (4, 10, 4, 0.01): (0.09406595301106033, (5, 5, 4, 5), '177e56ac47bb38da',
+                       (4, 3, 0, 5, 3), (299, 115)),
+    (4, 10, 4, 0.001): (0.09411021556895013, (5, 5, 4, 5), 'a1bc453895f18397',
+                        (4, 3, 0, 5, 3), (320, 136)),
+    (5, 8, 5, 0.01): (0.18148791173717652, (10, 10, 10, 9, 9), '55b6b7d13f8a5ed7',
+                      (9, 6, 0, 10, 8), (965, 454)),
+    (5, 8, 5, 0.001): (0.09844313531901443, (15, 15, 15, 14, 15), 'c63be312a966483b',
+                       (14, 9, 0, 15, 13), (1577, 794)),
+    (3, 6, 6, 0.01): (0.08348958226949299, (6, 4, 6), 'ddea8440c83d8b2d',
+                      (5, 5, 0, 6, 4), (260, 116)),
+    (3, 6, 6, 0.001): (0.08352083229963933, (6, 4, 6), 'e07471e13dbf9bf6',
+                       (5, 5, 0, 6, 4), (276, 132)),
+    (4, 4, 7, 0.01): (0.05851686192162063, (5, 5, 5, 5), '4ddbace9dad07781',
+                      (4, 3, 0, 5, 3), (300, 132)),
+    (4, 4, 7, 0.001): (0.05861870862902803, (5, 5, 5, 5), '28d4b596b30ef0bd',
+                       (4, 3, 0, 5, 3), (318, 150)),
+    (5, 9, 8, 0.01): (0.14289858572866096, (6, 5, 6, 6, 6), '36658c2f31747fe3',
+                      (5, 5, 0, 6, 4), (528, 215)),
+    (5, 9, 8, 0.001): (0.1430989071089845, (6, 5, 6, 6, 6), '8d8de7d97e7c8615',
+                       (5, 5, 0, 6, 4), (555, 243)),
+    (3, 7, 9, 0.01): (0.1628724391271359, (3, 3, 3), '73046337d6b2a8b4',
+                      (2, 2, 0, 3, 1), (97, 40)),
+    (3, 7, 9, 0.001): (0.16290448063676813, (3, 3, 3), '2c67dbfc36c99fbe',
+                       (2, 2, 0, 3, 1), (101, 44)),
+    (4, 5, 10, 0.01): (0.053791521750450474, (7, 7, 7, 6), 'd7ea0d5264e3b853',
+                       (6, 4, 0, 7, 5), (391, 134)),
+    (4, 5, 10, 0.001): (0.053823759470089216, (9, 9, 9, 8), 'c8bbc1ed923e0aaa',
+                        (8, 5, 0, 9, 7), (582, 245)),
+    (5, 10, 11, 0.01): (0.25, (7, 8, 8, 7, 8), 'c30c071623a58571',
+                        (7, 5, 0, 8, 6), (676, 277)),
+    (5, 10, 11, 0.001): (0.25, (10, 11, 11, 10, 11), '09f887fe06eff4f4',
+                         (10, 8, 0, 11, 9), (1021, 429)),
 }
 
 

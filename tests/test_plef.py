@@ -1,4 +1,6 @@
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,8 +17,9 @@ from fairslice import (
     pl_ef,
     ripple_window,
 )
-from fairslice import plef
+from fairslice import cli, plef
 from fairslice.errors import ParameterRegimeError, SearchFailedError, UnsupportedFamilyError
+from fairslice.ripple import iteration_cap
 from bisection import bisection_search
 from gen import piecewise_linear_instance
 
@@ -24,18 +27,53 @@ from gen import piecewise_linear_instance
 class TestPlConfig:
     def test_derived_fields(self):
         cfg = pl_config(1e-3, 4, 2.0)
-        assert cfg.eta_hat == pytest.approx((1e-3 / 4) ** 2 / 2.0)
-        assert cfg.lambda_pl == pytest.approx(max(2.0, 2.0 / cfg.eta_hat, 1.0 / cfg.eta_hat))
+        assert cfg.audit_envy == 1e-3 / 3.0
+        # B = 22 is the first depth whose nodes, 2^(1-B) long, are worth less than
+        # e_d = eta / (6k(B+1)); at B = 21 they are not
+        assert cfg.b_levels == 22
+        assert cfg.node_budget == 4 * 23
+        assert cfg.drop_value == 1e-3 / (6.0 * 92)
+        assert cfg.min_length == 2.0 ** -21
+        assert 2.0 * cfg.min_length < cfg.drop_value
+        assert 2.0 * 2.0 ** -20 >= 1e-3 / (6.0 * 4 * 22)
+        # the shares: audited halves, the leaves' drop values and the audit slack
+        assert 2 * cfg.node_budget * cfg.drop_value == pytest.approx(1e-3 / 3.0, rel=1e-15)
+        assert 3.0 * plef.AUDIT_SLACK <= 1e-3
+        assert cfg.lambda_pl == max(2.0, 2.0 / cfg.drop_value, 1.0 / cfg.drop_value)
+        # the iterations two agents need on the narrowest window a kept agent can search
+        assert cfg.cap == iteration_cap(2, cfg.lambda_pl, ripple_window(cfg.audit_envy, cfg.lambda_pl))
         assert not hasattr(cfg, "delta")
-        # every half's window is eta_hat / U of its local densities; lambda_pl sizes only cap
-        assert ripple_window(cfg.eta_hat, cfg.upper) == cfg.eta_hat / cfg.upper
-        assert cfg.b_levels == pytest.approx(2.0 * math.log2(4 * 2.0 / cfg.eta_hat))
-        assert cfg.min_length == pytest.approx((1e-3) ** 2 / (16 * 4.0))
-        assert cfg.cap >= 1
 
     def test_parameter_regime_gate(self):
         with pytest.raises(ParameterRegimeError):
             pl_config(0.9, 1, 1.0)  # kU/eta = 1.11 < 4
+
+    def test_at_the_ku_over_eta_gate(self):
+        # kU/eta = 4 exactly is accepted, and the envy bound holds there
+        assert pl_config(0.25, 1, 1.0).node_budget == 10
+        with pytest.raises(ParameterRegimeError):
+            pl_config(0.2500001, 1, 1.0)
+        flat = PiecewiseLinear((0.5,), (0.0, 0.0), (1.0, 1.0))  # U = 1, one breakpoint
+        inst = Instance.from_densities([flat, Linear(0.5, 0.75)])
+        division, stats = pl_ef(inst, 0.25, QueryLedger())
+        assert envy_matrix(inst, division).max_envy <= 0.25
+        assert stats.node_count <= pl_config(0.25, 1, inst.bounds.upper).node_budget
+
+    @pytest.mark.parametrize("rejected, accepted, b_levels", [
+        ((2.9e-12, 1, 1.0), (3e-12, 1, 1.0), 48),  # the 1e-12 audit slack would pass eta/3
+        ((1e-11, 100, 4.0), (1e-11, 50, 4.0), plef.MAX_DEPTH),  # halves shorter than 2^-53
+    ], ids=["audit-slack", "float-depth"])
+    def test_fine_eta_gates(self, rejected, accepted, b_levels):
+        with pytest.raises(ParameterRegimeError):
+            pl_config(*rejected)
+        assert pl_config(*accepted).b_levels == b_levels
+
+    def test_gate_precedes_any_query(self):
+        inst = Instance.from_densities([PiecewiseLinear((0.5,), (0.0, 0.0), (1.0, 1.0)), Uniform()])
+        ledger = QueryLedger()
+        with pytest.raises(ParameterRegimeError):
+            pl_ef(inst, 1e-12, ledger)
+        assert ledger.total() == 0
 
 
 class TestPlEf:
@@ -55,7 +93,7 @@ class TestPlEf:
         division, stats = pl_ef(inst, 1e-3, led)
         cfg = pl_config(1e-3, 2, inst.bounds.upper)
         assert envy_matrix(inst, division).max_envy <= 1e-3
-        assert stats.node_count <= cfg.k * (cfg.b_levels + 1)
+        assert stats.node_count <= cfg.node_budget
 
     def test_random_instance_bounds(self):
         rng = np.random.default_rng(61)
@@ -65,13 +103,14 @@ class TestPlEf:
         division, stats = pl_ef(inst, eta, led)
         assert envy_matrix(inst, division).max_envy <= eta
         cfg = pl_config(eta, 4, inst.bounds.upper)
-        assert stats.node_count <= cfg.k * (cfg.b_levels + 1)
-        assert division.max_pieces() <= 2 * cfg.k * (cfg.b_levels + 1)
+        assert stats.node_count <= cfg.node_budget
+        assert division.max_pieces() <= 2 * cfg.node_budget
 
     @pytest.mark.parametrize("eta", [1e-2, 1e-3])
     def test_budgets_hold_with_either_search(self, monkeypatch, eta):
         # the same fixtures under the interpolating search and the plain bisection:
-        # both take 43 recursion nodes at either eta, the former about half the queries
+        # both take 36 recursion nodes at eta 1e-2 and 42 at 1e-3, the former about
+        # 60% of the queries
         real = plef.bin_search
         queries = {}
         for name, search in (("interpolating", real), ("bisection", bisection_search)):
@@ -85,8 +124,8 @@ class TestPlEf:
                 division, stats = pl_ef(inst, eta, led)
                 cfg = pl_config(eta, k, inst.bounds.upper)
                 assert envy_matrix(inst, division).max_envy <= eta
-                assert stats.node_count <= k * (cfg.b_levels + 1)
-                assert division.max_pieces() <= 2 * k * (cfg.b_levels + 1)
+                assert stats.node_count <= cfg.node_budget
+                assert division.max_pieces() <= 2 * cfg.node_budget
                 queries[name] += led.total()
         assert queries["interpolating"] < queries["bisection"]
 
@@ -110,16 +149,40 @@ class TestPlEf:
         with pytest.raises(ParameterRegimeError):
             pl_ef(inst, 0.5, QueryLedger())
 
-    def test_floored_windows_keep_envy(self):
-        # eta_hat < 1e-13 and local U >= 1, so ripple_window floors every half's
-        # window; the per-half audit still holds each half to eta_hat
+    def test_node_budget_stops_a_search_that_never_settles(self, tmp_path, monkeypatch, capsys):
+        # every half with two kept agents fails, so the tree would grow to 2^B nodes;
+        # pl_ef stops one node past k(B+1) and the CLI exits 2
+        def fail(*args, **kwargs):
+            raise SearchFailedError("no ripple division")
+
+        monkeypatch.setattr(plef, "bin_search", fail)
         inst = piecewise_linear_instance(3, 4, np.random.default_rng(61))
-        eta = 1e-6
-        division, stats = pl_ef(inst, eta, QueryLedger())
-        cfg = pl_config(eta, 4, inst.bounds.upper)
-        assert ripple_window(cfg.eta_hat, 1.0) == 1e-13
-        assert envy_matrix(inst, division).max_envy <= eta
-        assert stats.node_count <= cfg.k * (cfg.b_levels + 1)
+        budget = pl_config(1e-3, 4, inst.bounds.upper).node_budget
+        with pytest.raises(SearchFailedError, match=f"node budget k\\(B\\+1\\) = {budget} "):
+            pl_ef(inst, 1e-3, QueryLedger())
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"agents": [a.to_dict() for a in inst.agents]}), encoding="utf-8")
+        monkeypatch.setattr(sys, "argv", ["fairslice", "plef", "--eta", "1e-3", str(path)])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main()
+        assert exit_info.value.code == 2
+        assert "node budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eta", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_sweep_within_eta_and_node_budget(self, eta):
+        # 60 draws of 2-5 agents with 1-8 breakpoints; at fine eta the deep halves
+        # restrict segments to near-flat ones, whose cuts must stay exact to settle
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for _ in range(60):
+            n, k = int(rng.integers(2, 6)), int(rng.integers(1, 9))
+            inst = piecewise_linear_instance(n, k, rng)
+            division, stats = pl_ef(inst, eta, QueryLedger())
+            cfg = pl_config(eta, k, inst.bounds.upper)
+            assert stats.node_count <= cfg.node_budget
+            assert division.max_pieces() <= 2 * cfg.node_budget
+            worst = max(worst, envy_matrix(inst, division).max_envy)
+        assert worst <= eta
 
     def test_identical_agents_with_jump(self):
         # discontinuous density with a steep right spike, shared by both agents
@@ -171,8 +234,8 @@ class TestZeroTouchingFallback:
         assert outcomes == [True] * settled  # every fallback settles at the root
         assert stats.node_count == 1
         assert envy_matrix(inst, division).max_envy <= eta
-        assert stats.node_count <= cfg.k * (cfg.b_levels + 1)
-        assert division.max_pieces() <= 2 * cfg.k * (cfg.b_levels + 1)
+        assert stats.node_count <= cfg.node_budget
+        assert division.max_pieces() <= 2 * cfg.node_budget
 
     def test_steep_segment_to_zero_at_a_breakpoint(self, monkeypatch):
         # the first segment falls to exactly 0 at 0.53; restricted to the right half
