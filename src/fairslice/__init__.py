@@ -33,8 +33,8 @@ from .mlrp import (
     perturbation_density,
     verify_instance,
 )
-from .oracle import Instance, QueryLedger, cut_query, eval_query
-from .plef import Division, PlConfig, RecursionStats, pl_config, pl_ef
+from .oracle import Division, Instance, QueryLedger, cut_query, eval_query
+from .plef import PlConfig, RecursionStats, pl_config, pl_ef
 from .ripple import Allocation, RippleDivision, bin_search, envy_free, iteration_cap, \
     rd_chain, ripple_to_allocation, ripple_window
 from .welfare import (

@@ -14,14 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDivisionError, UnsupportedSizeError
-from .oracle import Instance
-from .plef import Division
-from .ripple import Allocation
+from .oracle import Division, Instance
+
 
 def as_piece_lists(division) -> list[list[tuple[float, float]]]:
-    """Normalize an Allocation / Division / raw nested list to per-agent piece lists."""
-    if isinstance(division, Allocation):
-        return division.piece_lists()
+    """Per-agent piece lists of a Division (an Allocation included) or of raw nested lists."""
     if isinstance(division, Division):
         return division.piece_lists()
     return [[(float(l), float(r)) for l, r in pieces] for pieces in division]

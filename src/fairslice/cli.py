@@ -37,11 +37,23 @@ NSW_AUDIT_GRID = 400
 SW_AUDIT_TOL = 8.0 * 2.0 ** -52
 
 
-def _read_json(path: str, object_pairs_hook=None):
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object whose keys are all distinct; a repeated key is malformed."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
+def _read_json(path: str):
     """Parsed JSON of a UTF-8 file; an unreadable file or malformed JSON is bad input."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=object_pairs_hook)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
         raise FairsliceError(f"cannot read JSON from {path}: {exc}") from exc
 
@@ -60,20 +72,10 @@ def _instance_and_order(path: str, ledger: QueryLedger) -> tuple[Instance, list[
     return instance, list(range(instance.n)) if ordered else mlrp.detect_order(instance, ledger)
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object whose keys are all distinct; a repeated key is malformed."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"repeated key {key!r}")
-        obj[key] = value
-    return obj
-
-
 def _division_pieces_from_file(path: str, n: int) -> list[list[tuple[float, float]]]:
     """Per-agent pieces: a list of n piece lists, or a ``{"pieces": {...}}`` object keyed
     by agent index in canonical decimal ("0", "1", ...), each key at most once."""
-    raw = _read_json(path, _unique_keys)
+    raw = _read_json(path)
     payload = raw.get("pieces", raw) if isinstance(raw, dict) else raw
     try:
         if isinstance(payload, dict):

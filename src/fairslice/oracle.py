@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .density import Density, DensityBounds
 from .errors import DomainError
 
-__all__ = ["Instance", "QueryLedger", "eval_query", "cut_query"]
+__all__ = ["Division", "Instance", "QueryLedger", "eval_query", "cut_query"]
 
 
 @dataclass
@@ -60,6 +60,24 @@ class Instance:
         if sorted(order) != list(range(self.n)):
             raise DomainError(f"{order} is not a permutation of 0..{self.n - 1}")
         return Instance(tuple(self.agents[i] for i in order), self.bounds)
+
+
+@dataclass(frozen=True)
+class Division:
+    """Per agent, a tuple of disjoint (l, r) intervals; together they cover the cake.
+    A contiguous ``ripple.Allocation`` is the case of one piece per agent."""
+
+    pieces: tuple[tuple[tuple[float, float], ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.pieces)
+
+    def piece_lists(self) -> list[list[tuple[float, float]]]:
+        return [list(p) for p in self.pieces]
+
+    def max_pieces(self) -> int:
+        return max(len(p) for p in self.pieces)
 
 
 # The two queries below are the hot path of every algorithm: each checks the

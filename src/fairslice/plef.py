@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from .density import as_piecewise_linear, restrict_unit
 from .errors import DomainError, ParameterRegimeError, SearchFailedError
 from .mlrp import detect_order
-from .oracle import Instance, QueryLedger, eval_query
+from .oracle import Division, Instance, QueryLedger, eval_query
 from .ripple import bin_search, iteration_cap, ripple_to_allocation, ripple_window
 
 
@@ -127,23 +127,6 @@ def pl_config(eta: float, k: int, upper: float) -> PlConfig:
         )
 
 
-@dataclass(frozen=True)
-class Division:
-    """Per-agent finite lists of disjoint intervals covering the cake."""
-
-    pieces: tuple[tuple[tuple[float, float], ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.pieces)
-
-    def piece_lists(self) -> list[list[tuple[float, float]]]:
-        return [list(p) for p in self.pieces]
-
-    def max_pieces(self) -> int:
-        return max(len(p) for p in self.pieces)
-
-
 @dataclass
 class RecursionStats:
     node_count: int = 0
@@ -151,20 +134,6 @@ class RecursionStats:
     small_interval_nodes: int = 0
     binsearch_hits: int = 0  # halves settled by the search (or trivially)
     recursed_halves: int = 0
-
-
-def _merge_pieces(raw: list[list[tuple[float, float]]]) -> Division:
-    merged = []
-    for plist in raw:
-        plist = sorted(plist)
-        out: list[list[float]] = []
-        for l, r in plist:
-            if out and l <= out[-1][1] + 1e-12:
-                out[-1][1] = max(out[-1][1], r)
-            else:
-                out.append([l, r])
-        merged.append(tuple((l, r) for l, r in out))
-    return Division(tuple(merged))
 
 
 def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division, RecursionStats]:
@@ -189,15 +158,24 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
     pieces: list[list[tuple[float, float]]] = [[] for _ in range(n)]
     stats = RecursionStats()
 
+    def give(agent: int, l: float, r: float) -> None:
+        """Pieces arrive left to right (depth first, left half first): one that starts
+        within 1e-12 of the agent's last piece extends it."""
+        own = pieces[agent]
+        if own and l <= own[-1][1] + 1e-12:
+            own[-1] = (own[-1][0], r)
+        else:
+            own.append((l, r))
+
     def solve_half(lo: float, hi: float) -> bool:
         """Try to settle [lo, hi] without recursing; True on success."""
         values = [eval_query(instance, i, lo, hi, ledger) for i in range(n)]
         keep = [i for i in range(n) if values[i] >= cfg.drop_value]
         if not keep:
-            pieces[0].append((lo, hi))  # everyone values the half below e_d
+            give(0, lo, hi)  # everyone values the half below e_d
             return True
         if len(keep) == 1:
-            pieces[keep[0]].append((lo, hi))
+            give(keep[0], lo, hi)
             return True
         local = Instance.from_densities([restrict_unit(pls[i], lo, hi) for i in keep],
                                         normalize=False)  # restrict_unit normalizes
@@ -225,7 +203,7 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
         for rank, agent in enumerate(agents):
             a, b = cuts[rank], cuts[rank + 1]
             if b > a:
-                pieces[agent].append((lo + a * width, lo + b * width))
+                give(agent, lo + a * width, lo + b * width)
         return True
 
     def recurse(lo: float, hi: float, depth: int) -> None:
@@ -237,7 +215,7 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
         stats.max_depth = max(stats.max_depth, depth)
         if hi - lo <= cfg.min_length:
             stats.small_interval_nodes += 1
-            pieces[0].append((lo, hi))
+            give(0, lo, hi)
             return
         mid = 0.5 * (lo + hi)
         for a, b in ((lo, mid), (mid, hi)):
@@ -248,4 +226,4 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
                 recurse(a, b, depth + 1)
 
     recurse(0.0, 1.0, 1)
-    return _merge_pieces(pieces), stats
+    return Division(tuple(map(tuple, pieces))), stats

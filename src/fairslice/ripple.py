@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NotFullSupportError, ParameterRegimeError, SearchFailedError
-from .oracle import Instance, QueryLedger, cut_query, eval_query
+from .oracle import Division, Instance, QueryLedger, cut_query, eval_query
 
 #: Floating-point threshold below 1 at which the chain endpoint counts as "equals 1".
 ONE_THRESHOLD = 1.0 - 1e-15
@@ -50,33 +50,34 @@ class RippleDivision:
     iterations_used: int
 
 
-@dataclass(frozen=True)
-class Allocation:
-    """Contiguous allocation: agent i gets [cuts[i], cuts[i+1]]."""
+@dataclass(frozen=True, init=False, repr=False, eq=False)  # frozen like Division
+class Allocation(Division):
+    """Contiguous allocation: agent i gets [cuts[i], cuts[i+1]], its one piece.  Only the
+    cuts are stored: ``pieces`` derives from them, and equality and hash follow them."""
 
-    cuts: tuple[float, ...]
-
-    def __post_init__(self):
-        cuts = tuple(float(c) for c in self.cuts)
-        object.__setattr__(self, "cuts", cuts)
+    def __init__(self, cuts):
+        cuts = tuple(float(c) for c in cuts)
         if len(cuts) < 2 or cuts[0] != 0.0 or cuts[-1] != 1.0:
             raise DomainError("allocation cuts must start at 0 and end at 1")
         if any(a > b for a, b in zip(cuts, cuts[1:])):
             raise DomainError("allocation cuts must be nondecreasing")
+        object.__setattr__(self, "cuts", cuts)
 
     @property
-    def n(self) -> int:
-        return len(self.cuts) - 1
-
-    def interval(self, i: int) -> tuple[float, float]:
-        return self.cuts[i], self.cuts[i + 1]
+    def pieces(self) -> tuple[tuple[tuple[float, float]], ...]:
+        return tuple((iv,) for iv in self.intervals())
 
     def intervals(self) -> list[tuple[float, float]]:
-        return [self.interval(i) for i in range(self.n)]
+        return list(zip(self.cuts, self.cuts[1:]))
 
-    def piece_lists(self) -> list[list[tuple[float, float]]]:
-        """One-piece-per-agent view for division-level interfaces."""
-        return [[iv] for iv in self.intervals()]
+    def __eq__(self, other):
+        return self.cuts == other.cuts if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self.cuts)
+
+    def __repr__(self):
+        return f"Allocation(cuts={self.cuts!r})"
 
 
 def rd_chain(instance: Instance, x: float, ledger: QueryLedger) -> list[float]:

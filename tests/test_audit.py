@@ -8,6 +8,7 @@ import pytest
 from fairslice import (
     Allocation,
     BinomialPoly,
+    Division,
     Instance,
     Linear,
     PiecewiseConstant,
@@ -130,6 +131,15 @@ class TestEnvyMatrix:
         alloc = envy_free(inst, 1e-6, QueryLedger())
         em = envy_matrix(inst, alloc)
         assert np.allclose(em.values.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_allocation_division_and_raw_lists_agree(self):
+        inst = Instance.from_densities([Uniform(), QUAD, Linear(1.0, 0.5)])
+        alloc = Allocation((0.0, 0.3, 0.7, 1.0))
+        expected = envy_matrix(inst, alloc)
+        for same in (Division(alloc.pieces), [[(0.0, 0.3)], [(0.3, 0.7)], [(0.7, 1.0)]]):
+            em = envy_matrix(inst, same)
+            assert em.values.tolist() == expected.values.tolist()
+            assert em.max_envy == expected.max_envy
 
     def test_overlap_rejected(self):
         inst = Instance.from_densities([Uniform(), Uniform()])
@@ -330,3 +340,6 @@ class TestIndependence:
         assert ("oracle", "Instance") in pairs
         for source, name in pairs:
             assert source == "errors" or name in ("Instance", "Allocation", "Division"), name
+
+    def test_audit_imports_from_oracle_and_errors_only(self):
+        assert {source for source, _ in package_imports(audit)} == {"oracle", "errors"}

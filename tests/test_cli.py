@@ -9,7 +9,7 @@ import pytest
 
 import fairslice
 import gen
-from fairslice import Allocation, audit, cli, welfare
+from fairslice import Allocation, Division, RecursionStats, audit, cli, plef, ripple, welfare
 from fairslice.cli import main, run
 
 TWO_UNIFORM = {"agents": [{"family": "uniform"}, {"family": "uniform"}], "ordered": True}
@@ -28,8 +28,9 @@ GAUSS_TRIO = {
 
 
 def write(tmp_path, name, payload):
+    """The payload as a JSON file; a string is written as it is."""
     p = tmp_path / name
-    p.write_text(json.dumps(payload), encoding="utf-8")
+    p.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="utf-8")
     return str(p)
 
 
@@ -54,6 +55,15 @@ def test_ef_two_uniform(tmp_path, capsys):
     assert report["cuts"][1] == pytest.approx(0.5, abs=1e-6)
     assert report["max_envy"] <= 1e-6
     assert report["queries"]["cut"] > 0
+
+
+def test_ef_envy_above_eta_exits_3(tmp_path, capsys, monkeypatch):
+    # two uniform agents are in MLRP order, so agent 0's envy of 0.8 is a bug
+    path = write(tmp_path, "inst.json", TWO_UNIFORM)
+    monkeypatch.setattr(ripple, "envy_free", lambda inst, eta, ledger: Allocation((0.0, 0.1, 1.0)))
+    code, report = invoke(capsys, ["ef", "--eta", "1e-6", path])
+    assert code == 3
+    assert report["max_envy"] == pytest.approx(0.8, abs=1e-12)
 
 
 def test_sw_cut_near_analytic(tmp_path, capsys):
@@ -166,6 +176,18 @@ def test_plef_report(tmp_path, capsys):
     assert report["max_envy"] <= 1e-3
     assert report["recursion"]["nodes"] >= 1
     assert set(report["pieces"]) == {"0", "1"}
+
+
+def test_plef_envy_above_eta_exits_3(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "inst.json", TWO_UNIFORM)
+    division = Division((((0.0, 0.1), (0.9, 1.0)), ((0.1, 0.9),)))
+    monkeypatch.setattr(plef, "pl_ef",
+                        lambda inst, eta, ledger: (division, RecursionStats(node_count=1)))
+    code, report = invoke(capsys, ["plef", "--eta", "1e-2", path])
+    assert code == 3
+    assert report["max_envy"] == pytest.approx(0.6, abs=1e-12)
+    assert report["pieces"] == {"0": [[0.0, 0.1], [0.9, 1.0]], "1": [[0.1, 0.9]]}
+    assert report["recursion"] == {"nodes": 1, "depth": 0}
 
 
 def test_plef_steep_segment_to_zero_exits_0(tmp_path, capsys):
@@ -388,6 +410,15 @@ MALFORMED = [
     ("perturb without intervals", "perturb", {"eta": 0.1}, None),
     ("perturb interval without r", "perturb", {"intervals": [{"l": 0.0}]}, None),
     ("perturb eta not a number", "perturb", {"intervals": [{"l": 0.0, "r": 1.0}], "eta": "x"}, None),
+    # a later repeat of a key would silently replace the earlier value
+    ("instance agents repeated", "mlrp-order",
+     '{"agents": [{"family": "uniform"}, {"family": "uniform"}], "agents": [{"family": "uniform"}]}',
+     None),
+    ("density field repeated", "mlrp-order",
+     '{"agents": [{"family": "linear", "a": 1, "b": 1, "a": 3}, {"family": "uniform"}]}', None),
+    ("perturb intervals repeated", "perturb",
+     '{"intervals": [{"l": 0.0, "r": 0.6}], "intervals": [{"l": 0.0, "r": 0.6}, {"l": 0.3, "r": 1.0}]}',
+     None),
     ("division not JSON", "check", TWO_UNIFORM, "{not json"),
     ("division agent out of range", "check", TWO_UNIFORM, {"pieces": {"7": [[0.0, 1.0]]}}),
     ("division agent negative", "check", TWO_UNIFORM, {"pieces": {"-1": [[0.0, 1.0]]}}),
@@ -409,10 +440,7 @@ def test_malformed_input_exits_2_with_error_line(tmp_path, capsys, monkeypatch):
     for case, command, instance, division in MALFORMED:
         argv = [command, write(tmp_path, "inst.json", instance)]
         if division is not None:
-            dpath = tmp_path / "div.json"
-            dpath.write_text(division if isinstance(division, str) else json.dumps(division),
-                             encoding="utf-8")
-            argv += ["--division", str(dpath)]
+            argv += ["--division", write(tmp_path, "div.json", division)]
         monkeypatch.setattr(sys, "argv", ["fairslice", *argv])
         with pytest.raises(SystemExit) as exit_info:
             main()

@@ -1,10 +1,12 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
 from fairslice import (
     Allocation,
+    Division,
     GaussianRestricted,
     Instance,
     Linear,
@@ -427,3 +429,22 @@ def test_allocation_validation():
     a = Allocation((0.0, 0.25, 1.0))
     assert a.intervals() == [(0.0, 0.25), (0.25, 1.0)]
     assert a.piece_lists() == [[(0.0, 0.25)], [(0.25, 1.0)]]
+
+
+def test_allocation_is_the_one_piece_division():
+    a = Allocation((0.0, 0.25, 0.25, 1.0))
+    assert isinstance(a, Division)
+    assert a.pieces == (((0.0, 0.25),), ((0.25, 0.25),), ((0.25, 1.0),))
+    assert a.piece_lists() == [list(p) for p in a.pieces] == [[iv] for iv in a.intervals()]
+    assert a.n == 3 == len(a.cuts) - 1
+    assert a.max_pieces() == 1
+    assert repr(a) == "Allocation(cuts=(0.0, 0.25, 0.25, 1.0))"
+
+
+def test_allocation_equality_and_hash_follow_the_cuts():
+    a = Allocation((0, 0.5, 1))
+    assert a == Allocation([0.0, 0.5, 1.0]) and hash(a) == hash(Allocation((0.0, 0.5, 1.0)))
+    assert a != Allocation((0.0, 0.25, 1.0))
+    assert len({a, Allocation((0.0, 0.5, 1.0)), Allocation((0.0, 1.0))}) == 2
+    with pytest.raises(FrozenInstanceError):
+        a.cuts = (0.0, 1.0)

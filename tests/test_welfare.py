@@ -488,8 +488,8 @@ def nash_dp_cases():
         Uniform(),
         PiecewiseConstant((0.5,), (0.0, 1.0)),
     ]), 0.03
-    # the last two agents share a zero-height step, so the last agent's final
-    # cell ties over the splits in it
+    # the last two agents share a zero-height step; rounding still leaves one best
+    # split here, so NASH_DP_TIES, not this case, pins the tie rule
     yield "shared_gap_sw", Instance.from_densities([
         Uniform(),
         PiecewiseConstant((0.3, 0.6), (2.0, 0.0, 1.0)),
