@@ -6,7 +6,8 @@ bool} and emit a machine-readable report on stdout (stable key order; the
 wall-time field is the only nondeterministic one).
 
 Exit codes: 0 success, 2 invalid input, 3 a computed result failed its own
-post-hoc audit (an implementation bug, not user error).
+post-hoc audit (an implementation bug, not user error), which ``run`` logs as
+one "<command> audit failed: <reason>" line.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ EXIT_AUDIT_FAILED = 3
 #: Grid cells of the brute-force Nash optimum that the ``nsw`` audit compares against.
 NSW_AUDIT_GRID = 400
 
-#: Float slack of the ``sw`` audit per agent and per unit of max(1, U) (see _sw_audit_fails).
+#: Float slack of the ``sw`` audit per agent and per unit of max(1, U) (see _sw_failure).
 SW_AUDIT_TOL = 8.0 * 2.0 ** -52
 
 
@@ -62,14 +63,18 @@ def load_instance(path: str) -> tuple[Instance, bool]:
     raw = _read_json(path)
     if not isinstance(raw, dict) or not isinstance(raw.get("agents"), list):
         raise FairsliceError(f"{path}: instance file needs an 'agents' list")
+    ordered = raw.get("ordered", False)
+    if not isinstance(ordered, bool):
+        raise FairsliceError(f"{path}: 'ordered' must be true or false, got {json.dumps(ordered)}")
     densities = [density_from_dict(d) for d in raw["agents"]]
-    return Instance.from_densities(densities), bool(raw.get("ordered", False))
+    return Instance.from_densities(densities), ordered
 
 
-def _instance_and_order(path: str, ledger: QueryLedger) -> tuple[Instance, list[int]]:
-    """The instance as loaded and its MLRP order: identity if marked ordered, else detected."""
+def _ordered_instance(path: str, ledger: QueryLedger) -> tuple[Instance, list[int]]:
+    """The instance in its MLRP order, and that order: identity if marked ordered, else detected."""
     instance, ordered = load_instance(path)
-    return instance, list(range(instance.n)) if ordered else mlrp.detect_order(instance, ledger)
+    order = list(range(instance.n)) if ordered else mlrp.detect_order(instance, ledger)
+    return instance.reordered(order), order
 
 
 def _division_pieces_from_file(path: str, n: int) -> list[list[tuple[float, float]]]:
@@ -85,11 +90,11 @@ def _division_pieces_from_file(path: str, n: int) -> list[list[tuple[float, floa
                 if key not in agents:
                     raise FairsliceError(f"{path}: key {key!r} is not an agent index 0..{n - 1} "
                                          f"in canonical decimal")
-                pieces[agents[key]] = [(float(l), float(r)) for l, r in plist]
-            return pieces
-        if len(payload) != n:
+                pieces[agents[key]] = plist
+            payload = pieces
+        elif len(payload) != n:
             raise FairsliceError(f"{path}: division has {len(payload)} agents, instance has {n}")
-        return [[(float(l), float(r)) for l, r in plist] for plist in payload]
+        return audit.as_piece_lists(payload)
     except (LookupError, TypeError, ValueError) as exc:
         raise FairsliceError(f"{path}: malformed division ({exc})") from None
 
@@ -102,42 +107,40 @@ def _audited(instance: Instance, division) -> dict:
             "metrics": {"sw": sw, "ew": ew, "nsw": nsw}}
 
 
-def _allocation(param: str, solve, audit_fails):
+def _allocation(param: str, solve, failure_of):
     """Handler for ef, sw, ew and nsw: ``solve(instance, value, ledger) -> (allocation,
     objective or None)`` on the MLRP-ordered instance, with ``value`` the subcommand's
-    ``--<param>``; exit 3 when ``audit_fails(instance, value, report)``."""
+    ``--<param>``; the audit failure is ``failure_of(instance, value, report)``."""
     def handler(args, ledger):
-        instance, order = _instance_and_order(args.instance, ledger)
-        instance = instance.reordered(order)
+        instance, order = _ordered_instance(args.instance, ledger)
         value = getattr(args, param)
         alloc, objective = solve(instance, value, ledger)
         report = {"parameters": {param: value}, "order": order, "cuts": list(alloc.cuts),
                   **_audited(instance, alloc)}
         if objective is not None:
             report["objective"] = objective
-        return report, EXIT_AUDIT_FAILED if audit_fails(instance, value, report) else EXIT_OK
+        return report, failure_of(instance, value, report)
     return handler
 
 
-def _require_mlrp(instance: Instance, failure: str) -> None:
-    """Raise FairsliceError (bad input) if the instance breaks the MLRP promise that an
-    audit ``failure`` rests on; otherwise the failure is a bug and its audit exits 3."""
+def _mlrp_failure(instance: Instance, failure: str) -> str:
+    """The audit ``failure``, which is a bug on an instance that keeps the MLRP promise it
+    rests on; raise FairsliceError (bad input) with the same text if the instance breaks it."""
     check = mlrp.verify_instance(instance)
     if not check.all_verified:
         raise FairsliceError(
             "instance violates the MLRP promise "
             f"(likelihood ratio decreases for adjacent pair {check.violation[:2]}); {failure}")
+    return failure
 
 
-def _ef_audit_fails(instance: Instance, eta: float, report: dict) -> bool:
+def _ef_failure(instance: Instance, eta: float, report: dict) -> str | None:
     if report["max_envy"] <= eta:
-        return False
-    _require_mlrp(instance, f"allocation envy {report['max_envy']:.3g} > eta")
-    log.error("ef audit failed: max envy %.3g > eta", report["max_envy"])
-    return True
+        return None
+    return _mlrp_failure(instance, f"max envy {report['max_envy']:.3g} > eta")
 
 
-def _sw_audit_fails(instance: Instance, eta: float, report: dict) -> bool:
+def _sw_failure(instance: Instance, eta: float, report: dict) -> str | None:
     """The allocation is worth other than the reported objective, or its social welfare is
     below ``audit.social_optimum`` - eta - SW_AUDIT_TOL * n * max(1, U).
 
@@ -146,47 +149,40 @@ def _sw_audit_fails(instance: Instance, eta: float, report: dict) -> bool:
     """
     sw = report["metrics"]["sw"]
     if abs(sw - report["objective"]) > 1e-6:
-        log.error("sw audit failed: SW %.17g != reported objective %.17g", sw, report["objective"])
-        return True
+        return f"SW {sw:.17g} != reported objective {report['objective']:.17g}"
     best = audit.social_optimum(instance)
     if sw >= best - eta - SW_AUDIT_TOL * instance.n * max(1.0, instance.bounds.upper):
-        return False
-    _require_mlrp(instance, f"social welfare {sw:.17g} < optimum {best:.17g} - eta")
-    log.error("sw audit failed: SW %.17g < optimum %.17g - eta", sw, best)
-    return True
+        return None
+    return _mlrp_failure(instance, f"SW {sw:.17g} < optimum {best:.17g} - eta")
 
 
-def _nsw_audit_fails(instance: Instance, eps: float, report: dict) -> bool:
+def _nsw_failure(instance: Instance, eps: float, report: dict) -> str | None:
     """Some agent is below the (1-eps)/(4n) own-value floor, or NSW is below (1-eps) times
     the grid optimum (never above the true optimum, so a correct answer always passes)."""
     n = instance.n
-    if min(report["values"][i][i] for i in range(n)) < (1.0 - eps) / (4.0 * n) - 1e-9:
-        return True
+    own = min(report["values"][i][i] for i in range(n))
+    if own < (1.0 - eps) / (4.0 * n) - 1e-9:
+        return f"an agent's own value {own:.6g} < (1-eps)/(4n)"
     best = audit.brute_force_optimum(instance, "nsw", NSW_AUDIT_GRID)
     if report["metrics"]["nsw"] >= (1.0 - eps) * best:
-        return False
-    log.error("nsw audit failed: NSW %.6g < (1-eps) * grid optimum %.6g",
-              report["metrics"]["nsw"], best)
-    return True
+        return None
+    return f"NSW {report['metrics']['nsw']:.6g} < (1-eps) * grid optimum {best:.6g}"
 
 
-def _ew_audit_fails(instance: Instance, eta: float, report: dict) -> bool:
+def _ew_failure(instance: Instance, eta: float, report: dict) -> str | None:
     """The allocation is worth less than the reported objective, or its egalitarian welfare
     is more than eta below the optimum that the moving-knife bisection reads off the densities."""
     ew = report["metrics"]["ew"]
     if ew < report["objective"] - 1e-9:
-        log.error("ew audit failed: EW %.17g < reported objective %.17g", ew, report["objective"])
-        return True
+        return f"EW {ew:.17g} < reported objective {report['objective']:.17g}"
     best = audit.egalitarian_optimum(instance)
     if ew >= best - eta:
-        return False
-    log.error("ew audit failed: EW %.17g < optimum %.17g - eta", ew, best)
-    return True
+        return None
+    return f"EW {ew:.17g} < optimum {best:.17g} - eta"
 
 
 def _plef(args, ledger):
-    instance, order = _instance_and_order(args.instance, ledger)
-    instance = instance.reordered(order)
+    instance, order = _ordered_instance(args.instance, ledger)
     division, stats = plef.pl_ef(instance, args.eta, ledger)
     max_envy = audit.envy_matrix(instance, division).max_envy
     report = {
@@ -196,17 +192,13 @@ def _plef(args, ledger):
         "max_envy": max_envy,
         "recursion": {"nodes": stats.node_count, "depth": stats.max_depth},
     }
-    if max_envy <= args.eta:
-        return report, EXIT_OK
-    log.error("plef audit failed: max envy %.3g > eta", max_envy)
-    return report, EXIT_AUDIT_FAILED
+    return report, None if max_envy <= args.eta else f"max envy {max_envy:.3g} > eta"
 
 
 def _reorder(args, ledger):
-    """Exit 3 when an agent's value of its interval drops by more than 1e-9, read off the
-    densities; on an instance that breaks the MLRP promise the drop is bad input."""
-    instance, order = _instance_and_order(args.instance, ledger)
-    instance = instance.reordered(order)
+    """Fail the audit when an agent's value of its interval drops by more than 1e-9, read off
+    the densities; on an instance that breaks the MLRP promise the drop is bad input."""
+    instance, order = _ordered_instance(args.instance, ledger)
     pieces = _division_pieces_from_file(args.division, instance.n)
     if any(len(plist) != 1 for plist in pieces):
         raise FairsliceError(f"{args.division}: reorder needs exactly one interval per agent, "
@@ -221,21 +213,18 @@ def _reorder(args, ledger):
     }
     drop, k = max((agent.measure(*old) - agent.measure(*new), k)
                   for k, (agent, old, new) in enumerate(zip(instance.agents, before, result)))
-    if drop <= 1e-9:
-        return report, EXIT_OK
     failure = f"the value of agent {order[k]} (rank {k}) drops by {drop:.3g}"
-    _require_mlrp(instance, failure)
-    log.error("reorder audit failed: %s", failure)
-    return report, EXIT_AUDIT_FAILED
+    return report, None if drop <= 1e-9 else _mlrp_failure(instance, failure)
 
 
 def _mlrp_order(args, ledger):
     instance, _ = load_instance(args.instance)
-    return {"order": mlrp.detect_order(instance, ledger)}, EXIT_OK
+    return {"order": mlrp.detect_order(instance, ledger)}, None
 
 
 def _mlrp_check(args, ledger):
-    instance, order = _instance_and_order(args.instance, ledger)
+    instance, ordered = load_instance(args.instance)
+    order = None if ordered else mlrp.detect_order(instance, ledger)
     result = mlrp.verify_instance(instance, args.grid, order)
     return {
         "order": list(result.order),
@@ -245,7 +234,7 @@ def _mlrp_check(args, ledger):
             "pair": [result.violation[0], result.violation[1]],
             "points": [result.violation[2], result.violation[3]],
         },
-    }, EXIT_OK
+    }, None
 
 
 def _perturb(args, ledger):
@@ -261,7 +250,7 @@ def _perturb(args, ledger):
         "order": intervals.sorted_order(),
         "agents": [a.to_dict() for a in mlrp.perturb(intervals, eta).agents],
         "ordered": True,
-    }, EXIT_OK
+    }, None
 
 
 def _check(args, ledger):
@@ -269,7 +258,7 @@ def _check(args, ledger):
     pieces = _division_pieces_from_file(args.division, instance.n)
     fields = _audited(instance, pieces)
     return {"parameters": {"eta": args.eta}, **fields,
-            "passes_eta": bool(fields["max_envy"] <= args.eta)}, EXIT_OK
+            "passes_eta": bool(fields["max_envy"] <= args.eta)}, None
 
 
 FLAGS = {
@@ -282,21 +271,21 @@ FLAGS = {
 }
 
 
-# subcommand -> (help text, the flags it reads, handler (args, ledger) -> (report fields, exit
-# code)).  Library functions are looked up when a command runs, so patched attributes apply.
+# subcommand -> (help text, the flags it reads, handler (args, ledger) -> (report fields, audit
+# failure or None)).  Library functions are looked up at run time, so patched attributes apply.
 COMMANDS = {
     "ef": ("envy-free allocation via ripple-division chain search", ("--eta", "--queries"),
            _allocation("eta", lambda inst, eta, ledger: (ripple.envy_free(inst, eta, ledger), None),
-                       _ef_audit_fails)),
+                       _ef_failure)),
     "sw": ("social-welfare maximizing allocation", ("--eta", "--queries"), _allocation(
         "eta", lambda inst, eta, ledger: welfare.max_social_welfare(inst, eta, ledger),
-        _sw_audit_fails)),
+        _sw_failure)),
     "ew": ("egalitarian-welfare maximizing allocation", ("--eta", "--queries"), _allocation(
         "eta", lambda inst, eta, ledger: welfare.max_egalitarian(inst, eta, ledger),
-        _ew_audit_fails)),
+        _ew_failure)),
     "nsw": ("Nash-social-welfare FPTAS allocation", ("--epsilon", "--queries"), _allocation(
         "epsilon", lambda inst, eps, ledger: welfare.max_nash(inst, eps, ledger),
-        _nsw_audit_fails)),
+        _nsw_failure)),
     "plef": ("envy-free division for piecewise-linear densities", ("--eta", "--queries"), _plef),
     "reorder": ("repair a division into the MLRP order", ("--division", "--queries"), _reorder),
     "mlrp-order": ("detect the MLRP order", ("--queries",), _mlrp_order),
@@ -334,7 +323,7 @@ def run(argv: list[str]) -> int:
     started = time.perf_counter()
     ledger = QueryLedger()
     _, flags, handler = COMMANDS[args.command]
-    fields, exit_code = handler(args, ledger)
+    fields, failure = handler(args, ledger)
     report = {"algorithm": args.command, **fields,
               "wall_time_s": time.perf_counter() - started}
     if "--queries" in flags:
@@ -342,7 +331,10 @@ def run(argv: list[str]) -> int:
         if args.queries:
             print(f"queries: eval={ledger.eval_count} cut={ledger.cut_count}", file=sys.stderr)
     print(json.dumps(report, sort_keys=True, indent=2 if args.pretty else None))
-    return exit_code
+    if failure is None:
+        return EXIT_OK
+    log.error("%s audit failed: %s", args.command, failure)
+    return EXIT_AUDIT_FAILED
 
 
 def main() -> None:

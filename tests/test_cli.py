@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import subprocess
@@ -81,6 +82,17 @@ def test_sw_below_optimum_exits_3(tmp_path, capsys, monkeypatch):
     code, report = invoke(capsys, ["sw", "--eta", "1e-4", path])
     assert code == 3
     assert report["metrics"]["sw"] == pytest.approx(1.375, abs=1e-12)
+
+
+def test_sw_objective_other_than_the_allocations_sw_exits_3(tmp_path, capsys, monkeypatch):
+    # the cut is the optimum 1/sqrt(3), but the reported objective is not its SW of 1.3849
+    path = write(tmp_path, "inst.json", UNIF_QUAD)
+    monkeypatch.setattr(welfare, "max_social_welfare",
+                        lambda inst, eta, ledger: (Allocation((0.0, 3.0 ** -0.5, 1.0)), 1.5))
+    code, report = invoke(capsys, ["sw", "--eta", "1e-4", path])
+    assert code == 3
+    assert report["objective"] == 1.5
+    assert report["metrics"]["sw"] == pytest.approx(1.0 + 2.0 * 3.0 ** -1.5, abs=1e-12)
 
 
 def test_sw_miss_off_mlrp_order_exits_2(tmp_path, capsys, monkeypatch):
@@ -219,6 +231,17 @@ def test_ew_below_optimum_exits_3(tmp_path, capsys, monkeypatch):
     assert report["metrics"]["ew"] == pytest.approx(0.4, abs=1e-12)
 
 
+def test_ew_objective_above_the_allocations_ew_exits_3(tmp_path, capsys, monkeypatch):
+    # the even split is the optimum EW 0.5, but the reported objective claims 0.6
+    path = write(tmp_path, "inst.json", TWO_UNIFORM)
+    monkeypatch.setattr(welfare, "max_egalitarian",
+                        lambda inst, eta, ledger: (Allocation((0.0, 0.5, 1.0)), 0.6))
+    code, report = invoke(capsys, ["ew", "--eta", "1e-6", path])
+    assert code == 3
+    assert report["objective"] == 0.6
+    assert report["metrics"]["ew"] == pytest.approx(0.5, abs=1e-12)
+
+
 def test_ew_at_fine_eta_passes_the_optimum_audit(tmp_path, capsys):
     path = write(tmp_path, "inst.json", GAUSS_TRIO)
     code, report = invoke(capsys, ["ew", "--eta", "1e-12", path])
@@ -243,6 +266,16 @@ def test_nsw_below_grid_optimum_exits_3(tmp_path, capsys, monkeypatch):
     code, report = invoke(capsys, ["nsw", "--epsilon", "0.01", path])
     assert code == 3
     assert report["metrics"]["nsw"] == pytest.approx(0.4, abs=1e-12)
+
+
+def test_nsw_below_own_value_floor_exits_3(tmp_path, capsys, monkeypatch):
+    # agent 0 values its piece at 0.01 < (1 - 0.01) / 8, the FPTAS floor
+    path = write(tmp_path, "inst.json", TWO_UNIFORM)
+    monkeypatch.setattr(welfare, "max_nash",
+                        lambda inst, eps, ledger: (Allocation((0.0, 0.01, 1.0)), 0.0099))
+    code, report = invoke(capsys, ["nsw", "--epsilon", "0.01", path])
+    assert code == 3
+    assert report["values"][0][0] == pytest.approx(0.01, abs=1e-12)
 
 
 def test_nsw_grid_over_budget_exits_2(tmp_path, capsys, monkeypatch):
@@ -313,6 +346,53 @@ def test_reorder_value_drop_under_mlrp_exits_3(tmp_path, capsys, monkeypatch):
     code, report = invoke(capsys, ["reorder", "--division", dpath, path])
     assert code == 3
     assert report["pieces"] == {"0": [[0.0, 0.9]], "1": [[0.9, 1.0]]}
+
+
+#: Every path to exit 3: (instance, argv, division file or None, patched module, attribute,
+#: stand-in that returns a wrong result, the start of the logged reason).
+AUDIT_FAILURES = {
+    "ef": (TWO_UNIFORM, ["ef", "--eta", "1e-6"], None, ripple, "envy_free",
+           lambda inst, eta, ledger: Allocation((0.0, 0.1, 1.0)), "max envy 0.8 > eta"),
+    "sw-objective": (UNIF_QUAD, ["sw", "--eta", "1e-4"], None, welfare, "max_social_welfare",
+                     lambda inst, eta, ledger: (Allocation((0.0, 3.0 ** -0.5, 1.0)), 1.5),
+                     "SW 1.38490017945975"),
+    "sw-optimum": (UNIF_QUAD, ["sw", "--eta", "1e-4"], None, welfare, "max_social_welfare",
+                   lambda inst, eta, ledger: (Allocation((0.0, 0.5, 1.0)), 1.375),
+                   "SW 1.375 < optimum"),
+    "ew-objective": (TWO_UNIFORM, ["ew", "--eta", "1e-6"], None, welfare, "max_egalitarian",
+                     lambda inst, eta, ledger: (Allocation((0.0, 0.5, 1.0)), 0.6),
+                     "EW 0.5 < reported objective 0.59999999999999998"),
+    "ew-optimum": (TWO_UNIFORM, ["ew", "--eta", "1e-6"], None, welfare, "max_egalitarian",
+                   lambda inst, eta, ledger: (Allocation((0.0, 0.4, 1.0)), 0.4),
+                   "EW 0.40000000000000002 < optimum"),
+    "nsw-floor": (TWO_UNIFORM, ["nsw", "--epsilon", "0.01"], None, welfare, "max_nash",
+                  lambda inst, eps, ledger: (Allocation((0.0, 0.01, 1.0)), 0.0099),
+                  "an agent's own value 0.01 < (1-eps)/(4n)"),
+    "nsw-optimum": (TWO_UNIFORM, ["nsw", "--epsilon", "0.01"], None, welfare, "max_nash",
+                    lambda inst, eps, ledger: (Allocation((0.0, 0.2, 1.0)), 0.4),
+                    "NSW 0.4 < (1-eps) * grid optimum"),
+    "plef": (TWO_UNIFORM, ["plef", "--eta", "1e-2"], None, plef, "pl_ef",
+             lambda inst, eta, ledger: (Division((((0.0, 0.1), (0.9, 1.0)), ((0.1, 0.9),))),
+                                        RecursionStats(node_count=1)),
+             "max envy 0.6 > eta"),
+    "reorder": (UNIF_QUAD, ["reorder"], [[[0.0, 0.5]], [[0.5, 1.0]]], welfare, "reorder_to_mlrp",
+                lambda inst, pieces, ledger: [(0.0, 0.9), (0.9, 1.0)],
+                "the value of agent 1 (rank 1) drops by 0.604"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AUDIT_FAILURES))
+def test_failed_audit_logs_one_verdict_line(tmp_path, capsys, caplog, monkeypatch, case):
+    instance, argv, division, module, name, stand_in, reason = AUDIT_FAILURES[case]
+    monkeypatch.setattr(module, name, stand_in)
+    argv = [*argv, write(tmp_path, "inst.json", instance)]
+    if division is not None:
+        argv += ["--division", write(tmp_path, "div.json", division)]
+    code, _ = invoke(capsys, argv)
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert code == 3
+    assert len(errors) == 1
+    assert errors[0].startswith(f"{argv[0]} audit failed: {reason}")
 
 
 def test_invalid_inputs_exit_2(tmp_path, capsys):
@@ -407,6 +487,9 @@ MALFORMED = [
     ("segments not a list", "plef",
      {"agents": [{"family": "piecewise_linear", "breakpoints": [], "segments": 3}]}, None),
     ("agents not a list", "mlrp-order", {"agents": 5}, None),
+    # only a JSON boolean marks the agents as ordered; the string "false" is not false
+    ("ordered a string", "mlrp-check", {**TWO_AGENTS, "ordered": "false"}, None),
+    ("ordered a number", "sw", {**TWO_AGENTS, "ordered": 1}, None),
     ("perturb without intervals", "perturb", {"eta": 0.1}, None),
     ("perturb interval without r", "perturb", {"intervals": [{"l": 0.0}]}, None),
     ("perturb eta not a number", "perturb", {"intervals": [{"l": 0.0, "r": 1.0}], "eta": "x"}, None),
