@@ -171,11 +171,8 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
         """Try to settle [lo, hi] without recursing; True on success."""
         values = [eval_query(instance, i, lo, hi, ledger) for i in range(n)]
         keep = [i for i in range(n) if values[i] >= cfg.drop_value]
-        if not keep:
-            give(0, lo, hi)  # everyone values the half below e_d
-            return True
-        if len(keep) == 1:
-            give(keep[0], lo, hi)
+        if len(keep) <= 1:  # agent 0 takes a half that everyone values below e_d
+            give(keep[0] if keep else 0, lo, hi)
             return True
         local = Instance.from_densities([restrict_unit(pls[i], lo, hi) for i in keep],
                                         normalize=False)  # restrict_unit normalizes

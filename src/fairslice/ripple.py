@@ -11,9 +11,12 @@ The chain searches here and in ``welfare.max_egalitarian`` pick each probe with
 :func:`_probe`, an ITP-style rule (Oliveira and Takahashi, ACM TOMS 47(1),
 2021): interpolate where the nondecreasing chain value reaches its goal, then
 project that estimate onto a shrinking neighbourhood of the bracket midpoint.
-The first probe comes from the uniform-agents model, where RD_n(x) = n x and
-MK_n(k) = n k eta.  The projection keeps every bracket within 2**SLACK times
-bisection's width: a search reaches any bracket width at most SLACK = 4
+Both searches start from bracket ends they know without a query: the first
+cut x = 0 and the target k = 0 give chains of 0, and the right ends, x = 1
+(whose chain ends at 1) and k = kmax + 1 (past the last target), are never
+run.  The first probe comes from the uniform-agents model, where RD_n(x) = n x
+and MK_n(k) = n k eta.  The projection keeps every bracket within 2**SLACK
+times bisection's width: a search reaches any bracket width at most SLACK = 4
 iterations after bisection would.  Its worst case is therefore the iterations
 bisection needs to narrow the bracket below the window's preimage, plus SLACK.
 The paper's cap 2(n-1) log2(2 lambda / delta) leaves that margin: a chain of
@@ -46,7 +49,6 @@ SLACK = 4
 @dataclass(frozen=True)
 class RippleDivision:
     cuts: tuple[float, ...]  # x_0 = 0, x_1, ..., x_n
-    delta: float
     iterations_used: int
 
 
@@ -175,7 +177,7 @@ def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
         raise DomainError(f"delta={delta} outside (0, 1)")
     n = instance.n
     if n == 1:
-        return RippleDivision((0.0, 1.0 - 0.5 * delta), delta, 0)
+        return RippleDivision((0.0, 1.0 - 0.5 * delta), 0)
     cap = max_iterations
     if cap is None:
         lam = instance.bounds.lipschitz
@@ -202,7 +204,7 @@ def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
         elif endpoint >= ONE_THRESHOLD:
             right = x
         else:
-            return RippleDivision((0.0, x, *chain), delta, it)
+            return RippleDivision((0.0, x, *chain), it)
     raise SearchFailedError(
         f"bin_search exhausted {cap} iterations without hitting [1-delta, 1)")
 

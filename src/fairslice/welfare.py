@@ -279,15 +279,18 @@ def max_egalitarian(instance: Instance, eta: float,
                     ledger: QueryLedger) -> tuple[Allocation, float]:
     """Allocation with egalitarian welfare >= optimum - eta.
 
-    Searches target values {k*eta} using feasibility monotonicity: once a
-    moving-knife run truncates, all larger targets truncate too.  The run at
-    k = 0 costs no queries: a cut of 0 from 0 is 0 in every family.  Each
-    probe is ripple's :func:`_probe` aimed at a last knife of 1.0 through the
-    (k, last knife) points of feasible runs, starting from MK_n(0) = 0 with
-    the uniform-agents slope n*eta (so the first probe is k = 1 / (n eta)),
+    Searches targets k*eta, k = 0..kmax = ceil(1/eta), using feasibility
+    monotonicity: once a moving-knife run truncates, all larger targets
+    truncate too.  As in bin_search, both ends of the half-open bracket
+    [lo, hi) = [0, kmax + 1) are known without a query: the run at k = 0
+    costs none (a cut of 0 from 0 is 0 in every family), and kmax + 1, past
+    the last target, is never run.  Each probe is ripple's :func:`_probe`
+    with w0 = kmax + 1, aimed at a last knife of 1.0 through the (k, last
+    knife) points of feasible runs, starting from MK_n(0) = 0 with the
+    uniform-agents slope n*eta (so the first probe is k = 1 / (n eta)),
     rounded down and clamped into [lo + 1, hi - 1]; a midpoint probe is
     (lo + hi) // 2 (for kmax < 2**53).  Infeasible runs only move hi.  The
-    search ends at lo + 1 == hi, at the same largest feasible k as
+    search ends at lo + 1 == hi, at the same largest feasible k <= kmax as
     bisection, with a bracket that trails bisection's by at most SLACK = 4
     halvings (plus the rounding to integers).  The reported value is k*eta,
     the target every interval of a feasible run is cut to.
@@ -295,29 +298,20 @@ def max_egalitarian(instance: Instance, eta: float,
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta={eta} outside (0, 1)")
     kmax = math.ceil(1.0 / eta)
-
-    def feasible(k: int) -> MovingKnifeRun | None:
-        run = mk_chain(instance, k * eta, ledger)
-        return run if run.feasible else None
-
     best = MovingKnifeRun(0.0, (0.0,) * instance.n, True, 0.0)  # cuts of 0 from 0 are 0
-    top = feasible(kmax)
-    if top is not None:
-        best = top
-    else:
-        lo, hi = 0, kmax  # feasible(lo) holds, feasible(hi) fails
-        points = [(0, 0.0)]  # (k, last knife) of feasible runs
-        slope = instance.n * eta  # MK_n(k) = n k eta for n uniform agents
-        step = 0
-        while lo + 1 < hi:
-            mid = min(max(math.floor(_probe(lo, hi, points, 1.0, step, kmax, slope)), lo + 1), hi - 1)
-            step += 1
-            run = feasible(mid)
-            if run is not None:
-                lo, best = mid, run
-                points.append((mid, run.knives[-1]))
-            else:
-                hi = mid
+    lo, hi = 0, kmax + 1  # run lo is feasible; hi is past the last target
+    points = [(0, 0.0)]  # (k, last knife) of feasible runs
+    slope = instance.n * eta  # MK_n(k) = n k eta for n uniform agents
+    step = 0
+    while lo + 1 < hi:
+        mid = min(max(math.floor(_probe(lo, hi, points, 1.0, step, kmax + 1, slope)), lo + 1), hi - 1)
+        step += 1
+        run = mk_chain(instance, mid * eta, ledger)
+        if run.feasible:
+            lo, best = mid, run
+            points.append((mid, run.knives[-1]))
+        else:
+            hi = mid
     cuts = (0.0, *best.knives[:-1], 1.0)
     return Allocation(cuts), best.value
 

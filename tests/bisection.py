@@ -61,7 +61,7 @@ def bisection_search(instance: Instance, delta: float, ledger: QueryLedger,
         elif endpoint >= ONE_THRESHOLD:
             right = mid
         else:
-            return RippleDivision((0.0, mid, *chain), delta, it)
+            return RippleDivision((0.0, mid, *chain), it)
     raise SearchFailedError(f"bisection exhausted {cap} iterations")
 
 

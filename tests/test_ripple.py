@@ -303,12 +303,12 @@ class TestBinSearch:
 
 class TestRippleToAllocation:
     def test_exact_thirds(self):
-        rd = RippleDivision((0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0), 0.0, 0)
+        rd = RippleDivision((0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0), 0)
         alloc = ripple_to_allocation(rd)
         assert alloc.cuts == (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
 
     def test_tail_coalesced(self):
-        rd = RippleDivision((0.0, 0.4, 0.8, 1.0 - 1e-7), 1e-6, 3)
+        rd = RippleDivision((0.0, 0.4, 0.8, 1.0 - 1e-7), 3)
         alloc = ripple_to_allocation(rd)
         assert alloc.cuts[-1] == 1.0
         assert alloc.cuts[:-1] == (0.0, 0.4, 0.8)

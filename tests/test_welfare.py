@@ -365,15 +365,39 @@ class TestMaxEgalitarian:
         assert all(lo < x < hi for lo, hi, x in probes)
         assert queries < reference_queries
 
+    @pytest.mark.parametrize("eta", [0.5, 0.25, 0.1, 1e-3, 1e-6])
+    @pytest.mark.parametrize("agents", [
+        [Uniform()],
+        [PiecewiseConstant((0.5,), (1.0, 0.0)), PiecewiseConstant((0.5,), (0.0, 1.0))],
+        [PiecewiseConstant((1 / 3, 2 / 3), heights) for heights in
+         ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))],
+    ], ids=["one", "two_halves", "three_thirds"])
+    def test_perfect_division_same_result_as_bisection(self, monkeypatch, agents, eta):
+        # every agent can get a piece it values at 1, so the top target kmax*eta is
+        # the answer; the search reaches it without running any target above it
+        real, taus = welfare.mk_chain, []
+
+        def spy(instance, tau, ledger):
+            taus.append(tau)
+            return real(instance, tau, ledger)
+
+        monkeypatch.setattr(welfare, "mk_chain", spy)
+        inst = Instance.from_densities(agents)
+        alloc, value = max_egalitarian(inst, eta, QueryLedger())
+        ref_alloc, ref_value = bisection_egalitarian(inst, eta, QueryLedger())
+        assert alloc.cuts == ref_alloc.cuts and value == ref_value == 1.0
+        assert taus and max(taus) <= math.ceil(1.0 / eta) * eta
+
     def test_zero_target_run_costs_no_queries(self):
         # targets 0.5 and 1.0 both truncate, so the answer is the tau = 0 run,
-        # whose cuts from 0 are 0 in every family
+        # whose cuts from 0 are 0 in every family; the search runs tau = 0.5
+        # alone, as monotonicity settles 1.0 once 0.5 fails
         inst = Instance.from_densities([Uniform()] * 3)
         led, runs = QueryLedger(), QueryLedger()
         result = max_egalitarian(inst, 0.5, led)
         assert result == bisection_egalitarian(inst, 0.5, QueryLedger())
         assert result == (Allocation((0.0, 0.0, 0.0, 1.0)), 0.0)
-        assert not mk_chain(inst, 1.0, runs).feasible and not mk_chain(inst, 0.5, runs).feasible
+        assert not mk_chain(inst, 1.0, QueryLedger()).feasible and not mk_chain(inst, 0.5, runs).feasible
         assert led == runs
 
     def test_three_uniform(self):
