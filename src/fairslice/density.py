@@ -68,26 +68,19 @@ _SQRT2 = math.sqrt(2.0)
 _EPS = sys.float_info.epsilon
 
 
-def lipschitz_constant(lower: float, upper: float) -> float:
-    """max{1/L, U, U/L} for densities bounded in [L, U]; inf when L == 0."""
-    if lower < 0.0:
-        raise NotFullSupportError(f"density lower bound {lower} is negative")
-    if lower == 0.0:
-        return math.inf
-    return max(1.0 / lower, upper, upper / lower)
-
-
 @dataclass(frozen=True)
 class DensityBounds:
-    """Pointwise density bounds L <= f(x) <= U and the induced query Lipschitz constant."""
+    """Pointwise density bounds L <= f(x) <= U."""
 
     lower: float
     upper: float
-    lipschitz: float
 
-    @classmethod
-    def from_range(cls, lower: float, upper: float) -> "DensityBounds":
-        return cls(lower, upper, lipschitz_constant(lower, upper))
+    @property
+    def lipschitz(self) -> float:
+        """The induced query Lipschitz constant max{1/L, U, U/L}; inf when L == 0."""
+        if self.lower == 0.0:
+            return math.inf
+        return max(1.0 / self.lower, self.upper, self.upper / self.lower)
 
 
 def _check_point(x: float, name: str = "x") -> None:
@@ -208,7 +201,7 @@ class Density:
         lo, hi = self.scale * lo, self.scale * hi
         if lo < 0.0 or hi <= 0.0:
             raise NotFullSupportError(f"density range [{lo}, {hi}] is not admissible")
-        return DensityBounds.from_range(lo, hi)
+        return DensityBounds(lo, hi)
 
     # -- serialization -----------------------------------------------------
 

@@ -35,8 +35,8 @@ class Instance:
     """A cake-division instance: normalized densities in MLRP index order.
 
     ``bounds`` aggregates the per-agent density bounds (L = min over agents,
-    U = max over agents) and carries the induced query Lipschitz constant
-    max{1/L, U, U/L} — infinite when some density touches zero.
+    U = max over agents); its ``lipschitz`` computes the induced query
+    Lipschitz constant max{1/L, U, U/L} — infinite when some density touches zero.
     """
 
     agents: tuple[Density, ...]
@@ -52,8 +52,8 @@ class Instance:
         if not specs:
             raise DomainError("an instance needs at least one agent")
         per_agent = [d.bounds() for d in specs]
-        return cls(specs, DensityBounds.from_range(min(b.lower for b in per_agent),
-                                                   max(b.upper for b in per_agent)))
+        return cls(specs, DensityBounds(min(b.lower for b in per_agent),
+                                        max(b.upper for b in per_agent)))
 
     def reordered(self, order) -> "Instance":
         """Same instance with agents permuted (order[k] = original index of rank k)."""

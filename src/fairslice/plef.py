@@ -39,15 +39,16 @@ other's part minus its value of its own part.
 So every agent's envy is at most eta, and every agent holds at most one
 interval per leaf, 2k(B+1) in all.
 
-A linear piece touching 0 (also where its restriction rounds that end to a
-few ulps below 0) has an infinite local Lipschitz constant, so its half
-searches under the global iteration cap: the tent (PiecewiseLinear((0.5,),
-(2, -2), (0, 2)), Uniform()) settles both halves at the root at eta = 1e-2.
+Every half searches under one iteration cap, n * ``PlConfig.cap``: the
+paper's "specified number of iterations", the same count whatever the half's
+own Lipschitz constant.  That includes a linear piece touching 0 (also where
+its restriction rounds that end to a few ulps below 0), whose local constant
+is infinite: the tent (PiecewiseLinear((0.5,), (2, -2), (0, 2)), Uniform())
+settles both halves at the root at eta = 1e-2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .density import as_piecewise_linear, restrict_unit
@@ -71,9 +72,8 @@ class PlConfig:
 
     ``lambda_pl = max{U, U/drop_value, 1/drop_value}`` bounds the local
     Lipschitz constant of a kept agent, and ``cap`` is the iterations two
-    such agents need on the narrowest window; times n it caps a half whose
-    local Lipschitz constant is infinite.  Any other half takes bin_search's
-    default cap from its own lambda.
+    such agents need on the narrowest window; times n it caps the search of
+    every half, the same cap whatever the half's own lambda.
     """
 
     eta: float
@@ -153,7 +153,6 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
     n = instance.n
     k = max(sum(len(p.breakpoints) for p in pls), 1)
     cfg = pl_config(eta, k, instance.bounds.upper)
-    global_cap = n * cfg.cap
 
     pieces: list[list[tuple[float, float]]] = [[] for _ in range(n)]
     stats = RecursionStats()
@@ -180,11 +179,10 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
         local = local.reordered(order)
         agents = [keep[o] for o in order]  # local rank -> global agent
 
-        # a density touching 0 on this half has infinite local lambda: global cap
-        cap = None if math.isfinite(local.bounds.lipschitz) else global_cap
         try:
             cuts = ripple_to_allocation(bin_search(
-                local, ripple_window(cfg.audit_envy, local.bounds.upper), ledger, max_iterations=cap)).cuts
+                local, ripple_window(cfg.audit_envy, local.bounds.upper), ledger,
+                max_iterations=n * cfg.cap)).cuts
         except SearchFailedError:
             return False
 

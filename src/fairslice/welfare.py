@@ -52,10 +52,8 @@ NASH_CELL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class MovingKnifeRun:
-    tau: float
     knives: tuple[float, ...]  # MK_1 .. MK_n
-    feasible: bool
-    value: float  # least interval value: tau, or the eval of a knife truncated at 1
+    feasible: bool  # every agent's interval is worth the target
 
 
 def switching_point(instance: Instance, i: int, j: int, gamma: float,
@@ -251,28 +249,26 @@ def mk_chain(instance: Instance, tau: float, ledger: QueryLedger) -> MovingKnife
     """Moving-knife chain MK_i = Cut_i(MK_{i-1}, tau), with MK_0 = 0.
 
     Feasible iff every agent's interval really has value tau, i.e. no cut was
-    truncated at 1 (checked with an eval only when a knife lands on 1).  The
-    run's ``value`` is the least of tau and those evals, and the run is
-    feasible iff ``value >= tau``, with no slack: a slack wider than the
-    caller's grid of targets would end its search on a truncated run.
-    Knives after one at 1.0 are 1.0 and their intervals [1, 1] are worth 0.0,
-    so they are filled in without queries.
+    truncated at 1.  The chain stops querying once a knife reaches 1.0: the
+    knives after it are 1.0, filled in without queries.  A knife at 1.0
+    before the last leaves the next agent [1, 1], worth 0.0, so for tau > 0
+    that run is infeasible without a query.  Only when the last knife lands
+    at 1.0 does one eval decide: the run is feasible iff that last interval
+    is worth at least tau, with no slack (a slack wider than the caller's
+    grid of targets would end its search on a truncated run).
     """
     if tau < 0.0:
         raise DomainError(f"negative target value tau={tau}")
-    knives, prev, value = [], 0.0, tau
-    for i in range(instance.n):
-        if prev == 1.0:
-            knives.append(1.0)
-            if tau > 0.0:
-                value = min(value, 0.0)
-            continue
+    n, knives, prev = instance.n, [], 0.0
+    for i in range(n):
         y = cut_query(instance, i, prev, tau, ledger)
         knives.append(y)
-        if y >= 1.0 and tau > 0.0:
-            value = min(value, eval_query(instance, i, prev, 1.0, ledger))
+        if y >= 1.0:
+            break
         prev = y
-    return MovingKnifeRun(tau, tuple(knives), value >= tau, value)
+    feasible = knives[-1] < 1.0 or tau == 0.0 or (
+        len(knives) == n and eval_query(instance, n - 1, prev, 1.0, ledger) >= tau)
+    return MovingKnifeRun(tuple(knives) + (1.0,) * (n - len(knives)), feasible)
 
 
 def max_egalitarian(instance: Instance, eta: float,
@@ -289,16 +285,24 @@ def max_egalitarian(instance: Instance, eta: float,
     knife) points of feasible runs, starting from MK_n(0) = 0 with the
     uniform-agents slope n*eta (so the first probe is k = 1 / (n eta)),
     rounded down and clamped into [lo + 1, hi - 1]; a midpoint probe is
-    (lo + hi) // 2 (for kmax < 2**53).  Infeasible runs only move hi.  The
-    search ends at lo + 1 == hi, at the same largest feasible k <= kmax as
-    bisection, with a bracket that trails bisection's by at most SLACK = 4
-    halvings (plus the rounding to integers).  The reported value is k*eta,
-    the target every interval of a feasible run is cut to.
+    (lo + hi) // 2.  Infeasible runs only move hi.  The search ends at
+    lo + 1 == hi, at the same largest feasible k <= kmax as bisection, with a
+    bracket that trails bisection's by at most SLACK = 4 halvings (plus the
+    rounding to integers).  It keeps the knives of its best run and reports
+    lo * eta, the target every interval of that run is cut to.
+
+    Raises ParameterRegimeError, before any query, when kmax + 1 > 2**53:
+    past that, doubles cannot split the bracket, and the clamp would move it
+    by one target per run.
     """
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta={eta} outside (0, 1)")
     kmax = math.ceil(1.0 / eta)
-    best = MovingKnifeRun(0.0, (0.0,) * instance.n, True, 0.0)  # cuts of 0 from 0 are 0
+    if kmax + 1 > 2 ** 53:
+        raise ParameterRegimeError(
+            f"eta={eta:.3g} gives {kmax + 1} targets, more than 2**53, past which doubles "
+            f"cannot split the egalitarian search's bracket; use a larger eta")
+    best = (0.0,) * instance.n  # knives of the best run: cuts of 0 from 0 are 0
     lo, hi = 0, kmax + 1  # run lo is feasible; hi is past the last target
     points = [(0, 0.0)]  # (k, last knife) of feasible runs
     slope = instance.n * eta  # MK_n(k) = n k eta for n uniform agents
@@ -308,12 +312,11 @@ def max_egalitarian(instance: Instance, eta: float,
         step += 1
         run = mk_chain(instance, mid * eta, ledger)
         if run.feasible:
-            lo, best = mid, run
-            points.append((mid, run.knives[-1]))
+            lo, best = mid, run.knives
+            points.append((mid, best[-1]))
         else:
             hi = mid
-    cuts = (0.0, *best.knives[:-1], 1.0)
-    return Allocation(cuts), best.value
+    return Allocation((0.0, *best[:-1], 1.0)), lo * eta
 
 
 def _nash_grid(instance: Instance, epsilon: float, ledger: QueryLedger,

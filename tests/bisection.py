@@ -40,7 +40,7 @@ def full_mk_chain(instance: Instance, tau: float, ledger: QueryLedger) -> Moving
         if y >= 1.0 and tau > 0.0:
             value = min(value, eval_query(instance, i, prev, 1.0, ledger))
         prev = y
-    return MovingKnifeRun(tau, tuple(knives), value >= tau, value)
+    return MovingKnifeRun(tuple(knives), value >= tau)
 
 
 def bisection_search(instance: Instance, delta: float, ledger: QueryLedger,
@@ -72,17 +72,17 @@ def bisection_egalitarian(instance: Instance, eta: float,
     best = full_mk_chain(instance, 0.0, ledger)
     top = full_mk_chain(instance, kmax * eta, ledger)
     if top.feasible:
-        best = top
+        k, best = kmax, top
     else:
-        lo, hi = 0, kmax
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
+        k, hi = 0, kmax
+        while k + 1 < hi:
+            mid = (k + hi) // 2
             run = full_mk_chain(instance, mid * eta, ledger)
             if run.feasible:
-                lo, best = mid, run
+                k, best = mid, run
             else:
                 hi = mid
-    return Allocation((0.0, *best.knives[:-1], 1.0)), best.value
+    return Allocation((0.0, *best.knives[:-1], 1.0)), k * eta
 
 
 def full_nash_grid(instance: Instance, epsilon: float, ledger: QueryLedger) -> list[float]:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fairslice import (
     BinomialPoly,
+    DensityBounds,
     ExponentialRestricted,
     GaussianRestricted,
     Instance,
@@ -174,6 +175,15 @@ class TestBounds:
         assert b.lower == pytest.approx(10.0 / 27.0, abs=1e-12)
         assert b.upper == pytest.approx(10.0, abs=1e-12)
         assert b.lipschitz == pytest.approx(27.0, abs=1e-10)
+
+    @pytest.mark.parametrize("lower, upper, lipschitz", [
+        (0.0, 2.0, math.inf),  # touches 0
+        (0.25, 0.5, 4.0),  # 1/L
+        (2.0, 3.0, 3.0),  # U
+        (0.5, 4.0, 8.0),  # U/L
+    ])
+    def test_lipschitz_computed_from_the_two_bounds(self, lower, upper, lipschitz):
+        assert DensityBounds(lower, upper).lipschitz == lipschitz
 
     def test_touching_zero_gives_infinite_lipschitz(self):
         b = BinomialPoly(3.0, 0.0, 2, 0).bounds()

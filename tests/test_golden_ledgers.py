@@ -34,23 +34,23 @@ GOLDEN = {
     (11, 5): ((0.0, 0.24750572616376698, 0.4854647767329611, 0.6937103340425566,
                0.8636291116159522, 1.0), (16, 16),
               (0.0, 0.2553139970513072, 0.5139526484631259, 0.7333015125228962,
-               0.895651803055918, 1.0), 0.23098, (3, 33)),
+               0.895651803055918, 1.0), 0.23098, (2, 33)),
     (12, 5): ((0.0, 0.2433400162775858, 0.48271050387156145, 0.7001666025634907,
                0.8789005499017856, 1.0), (26, 26),
               (0.0, 0.2652416230677436, 0.5373283614034603, 0.775045503387368,
-               0.9125565202102272, 1.0), 0.245081, (3, 33)),
+               0.9125565202102272, 1.0), 0.245081, (2, 33)),
     (11, 9): ((0.0, 0.14684754616872217, 0.29159914592705594, 0.42839046674882114,
                0.5529446032131601, 0.664188219951376, 0.7635413704896886,
                0.8514834314149677, 0.9296288571435236, 1.0), (32, 32),
               (0.0, 0.13749437865906214, 0.2866497917524972, 0.43256423170195085,
                0.5657005408271609, 0.6833810414044121, 0.7844603431535687,
-               0.8705318274177931, 0.9465951532488202, 1.0), 0.12374099999999999, (4, 62)),
+               0.8705318274177931, 0.9465951532488202, 1.0), 0.12374099999999999, (2, 62)),
     (12, 9): ((0.0, 0.14667047914827536, 0.2928015744437182, 0.4354156723658957,
                0.5688904321131362, 0.6891395362960795, 0.7923464180895171,
                0.874233156243559, 0.9421620529199732, 1.0), (46, 46),
               (0.0, 0.14422962336090384, 0.2976843602545997, 0.45322458039939134,
                0.5983059791071716, 0.7256694068949544, 0.8191053730848835,
-               0.8945711835235871, 0.9552022048558, 1.0), 0.133092, (3, 53)),
+               0.8945711835235871, 0.9552022048558, 1.0), 0.133092, (1, 53)),
 }
 
 #: a < 0 in the first agent: its cuts keep the plain bisection

@@ -18,10 +18,12 @@ from fairslice import (
     ripple_window,
 )
 from fairslice import cli, plef
+from fairslice.density import as_piecewise_linear
 from fairslice.errors import ParameterRegimeError, SearchFailedError, UnsupportedFamilyError
 from fairslice.ripple import iteration_cap
 from bisection import bisection_search
 from gen import piecewise_linear_instance
+from test_golden_plef import GOLDEN as GOLDEN_PLEF
 
 
 class TestPlConfig:
@@ -197,8 +199,22 @@ class TestPlEf:
         assert envy_matrix(inst, division).max_envy <= 1e-2
 
 
+#: (densities, eta, halves whose local lambda is infinite), each settled at the root
+ZERO_TOUCHING = [
+    ((Linear(2.0, 0.0), Uniform()), 1e-2, 1),  # the left half touches 0
+    ((Linear(2.0, 0.0), Uniform()), 1e-3, 1),
+    ((Linear(2.0, 0.0), Linear(-2.0, 2.0)), 1e-2, 2),  # both halves touch 0
+    ((Linear(2.0, 0.0), Linear(-2.0, 2.0)), 1e-3, 2),
+]
+ZERO_TOUCHING_IDS = ["up-flat-1e-2", "up-flat-1e-3", "up-down-1e-2", "up-down-1e-3"]
+
+#: a first segment that falls to exactly 0 at its breakpoint
+STEEP_TO_ZERO = (PiecewiseLinear((0.53,), (-1000.0, 0.0), (530.0, 1.0)), Linear(1.0, 1.0))
+
+
 class TestZeroTouchingFallback:
-    """Halves where a density touches 0 (infinite local lambda) search under the global cap."""
+    """Halves where a density touches 0 (infinite local lambda) search under the same
+    iteration cap as every other half, n * ``PlConfig.cap``, and settle."""
 
     @staticmethod
     def fallback_outcomes(monkeypatch):
@@ -220,12 +236,7 @@ class TestZeroTouchingFallback:
         monkeypatch.setattr(plef, "bin_search", spy)
         return outcomes
 
-    @pytest.mark.parametrize("densities, eta, settled", [
-        ((Linear(2.0, 0.0), Uniform()), 1e-2, 1),  # the left half falls back
-        ((Linear(2.0, 0.0), Uniform()), 1e-3, 1),
-        ((Linear(2.0, 0.0), Linear(-2.0, 2.0)), 1e-2, 2),  # both halves fall back
-        ((Linear(2.0, 0.0), Linear(-2.0, 2.0)), 1e-3, 2),
-        ], ids=["up-flat-1e-2", "up-flat-1e-3", "up-down-1e-2", "up-down-1e-3"])
+    @pytest.mark.parametrize("densities, eta, settled", ZERO_TOUCHING, ids=ZERO_TOUCHING_IDS)
     def test_bounds_hold(self, monkeypatch, densities, eta, settled):
         outcomes = self.fallback_outcomes(monkeypatch)
         inst = Instance.from_densities(densities)
@@ -239,10 +250,9 @@ class TestZeroTouchingFallback:
 
     def test_steep_segment_to_zero_at_a_breakpoint(self, monkeypatch):
         # the first segment falls to exactly 0 at 0.53; restricted to the right half
-        # it ends at -1.4e-15 after rounding, so that half searches under the global cap
+        # it ends at -1.4e-15 after rounding, so that half's local lambda is infinite
         outcomes = self.fallback_outcomes(monkeypatch)
-        inst = Instance.from_densities([PiecewiseLinear((0.53,), (-1000.0, 0.0), (530.0, 1.0)),
-                                        Linear(1.0, 1.0)])
+        inst = Instance.from_densities(STEEP_TO_ZERO)
         division, stats = pl_ef(inst, 1e-2, QueryLedger())
         assert outcomes == [True]
         assert stats.node_count == 1
@@ -260,3 +270,25 @@ class TestZeroTouchingFallback:
                                             Linear(1.0, 1.0)])
             division, _ = pl_ef(inst, eta, QueryLedger())
             assert envy_matrix(inst, division).max_envy <= eta, (p, s, eta)
+
+
+def test_every_half_searches_under_one_cap(monkeypatch):
+    # the paper's one "specified number of iterations": n * cfg.cap on every half,
+    # whether the half's local lambda is finite or not; on the golden PL-EF fixtures
+    # and the zero-touching ones
+    real, caps = plef.bin_search, []
+
+    def spy(instance, delta, ledger, max_iterations=None):
+        caps.append(max_iterations)
+        return real(instance, delta, ledger, max_iterations=max_iterations)
+
+    monkeypatch.setattr(plef, "bin_search", spy)
+    cases = [(piecewise_linear_instance(n, k, np.random.default_rng(seed)), eta)
+             for n, k, seed, eta in sorted(GOLDEN_PLEF)]
+    cases += [(Instance.from_densities(densities), eta) for densities, eta, _ in ZERO_TOUCHING]
+    cases.append((Instance.from_densities(STEEP_TO_ZERO), 1e-2))
+    for inst, eta in cases:
+        caps.clear()
+        k = max(sum(len(as_piecewise_linear(d).breakpoints) for d in inst.agents), 1)
+        pl_ef(inst, eta, QueryLedger())
+        assert caps and set(caps) == {inst.n * pl_config(eta, k, inst.bounds.upper).cap}

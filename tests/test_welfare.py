@@ -34,6 +34,7 @@ from fairslice.welfare import (
     MIN_SWITCHING_GAMMA,
     NASH_CELL_TOL,
     NASH_ENVELOPE_GAMMA,
+    MovingKnifeRun,
     _envelope_stack,
     _nash_dp,
     _nash_grid,
@@ -317,6 +318,25 @@ class TestMkChain:
                 assert all(a <= b + 1e-12 for a, b in zip(prev, run.knives))
             prev = run.knives
 
+    def test_first_knife_at_one_is_infeasible_without_an_eval(self):
+        # the next agent would get [1, 1], worth 0; its knife is filled in unasked
+        for n in (2, 3):
+            inst = Instance.from_densities([Uniform()] * n)
+            led = QueryLedger()
+            run = mk_chain(inst, 1.0, led)
+            assert run == MovingKnifeRun((1.0,) * n, False)
+            assert (led.eval_count, led.cut_count) == (0, 1)
+
+    def test_last_knife_exactly_at_one_costs_one_eval(self):
+        # two halves at tau = 1: the last cut truncates exactly at 1, and one eval
+        # shows its interval is still worth tau
+        inst = Instance.from_densities([PiecewiseConstant((0.5,), (1.0, 0.0)),
+                                        PiecewiseConstant((0.5,), (0.0, 1.0))])
+        led = QueryLedger()
+        run = mk_chain(inst, 1.0, led)
+        assert run == MovingKnifeRun((0.5, 1.0), True)
+        assert (led.eval_count, led.cut_count) == (1, 2)
+
     def test_feasibility_monotone(self):
         rng = np.random.default_rng(43)
         for _ in range(5):
@@ -399,6 +419,23 @@ class TestMaxEgalitarian:
         assert result == (Allocation((0.0, 0.0, 0.0, 1.0)), 0.0)
         assert not mk_chain(inst, 1.0, QueryLedger()).feasible and not mk_chain(inst, 0.5, runs).feasible
         assert led == runs
+
+    @pytest.mark.parametrize("eta", [2.0 ** -53, 1e-17, 1e-25])
+    def test_more_than_2_53_targets_rejected_before_any_query(self, eta):
+        # past 2**53 doubles cannot split the bracket of targets, and the clamp
+        # would move it by one target per run
+        inst = Instance.from_densities([Linear(-1.0, 1.5), Uniform()])
+        led = QueryLedger()
+        with pytest.raises(ParameterRegimeError):
+            max_egalitarian(inst, eta, led)
+        assert led.total() == 0
+
+    def test_just_under_2_53_targets_still_searches(self):
+        inst = Instance.from_densities([Linear(-1.0, 1.5), Uniform()])
+        led = QueryLedger()
+        alloc, ew = max_egalitarian(inst, 1.2e-16, led)
+        assert (alloc.cuts, ew) == ((0.0, 0.4384471871911697, 1.0), 0.5615528128088303)
+        assert (led.eval_count, led.cut_count) == (15, 54)
 
     def test_three_uniform(self):
         inst = Instance.from_densities([Uniform()] * 3)
