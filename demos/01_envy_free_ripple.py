@@ -35,3 +35,12 @@ print("value matrix (rows = agents, columns = pieces):")
 print(np.round(matrix.values, 6))
 print("max envy:", matrix.max_envy)
 assert matrix.max_envy <= 1e-6
+
+# A density that touches 0 has an infinite Lipschitz constant, but the search
+# window needs only the upper bound U, so 2 - 2x against 2x divides alike.
+up_down = fs.Instance.from_densities([fs.Linear(-2.0, 2.0), fs.Linear(2.0, 0.0)])
+allocation = fs.envy_free(up_down, eta=1e-6, ledger=fs.QueryLedger())
+envy = fs.envy_matrix(up_down, allocation).max_envy
+print(f"\n(2 - 2x, 2x), lambda {up_down.bounds.lipschitz}: cuts", np.round(allocation.cuts, 6))
+print("max envy:", envy)
+assert envy <= 1e-6

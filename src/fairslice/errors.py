@@ -38,4 +38,4 @@ class UnsupportedSizeError(FairsliceError):
 
 
 class SearchFailedError(FairsliceError):
-    """An internal search exhausted its iteration budget unexpectedly."""
+    """An internal search ran out of float resolution or of an explicit iteration budget."""

@@ -5,7 +5,8 @@ with x_n >= 1 - delta in which every agent i < n values its interval
 [x_{i-1}, x_i] and the next interval [x_i, x_{i+1}] equally (and positively).
 Under MLRP such a division induces an envy-free partial allocation; coalescing
 the unassigned tail onto the last agent costs the envy that ripple_window bounds.
-Windows come from the density upper bound U; lambda only sizes iteration caps.
+Windows come from the density upper bound U alone, so a density that touches 0
+(whose lambda is infinite) is searched like any other.
 
 The chain searches here and in ``welfare.max_egalitarian`` pick each probe with
 :func:`_probe`, an ITP-style rule (Oliveira and Takahashi, ACM TOMS 47(1),
@@ -19,21 +20,23 @@ and MK_n(k) = n k eta.  The projection keeps every bracket within 2**SLACK
 times bisection's width: a search reaches any bracket width at most SLACK = 4
 iterations after bisection would.  Its worst case is therefore the iterations
 bisection needs to narrow the bracket below the window's preimage, plus SLACK.
-The paper's cap 2(n-1) log2(2 lambda / delta) leaves that margin: a chain of
-2(n-1) lambda-Lipschitz queries gives bisection's need as at most
-2(n-1) log2(lambda) + log2(1/delta) + 1, which is SLACK or more below the cap
-for n >= 3 at every delta <= 1/2, and for n = 2 once delta <= 1/8; coarser
-two-agent windows rest on the cap's own slack, not on this argument.  (A
-single search can still end later than a bisection whose midpoint happens to
-land in the window early.)
+So no search needs a cap: each ends on a hit or at adjacent doubles, which
+bisection reaches within 1,074 halvings of [0, 1].  Where lambda is finite, the
+paper's cap 2(n-1) log2(2 lambda / delta), PL-EF's budget, has that margin: as a
+chain of 2(n-1) queries stretches distances at most lambda-fold each, bisection
+needs at most 2(n-1) log2(lambda) + log2(1/delta) + 1 iterations, SLACK or more
+below the cap for n >= 3 at every delta <= 1/2, and for n = 2 once delta <= 1/8
+(coarser two-agent windows rest on the cap's own slack).  One search can still
+end later than a bisection whose midpoint lands in the window early.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NotFullSupportError, ParameterRegimeError, SearchFailedError
+from .errors import DomainError, ParameterRegimeError, SearchFailedError
 from .oracle import Division, Instance, QueryLedger, cut_query, eval_query
 
 #: Floating-point threshold below 1 at which the chain endpoint counts as "equals 1".
@@ -102,7 +105,10 @@ def rd_chain(instance: Instance, x: float, ledger: QueryLedger) -> list[float]:
 
 
 def iteration_cap(n: int, lam: float, delta: float) -> int:
-    """BinSearch convergence bound: ceil(2(n-1) log2(2*lambda/delta))."""
+    """BinSearch convergence bound ceil(2(n-1) log2(2*lambda/delta)), lambda finite."""
+    if not (0.0 < lam < math.inf and 0.0 < delta < 1.0):
+        raise DomainError(f"iteration_cap needs a positive finite lambda and delta in (0, 1), "
+                          f"got lambda={lam}, delta={delta}")
     if n <= 1:
         return 0
     return math.ceil(2 * (n - 1) * math.log2(2.0 * lam / delta))
@@ -167,10 +173,10 @@ def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
     The first probe is (1 - delta/2) / n, exact when all n agents are
     uniform.
 
-    ``max_iterations`` defaults to the theoretical bound
-    2(n-1) log2(2*lambda/delta), which still covers the probe rule (see the
-    module docstring): its bracket trails bisection's by at most SLACK = 4
-    halvings.  Running out of iterations or of float resolution raises
+    The search stops on a hit, or raises :class:`SearchFailedError` once l and
+    r are adjacent doubles; its bracket trails bisection's by at most SLACK = 4
+    halvings (see the module docstring), so it always gets there.
+    ``max_iterations``, when given, is a budget: running out of it also raises
     :class:`SearchFailedError`.
     """
     if not 0.0 < delta < 1.0:
@@ -178,22 +184,15 @@ def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
     n = instance.n
     if n == 1:
         return RippleDivision((0.0, 1.0 - 0.5 * delta), 0)
-    cap = max_iterations
-    if cap is None:
-        lam = instance.bounds.lipschitz
-        if not math.isfinite(lam):
-            raise NotFullSupportError(
-                "instance Lipschitz constant is infinite; bin_search needs a density lower bound")
-        cap = iteration_cap(n, lam, delta)
-
     left, right = 0.0, 1.0
     points = [(0.0, 0.0)]  # uncensored (x_1, RD_n(x_1))
     goal = 1.0 - 0.5 * delta
-    for it in range(1, cap + 1):
+    for it in itertools.count(1) if max_iterations is None else range(1, max_iterations + 1):
         mid = 0.5 * (left + right)
         if mid <= left or mid >= right:  # left and right are adjacent doubles
+            cap = "" if max_iterations is None else f" (cap {max_iterations})"
             raise SearchFailedError(
-                f"bin_search ran out of float resolution at iteration {it} (cap {cap}): "
+                f"bin_search ran out of float resolution at iteration {it}{cap}: "
                 f"{left!r} and {right!r} are adjacent doubles and no chain endpoint hit [1-delta, 1)")
         x = _probe(left, right, points, goal, it - 1, 1.0, n)
         chain = rd_chain(instance, x, ledger)
@@ -206,7 +205,7 @@ def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
         else:
             return RippleDivision((0.0, x, *chain), it)
     raise SearchFailedError(
-        f"bin_search exhausted {cap} iterations without hitting [1-delta, 1)")
+        f"bin_search exhausted {max_iterations} iterations without hitting [1-delta, 1)")
 
 
 def ripple_to_allocation(rd: RippleDivision) -> Allocation:

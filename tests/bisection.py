@@ -14,9 +14,10 @@ counts and ledgers against them.
 
 from __future__ import annotations
 
+import itertools
 import math
 
-from fairslice import Allocation, Instance, QueryLedger, cut_query, eval_query, iteration_cap
+from fairslice import Allocation, Instance, QueryLedger, cut_query, eval_query
 from fairslice.errors import SearchFailedError
 from fairslice.ripple import ONE_THRESHOLD, RippleDivision
 from fairslice.welfare import MERGE_TOL, MovingKnifeRun, switching_point
@@ -46,11 +47,8 @@ def full_mk_chain(instance: Instance, tau: float, ledger: QueryLedger) -> Moving
 def bisection_search(instance: Instance, delta: float, ledger: QueryLedger,
                      max_iterations: int | None = None) -> RippleDivision:
     """``bin_search`` probing the bracket midpoint every time."""
-    cap = max_iterations
-    if cap is None:
-        cap = iteration_cap(instance.n, instance.bounds.lipschitz, delta)
     left, right = 0.0, 1.0
-    for it in range(1, cap + 1):
+    for it in itertools.count(1) if max_iterations is None else range(1, max_iterations + 1):
         mid = 0.5 * (left + right)
         if mid <= left or mid >= right:
             raise SearchFailedError(f"bisection ran out of float resolution at iteration {it}")
@@ -62,7 +60,7 @@ def bisection_search(instance: Instance, delta: float, ledger: QueryLedger,
             right = mid
         else:
             return RippleDivision((0.0, mid, *chain), it)
-    raise SearchFailedError(f"bisection exhausted {cap} iterations")
+    raise SearchFailedError(f"bisection exhausted {max_iterations} iterations")
 
 
 def bisection_egalitarian(instance: Instance, eta: float,

@@ -6,6 +6,7 @@ import pytest
 
 from fairslice import (
     Allocation,
+    BinomialPoly,
     Division,
     GaussianRestricted,
     Instance,
@@ -22,8 +23,8 @@ from fairslice import (
     ripple_window,
 )
 from fairslice import ripple
-from fairslice.errors import DomainError, NotFullSupportError, ParameterRegimeError, SearchFailedError
-from fairslice.mlrp import perturb
+from fairslice.errors import DomainError, ParameterRegimeError, SearchFailedError
+from fairslice.mlrp import detect_order, perturb
 from fairslice.ripple import SLACK, RippleDivision
 from bisection import bisection_search, full_rd_chain
 from gen import (
@@ -47,6 +48,11 @@ def right_spike_instance(lam=10.0):
         (lam / (3.0 * (lam - 1.0)), lam - 2.0 * lam * lam / 3.0),
     )
     return Instance.from_densities([d, d, d])
+
+
+def cubic_pair():
+    """Uniform against 3x^2, which touches 0 at x = 0: lambda is infinite."""
+    return Instance.from_densities([Uniform(), BinomialPoly(3.0, 0.0, 2, 0)])
 
 
 class TestRdChain:
@@ -248,14 +254,14 @@ class TestBinSearch:
 
     def test_float_resolution_break_names_itself(self):
         # no double lies in [1 - 1e-17, 1), so bisection runs out of doubles next
-        # to 0.5 after 54 chains, well before the cap of 115 iterations
+        # to 0.5 after 54 chains, well before the paper's cap of 115 iterations
         inst = Instance.from_densities([Uniform(), Uniform()])
         led = QueryLedger()
         assert iteration_cap(2, 1.0, 1e-17) == 115
-        with pytest.raises(SearchFailedError, match=r"float resolution at iteration 55 \(cap 115\)"):
+        with pytest.raises(SearchFailedError, match=r"float resolution at iteration 55: "):
             bin_search(inst, 1e-17, led)
         assert led.as_dict() == {"eval": 54, "cut": 54}
-        # an explicit cap fails the same way
+        # an explicit cap fails the same way, and the message names it
         with pytest.raises(SearchFailedError, match=r"float resolution at iteration 55 \(cap 115\)"):
             bin_search(inst, 1e-17, QueryLedger(), max_iterations=115)
 
@@ -276,12 +282,11 @@ class TestBinSearch:
         with pytest.raises(DomainError):
             bin_search(inst, 1.5, QueryLedger())
 
-    def test_infinite_lambda_rejected(self):
-        from fairslice import BinomialPoly
-
-        inst = Instance.from_densities([Uniform(), BinomialPoly(3.0, 0.0, 2, 0)])
-        with pytest.raises(NotFullSupportError):
-            bin_search(inst, 1e-6, QueryLedger())
+    def test_infinite_lambda_searched(self):
+        inst = cubic_pair()
+        eta = 1e-6
+        rd = bin_search(inst, ripple_window(eta, inst.bounds.upper), QueryLedger())
+        assert envy_matrix(inst, ripple_to_allocation(rd)).max_envy <= eta
 
     def test_rd_chain_lipschitz_invariant(self):
         # composed-chain bound lambda^{2(n-1)}; valid once lambda >= 3
@@ -364,14 +369,12 @@ class TestEnvyFree:
         with pytest.raises(DomainError):
             envy_free(inst, 0.0, QueryLedger())
 
-    def test_infinite_lambda_rejected_before_any_query(self):
-        from fairslice import BinomialPoly
-
-        inst = Instance.from_densities([Uniform(), BinomialPoly(3.0, 0.0, 2, 0)])
+    def test_infinite_lambda_divided_within_eta(self):
+        inst = cubic_pair()
         led = QueryLedger()
-        with pytest.raises(NotFullSupportError):
-            envy_free(inst, 1e-6, led)
-        assert led.total() == 0
+        alloc = envy_free(inst, 1e-6, led)
+        assert envy_matrix(inst, alloc).max_envy <= 1e-6
+        assert led.total() > 0
 
     def test_window_is_eta_over_upper(self, monkeypatch):
         real, deltas = ripple.bin_search, []
@@ -419,6 +422,89 @@ def test_steep_perturbed_interval_sweep(perturbation):
     for inst in perturbed_intervals(17, 50, lambda t: 3 + t % 4, perturbation):
         alloc = envy_free(inst, 1e-6, QueryLedger())
         assert envy_matrix(inst, alloc).max_envy <= 1e-6
+
+
+@pytest.mark.parametrize("lam, delta", [
+    (math.inf, 1e-6), (math.nan, 1e-6), (0.0, 1e-6), (3.0, 0.0), (3.0, 1.0), (3.0, math.nan),
+])
+def test_iteration_cap_domain(lam, delta):
+    with pytest.raises(DomainError):
+        iteration_cap(3, lam, delta)
+
+
+def in_mlrp_order(densities):
+    inst = Instance.from_densities(densities)
+    return inst.reordered(detect_order(inst, QueryLedger()))
+
+
+def zero_touching_linear(n, rng):
+    """Linear instance mixing 2x (rises from 0), 2 - 2x (falls to 0) and full-support agents."""
+    densities = []
+    for _ in range(n):
+        kind = int(rng.integers(3))
+        if kind < 2:
+            densities.append((Linear(2.0, 0.0), Linear(-2.0, 2.0))[kind])
+        else:
+            b = float(rng.uniform(0.2, 2.0))
+            densities.append(Linear(float(rng.uniform(-0.8 * b, 3.0)), b))
+    return in_mlrp_order(densities)
+
+
+def zero_at_zero_binomial(n, rng):
+    """Binomial instance sharing exponents s > t >= 1, so every density is 0 at x = 0."""
+    s = int(rng.integers(2, 5))
+    t = int(rng.integers(1, s))
+    return in_mlrp_order([BinomialPoly(float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.25, 2.0)), s, t)
+                          for _ in range(n)])
+
+
+def audited_envy(inst, eta):
+    """Max envy of ``envy_free``'s allocation, or None when the search ends at float resolution."""
+    try:
+        alloc = envy_free(inst, eta, QueryLedger())
+    except SearchFailedError:
+        return None
+    return envy_matrix(inst, alloc).max_envy
+
+
+@pytest.mark.parametrize("maker, eta", [
+    (zero_touching_linear, 1e-2), (zero_touching_linear, 1e-4), (zero_touching_linear, 1e-6),
+    (zero_at_zero_binomial, 1e-3), (zero_at_zero_binomial, 1e-6),
+])
+def test_zero_touching_sweep(maker, eta):
+    # lambda is infinite on at least 59 of these 60 draws; the search needs only U
+    rng = np.random.default_rng(26)
+    for t in range(60):
+        assert audited_envy(maker(2 + t % 5, rng), eta) <= 0.94 * eta
+
+
+def test_zero_touching_sweep_at_float_resolution():
+    # at eta 1e-9 a window can fall between a chain's adjacent doubles: 47 of 60 settle
+    rng = np.random.default_rng(26)
+    envies = [audited_envy(zero_touching_linear(2 + t % 5, rng), 1e-9) for t in range(60)]
+    settled = [e for e in envies if e is not None]
+    assert 0 < len(settled) < len(envies)
+    assert max(settled) <= 1e-9
+
+
+def test_unperturbed_intervals_end_at_float_resolution(monkeypatch):
+    # zero stretches make the cuts jump, so no window is hit; with no cap the
+    # search still stops once its bracket ends are adjacent doubles
+    real, runs = ripple.rd_chain, []
+
+    def spy(instance, x, ledger):
+        runs.append(x)
+        return real(instance, x, ledger)
+
+    monkeypatch.setattr(ripple, "rd_chain", spy)
+    rng = np.random.default_rng(26)
+    for t in range(60):
+        intervals = op_intervals(2 + t % 5, rng)
+        inst = Instance.from_densities([intervals.density(i) for i in range(intervals.n)])
+        runs.clear()
+        with pytest.raises(SearchFailedError, match="float resolution"):
+            envy_free(inst, 1e-6, QueryLedger())
+        assert len(runs) <= 60
 
 
 def test_allocation_validation():
