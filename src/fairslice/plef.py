@@ -134,6 +134,7 @@ class RecursionStats:
     small_interval_nodes: int = 0
     binsearch_hits: int = 0  # halves settled by the search (or trivially)
     recursed_halves: int = 0
+    breakpoint_free_recursions: int = 0  # recursed halves with no agent breakpoint inside
 
 
 def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division, RecursionStats]:
@@ -151,7 +152,8 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
     """
     pls = [as_piecewise_linear(d) for d in instance.agents]
     n = instance.n
-    k = max(sum(len(p.breakpoints) for p in pls), 1)
+    breakpoints = [p for pl in pls for p in pl.breakpoints]
+    k = max(len(breakpoints), 1)
     cfg = pl_config(eta, k, instance.bounds.upper)
 
     pieces: list[list[tuple[float, float]]] = [[] for _ in range(n)]
@@ -180,14 +182,14 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
         agents = [keep[o] for o in order]  # local rank -> global agent
 
         try:
-            cuts = ripple_to_allocation(bin_search(
-                local, ripple_window(cfg.audit_envy, local.bounds.upper), ledger,
-                max_iterations=n * cfg.cap)).cuts
+            rd = bin_search(local, ripple_window(cfg.audit_envy, local.bounds.upper), ledger,
+                            max_iterations=n * cfg.cap)
         except SearchFailedError:
             return False
 
-        m = len(agents)
-        own = [eval_query(local, i, cuts[i], cuts[i + 1], ledger) for i in range(m)]
+        # the chain asked agents 0..m-2 their own values; the last holds [x_{m-1}, 1]
+        m, cuts = len(agents), ripple_to_allocation(rd).cuts
+        own = [*rd.own_values, eval_query(local, m - 1, cuts[m - 1], 1.0, ledger)]
         for i in range(m):
             bound = own[i] + cfg.audit_envy + AUDIT_SLACK
             for j in range(m):
@@ -218,6 +220,8 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
                 stats.binsearch_hits += 1
             else:
                 stats.recursed_halves += 1
+                # the paper's lemma: only a half with a breakpoint inside recurses
+                stats.breakpoint_free_recursions += not any(a < p < b for p in breakpoints)
                 recurse(a, b, depth + 1)
 
     recurse(0.0, 1.0, 1)

@@ -53,6 +53,7 @@ SLACK = 4
 class RippleDivision:
     cuts: tuple[float, ...]  # x_0 = 0, x_1, ..., x_n
     iterations_used: int
+    own_values: tuple[float, ...] = ()  # Eval_i(x_i, x_{i+1}) of agents 0..n-2, as the chain asked them
 
 
 @dataclass(frozen=True, init=False, repr=False, eq=False)  # frozen like Division
@@ -85,12 +86,14 @@ class Allocation(Division):
         return f"Allocation(cuts={self.cuts!r})"
 
 
-def rd_chain(instance: Instance, x: float, ledger: QueryLedger) -> list[float]:
+def rd_chain(instance: Instance, x: float, ledger: QueryLedger,
+             evals: list[float] | None = None) -> list[float]:
     """Chain points x_2, ..., x_n from first cut x_1 = x (n-1 cuts, n-1 evals).
 
     x_2 = Cut_1(x, Eval_1(0, x)); thereafter x_{i+1} makes agent i indifferent
     between [x_{i-1}, x_i] and [x_i, x_{i+1}].  Truncation at 1 propagates:
     a cut from 1 returns 1, so once a point is 1.0 the rest are 1.0 unasked.
+    ``evals``, when given, receives each eval the chain asks, in agent order.
     """
     chain = []
     prev, cur = 0.0, x
@@ -99,6 +102,8 @@ def rd_chain(instance: Instance, x: float, ledger: QueryLedger) -> list[float]:
             chain += [1.0] * (instance.n - 1 - agent)
             break
         target = eval_query(instance, agent, prev, cur, ledger)
+        if evals is not None:
+            evals.append(target)
         prev, cur = cur, cut_query(instance, agent, cur, target, ledger)
         chain.append(cur)
     return chain
@@ -171,7 +176,9 @@ def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
     which :func:`_probe` aims at 1 - delta/2, starting from RD_n(0) = 0.
 
     The first probe is (1 - delta/2) / n, exact when all n agents are
-    uniform.
+    uniform.  A hit also returns the chain's evals, each agent i < n - 1's
+    value of its own interval [x_i, x_{i+1}], so that callers need not ask
+    them again.
 
     The search stops on a hit, or raises :class:`SearchFailedError` once l and
     r are adjacent doubles; its bracket trails bisection's by at most SLACK = 4
@@ -187,6 +194,7 @@ def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
     left, right = 0.0, 1.0
     points = [(0.0, 0.0)]  # uncensored (x_1, RD_n(x_1))
     goal = 1.0 - 0.5 * delta
+    evals: list[float] = []  # the last chain's evals
     for it in itertools.count(1) if max_iterations is None else range(1, max_iterations + 1):
         mid = 0.5 * (left + right)
         if mid <= left or mid >= right:  # left and right are adjacent doubles
@@ -195,7 +203,8 @@ def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
                 f"bin_search ran out of float resolution at iteration {it}{cap}: "
                 f"{left!r} and {right!r} are adjacent doubles and no chain endpoint hit [1-delta, 1)")
         x = _probe(left, right, points, goal, it - 1, 1.0, n)
-        chain = rd_chain(instance, x, ledger)
+        evals.clear()
+        chain = rd_chain(instance, x, ledger, evals)
         endpoint = chain[-1]
         if endpoint < 1.0 - delta:
             left = x
@@ -203,7 +212,7 @@ def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
         elif endpoint >= ONE_THRESHOLD:
             right = x
         else:
-            return RippleDivision((0.0, x, *chain), it)
+            return RippleDivision((0.0, x, *chain), it, tuple(evals))
     raise SearchFailedError(
         f"bin_search exhausted {max_iterations} iterations without hitting [1-delta, 1)")
 

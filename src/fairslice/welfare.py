@@ -37,7 +37,7 @@ MIN_SWITCHING_GAMMA = 2.0 ** -49
 
 #: Largest Nash grid size cap, 8n^2/eps + n + 2 points, that max_nash accepts.
 #: The guided grid walk costs one cut query per point inside the envelope's
-#: stretches, and the prefix table n evals per point; at this cap a call on
+#: stretches, and the prefix table n evals per inner point; at this cap a call on
 #: seeded Gaussian instances (n = 2, 4, 6; 0.79M, 0.42M, 0.27M grid points)
 #: takes 2.2-3.3 s on a 2-core Xeon, and 1.1 s for two uniform agents.
 MAX_NASH_GRID = 1_000_000
@@ -57,7 +57,7 @@ class MovingKnifeRun:
 
 
 def switching_point(instance: Instance, i: int, j: int, gamma: float,
-                    ledger: QueryLedger) -> float:
+                    ledger: QueryLedger, known: list[dict[float, float]] | None = None) -> float:
     """A point within gamma of the argmin set of D_ij(x) = v_j(0, x) - v_i(0, x), for i < j in MLRP order.
 
     Under MLRP D_ij falls while f_j < f_i, is flat while f_j = f_i and then
@@ -72,8 +72,11 @@ def switching_point(instance: Instance, i: int, j: int, gamma: float,
     vanish on a stretch outside the argmin set, D_ij is flat there too, and
     a tie there may discard the argmin.)
 
-    Costs 2 * (3 + ceil(log(gamma) / log(1/phi))) evals.  Raises
-    ParameterRegimeError, before any query, for gamma < MIN_SWITCHING_GAMMA.
+    ``known``, when given, holds each agent's prefix evals v_k(0, x) by x:
+    the search reads a point's evals from it and records those it asks.
+    Costs at most 2 * (3 + ceil(log(gamma) / log(1/phi))) evals, fewer when
+    ``known`` already holds a point.  Raises ParameterRegimeError, before
+    any query, for gamma < MIN_SWITCHING_GAMMA.
     """
     if not (0 <= i < j < instance.n):
         raise DomainError(f"need agent indices i < j in range, got ({i}, {j})")
@@ -84,8 +87,16 @@ def switching_point(instance: Instance, i: int, j: int, gamma: float,
             f"switching-point width gamma={gamma:.3g} is below {MIN_SWITCHING_GAMMA:.3g}, "
             f"the finest bracket doubles resolve; use a larger eta")
 
+    known_i, known_j = ({}, {}) if known is None else (known[i], known[j])
+
     def gap(x: float) -> float:
-        return eval_query(instance, j, 0.0, x, ledger) - eval_query(instance, i, 0.0, x, ledger)
+        vj = known_j.get(x)
+        if vj is None:
+            vj = known_j[x] = eval_query(instance, j, 0.0, x, ledger)
+        vi = known_i.get(x)
+        if vi is None:
+            vi = known_i[x] = eval_query(instance, i, 0.0, x, ledger)
+        return vj - vi
 
     a, b = 0.0, 1.0
     c, d = 1.0 - INV_PHI, INV_PHI
@@ -105,8 +116,8 @@ def switching_point(instance: Instance, i: int, j: int, gamma: float,
     return min(seen)[1]
 
 
-def _envelope_stack(instance: Instance, gamma: float,
-                    ledger: QueryLedger) -> list[tuple[int, float, float]]:
+def _envelope_stack(instance: Instance, gamma: float, ledger: QueryLedger,
+                    known: list[dict[float, float]]) -> list[tuple[int, float, float]]:
     """The MLRP upper envelope as stretches ``(agent, start, end)``, tiling [0, 1] left to right.
 
     Under MLRP, for i < j the set {f_j >= f_i} is an up-set [p_ij, 1], so the
@@ -115,13 +126,15 @@ def _envelope_stack(instance: Instance, gamma: float,
     pseudolines, agent j pops the top b while the estimate of p(b, j) is at
     or before b's start (start 0 within gamma at the bottom), then goes on
     top from p(b, j).  Each agent is pushed once and popped at most once, so
-    the pass makes at most 2n - 3 :func:`switching_point` searches.
+    the pass makes at most 2n - 3 :func:`switching_point` searches.  They
+    share ``known``, the agents' prefix evals by point, so no eval of the
+    pass is asked twice; every agent's v_k(0, 1) is among them when n >= 2.
     """
     stack = [(0, 0.0)]  # (agent, estimated start of its stretch)
     for j in range(1, instance.n):
         while stack:
             b, start = stack[-1]
-            p = switching_point(instance, b, j, gamma, ledger)
+            p = switching_point(instance, b, j, gamma, ledger, known)
             if p > max(start, gamma):
                 stack.append((j, p))
                 break
@@ -132,8 +145,8 @@ def _envelope_stack(instance: Instance, gamma: float,
     return [(agent, start, end) for (agent, start), end in zip(stack, ends)]
 
 
-def _upper_envelope(instance: Instance, gamma: float,
-                    ledger: QueryLedger) -> list[tuple[int, float, float]]:
+def _upper_envelope(instance: Instance, gamma: float, ledger: QueryLedger,
+                    known: list[dict[float, float]]) -> list[tuple[int, float, float]]:
     """Stretches ``(agent, lo, hi)``, left to right, on which ``agent`` has the highest density.
 
     Those of :func:`_envelope_stack` less a margin of 2 gamma at each end, as
@@ -142,13 +155,19 @@ def _upper_envelope(instance: Instance, gamma: float,
     max_nash checks the cells of the walk they guide.
     """
     return [(agent, start + 2.0 * gamma, end - 2.0 * gamma)
-            for agent, start, end in _envelope_stack(instance, gamma, ledger)
+            for agent, start, end in _envelope_stack(instance, gamma, ledger, known)
             if end - start > 4.0 * gamma]
 
 
-def _prefix_values(instance: Instance, points, ledger: QueryLedger) -> np.ndarray:
-    """prefix[k][t] = v_k(0, points[t]); n*(T+1) eval queries."""
-    return np.array([[eval_query(instance, k, 0.0, p, ledger) for p in points]
+def _prefix_values(instance: Instance, points, ledger: QueryLedger,
+                   known: list[dict[float, float]]) -> np.ndarray:
+    """prefix[k][t] = v_k(0, points[t]) over T points that run from 0 to 1; n(T - 2) eval queries.
+
+    Column 0 is 0.0 unasked: v_k(0, 0) is F(0) - F(0) in every family.  The
+    last column is v_k(0, 1) from ``known[k]``, an envelope pass's prefix evals.
+    """
+    inner = points[1:-1]
+    return np.array([[0.0, *(eval_query(instance, k, 0.0, p, ledger) for p in inner), known[k][1.0]]
                      for k in range(instance.n)])
 
 
@@ -215,7 +234,9 @@ def max_social_welfare(instance: Instance, eta: float,
 
     Each agent of :func:`_envelope_stack`, run with gamma = eta / (4 n U) (U
     bounds every density), gets its stretch, and the popped agents get empty
-    pieces; the reported welfare is the sum of the stretch owners' evals.
+    pieces; the reported welfare is the sum of the stretch owners' evals,
+    the first stretch's, from 0, read from the envelope's prefix evals: its
+    end is a point that its pair search asked, or 1.
 
     Bound, with exact evals.  Let Phi_j be the integral of max_{i<=j} f_i
     less the welfare of the stack after agent j: Phi_0 = 0, and the loss is
@@ -236,9 +257,11 @@ def max_social_welfare(instance: Instance, eta: float,
     if n == 1:
         return Allocation((0.0, 1.0)), 1.0
     gamma = min(eta / (4.0 * n * instance.bounds.upper), 0.25)
-    stretches = _envelope_stack(instance, gamma, ledger)
-    welfare = sum(eval_query(instance, agent, start, end, ledger)
-                  for agent, start, end in stretches)
+    known = [{} for _ in range(n)]
+    stretches = _envelope_stack(instance, gamma, ledger, known)
+    (agent, _, end), *rest = stretches
+    welfare = sum([known[agent][end]] + [eval_query(instance, agent, start, end, ledger)
+                                         for agent, start, end in rest])
     # agent k's piece starts where the first envelope agent at or after k starts
     cuts = [min((start for agent, start, _ in stretches if agent >= k), default=1.0)
              for k in range(n)]
@@ -320,7 +343,7 @@ def max_egalitarian(instance: Instance, eta: float,
 
 
 def _nash_grid(instance: Instance, epsilon: float, ledger: QueryLedger,
-               guided: bool = True) -> list[float]:
+               known: list[dict[float, float]], guided: bool = True) -> list[float]:
     """Adaptive grid whose every cell is worth at most epsilon/(8n) to every agent, under MLRP.
 
     Each point is the least of the n cuts of epsilon/(8n) from the last one.
@@ -329,7 +352,8 @@ def _nash_grid(instance: Instance, epsilon: float, ledger: QueryLedger,
     the walk asks it alone, and keeps its cut when it lands at or before the
     stretch's end.  Elsewhere, or when it lands beyond, the walk asks the
     other agents too.  Without ``guided`` it asks all n at every point, which
-    bounds the cells for any densities.  Raises ParameterRegimeError, before
+    bounds the cells for any densities.  The envelope's searches record
+    their prefix evals in ``known``.  Raises ParameterRegimeError, before
     any query, when the grid's size cap exceeds MAX_NASH_GRID.
     """
     cap = math.ceil(8.0 * instance.n * instance.n / epsilon) + instance.n + 2
@@ -339,7 +363,7 @@ def _nash_grid(instance: Instance, epsilon: float, ledger: QueryLedger,
             f"over the budget of {MAX_NASH_GRID}; use a larger epsilon")
     n, step = instance.n, epsilon / (8.0 * instance.n)
     # stretches still ahead of the walk, the nearest last
-    ahead = _upper_envelope(instance, NASH_ENVELOPE_GAMMA, ledger)[::-1] if guided else []
+    ahead = _upper_envelope(instance, NASH_ENVELOPE_GAMMA, ledger, known)[::-1] if guided else []
     points, x = [0.0], 0.0
     while x < 1.0 and len(points) <= cap:
         while ahead and ahead[-1][2] <= x:
@@ -380,11 +404,12 @@ def max_nash(instance: Instance, epsilon: float,
         raise DomainError(f"epsilon={epsilon} outside (0, 1)")
     if instance.n == 1:
         return Allocation((0.0, 1.0)), 1.0
-    points = _nash_grid(instance, epsilon, ledger)
-    prefix = _prefix_values(instance, points, ledger)
+    known = [{} for _ in range(instance.n)]  # the envelope's prefix evals
+    points = _nash_grid(instance, epsilon, ledger, known)
+    prefix = _prefix_values(instance, points, ledger, known)
     if np.diff(prefix).max() > epsilon / (8.0 * instance.n) + NASH_CELL_TOL:
-        points = _nash_grid(instance, epsilon, ledger, guided=False)
-        prefix = _prefix_values(instance, points, ledger)
+        points = _nash_grid(instance, epsilon, ledger, known, guided=False)
+        prefix = _prefix_values(instance, points, ledger, known)
     allocation, product = _nash_dp(points, prefix)
     return allocation, product ** (1.0 / instance.n)
 

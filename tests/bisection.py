@@ -23,11 +23,14 @@ from fairslice.ripple import ONE_THRESHOLD, RippleDivision
 from fairslice.welfare import MERGE_TOL, MovingKnifeRun, switching_point
 
 
-def full_rd_chain(instance: Instance, x: float, ledger: QueryLedger) -> list[float]:
+def full_rd_chain(instance: Instance, x: float, ledger: QueryLedger,
+                  evals: list[float] | None = None) -> list[float]:
     """``rd_chain`` with an eval and a cut for every agent, saturated or not."""
     xs = [0.0, x]
     for agent in range(instance.n - 1):
         target = eval_query(instance, agent, xs[-2], xs[-1], ledger)
+        if evals is not None:
+            evals.append(target)
         xs.append(cut_query(instance, agent, xs[-1], target, ledger))
     return xs[2:]
 
@@ -52,14 +55,15 @@ def bisection_search(instance: Instance, delta: float, ledger: QueryLedger,
         mid = 0.5 * (left + right)
         if mid <= left or mid >= right:
             raise SearchFailedError(f"bisection ran out of float resolution at iteration {it}")
-        chain = full_rd_chain(instance, mid, ledger)
+        evals = []
+        chain = full_rd_chain(instance, mid, ledger, evals)
         endpoint = chain[-1]
         if endpoint < 1.0 - delta:
             left = mid
         elif endpoint >= ONE_THRESHOLD:
             right = mid
         else:
-            return RippleDivision((0.0, mid, *chain), it)
+            return RippleDivision((0.0, mid, *chain), it, tuple(evals))
     raise SearchFailedError(f"bisection exhausted {max_iterations} iterations")
 
 

@@ -292,3 +292,22 @@ def test_every_half_searches_under_one_cap(monkeypatch):
         k = max(sum(len(as_piecewise_linear(d).breakpoints) for d in inst.agents), 1)
         pl_ef(inst, eta, QueryLedger())
         assert caps and set(caps) == {inst.n * pl_config(eta, k, inst.bounds.upper).cap}
+
+
+def test_only_halves_with_a_breakpoint_recurse():
+    # the paper's lemma: a half with no breakpoint inside has linear, hence MLRP,
+    # local densities and settles; RecursionStats counts the halves that break it
+    recursed = 0
+    for n in (2, 4, 8):
+        for k in (2, 8, 32):
+            rng = np.random.default_rng(1000 * n + k)
+            for _ in range(3):
+                inst = piecewise_linear_instance(n, k, rng)
+                for eta in (1e-3, 1e-6):
+                    stats = pl_ef(inst, eta, QueryLedger())[1]
+                    assert stats.breakpoint_free_recursions == 0, (n, k, eta)
+                    recursed += stats.recursed_halves
+    assert recursed > 0
+    # in floats the zero-touching pair recurses at eta 1e-8, on halves without breakpoints
+    stats = pl_ef(Instance.from_densities([Linear(2.0, 0.0), Linear(-2.0, 2.0)]), 1e-8, QueryLedger())[1]
+    assert stats.breakpoint_free_recursions == stats.recursed_halves > 0

@@ -492,9 +492,9 @@ def test_unperturbed_intervals_end_at_float_resolution(monkeypatch):
     # search still stops once its bracket ends are adjacent doubles
     real, runs = ripple.rd_chain, []
 
-    def spy(instance, x, ledger):
+    def spy(instance, x, ledger, evals=None):
         runs.append(x)
-        return real(instance, x, ledger)
+        return real(instance, x, ledger, evals)
 
     monkeypatch.setattr(ripple, "rd_chain", spy)
     rng = np.random.default_rng(26)

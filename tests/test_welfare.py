@@ -16,6 +16,7 @@ from fairslice import (
     Uniform,
     brute_force_optimum,
     envy_matrix,
+    eval_query,
     max_egalitarian,
     max_nash,
     max_social_welfare,
@@ -54,6 +55,17 @@ from gen import (
 )
 
 QUAD = BinomialPoly(3.0, 0.0, 2, 0)
+
+
+def memo(inst):
+    """An empty prefix-eval memo, one dict per agent, as the welfare helpers take it."""
+    return [{} for _ in range(inst.n)]
+
+
+def prefix_table(inst, points):
+    """``_prefix_values`` given the v_k(0, 1) that an envelope pass would have asked."""
+    known = [{1.0: eval_query(inst, k, 0.0, 1.0, QueryLedger())} for k in range(inst.n)]
+    return _prefix_values(inst, points, QueryLedger(), known)
 
 
 @dataclass(frozen=True)
@@ -227,7 +239,7 @@ class TestMaxSocialWelfare:
             inst = maker(n, np.random.default_rng(n))
             gamma = eta / (4.0 * n * inst.bounds.upper)
             points = all_pairs_switching_points(inst, gamma, QueryLedger())
-            prefix = _prefix_values(inst, points, QueryLedger())
+            prefix = prefix_table(inst, points)
             dp = scan_dp_oracle(prefix, np.add).values[-1, -1]
             led = QueryLedger()
             alloc, sw = max_social_welfare(inst, eta, led)
@@ -246,7 +258,7 @@ class TestMaxSocialWelfare:
         inst = binomial_instance(5, np.random.default_rng(39))
         led = QueryLedger()
         points = all_pairs_switching_points(inst, 1e-3, led)
-        table = scan_dp_oracle(_prefix_values(inst, points, led), np.multiply)
+        table = scan_dp_oracle(prefix_table(inst, points), np.multiply)
         for row in table.values[:-1]:
             assert all(a <= b + 1e-12 for a, b in zip(row, row[1:]))
 
@@ -254,7 +266,7 @@ class TestMaxSocialWelfare:
         # the envelope's starts are the cuts: at most n - 1 of them inside the cake
         rng = np.random.default_rng(37)
         inst = mlrp_instance(5, rng)
-        stack = _envelope_stack(inst, 1e-3, QueryLedger())
+        stack = _envelope_stack(inst, 1e-3, QueryLedger(), memo(inst))
         starts = [start for _, start, _ in stack]
         assert 1 <= len(stack) <= 5 and starts[0] == 0.0 and stack[-1][2] == 1.0
         assert all(a < b < 1.0 for a, b in zip(starts, starts[1:]))
@@ -267,7 +279,7 @@ class TestMaxSocialWelfare:
         # agent 2 ties agent 1 everywhere, so it pops agent 1, which keeps [p, p]
         inst = Instance.from_densities([Uniform(), Linear(1.0, 0.5), Linear(1.0, 0.5)])
         alloc, sw = max_social_welfare(inst, 1e-9, QueryLedger())
-        assert [agent for agent, _, _ in _envelope_stack(inst, 1e-9, QueryLedger())] == [0, 2]
+        assert [agent for agent, _, _ in _envelope_stack(inst, 1e-9, QueryLedger(), memo(inst))] == [0, 2]
         # near its argmin the prefix gap is flat to rounding within ~1e-8, which costs no value
         assert alloc.cuts[1] == alloc.cuts[2] == pytest.approx(0.5, abs=1e-7)
         assert sw == pytest.approx(1.125, abs=1e-15)
@@ -506,26 +518,27 @@ class TestMaxNash:
 
     def test_grid_size_bound(self, unif_quad):
         eps = 0.02
-        points = _nash_grid(unif_quad, eps, QueryLedger())
+        points = _nash_grid(unif_quad, eps, QueryLedger(), memo(unif_quad))
         assert len(points) <= 8 * unif_quad.n ** 2 / eps + unif_quad.n + 3
 
     def test_queries_are_the_grid_and_prefix_only(self):
         # the envelope's evals, then one cut for a step inside a stretch that
         # ends at or before the stretch's end and n cuts for any other step,
-        # then n evals per grid point for the prefix table
+        # then n evals per inner grid point for the prefix table: v_k(0, 0) is 0.0
+        # unasked, and the envelope's searches asked every v_k(0, 1)
         rng = np.random.default_rng(61)
         for _ in range(4):
             inst = mlrp_instance(int(rng.integers(2, 6)), rng)
             envelope_led, led = QueryLedger(), QueryLedger()
-            stretches = _upper_envelope(inst, NASH_ENVELOPE_GAMMA, envelope_led)
-            points = _nash_grid(inst, 0.05, QueryLedger())
+            stretches = _upper_envelope(inst, NASH_ENVELOPE_GAMMA, envelope_led, memo(inst))
+            points = _nash_grid(inst, 0.05, QueryLedger(), memo(inst))
             max_nash(inst, 0.05, led)
             single = sum(any(lo <= x < y <= hi for _, lo, hi in stretches)
                          for x, y in zip(points, points[1:]))
             assert 0 < single < len(points) - 1
             assert envelope_led.cut_count == 0
             assert led.cut_count == single + inst.n * (len(points) - 1 - single)
-            assert led.eval_count == envelope_led.eval_count + inst.n * len(points)
+            assert led.eval_count == envelope_led.eval_count + inst.n * (len(points) - 2)
 
     def test_grid_over_budget_rejected_before_any_query(self, unif_quad):
         eps = 1e-5
@@ -582,7 +595,7 @@ NASH_NON_MLRP_CASES = {
 def reference_max_nash(inst, eps):
     """``max_nash`` on the all-agents walk's grid."""
     points = full_nash_grid(inst, eps, QueryLedger())
-    allocation, product = _nash_dp(points, _prefix_values(inst, points, QueryLedger()))
+    allocation, product = _nash_dp(points, prefix_table(inst, points))
     return allocation, product ** (1.0 / inst.n)
 
 
@@ -597,7 +610,7 @@ class TestEnvelopeGuidedWalk:
         checked = 0
         for name, inst, eps in nash_dp_cases():
             if name.endswith("_instance"):  # the cases drawn from gen's MLRP generators
-                assert _nash_grid(inst, eps, QueryLedger()) == full_nash_grid(inst, eps, QueryLedger())
+                assert _nash_grid(inst, eps, QueryLedger(), memo(inst)) == full_nash_grid(inst, eps, QueryLedger())
                 checked += 1
         assert checked == 15
 
@@ -608,9 +621,9 @@ class TestEnvelopeGuidedWalk:
         step = eps / (8.0 * inst.n)
         grids, real = [], welfare._prefix_values
 
-        def spy(instance, points, ledger):
+        def spy(instance, points, ledger, known):
             grids.append(list(points))
-            return real(instance, points, ledger)
+            return real(instance, points, ledger, known)
 
         monkeypatch.setattr(welfare, "_prefix_values", spy)
         result = max_nash(inst, eps, QueryLedger())
@@ -636,7 +649,7 @@ class TestEnvelopeGuidedWalk:
             if inst.n < 2:
                 continue
             calls.clear()
-            _upper_envelope(inst, NASH_ENVELOPE_GAMMA, QueryLedger())
+            _upper_envelope(inst, NASH_ENVELOPE_GAMMA, QueryLedger(), memo(inst))
             assert 1 <= len(calls) <= 2 * inst.n - 3
             assert all(i < j for i, j in calls)
 
@@ -648,7 +661,7 @@ class TestEnvelopeGuidedWalk:
                       for name in ("identical_uniform", "identical_gaussian", "equal_middle")]
         checked = 0
         for inst in instances:
-            stretches = _upper_envelope(inst, NASH_ENVELOPE_GAMMA, QueryLedger())
+            stretches = _upper_envelope(inst, NASH_ENVELOPE_GAMMA, QueryLedger(), memo(inst))
             assert all(a < b for (_, _, a), (_, b, _) in zip(stretches, stretches[1:]))
             for agent, lo, hi in stretches:
                 for x in np.linspace(lo, hi, 11)[1:-1]:
@@ -660,8 +673,8 @@ class TestEnvelopeGuidedWalk:
 
 def test_nash_dp_matches_product_oracle():
     for name, inst, eps in nash_dp_cases():
-        points = _nash_grid(inst, eps, QueryLedger())
-        assert_nash_dp_matches_oracle(points, _prefix_values(inst, points, QueryLedger()), name)
+        points = _nash_grid(inst, eps, QueryLedger(), memo(inst))
+        assert_nash_dp_matches_oracle(points, prefix_table(inst, points), name)
 
 
 #: Hand-built prefix tables on points 0, 0.2, ..., 1 whose splits tie
