@@ -44,13 +44,17 @@ class MlrpReport:
         return all(self.verified)
 
 
-def detect_order(instance: Instance, ledger: QueryLedger) -> list[int]:
+def detect_order(instance: Instance, ledger: QueryLedger,
+                 tails: list[float] | None = None) -> list[int]:
     """MLRP order of a promised-MLRP instance: sort by Eval_i(1/2, 1), stable ties.
 
-    Uses exactly n eval queries.  On instances that do not actually satisfy
-    MLRP the result is just a candidate order for downstream verification.
+    Uses exactly n eval queries; ``tails``, when given, receives them in
+    agent order.  On instances that do not actually satisfy MLRP the result
+    is just a candidate order for downstream verification.
     """
     tail_values = [eval_query(instance, i, 0.5, 1.0, ledger) for i in range(instance.n)]
+    if tails is not None:
+        tails += tail_values
     return sorted(range(instance.n), key=lambda i: tail_values[i])
 
 

@@ -10,10 +10,11 @@ densities.  That search interpolates its probes (``ripple._probe``, projected
 to stay within SLACK = 4 halvings of bisection's bracket), so its worst case
 is SLACK iterations beyond what bisection needs, under the same iteration cap.
 If the search fails (``SearchFailedError``) or some kept agent's local envy
-exceeds e_a + AUDIT_SLACK, it recurses on that half.  Halves without
-breakpoints have linear (hence MLRP) local densities, so they settle unless
-the search runs out of float resolution; a level below the root then holds
-at most k recursed halves, and the tree at most k(B+1) nodes.  ``pl_ef``
+exceeds e_a + AUDIT_SLACK, it recurses on that half, whose two children
+take the agents' values of them from that half's without a query.  Halves
+without breakpoints have linear (hence MLRP) local densities, so they settle
+unless the search runs out of float resolution; a level below the root then
+holds at most k recursed halves, and the tree at most k(B+1) nodes.  ``pl_ef``
 stops with ``SearchFailedError`` once it passes that node budget, so the
 count holds unconditionally.
 
@@ -168,24 +169,35 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
         else:
             own.append((l, r))
 
-    def solve_half(lo: float, hi: float) -> bool:
-        """Try to settle [lo, hi] without recursing; True on success."""
-        values = [eval_query(instance, i, lo, hi, ledger) for i in range(n)]
+    def solve_half(lo: float, hi: float, values: list[float]):
+        """Try to settle [lo, hi], worth ``values[i]`` to agent i, without recursing.
+
+        Returns None when it settles, else the agents' values of the left and
+        right halves of [lo, hi], taken without a query: kept agent i, whose
+        local value of the right half ``detect_order`` asked as t_i, values
+        them at v - v t_i and v t_i, v = values[i]; an agent dropped here
+        values each below v < e_d, and keeps v for both, so it is dropped again.
+        """
         keep = [i for i in range(n) if values[i] >= cfg.drop_value]
         if len(keep) <= 1:  # agent 0 takes a half that everyone values below e_d
             give(keep[0] if keep else 0, lo, hi)
-            return True
+            return None
         local = Instance.from_densities([restrict_unit(pls[i], lo, hi) for i in keep],
                                         normalize=False)  # restrict_unit normalizes
-        order = detect_order(local, ledger)
+        tails: list[float] = []
+        order = detect_order(local, ledger, tails)
         local = local.reordered(order)
         agents = [keep[o] for o in order]  # local rank -> global agent
+        left, right = list(values), list(values)
+        for i, t in zip(keep, tails):
+            right[i] = values[i] * t
+            left[i] = values[i] - right[i]
 
         try:
             rd = bin_search(local, ripple_window(cfg.audit_envy, local.bounds.upper), ledger,
                             max_iterations=n * cfg.cap)
         except SearchFailedError:
-            return False
+            return left, right
 
         # the chain asked agents 0..m-2 their own values; the last holds [x_{m-1}, 1]
         m, cuts = len(agents), ripple_to_allocation(rd).cuts
@@ -194,16 +206,17 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
             bound = own[i] + cfg.audit_envy + AUDIT_SLACK
             for j in range(m):
                 if j != i and eval_query(local, i, cuts[j], cuts[j + 1], ledger) > bound:
-                    return False
+                    return left, right
 
         width = hi - lo
         for rank, agent in enumerate(agents):
             a, b = cuts[rank], cuts[rank + 1]
             if b > a:
                 give(agent, lo + a * width, lo + b * width)
-        return True
+        return None
 
-    def recurse(lo: float, hi: float, depth: int) -> None:
+    def recurse(lo: float, hi: float, depth: int, halves) -> None:
+        """Settle or split each half of [lo, hi]; ``halves`` holds the agents' values of the two."""
         stats.node_count += 1
         if stats.node_count > cfg.node_budget:
             raise SearchFailedError(
@@ -215,14 +228,16 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
             give(0, lo, hi)
             return
         mid = 0.5 * (lo + hi)
-        for a, b in ((lo, mid), (mid, hi)):
-            if solve_half(a, b):
+        for (a, b), values in zip(((lo, mid), (mid, hi)), halves):
+            children = solve_half(a, b, values)
+            if children is None:
                 stats.binsearch_hits += 1
             else:
                 stats.recursed_halves += 1
                 # the paper's lemma: only a half with a breakpoint inside recurses
                 stats.breakpoint_free_recursions += not any(a < p < b for p in breakpoints)
-                recurse(a, b, depth + 1)
+                recurse(a, b, depth + 1, children)
 
-    recurse(0.0, 1.0, 1)
+    recurse(0.0, 1.0, 1, [[eval_query(instance, i, a, b, ledger) for i in range(n)]
+                          for a, b in ((0.0, 0.5), (0.5, 1.0))])
     return Division(tuple(map(tuple, pieces))), stats

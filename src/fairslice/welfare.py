@@ -17,7 +17,9 @@ is where every Pareto optimum lives.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -37,7 +39,7 @@ MIN_SWITCHING_GAMMA = 2.0 ** -49
 
 #: Largest Nash grid size cap, 8n^2/eps + n + 2 points, that max_nash accepts.
 #: The guided grid walk costs one cut query per point inside the envelope's
-#: stretches, and the prefix table n evals per inner point; at this cap a call on
+#: stretches, and the prefix table n - 1 evals per inner point; at this cap a call on
 #: seeded Gaussian instances (n = 2, 4, 6; 0.79M, 0.42M, 0.27M grid points)
 #: takes 2.2-3.3 s on a 2-core Xeon, and 1.1 s for two uniform agents.
 MAX_NASH_GRID = 1_000_000
@@ -159,16 +161,38 @@ def _upper_envelope(instance: Instance, gamma: float, ledger: QueryLedger,
             if end - start > 4.0 * gamma]
 
 
-def _prefix_values(instance: Instance, points, ledger: QueryLedger,
+def _prefix_values(instance: Instance, points, cutters, step: float, ledger: QueryLedger,
                    known: list[dict[float, float]]) -> np.ndarray:
-    """prefix[k][t] = v_k(0, points[t]) over T points that run from 0 to 1; n(T - 2) eval queries.
+    """prefix[k][t] = v_k(0, points[t]) over T points that run from 0 to 1.
 
-    Column 0 is 0.0 unasked: v_k(0, 0) is F(0) - F(0) in every family.  The
-    last column is v_k(0, 1) from ``known[k]``, an envelope pass's prefix evals.
+    Column 0 is 0.0 unasked: v_k(0, 0) is F(0) - F(0) in every family.  An
+    entry at a point ``known[k]`` holds is read from it; every agent's
+    v_k(0, 1), which an envelope pass asked, is among them.  An entry whose
+    point is a cut of ``step`` by agent k (``cutters[t] == k``, see
+    :func:`_nash_grid`) is derived: each run of them is filled from the entry
+    before the run, as anchor + j * step, within float error of the eval.
+    The other entries are asked: (n - 1)(T - 2) evals on a walk's grid, whose
+    inner points are all cuts, less one per entry the memo holds.
     """
-    inner = points[1:-1]
-    return np.array([[0.0, *(eval_query(instance, k, 0.0, p, ledger) for p in inner), known[k][1.0]]
-                     for k in range(instance.n)])
+    pts = np.fromiter(points, float, len(points))
+    prefix = np.zeros((instance.n, pts.size))
+    derived = np.fromiter(cutters, int, pts.size) == np.arange(instance.n)[:, None]
+    ask = ~derived
+    ask[:, 0] = False
+    for k, memo in enumerate(known):  # the memo's points on the grid
+        keys = np.fromiter(memo, float, len(memo))
+        at = np.minimum(np.searchsorted(pts, keys), pts.size - 1)
+        held = pts[at] == keys
+        prefix[k, at[held]] = np.fromiter(memo.values(), float, len(memo))[held]
+        ask[k, at[held]] = derived[k, at[held]] = False
+    asked = [eval_query(instance, k, 0.0, p, ledger)
+             for k, row in enumerate(ask.tolist()) for p in compress(points, row)]
+    prefix[ask] = np.fromiter(asked, float, len(asked))
+    # column 0 is never derived, so each run's anchor lies in its own row of the flat table
+    flat, at = prefix.ravel(), np.flatnonzero(derived)
+    anchor = np.maximum.accumulate(np.where(derived.ravel(), 0, np.arange(flat.size)))[at]
+    flat[at] = flat[anchor] + (at - anchor) * step
+    return prefix
 
 
 def _nash_dp(points, prefix: np.ndarray) -> tuple[Allocation, float]:
@@ -343,7 +367,8 @@ def max_egalitarian(instance: Instance, eta: float,
 
 
 def _nash_grid(instance: Instance, epsilon: float, ledger: QueryLedger,
-               known: list[dict[float, float]], guided: bool = True) -> list[float]:
+               known: list[dict[float, float]], guided: bool = True,
+               cutters: list[int] | None = None) -> list[float]:
     """Adaptive grid whose every cell is worth at most epsilon/(8n) to every agent, under MLRP.
 
     Each point is the least of the n cuts of epsilon/(8n) from the last one.
@@ -353,8 +378,12 @@ def _nash_grid(instance: Instance, epsilon: float, ledger: QueryLedger,
     stretch's end.  Elsewhere, or when it lands beyond, the walk asks the
     other agents too.  Without ``guided`` it asks all n at every point, which
     bounds the cells for any densities.  The envelope's searches record
-    their prefix evals in ``known``.  Raises ParameterRegimeError, before
-    any query, when the grid's size cap exceeds MAX_NASH_GRID.
+    their prefix evals in ``known``.  ``cutters``, when given, receives for
+    each point the agent whose cut it is, so that agent values the cell
+    before it at exactly epsilon/(8n); it is -1 for 0 and for the closing 1,
+    which may be a truncated cut, a close within MERGE_TOL or the cap.
+    Raises ParameterRegimeError, before any query, when the grid's size cap
+    exceeds MAX_NASH_GRID.
     """
     cap = math.ceil(8.0 * instance.n * instance.n / epsilon) + instance.n + 2
     if cap > MAX_NASH_GRID:
@@ -365,6 +394,8 @@ def _nash_grid(instance: Instance, epsilon: float, ledger: QueryLedger,
     # stretches still ahead of the walk, the nearest last
     ahead = _upper_envelope(instance, NASH_ENVELOPE_GAMMA, ledger, known)[::-1] if guided else []
     points, x = [0.0], 0.0
+    cutters = [] if cutters is None else cutters
+    cutters.append(-1)
     while x < 1.0 and len(points) <= cap:
         while ahead and ahead[-1][2] <= x:
             ahead.pop()
@@ -372,16 +403,18 @@ def _nash_grid(instance: Instance, epsilon: float, ledger: QueryLedger,
         if ahead and ahead[-1][1] <= x:
             agent, _, hi = ahead[-1]
             nxt = cut_query(instance, agent, x, step, ledger)
+        by = agent
         if nxt > hi:
             # the least of the n cuts from x, the stretch agent's among them; a cut is at most 1
             for i in range(n):
                 if i != agent:
                     y = cut_query(instance, i, x, step, ledger)
                     if y < nxt:
-                        nxt = y
+                        nxt, by = y, i
         x = 1.0 if nxt <= x + MERGE_TOL else nxt  # no agent has step mass left: close the grid
         points.append(x)
-    points[-1] = 1.0
+        cutters.append(by)
+    points[-1], cutters[-1] = 1.0, -1
     return points
 
 
@@ -396,22 +429,38 @@ def max_nash(instance: Instance, epsilon: float,
     of every cell, so the bound is checked without a further query.  When
     some cell exceeds epsilon/(8n) by more than NASH_CELL_TOL, the grid and
     its prefix table are rebuilt by the all-agents walk, which meets the
-    bound for any densities; the ledger counts both.  :func:`_nash_dp` then
-    returns the best allocation with cuts on the grid and its product, whose
-    n-th root is the reported welfare.
+    bound for any densities; the ledger counts both, and the second table
+    reads the first one's asked entries instead of asking them again.  A
+    table entry at a grid point that its own agent's cut set is derived, not
+    asked (see :func:`_prefix_values`), so :func:`_nash_dp` picks its cuts on
+    values within float error of the evals.  The product it reports is then
+    taken again, in the DP's order, from evals at its cuts: the derived ones
+    among them, at most 2(n - 1), are asked here.  The n-th root of that
+    product is the reported welfare.
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon={epsilon} outside (0, 1)")
-    if instance.n == 1:
+    n, step = instance.n, epsilon / (8.0 * instance.n)
+    if n == 1:
         return Allocation((0.0, 1.0)), 1.0
-    known = [{} for _ in range(instance.n)]  # the envelope's prefix evals
-    points = _nash_grid(instance, epsilon, ledger, known)
-    prefix = _prefix_values(instance, points, ledger, known)
-    if np.diff(prefix).max() > epsilon / (8.0 * instance.n) + NASH_CELL_TOL:
-        points = _nash_grid(instance, epsilon, ledger, known, guided=False)
-        prefix = _prefix_values(instance, points, ledger, known)
-    allocation, product = _nash_dp(points, prefix)
-    return allocation, product ** (1.0 / instance.n)
+    known, cutters = [{} for _ in range(n)], []  # the envelope's prefix evals
+    points = _nash_grid(instance, epsilon, ledger, known, cutters=cutters)
+    prefix = _prefix_values(instance, points, cutters, step, ledger, known)
+    if np.diff(prefix).max() > step + NASH_CELL_TOL:
+        for k, memo in enumerate(known):  # the entries that the table asked or read
+            memo.update((p, v) for p, v, c in zip(points, prefix[k].tolist(), cutters) if c != k)
+        cutters = []
+        points = _nash_grid(instance, epsilon, ledger, known, guided=False, cutters=cutters)
+        prefix = _prefix_values(instance, points, cutters, step, ledger, known)
+    allocation, _ = _nash_dp(points, prefix)
+    cols, product = [bisect_left(points, x) for x in allocation.cuts], 1.0
+    for k in range(n):
+        lo, hi = cols[k], cols[k + 1]
+        for t in {lo, hi}:
+            if cutters[t] == k and points[t] not in known[k]:  # a derived entry
+                prefix[k, t] = eval_query(instance, k, 0.0, points[t], ledger)
+        product *= float(prefix[k, hi] - prefix[k, lo])
+    return allocation, product ** (1.0 / n)
 
 
 def reorder_to_mlrp(instance: Instance, pieces, ledger: QueryLedger) -> list[tuple[float, float]]:

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import gen
-from fairslice import QueryLedger, max_nash, max_social_welfare, mlrp, oracle, pl_ef, plef, ripple, welfare
+from fairslice import Instance, QueryLedger, max_nash, max_social_welfare, mlrp, oracle, pl_ef, plef, ripple, welfare
+from test_welfare import NASH_NON_MLRP_CASES
 
 MAKERS = (gen.gaussian_instance, gen.linear_instance, gen.binomial_instance)
 
@@ -57,6 +58,10 @@ def test_nash_asks_no_eval_twice(repeats_of):
         for n in (2, 3, 5):
             inst = maker(n, rng)
             assert repeats_of(lambda: max_nash(inst, 0.05, QueryLedger())) == []
+    # off MLRP order it falls back to the all-agents walk, whose table reads the guided one's evals
+    for densities in NASH_NON_MLRP_CASES.values():
+        inst = Instance.from_densities(densities)
+        assert repeats_of(lambda: max_nash(inst, 0.03, QueryLedger())) == []
 
 
 @pytest.mark.parametrize("eta", [1e-2, 1e-4])

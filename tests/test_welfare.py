@@ -63,9 +63,9 @@ def memo(inst):
 
 
 def prefix_table(inst, points):
-    """``_prefix_values`` given the v_k(0, 1) that an envelope pass would have asked."""
+    """``_prefix_values`` asking every entry, given the v_k(0, 1) that an envelope pass would have asked."""
     known = [{1.0: eval_query(inst, k, 0.0, 1.0, QueryLedger())} for k in range(inst.n)]
-    return _prefix_values(inst, points, QueryLedger(), known)
+    return _prefix_values(inst, points, [-1] * len(points), 0.0, QueryLedger(), known)
 
 
 @dataclass(frozen=True)
@@ -524,21 +524,26 @@ class TestMaxNash:
     def test_queries_are_the_grid_and_prefix_only(self):
         # the envelope's evals, then one cut for a step inside a stretch that
         # ends at or before the stretch's end and n cuts for any other step,
-        # then n evals per inner grid point for the prefix table: v_k(0, 0) is 0.0
-        # unasked, and the envelope's searches asked every v_k(0, 1)
+        # then n - 1 evals per inner grid point for the prefix table: the entry
+        # of the agent whose cut made the point is derived, v_k(0, 0) is 0.0
+        # unasked, and the envelope's searches asked every v_k(0, 1); last, one
+        # eval per derived entry at a cut of the DP's allocation
         rng = np.random.default_rng(61)
         for _ in range(4):
             inst = mlrp_instance(int(rng.integers(2, 6)), rng)
-            envelope_led, led = QueryLedger(), QueryLedger()
+            envelope_led, led, cutters = QueryLedger(), QueryLedger(), []
             stretches = _upper_envelope(inst, NASH_ENVELOPE_GAMMA, envelope_led, memo(inst))
-            points = _nash_grid(inst, 0.05, QueryLedger(), memo(inst))
-            max_nash(inst, 0.05, led)
+            points = _nash_grid(inst, 0.05, QueryLedger(), memo(inst), cutters=cutters)
+            alloc, _ = max_nash(inst, 0.05, led)
             single = sum(any(lo <= x < y <= hi for _, lo, hi in stretches)
                          for x, y in zip(points, points[1:]))
+            at_cuts = {(k, x) for k in range(inst.n) for x in alloc.cuts[k:k + 2]
+                       if cutters[points.index(x)] == k}
             assert 0 < single < len(points) - 1
             assert envelope_led.cut_count == 0
             assert led.cut_count == single + inst.n * (len(points) - 1 - single)
-            assert led.eval_count == envelope_led.eval_count + inst.n * (len(points) - 2)
+            assert min(cutters[1:-1]) >= 0 and cutters[0] == cutters[-1] == -1
+            assert led.eval_count == envelope_led.eval_count + (inst.n - 1) * (len(points) - 2) + len(at_cuts)
 
     def test_grid_over_budget_rejected_before_any_query(self, unif_quad):
         eps = 1e-5
@@ -621,9 +626,9 @@ class TestEnvelopeGuidedWalk:
         step = eps / (8.0 * inst.n)
         grids, real = [], welfare._prefix_values
 
-        def spy(instance, points, ledger, known):
+        def spy(instance, points, *args):
             grids.append(list(points))
-            return real(instance, points, ledger, known)
+            return real(instance, points, *args)
 
         monkeypatch.setattr(welfare, "_prefix_values", spy)
         result = max_nash(inst, eps, QueryLedger())
@@ -669,6 +674,29 @@ class TestEnvelopeGuidedWalk:
                     assert inst.agents[agent].value_at(float(x)) == max(values)
                     checked += 1
         assert checked > 0
+
+
+def test_derived_prefix_entries_are_the_evals():
+    # an entry at a point that its own agent's cut made is anchor + j * step, not
+    # asked; it stays within 1e-12 of the eval, and every other entry is the eval
+    for name, inst, eps in nash_dp_cases():
+        known, cutters = memo(inst), []
+        points = _nash_grid(inst, eps, QueryLedger(), known, cutters=cutters)
+        table = _prefix_values(inst, points, cutters, eps / (8.0 * inst.n), QueryLedger(), known)
+        full = prefix_table(inst, points)
+        derived = np.array(cutters) == np.arange(inst.n)[:, None]
+        assert derived.sum() == len(points) - 2, name
+        assert np.array_equal(table[~derived], full[~derived]), name
+        assert np.abs(table - full)[derived].max() <= 1e-12, name
+
+
+def test_max_nash_is_the_all_evals_reference_bit_for_bit():
+    # the DP picks the same cuts on the derived table, and the product is taken
+    # again from evals; the shared-gap cases keep a guided grid that differs from
+    # the all-agents walk's, and their exactly tied splits may go either way
+    for name, inst, eps in nash_dp_cases():
+        if not name.startswith("shared_gap"):
+            assert max_nash(inst, eps, QueryLedger()) == reference_max_nash(inst, eps), name
 
 
 def test_nash_dp_matches_product_oracle():
