@@ -11,12 +11,16 @@ to stay within SLACK = 4 halvings of bisection's bracket), so its worst case
 is SLACK iterations beyond what bisection needs, under the same iteration cap.
 If the search fails (``SearchFailedError``) or some kept agent's local envy
 exceeds e_a + AUDIT_SLACK, it recurses on that half, whose two children
-take the agents' values of them from that half's without a query.  Halves
-without breakpoints have linear (hence MLRP) local densities, so they settle
-unless the search runs out of float resolution; a level below the root then
-holds at most k recursed halves, and the tree at most k(B+1) nodes.  ``pl_ef``
-stops with ``SearchFailedError`` once it passes that node budget, so the
-count holds unconditionally.
+take the agents' values of them from that half's without a query.  The audit
+asks each kept agent its prefix values at the half's interior cuts, and takes
+those the chain already answered from it: m^2 - 3m + 3 evals for a half of
+m agents that passes (``_envious``).  The root asks each agent v_i(0.5, 1)
+alone, n evals, and takes v_i(0, 0.5) as 1 - v_i(0.5, 1), the instance's
+densities being normalized.  Halves without breakpoints have linear (hence
+MLRP) local densities, so they settle unless the search runs out of float
+resolution; a level below the root then holds at most k recursed halves, and
+the tree at most k(B+1) nodes.  ``pl_ef`` stops with ``SearchFailedError``
+once it passes that node budget, so the count holds unconditionally.
 
 Envy bound, in three shares of eta/3.  Every settled half and every node no
 longer than ``min_length`` is a leaf; leaves are disjoint and cover the cake,
@@ -56,7 +60,7 @@ from .density import as_piecewise_linear, restrict_unit
 from .errors import DomainError, ParameterRegimeError, SearchFailedError
 from .mlrp import detect_order
 from .oracle import Division, Instance, QueryLedger, eval_query
-from .ripple import bin_search, iteration_cap, ripple_to_allocation, ripple_window
+from .ripple import RippleDivision, bin_search, iteration_cap, ripple_to_allocation, ripple_window
 
 
 #: Local envy an audited half may keep beyond e_a, for the float error of its queries.
@@ -138,6 +142,34 @@ class RecursionStats:
     breakpoint_free_recursions: int = 0  # recursed halves with no agent breakpoint inside
 
 
+def _envious(local: Instance, rd: RippleDivision, envy: float, ledger: QueryLedger) -> bool:
+    """True iff some agent of ``local`` values another's piece of ``rd``'s allocation above
+    its own plus ``envy`` + AUDIT_SLACK; agents are checked in rank order, up to the first
+    that envies.
+
+    Agent i is asked its prefix values P_i(c_j) = v_i(0, c_j) at the interior cuts, and a
+    piece's value is P_i(c_{j+1}) - P_i(c_j).  Some need no query: P_i(0) = 0 and P_i(1) = 1,
+    as ``restrict_unit`` normalizes every local density; for i < m - 1, the chain's eval
+    t_i = v_i(c_i, c_{i+1}) gives P_i(c_{i+1}) = P_i(c_i) + t_i (so P_0(c_1) = t_0), and where
+    i + 2 <= m - 1, P_i(c_{i+2}) = P_i(c_{i+1}) + t_i, since agent i's cut of t_i made c_{i+2}
+    (on a hit no cut is truncated).  A passing half of m agents costs m^2 - 3m + 3 evals.  A
+    prefix difference is off by a few ulps, far inside AUDIT_SLACK.
+    """
+    m, cuts, t = local.n, rd.cuts, rd.own_values  # the interior cuts are the allocation's
+    for i in range(m):
+        prefix = [0.0]
+        for j in range(1, m):
+            if i < m - 1 and j in (i + 1, i + 2):
+                prefix.append(prefix[-1] + t[i])
+            else:
+                prefix.append(eval_query(local, i, 0.0, cuts[j], ledger))
+        prefix.append(1.0)
+        pieces = [b - a for a, b in zip(prefix, prefix[1:])]
+        if max(pieces) > pieces[i] + envy + AUDIT_SLACK:
+            return True
+    return False
+
+
 def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division, RecursionStats]:
     """eta-envy-free cake division for piecewise-linear densities.
 
@@ -177,6 +209,8 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
         local value of the right half ``detect_order`` asked as t_i, values
         them at v - v t_i and v t_i, v = values[i]; an agent dropped here
         values each below v < e_d, and keeps v for both, so it is dropped again.
+        A settled half costs m evals for the order, the search's chains, and
+        m^2 - 3m + 3 evals for the audit of m agents (``_envious``).
         """
         keep = [i for i in range(n) if values[i] >= cfg.drop_value]
         if len(keep) <= 1:  # agent 0 takes a half that everyone values below e_d
@@ -199,16 +233,10 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
         except SearchFailedError:
             return left, right
 
-        # the chain asked agents 0..m-2 their own values; the last holds [x_{m-1}, 1]
-        m, cuts = len(agents), ripple_to_allocation(rd).cuts
-        own = [*rd.own_values, eval_query(local, m - 1, cuts[m - 1], 1.0, ledger)]
-        for i in range(m):
-            bound = own[i] + cfg.audit_envy + AUDIT_SLACK
-            for j in range(m):
-                if j != i and eval_query(local, i, cuts[j], cuts[j + 1], ledger) > bound:
-                    return left, right
+        if _envious(local, rd, cfg.audit_envy, ledger):
+            return left, right
 
-        width = hi - lo
+        cuts, width = ripple_to_allocation(rd).cuts, hi - lo
         for rank, agent in enumerate(agents):
             a, b = cuts[rank], cuts[rank + 1]
             if b > a:
@@ -238,6 +266,6 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
                 stats.breakpoint_free_recursions += not any(a < p < b for p in breakpoints)
                 recurse(a, b, depth + 1, children)
 
-    recurse(0.0, 1.0, 1, [[eval_query(instance, i, a, b, ledger) for i in range(n)]
-                          for a, b in ((0.0, 0.5), (0.5, 1.0))])
+    tails = [eval_query(instance, i, 0.5, 1.0, ledger) for i in range(n)]
+    recurse(0.0, 1.0, 1, ([1.0 - t for t in tails], tails))
     return Division(tuple(map(tuple, pieces))), stats

@@ -4,12 +4,16 @@ The pins were recorded when each PL-EF half began to keep local envy eta/3
 in its own normalized values and to drop agents that value it below
 eta / (6k(B+1)), with the cancellation-free root of near-flat linear cuts;
 speed changes to ``pl_ef`` must leave every division, ``RecursionStats``
-field and ledger bit-identical.  The eval counts were re-pinned twice: when
-each half's audit began to take agents 0..m-2's own values from the chain
-that ``bin_search`` settled on instead of asking them again, and when a
+field and ledger bit-identical.  The eval counts were re-pinned three times:
+when each half's audit began to take agents 0..m-2's own values from the
+chain that ``bin_search`` settled on instead of asking them again; when a
 recursed half began to hand its children their values (v - v t and v t, t
 its ``detect_order`` value of the right half) instead of their asking them;
-every division and ``RecursionStats`` field stayed the same.  A division is
+and when the audit began to ask prefix values at the half's cuts, taking
+those the chain already answered without a query (m^2 - 3m + 3 evals for a
+passing half of m agents, m^2 - m + 1 before), while the root began to take
+v_i(0, 0.5) as 1 - v_i(0.5, 1).  Every division and ``RecursionStats`` field
+stayed the same.  A division is
 pinned by agent 0's first cut, the number of pieces per agent and a digest of
 every endpoint's ``float.hex``.  The instance for (n, k, seed) is
 ``gen.piecewise_linear_instance(n, k, default_rng(seed))``.
@@ -37,53 +41,53 @@ import gen
 # (eval, cut) counts
 GOLDEN = {
     (3, 4, 0, 0.01): (0.16719070220868085, (3, 4, 4), '613bf4a80233f360',
-                      (3, 3, 0, 4, 2), (103, 44)),
+                      (3, 3, 0, 4, 2), (78, 44)),
     (3, 4, 0, 0.001): (0.16725372866415666, (3, 4, 4), 'fe39a1abf743d873',
-                       (3, 3, 0, 4, 2), (107, 48)),
+                       (3, 3, 0, 4, 2), (82, 48)),
     (4, 9, 1, 0.01): (0.05586441386885493, (3, 4, 4, 4), 'e968aad3cd5a6394',
-                      (3, 2, 0, 4, 2), (186, 96)),
+                      (3, 2, 0, 4, 2), (154, 96)),
     (4, 9, 1, 0.001): (0.05590167993552515, (3, 4, 4, 4), '6e82956fa2e7afb5',
-                       (3, 2, 0, 4, 2), (219, 129)),
+                       (3, 2, 0, 4, 2), (187, 129)),
     (5, 7, 2, 0.01): (0.16894985353424904, (4, 4, 4, 4, 4), '19545e3610c40cba',
-                      (3, 3, 0, 4, 2), (284, 146)),
+                      (3, 3, 0, 4, 2), (241, 146)),
     (5, 7, 2, 0.001): (0.16907946107542896, (6, 6, 6, 6, 6), '4a4d4020eea5d668',
-                       (5, 4, 0, 6, 4), (471, 262)),
+                       (5, 4, 0, 6, 4), (409, 262)),
     (3, 5, 3, 0.01): (0.16792341681079506, (2, 2, 2), '9307db3e014de71d',
-                      (1, 1, 0, 2, 0), (34, 8)),
+                      (1, 1, 0, 2, 0), (23, 8)),
     (3, 5, 3, 0.001): (0.16803819683011734, (2, 2, 2), 'e2a6cc6847f23109',
-                       (1, 1, 0, 2, 0), (38, 12)),
+                       (1, 1, 0, 2, 0), (27, 12)),
     (4, 10, 4, 0.01): (0.09406595301106033, (5, 5, 4, 5), '177e56ac47bb38da',
-                       (4, 3, 0, 5, 3), (251, 115)),
+                       (4, 3, 0, 5, 3), (202, 115)),
     (4, 10, 4, 0.001): (0.09411021556895013, (5, 5, 4, 5), 'a1bc453895f18397',
-                        (4, 3, 0, 5, 3), (272, 136)),
+                        (4, 3, 0, 5, 3), (223, 136)),
     (5, 8, 5, 0.01): (0.18148791173717652, (10, 10, 10, 9, 9), '55b6b7d13f8a5ed7',
-                      (9, 6, 0, 10, 8), (813, 454)),
+                      (9, 6, 0, 10, 8), (705, 454)),
     (5, 8, 5, 0.001): (0.09844313531901443, (15, 15, 15, 14, 15), 'c63be312a966483b',
-                       (14, 9, 0, 15, 13), (1335, 794)),
+                       (14, 9, 0, 15, 13), (1176, 794)),
     (3, 6, 6, 0.01): (0.08348958226949299, (6, 4, 6), 'ddea8440c83d8b2d',
-                      (5, 5, 0, 6, 4), (216, 116)),
+                      (5, 5, 0, 6, 4), (175, 116)),
     (3, 6, 6, 0.001): (0.08352083229963933, (6, 4, 6), 'e07471e13dbf9bf6',
-                       (5, 5, 0, 6, 4), (232, 132)),
+                       (5, 5, 0, 6, 4), (191, 132)),
     (4, 4, 7, 0.01): (0.05851686192162063, (5, 5, 5, 5), '4ddbace9dad07781',
-                      (4, 3, 0, 5, 3), (252, 132)),
+                      (4, 3, 0, 5, 3), (208, 132)),
     (4, 4, 7, 0.001): (0.05861870862902803, (5, 5, 5, 5), '28d4b596b30ef0bd',
-                       (4, 3, 0, 5, 3), (270, 150)),
+                       (4, 3, 0, 5, 3), (226, 150)),
     (5, 9, 8, 0.01): (0.14289858572866096, (6, 5, 6, 6, 6), '36658c2f31747fe3',
-                      (5, 5, 0, 6, 4), (448, 215)),
+                      (5, 5, 0, 6, 4), (376, 215)),
     (5, 9, 8, 0.001): (0.1430989071089845, (6, 5, 6, 6, 6), '8d8de7d97e7c8615',
-                       (5, 5, 0, 6, 4), (475, 243)),
+                       (5, 5, 0, 6, 4), (404, 243)),
     (3, 7, 9, 0.01): (0.1628724391271359, (3, 3, 3), '73046337d6b2a8b4',
-                      (2, 2, 0, 3, 1), (83, 40)),
+                      (2, 2, 0, 3, 1), (65, 40)),
     (3, 7, 9, 0.001): (0.16290448063676813, (3, 3, 3), '2c67dbfc36c99fbe',
-                       (2, 2, 0, 3, 1), (87, 44)),
+                       (2, 2, 0, 3, 1), (69, 44)),
     (4, 5, 10, 0.01): (0.053791521750450474, (7, 7, 7, 6), 'd7ea0d5264e3b853',
-                       (6, 4, 0, 7, 5), (315, 134)),
+                       (6, 4, 0, 7, 5), (250, 134)),
     (4, 5, 10, 0.001): (0.053823759470089216, (9, 9, 9, 8), 'c8bbc1ed923e0aaa',
-                        (8, 5, 0, 9, 7), (478, 245)),
+                        (8, 5, 0, 9, 7), (395, 245)),
     (5, 10, 11, 0.01): (0.25, (7, 8, 8, 7, 8), 'c30c071623a58571',
-                        (7, 5, 0, 8, 6), (560, 277)),
+                        (7, 5, 0, 8, 6), (476, 277)),
     (5, 10, 11, 0.001): (0.25, (10, 11, 11, 10, 11), '09f887fe06eff4f4',
-                         (10, 8, 0, 11, 9), (851, 429)),
+                         (10, 8, 0, 11, 9), (727, 429)),
 }
 
 

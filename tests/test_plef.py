@@ -18,9 +18,10 @@ from fairslice import (
     ripple_window,
 )
 from fairslice import cli, plef
-from fairslice.density import as_piecewise_linear
+from fairslice.density import as_piecewise_linear, restrict_unit
 from fairslice.errors import ParameterRegimeError, SearchFailedError, UnsupportedFamilyError
-from fairslice.ripple import iteration_cap
+from fairslice.mlrp import detect_order
+from fairslice.ripple import bin_search, iteration_cap, ripple_to_allocation
 from bisection import bisection_search
 from gen import piecewise_linear_instance
 from test_golden_plef import GOLDEN as GOLDEN_PLEF
@@ -311,3 +312,31 @@ def test_only_halves_with_a_breakpoint_recurse():
     # in floats the zero-touching pair recurses at eta 1e-8, on halves without breakpoints
     stats = pl_ef(Instance.from_densities([Linear(2.0, 0.0), Linear(-2.0, 2.0)]), 1e-8, QueryLedger())[1]
     assert stats.breakpoint_free_recursions == stats.recursed_halves > 0
+
+
+def test_prefix_audit_matches_the_envy_matrix():
+    # plef._envious, the in-half audit, on seeded restrictions of PL halves searched as
+    # solve_half does: its verdict is the envy matrix's on the same local cuts (but within
+    # 1e-12 of the bound), and a passing half of m agents asks m^2 - 3m + 3 evals, no cut
+    rng = np.random.default_rng(29)
+    verdicts = []
+    for m in range(2, 7):
+        for _ in range(20):
+            inst = piecewise_linear_instance(m, int(rng.integers(1, 13)), rng)
+            depth = int(rng.integers(1, 4))
+            lo = int(rng.integers(0, 2 ** depth)) / 2 ** depth
+            local = Instance.from_densities(
+                [restrict_unit(as_piecewise_linear(d), lo, lo + 0.5 ** depth) for d in inst.agents],
+                normalize=False)
+            local = local.reordered(detect_order(local, QueryLedger()))
+            envy = float(rng.choice([1e-2, 1e-3, 1e-4])) / 3.0
+            rd = bin_search(local, ripple_window(envy, local.bounds.upper), QueryLedger())
+            ledger = QueryLedger()
+            verdict = plef._envious(local, rd, envy, ledger)
+            excess = envy_matrix(local, ripple_to_allocation(rd)).max_envy - envy - plef.AUDIT_SLACK
+            if abs(excess) > 1e-12:
+                assert verdict == (excess > 0), (m, excess)
+            if not verdict:
+                assert (ledger.eval_count, ledger.cut_count) == (m * m - 3 * m + 3, 0)
+            verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)  # halves that fail the audit, and halves that pass

@@ -2,16 +2,19 @@
 
 A spy stands in for ``eval_query`` in every module that issues evals and
 records each (density, l, r) it is asked within one ``max_social_welfare``,
-``max_nash`` or ``pl_ef`` call.  Densities are keyed by identity, and the spy
-holds on to each one: PL-EF builds a fresh restriction per half, and the id
-of a freed one may be reused by the next.
+``max_nash`` or ``pl_ef`` call, or one ``fairslice plef`` run.  Densities are
+keyed by identity, and the spy holds on to each one: PL-EF builds a fresh
+restriction per half, and the id of a freed one may be reused by the next.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 import gen
-from fairslice import Instance, QueryLedger, max_nash, max_social_welfare, mlrp, oracle, pl_ef, plef, ripple, welfare
+from fairslice import (Instance, QueryLedger, cli, max_nash, max_social_welfare, mlrp, oracle, pl_ef, plef,
+                       ripple, welfare)
 from test_welfare import NASH_NON_MLRP_CASES
 
 MAKERS = (gen.gaussian_instance, gen.linear_instance, gen.binomial_instance)
@@ -71,3 +74,17 @@ def test_plef_asks_no_eval_twice(repeats_of, eta):
         for k in (2, 6, 12):
             inst = gen.piecewise_linear_instance(n, k, rng)
             assert repeats_of(lambda: pl_ef(inst, eta, QueryLedger())) == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the CLI's detect_order and pl_ef's root both ask each v_i(0.5, 1); "
+                          "handing them over needs a change at the CLI/pl_ef boundary (ROADMAP item 16)")
+def test_plef_cli_asks_no_eval_twice(repeats_of, tmp_path):
+    inst = gen.piecewise_linear_instance(3, 6, np.random.default_rng(27))
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"agents": [d.to_dict() for d in inst.agents]}), encoding="utf-8")
+    exits = []
+    repeats = repeats_of(lambda: exits.append(cli.run(["plef", "--eta", "1e-2", str(path)])))
+    if exits != [0]:
+        pytest.fail(f"fairslice plef exited {exits}")
+    assert repeats == []

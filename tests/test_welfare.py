@@ -690,6 +690,23 @@ def test_derived_prefix_entries_are_the_evals():
         assert np.abs(table - full)[derived].max() <= 1e-12, name
 
 
+def test_derived_drift_sends_no_mlrp_draw_to_the_fallback(monkeypatch):
+    # at eps 1e-3 a long run of one agent's cuts lets its derived entries drift from
+    # the evals by more than NASH_CELL_TOL (1.4e-12 on the third linear draw); no cell
+    # check of these MLRP draws may read that drift and rebuild the all-agents walk
+    walks, real = [], welfare._nash_grid
+
+    def spy(*args, guided=True, **kwargs):
+        walks.append(guided)
+        return real(*args, guided=guided, **kwargs)
+
+    monkeypatch.setattr(welfare, "_nash_grid", spy)
+    for maker in (linear_instance, binomial_instance):
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            max_nash(maker(2, rng), 1e-3, QueryLedger())
+    assert walks == [True] * 10
+
 def test_max_nash_is_the_all_evals_reference_bit_for_bit():
     # the DP picks the same cuts on the derived table, and the product is taken
     # again from evals; the shared-gap cases keep a guided grid that differs from
