@@ -70,10 +70,18 @@ def load_instance(path: str) -> tuple[Instance, bool]:
     return Instance.from_densities(densities), ordered
 
 
-def _ordered_instance(path: str, ledger: QueryLedger) -> tuple[Instance, list[int]]:
-    """The instance in its MLRP order, and that order: identity if marked ordered, else detected."""
+def _ordered_instance(path: str, ledger: QueryLedger,
+                      tails: list[float] | None = None) -> tuple[Instance, list[int]]:
+    """The instance in its MLRP order, and that order: identity if marked ordered, else detected.
+
+    ``tails``, when given, receives the v_i(0.5, 1) that ``detect_order`` asked, in the
+    returned order; it stays empty when the file is marked ordered.
+    """
     instance, ordered = load_instance(path)
-    order = list(range(instance.n)) if ordered else mlrp.detect_order(instance, ledger)
+    asked: list[float] = []
+    order = list(range(instance.n)) if ordered else mlrp.detect_order(instance, ledger, asked)
+    if tails is not None and asked:
+        tails += [asked[i] for i in order]
     return instance.reordered(order), order
 
 
@@ -182,8 +190,9 @@ def _ew_failure(instance: Instance, eta: float, report: dict) -> str | None:
 
 
 def _plef(args, ledger):
-    instance, order = _ordered_instance(args.instance, ledger)
-    division, stats = plef.pl_ef(instance, args.eta, ledger)
+    tails: list[float] = []
+    instance, order = _ordered_instance(args.instance, ledger, tails)
+    division, stats = plef.pl_ef(instance, args.eta, ledger, tails=tails or None)
     max_envy = audit.envy_matrix(instance, division).max_envy
     report = {
         "parameters": {"eta": args.eta},

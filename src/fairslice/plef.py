@@ -6,9 +6,15 @@ from their densities restricted to the half (``restrict_unit`` reparametrizes
 each onto the unit cake and normalizes it in one pass, so the instance takes
 them as they are), guesses a local MLRP order, and runs the ripple search on
 the window ``ripple_window(e_a, U_local)``, e_a = eta/3, of the local
-densities.  That search interpolates its probes (``ripple._probe``, projected
-to stay within SLACK = 4 halvings of bisection's bracket), so its worst case
-is SLACK iterations beyond what bisection needs, under the same iteration cap.
+densities.  Its first probe comes from a model (``_model_probe``): each kept
+agent's local density is taken to be linear, f_i(x) = 1 + 8(t_i - 1/2)(x - 1/2)
+with t_i its ``detect_order`` tail, and the probe is where the ripple chain of
+those models ends at 1 - delta/2, solved in floats without a query.  On a half
+without a breakpoint the model is the density, so the first chain hits unless
+float error moves its end out of the window.  The search then interpolates its
+probes (``ripple._probe``, projected to stay within SLACK = 4 halvings of
+bisection's bracket), so its worst case is SLACK iterations beyond what
+bisection needs, under the same iteration cap.
 If the search fails (``SearchFailedError``) or some kept agent's local envy
 exceeds e_a + AUDIT_SLACK, it recurses on that half, whose two children
 take the agents' values of them from that half's without a query.  The audit
@@ -16,7 +22,8 @@ asks each kept agent its prefix values at the half's interior cuts, and takes
 those the chain already answered from it: m^2 - 3m + 3 evals for a half of
 m agents that passes (``_envious``).  The root asks each agent v_i(0.5, 1)
 alone, n evals, and takes v_i(0, 0.5) as 1 - v_i(0.5, 1), the instance's
-densities being normalized.  Halves without breakpoints have linear (hence
+densities being normalized, or takes them all from ``tails`` (the CLI's
+``detect_order`` asked them).  Halves without breakpoints have linear (hence
 MLRP) local densities, so they settle unless the search runs out of float
 resolution; a level below the root then holds at most k recursed halves, and
 the tree at most k(B+1) nodes.  ``pl_ef`` stops with ``SearchFailedError``
@@ -54,13 +61,15 @@ settles both halves at the root at eta = 1e-2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .density import as_piecewise_linear, restrict_unit
 from .errors import DomainError, ParameterRegimeError, SearchFailedError
 from .mlrp import detect_order
 from .oracle import Division, Instance, QueryLedger, eval_query
-from .ripple import RippleDivision, bin_search, iteration_cap, ripple_to_allocation, ripple_window
+from .ripple import RippleDivision, _search, iteration_cap, ripple_to_allocation, ripple_window
+from .ripple import bin_search  # noqa: F401  unused; perfbench's tracer patches plef.bin_search
 
 
 #: Local envy an audited half may keep beyond e_a, for the float error of its queries.
@@ -69,6 +78,9 @@ AUDIT_SLACK = 1e-12
 #: Deepest B (the root is depth 1): the nodes PL-EF halves, at depths below B, are
 #: at least 2^-52 long and dyadic, so their midpoints are exact doubles.
 MAX_DEPTH = 54
+
+#: Newton or bisection steps of ``_model_probe``; it returns its last point if none lands.
+MODEL_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -170,7 +182,71 @@ def _envious(local: Instance, rd: RippleDivision, envy: float, ledger: QueryLedg
     return False
 
 
-def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division, RecursionStats]:
+def _model_probe(tails: list[float], delta: float) -> float:
+    """The first cut x_1 at which the ripple chain of linear models of a half's local
+    densities ends at 1 - delta/2; solved in floats, it asks no query.
+
+    Agent i, in rank order, is modelled as f_i(x) = 1 + s_i (x - 1/2), s_i = 8(t_i - 1/2),
+    where t_i = v_i(1/2, 1) is its ``detect_order`` tail clamped to [1/4, 3/4], so that f_i
+    is a density: the local density itself when that is linear, as on a half with no
+    breakpoint inside.  Its prefix value is F_i(x) = x + s_i x (x - 1) / 2, and the chain
+    steps x_{i+2} = F_i^{-1}(2 F_i(x_{i+1}) - F_i(x_i)), truncated at 1.
+
+    The solve starts where m identical agents of the mean slope would end the chain at
+    the goal (their chain has F(x_i) = i F(x_1)): exact for m = 2, and the search's
+    uniform guess (1 - delta/2) / m when every tail is 1/2.  Newton's method then runs
+    on the last cut's value F_{m-2}(x_m), smooth also where x_m passes 1, inside the
+    bracket of the points seen; a chain truncated before its last cut is bisected.  It
+    stops once that value lies within delta/4 of the goal's, scaled by f_{m-2} there;
+    a Newton step from within the square root of that is taken unchecked, its error
+    being quadratic; else after MODEL_STEPS chains.
+    """
+    slopes = [8.0 * (min(max(t, 0.25), 0.75) - 0.5) for t in tails[:-1]]  # the last agent cuts nothing
+    goal = 1.0 - 0.5 * delta
+    q = 0.5 * sum(slopes) / len(slopes)  # half the mean slope
+    y = goal * (1.0 + q * (goal - 1.0)) / len(tails)
+    b = 1.0 - q
+    x = 2.0 * y / (b + math.sqrt(b * b + 4.0 * q * y))  # F^{-1}(y), without cancellation
+    *inner, s = slopes
+    h = 0.5 * s
+    target = goal * (1.0 + h * (goal - 1.0))  # F_{m-2}(goal)
+    tol = 0.25 * delta * (1.0 + s * (goal - 0.5))
+    lo, hi = 0.0, 1.0
+    for _ in range(MODEL_STEPS):
+        prev, cur, d_prev, d_cur = 0.0, x, 0.0, 1.0  # chain points and their derivatives in x
+        for r in inner:
+            q = 0.5 * r
+            y = 2.0 * cur * (1.0 + q * (cur - 1.0)) - prev * (1.0 + q * (prev - 1.0))
+            if y >= 1.0:  # truncated: the chain ends at 1, past the goal
+                hi, x = x, 0.5 * (lo + x)
+                break
+            d_y = 2.0 * (1.0 + r * (cur - 0.5)) * d_cur - (1.0 + r * (prev - 0.5)) * d_prev
+            b = 1.0 - q
+            root = b + math.sqrt(b * b + 4.0 * q * y)
+            prev, cur = cur, 2.0 * y / root if root > 0.0 else 0.0
+            f_cur = 1.0 + r * (cur - 0.5)
+            d_prev, d_cur = d_cur, d_y / f_cur if f_cur > 0.0 else math.inf
+        else:
+            gap = 2.0 * cur * (1.0 + h * (cur - 1.0)) - prev * (1.0 + h * (prev - 1.0)) - target
+            if abs(gap) <= tol:
+                return x
+            if gap < 0.0:
+                lo = x
+            else:
+                hi = x
+            d_y = 2.0 * (1.0 + s * (cur - 0.5)) * d_cur - (1.0 + s * (prev - 0.5)) * d_prev
+            step = x - gap / d_y if 0.0 < d_y < math.inf else math.nan
+            if not lo < step < hi:  # a NaN is never inside
+                x = 0.5 * (lo + hi)
+            elif gap * gap <= tol:
+                return step
+            else:
+                x = step
+    return x
+
+
+def pl_ef(instance: Instance, eta: float, ledger: QueryLedger,
+          tails: list[float] | None = None) -> tuple[Division, RecursionStats]:
     """eta-envy-free cake division for piecewise-linear densities.
 
     Returns the division together with recursion statistics.  The envy bound
@@ -182,7 +258,12 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
     1e-12 slack is at most eta/3.  The recursion tree has at most
     ``cfg.node_budget`` = k(B+1) nodes: one more raises ``SearchFailedError``
     naming the budget.  Every agent ends up with at most 2k(B+1) intervals.
+
+    ``tails``, when given, are the agents' values v_i(0.5, 1), in the instance's
+    order, as ``detect_order`` asked them; the root then asks no query.
     """
+    if tails is not None and len(tails) != instance.n:
+        raise DomainError(f"{len(tails)} tails given for {instance.n} agents")
     pls = [as_piecewise_linear(d) for d in instance.agents]
     n = instance.n
     breakpoints = [p for pl in pls for p in pl.breakpoints]
@@ -209,8 +290,11 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
         local value of the right half ``detect_order`` asked as t_i, values
         them at v - v t_i and v t_i, v = values[i]; an agent dropped here
         values each below v < e_d, and keeps v for both, so it is dropped again.
-        A settled half costs m evals for the order, the search's chains, and
-        m^2 - 3m + 3 evals for the audit of m agents (``_envious``).
+        The search's first probe is where the ripple chain of the kept agents'
+        linear models, fixed by those tails, ends at the goal (``_model_probe``),
+        so a half without a breakpoint settles on its first chain but for float
+        error.  A settled half costs m evals for the order, the search's chains,
+        and m^2 - 3m + 3 evals for the audit of m agents (``_envious``).
         """
         keep = [i for i in range(n) if values[i] >= cfg.drop_value]
         if len(keep) <= 1:  # agent 0 takes a half that everyone values below e_d
@@ -227,9 +311,10 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
             right[i] = values[i] * t
             left[i] = values[i] - right[i]
 
+        delta = ripple_window(cfg.audit_envy, local.bounds.upper)
+        first = _model_probe([tails[o] for o in order], delta)
         try:
-            rd = bin_search(local, ripple_window(cfg.audit_envy, local.bounds.upper), ledger,
-                            max_iterations=n * cfg.cap)
+            rd = _search(local, delta, ledger, (1.0 - 0.5 * delta) / first, max_iterations=n * cfg.cap)
         except SearchFailedError:
             return left, right
 
@@ -266,6 +351,7 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
                 stats.breakpoint_free_recursions += not any(a < p < b for p in breakpoints)
                 recurse(a, b, depth + 1, children)
 
-    tails = [eval_query(instance, i, 0.5, 1.0, ledger) for i in range(n)]
+    if tails is None:
+        tails = [eval_query(instance, i, 0.5, 1.0, ledger) for i in range(n)]
     recurse(0.0, 1.0, 1, ([1.0 - t for t in tails], tails))
     return Division(tuple(map(tuple, pieces))), stats

@@ -16,9 +16,12 @@ Both searches start from bracket ends they know without a query: the first
 cut x = 0 and the target k = 0 give chains of 0, and the right ends, x = 1
 (whose chain ends at 1) and k = kmax + 1 (past the last target), are never
 run.  The first probe comes from the uniform-agents model, where RD_n(x) = n x
-and MK_n(k) = n k eta.  The projection keeps every bracket within 2**SLACK
-times bisection's width: a search reaches any bracket width at most SLACK = 4
-iterations after bisection would.  Its worst case is therefore the iterations
+and MK_n(k) = n k eta; PL-EF's halves instead start where the chain of linear
+models of their agents ends at the goal (``plef._model_probe``), through
+:func:`_search`, the search that ``bin_search`` runs with slope n.  The
+projection keeps every bracket within 2**SLACK times bisection's width: a
+search reaches any bracket width at most SLACK = 4 iterations after bisection
+would, whatever its first probe.  Its worst case is therefore the iterations
 bisection needs to narrow the bracket below the window's preimage, plus SLACK.
 So no search needs a cap: each ends on a hit or at adjacent doubles, which
 bisection reaches within 1,074 halvings of [0, 1].  Where lambda is finite, the
@@ -186,6 +189,18 @@ def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
     ``max_iterations``, when given, is a budget: running out of it also raises
     :class:`SearchFailedError`.
     """
+    return _search(instance, delta, ledger, instance.n, max_iterations)
+
+
+def _search(instance: Instance, delta: float, ledger: QueryLedger, slope: float,
+            max_iterations: int | None = None) -> RippleDivision:
+    """:func:`bin_search` whose first probe is (1 - delta/2) / ``slope``, on the line
+    RD_n(x) = slope * x through the origin that :func:`_probe` follows from a single point.
+
+    ``bin_search`` passes n, the uniform agents' slope; PL-EF passes the slope through
+    the point where linear models of a half's densities end their chain at 1 - delta/2
+    (``plef._model_probe``).
+    """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta={delta} outside (0, 1)")
     n = instance.n
@@ -202,7 +217,7 @@ def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
             raise SearchFailedError(
                 f"bin_search ran out of float resolution at iteration {it}{cap}: "
                 f"{left!r} and {right!r} are adjacent doubles and no chain endpoint hit [1-delta, 1)")
-        x = _probe(left, right, points, goal, it - 1, 1.0, n)
+        x = _probe(left, right, points, goal, it - 1, 1.0, slope)
         evals.clear()
         chain = rd_chain(instance, x, ledger, evals)
         endpoint = chain[-1]

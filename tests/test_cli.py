@@ -194,7 +194,7 @@ def test_plef_envy_above_eta_exits_3(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "inst.json", TWO_UNIFORM)
     division = Division((((0.0, 0.1), (0.9, 1.0)), ((0.1, 0.9),)))
     monkeypatch.setattr(plef, "pl_ef",
-                        lambda inst, eta, ledger: (division, RecursionStats(node_count=1)))
+                        lambda inst, eta, ledger, tails=None: (division, RecursionStats(node_count=1)))
     code, report = invoke(capsys, ["plef", "--eta", "1e-2", path])
     assert code == 3
     assert report["max_envy"] == pytest.approx(0.6, abs=1e-12)
@@ -372,8 +372,8 @@ AUDIT_FAILURES = {
                     lambda inst, eps, ledger: (Allocation((0.0, 0.2, 1.0)), 0.4),
                     "NSW 0.4 < (1-eps) * grid optimum"),
     "plef": (TWO_UNIFORM, ["plef", "--eta", "1e-2"], None, plef, "pl_ef",
-             lambda inst, eta, ledger: (Division((((0.0, 0.1), (0.9, 1.0)), ((0.1, 0.9),))),
-                                        RecursionStats(node_count=1)),
+             lambda inst, eta, ledger, tails=None: (Division((((0.0, 0.1), (0.9, 1.0)), ((0.1, 0.9),))),
+                                                    RecursionStats(node_count=1)),
              "max envy 0.6 > eta"),
     "reorder": (UNIF_QUAD, ["reorder"], [[[0.0, 0.5]], [[0.5, 1.0]]], welfare, "reorder_to_mlrp",
                 lambda inst, pieces, ledger: [(0.0, 0.9), (0.9, 1.0)],

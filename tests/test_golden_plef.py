@@ -13,7 +13,12 @@ and when the audit began to ask prefix values at the half's cuts, taking
 those the chain already answered without a query (m^2 - 3m + 3 evals for a
 passing half of m agents, m^2 - m + 1 before), while the root began to take
 v_i(0, 0.5) as 1 - v_i(0.5, 1).  Every division and ``RecursionStats`` field
-stayed the same.  A division is
+stayed the same.  The divisions themselves were re-pinned once, with their
+ledgers, when each half's search began at the point where the ripple chain of
+its agents' linear models ends at the goal (``plef._model_probe``) instead of
+at the uniform agents' (1 - delta/2) / m: the search settles on a different
+chain inside the same window, so first cuts, digests and counts moved, while
+every piece count and ``RecursionStats`` field stayed the same.  A division is
 pinned by agent 0's first cut, the number of pieces per agent and a digest of
 every endpoint's ``float.hex``.  The instance for (n, k, seed) is
 ``gen.piecewise_linear_instance(n, k, default_rng(seed))``.
@@ -40,54 +45,54 @@ import gen
 # (node_count, max_depth, small_interval_nodes, binsearch_hits, recursed_halves),
 # (eval, cut) counts
 GOLDEN = {
-    (3, 4, 0, 0.01): (0.16719070220868085, (3, 4, 4), '613bf4a80233f360',
-                      (3, 3, 0, 4, 2), (78, 44)),
-    (3, 4, 0, 0.001): (0.16725372866415666, (3, 4, 4), 'fe39a1abf743d873',
-                       (3, 3, 0, 4, 2), (82, 48)),
-    (4, 9, 1, 0.01): (0.05586441386885493, (3, 4, 4, 4), 'e968aad3cd5a6394',
-                      (3, 2, 0, 4, 2), (154, 96)),
-    (4, 9, 1, 0.001): (0.05590167993552515, (3, 4, 4, 4), '6e82956fa2e7afb5',
-                       (3, 2, 0, 4, 2), (187, 129)),
-    (5, 7, 2, 0.01): (0.16894985353424904, (4, 4, 4, 4, 4), '19545e3610c40cba',
-                      (3, 3, 0, 4, 2), (241, 146)),
-    (5, 7, 2, 0.001): (0.16907946107542896, (6, 6, 6, 6, 6), '4a4d4020eea5d668',
-                       (5, 4, 0, 6, 4), (409, 262)),
-    (3, 5, 3, 0.01): (0.16792341681079506, (2, 2, 2), '9307db3e014de71d',
-                      (1, 1, 0, 2, 0), (23, 8)),
-    (3, 5, 3, 0.001): (0.16803819683011734, (2, 2, 2), 'e2a6cc6847f23109',
-                       (1, 1, 0, 2, 0), (27, 12)),
-    (4, 10, 4, 0.01): (0.09406595301106033, (5, 5, 4, 5), '177e56ac47bb38da',
-                       (4, 3, 0, 5, 3), (202, 115)),
-    (4, 10, 4, 0.001): (0.09411021556895013, (5, 5, 4, 5), 'a1bc453895f18397',
-                        (4, 3, 0, 5, 3), (223, 136)),
-    (5, 8, 5, 0.01): (0.18148791173717652, (10, 10, 10, 9, 9), '55b6b7d13f8a5ed7',
-                      (9, 6, 0, 10, 8), (705, 454)),
-    (5, 8, 5, 0.001): (0.09844313531901443, (15, 15, 15, 14, 15), 'c63be312a966483b',
-                       (14, 9, 0, 15, 13), (1176, 794)),
-    (3, 6, 6, 0.01): (0.08348958226949299, (6, 4, 6), 'ddea8440c83d8b2d',
-                      (5, 5, 0, 6, 4), (175, 116)),
-    (3, 6, 6, 0.001): (0.08352083229963933, (6, 4, 6), 'e07471e13dbf9bf6',
-                       (5, 5, 0, 6, 4), (191, 132)),
-    (4, 4, 7, 0.01): (0.05851686192162063, (5, 5, 5, 5), '4ddbace9dad07781',
-                      (4, 3, 0, 5, 3), (208, 132)),
-    (4, 4, 7, 0.001): (0.05861870862902803, (5, 5, 5, 5), '28d4b596b30ef0bd',
-                       (4, 3, 0, 5, 3), (226, 150)),
-    (5, 9, 8, 0.01): (0.14289858572866096, (6, 5, 6, 6, 6), '36658c2f31747fe3',
-                      (5, 5, 0, 6, 4), (376, 215)),
-    (5, 9, 8, 0.001): (0.1430989071089845, (6, 5, 6, 6, 6), '8d8de7d97e7c8615',
-                       (5, 5, 0, 6, 4), (404, 243)),
-    (3, 7, 9, 0.01): (0.1628724391271359, (3, 3, 3), '73046337d6b2a8b4',
-                      (2, 2, 0, 3, 1), (65, 40)),
-    (3, 7, 9, 0.001): (0.16290448063676813, (3, 3, 3), '2c67dbfc36c99fbe',
-                       (2, 2, 0, 3, 1), (69, 44)),
-    (4, 5, 10, 0.01): (0.053791521750450474, (7, 7, 7, 6), 'd7ea0d5264e3b853',
-                       (6, 4, 0, 7, 5), (250, 134)),
-    (4, 5, 10, 0.001): (0.053823759470089216, (9, 9, 9, 8), 'c8bbc1ed923e0aaa',
-                        (8, 5, 0, 9, 7), (395, 245)),
-    (5, 10, 11, 0.01): (0.25, (7, 8, 8, 7, 8), 'c30c071623a58571',
-                        (7, 5, 0, 8, 6), (476, 277)),
-    (5, 10, 11, 0.001): (0.25, (10, 11, 11, 10, 11), '09f887fe06eff4f4',
-                         (10, 8, 0, 11, 9), (727, 429)),
+    (3, 4, 0, 0.01): (0.16719845286186527, (3, 4, 4), 'c3bc68d34e670d17',
+                      (3, 3, 0, 4, 2), (74, 40)),
+    (3, 4, 0, 0.001): (0.1672537707301564, (3, 4, 4), '27c1fdac9ff886b0',
+                       (3, 3, 0, 4, 2), (80, 46)),
+    (4, 9, 1, 0.01): (0.05585261974927549, (3, 4, 4, 4), '14ded618a20eafa8',
+                      (3, 2, 0, 4, 2), (130, 72)),
+    (4, 9, 1, 0.001): (0.05590008157121553, (3, 4, 4, 4), '24738ec09b5cddc2',
+                       (3, 2, 0, 4, 2), (142, 84)),
+    (5, 7, 2, 0.01): (0.1689479354786689, (4, 4, 4, 4, 4), 'c8bfe25b59bb776d',
+                      (3, 3, 0, 4, 2), (203, 108)),
+    (5, 7, 2, 0.001): (0.1690775248987754, (6, 6, 6, 6, 6), '559cfbe87c6a6335',
+                       (5, 4, 0, 6, 4), (315, 168)),
+    (3, 5, 3, 0.01): (0.167956855515107, (2, 2, 2), '86e50e1f1dd6a767',
+                      (1, 1, 0, 2, 0), (29, 14)),
+    (3, 5, 3, 0.001): (0.16803837303765462, (2, 2, 2), 'ffccc3baafa0c40f',
+                       (1, 1, 0, 2, 0), (33, 18)),
+    (4, 10, 4, 0.01): (0.09402497523849292, (5, 5, 4, 5), '2af8e226eb553add',
+                       (4, 3, 0, 5, 3), (165, 78)),
+    (4, 10, 4, 0.001): (0.09411483033703195, (5, 5, 4, 5), 'fad6043b140d7e88',
+                        (4, 3, 0, 5, 3), (201, 114)),
+    (5, 8, 5, 0.01): (0.18148043701411384, (10, 10, 10, 9, 9), '5053de3108885909',
+                      (9, 6, 0, 10, 8), (487, 236)),
+    (5, 8, 5, 0.001): (0.09844860680459855, (15, 15, 15, 14, 15), '7841904a68496266',
+                       (14, 9, 0, 15, 13), (774, 392)),
+    (3, 6, 6, 0.01): (0.08344193640664625, (6, 4, 6), 'fad85e76586f1040',
+                      (5, 5, 0, 6, 4), (118, 59)),
+    (3, 6, 6, 0.001): (0.08351473566174222, (6, 4, 6), 'ff34096f73f1250c',
+                       (5, 5, 0, 6, 4), (134, 75)),
+    (4, 4, 7, 0.01): (0.05853079330809459, (5, 5, 5, 5), '7f5941f51154ff3a',
+                      (4, 3, 0, 5, 3), (148, 72)),
+    (4, 4, 7, 0.001): (0.0586191696121456, (5, 5, 5, 5), 'd1f9c558fbbf3c5d',
+                       (4, 3, 0, 5, 3), (157, 81)),
+    (5, 9, 8, 0.01): (0.14285968610052457, (6, 5, 6, 6, 6), '2fc340471058660e',
+                      (5, 5, 0, 6, 4), (277, 116)),
+    (5, 9, 8, 0.001): (0.14309878701390827, (6, 5, 6, 6, 6), '3a00728bbf1e4438',
+                       (5, 5, 0, 6, 4), (289, 128)),
+    (3, 7, 9, 0.01): (0.16271226677927142, (3, 3, 3), 'b1633d95b81619b6',
+                      (2, 2, 0, 3, 1), (45, 20)),
+    (3, 7, 9, 0.001): (0.1628861106664273, (3, 3, 3), '8fc386421c6ee947',
+                       (2, 2, 0, 3, 1), (57, 32)),
+    (4, 5, 10, 0.01): (0.0538030533742407, (7, 7, 7, 6), 'ec8d24023ae23e24',
+                       (6, 4, 0, 7, 5), (238, 122)),
+    (4, 5, 10, 0.001): (0.05382528893591711, (9, 9, 9, 8), '81ff798b3b62cb83',
+                        (8, 5, 0, 9, 7), (344, 194)),
+    (5, 10, 11, 0.01): (0.25, (7, 8, 8, 7, 8), 'a9a7114f26669ad0',
+                        (7, 5, 0, 8, 6), (384, 185)),
+    (5, 10, 11, 0.001): (0.25, (10, 11, 11, 10, 11), 'f547f987a97fce14',
+                         (10, 8, 0, 11, 9), (543, 245)),
 }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import sys
@@ -17,9 +18,9 @@ from fairslice import (
     pl_ef,
     ripple_window,
 )
-from fairslice import cli, plef
+from fairslice import cli, mlrp, plef, ripple
 from fairslice.density import as_piecewise_linear, restrict_unit
-from fairslice.errors import ParameterRegimeError, SearchFailedError, UnsupportedFamilyError
+from fairslice.errors import DomainError, ParameterRegimeError, SearchFailedError, UnsupportedFamilyError
 from fairslice.mlrp import detect_order
 from fairslice.ripple import bin_search, iteration_cap, ripple_to_allocation
 from bisection import bisection_search
@@ -112,12 +113,16 @@ class TestPlEf:
     @pytest.mark.parametrize("eta", [1e-2, 1e-3])
     def test_budgets_hold_with_either_search(self, monkeypatch, eta):
         # the same fixtures under the interpolating search and the plain bisection:
-        # both take 36 recursion nodes at eta 1e-2 and 42 at 1e-3, the former about
-        # 60% of the queries
-        real = plef.bin_search
+        # both take 36 recursion nodes at eta 1e-2 and 42 at 1e-3, the former 43% and
+        # 35% of the queries
+        real = plef._search
         queries = {}
-        for name, search in (("interpolating", real), ("bisection", bisection_search)):
-            monkeypatch.setattr(plef, "bin_search", search)
+
+        def bisection(instance, delta, ledger, slope, max_iterations=None):
+            return bisection_search(instance, delta, ledger, max_iterations)
+
+        for name, search in (("interpolating", real), ("bisection", bisection)):
+            monkeypatch.setattr(plef, "_search", search)
             rng = np.random.default_rng(2024)
             queries[name] = 0
             for _ in range(20):
@@ -158,7 +163,7 @@ class TestPlEf:
         def fail(*args, **kwargs):
             raise SearchFailedError("no ripple division")
 
-        monkeypatch.setattr(plef, "bin_search", fail)
+        monkeypatch.setattr(plef, "_search", fail)
         inst = piecewise_linear_instance(3, 4, np.random.default_rng(61))
         budget = pl_config(1e-3, 4, inst.bounds.upper).node_budget
         with pytest.raises(SearchFailedError, match=f"node budget k\\(B\\+1\\) = {budget} "):
@@ -219,8 +224,8 @@ class TestZeroTouchingFallback:
 
     @staticmethod
     def fallback_outcomes(monkeypatch):
-        """Record True/False per infinite-lambda bin_search call: settled or failed."""
-        real, outcomes = plef.bin_search, []
+        """Record True/False per infinite-lambda search of a half: settled or failed."""
+        real, outcomes = plef._search, []
 
         def spy(instance, *args, **kwargs):
             fallback = math.isinf(instance.bounds.lipschitz)
@@ -234,7 +239,7 @@ class TestZeroTouchingFallback:
                 outcomes.append(True)
             return rd
 
-        monkeypatch.setattr(plef, "bin_search", spy)
+        monkeypatch.setattr(plef, "_search", spy)
         return outcomes
 
     @pytest.mark.parametrize("densities, eta, settled", ZERO_TOUCHING, ids=ZERO_TOUCHING_IDS)
@@ -277,13 +282,13 @@ def test_every_half_searches_under_one_cap(monkeypatch):
     # the paper's one "specified number of iterations": n * cfg.cap on every half,
     # whether the half's local lambda is finite or not; on the golden PL-EF fixtures
     # and the zero-touching ones
-    real, caps = plef.bin_search, []
+    real, caps = plef._search, []
 
-    def spy(instance, delta, ledger, max_iterations=None):
+    def spy(instance, delta, ledger, slope, max_iterations=None):
         caps.append(max_iterations)
-        return real(instance, delta, ledger, max_iterations=max_iterations)
+        return real(instance, delta, ledger, slope, max_iterations=max_iterations)
 
-    monkeypatch.setattr(plef, "bin_search", spy)
+    monkeypatch.setattr(plef, "_search", spy)
     cases = [(piecewise_linear_instance(n, k, np.random.default_rng(seed)), eta)
              for n, k, seed, eta in sorted(GOLDEN_PLEF)]
     cases += [(Instance.from_densities(densities), eta) for densities, eta, _ in ZERO_TOUCHING]
@@ -340,3 +345,63 @@ def test_prefix_audit_matches_the_envy_matrix():
                 assert (ledger.eval_count, ledger.cut_count) == (m * m - 3 * m + 3, 0)
             verdicts.append(verdict)
     assert 0 < sum(verdicts) < len(verdicts)  # halves that fail the audit, and halves that pass
+
+
+#: linear densities, zero-touching ones among them; every half of a set of them is linear
+LINEAR = (Linear(2.0, 0.0), Linear(1.0, 0.5), Uniform(), Linear(-1.0, 1.5), Linear(-2.0, 2.0))
+#: their pairs and triples, (Linear(2, 0), Linear(-2, 2)) among them
+LINEAR_CASES = [combo for m in (2, 3) for combo in itertools.combinations(LINEAR, m)]
+
+
+@pytest.mark.parametrize("eta", [1e-2, 1e-4, 1e-6])
+def test_model_probe_hits_on_linear_halves(monkeypatch, eta):
+    # a half with linear local densities is its own model, so the first probe hits:
+    # every half settles on its first chain and the root settles in one node
+    real, iterations = plef._search, []
+
+    def spy(*args, **kwargs):
+        rd = real(*args, **kwargs)
+        iterations.append(rd.iterations_used)
+        return rd
+
+    monkeypatch.setattr(plef, "_search", spy)
+    for densities in LINEAR_CASES:
+        iterations.clear()
+        inst = Instance.from_densities(densities)
+        division, stats = pl_ef(inst, eta, QueryLedger())
+        assert iterations == [1, 1], densities
+        assert stats.node_count == 1
+        assert envy_matrix(inst, division).max_envy <= eta
+
+
+def test_model_probe_asks_no_query_and_stays_inside(monkeypatch):
+    # tails at the clamp edges 1/4 and 3/4, beyond them, and in between, for m = 2..8
+    def no_query(*args):
+        raise AssertionError("the model solve asked a query")
+
+    for module in (plef, ripple, mlrp):
+        monkeypatch.setattr(module, "eval_query", no_query)
+    monkeypatch.setattr(ripple, "cut_query", no_query)
+    rng = np.random.default_rng(30)
+    for m in range(2, 9):
+        for tails in ([0.25] * m, [0.75] * m, [0.25, 0.75] * (m // 2) + [0.5] * (m % 2),
+                      [0.0] * m, [1.0] * m, [-0.5, 1.5] * (m // 2) + [0.5] * (m % 2),
+                      sorted(rng.uniform(0.0, 1.0, m)), sorted(rng.uniform(0.2, 0.8, m))):
+            for delta in (0.5, 1e-3, 1e-7, 1e-13):
+                assert 0.0 < plef._model_probe(list(tails), delta) < 1.0, (m, tails, delta)
+    # every tail 1/2 is the uniform model, whose chain is x_i = i x_1
+    assert plef._model_probe([0.5] * 4, 1e-3) == (1.0 - 0.5e-3) / 4
+
+
+def test_cli_tails_save_the_root_evals():
+    # pl_ef given detect_order's tails asks n evals fewer and divides bit-identically
+    for seed in range(5):
+        inst = piecewise_linear_instance(3, 4, np.random.default_rng(seed))
+        asked = QueryLedger()
+        division, stats = pl_ef(inst, 1e-2, asked)
+        tails, handed = [], QueryLedger()
+        detect_order(inst, QueryLedger(), tails)
+        assert pl_ef(inst, 1e-2, handed, tails=tails) == (division, stats)
+        assert (handed.eval_count, handed.cut_count) == (asked.eval_count - 3, asked.cut_count)
+    with pytest.raises(DomainError, match="2 tails given for 3 agents"):
+        pl_ef(inst, 1e-2, QueryLedger(), tails=[0.5, 0.5])

@@ -76,10 +76,8 @@ def test_plef_asks_no_eval_twice(repeats_of, eta):
             assert repeats_of(lambda: pl_ef(inst, eta, QueryLedger())) == []
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the CLI's detect_order and pl_ef's root both ask each v_i(0.5, 1); "
-                          "handing them over needs a change at the CLI/pl_ef boundary (ROADMAP item 16)")
 def test_plef_cli_asks_no_eval_twice(repeats_of, tmp_path):
+    # the CLI hands detect_order's v_i(0.5, 1) to pl_ef, whose root then asks none
     inst = gen.piecewise_linear_instance(3, 6, np.random.default_rng(27))
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({"agents": [d.to_dict() for d in inst.agents]}), encoding="utf-8")
