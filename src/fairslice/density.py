@@ -197,11 +197,15 @@ class Density:
 
     def bounds(self) -> DensityBounds:
         """Pointwise bounds over [0, 1]; lipschitz is inf when the density touches 0."""
+        return DensityBounds(*self._bounds_pair())
+
+    def _bounds_pair(self) -> tuple[float, float]:
+        """``bounds()`` as a (lower, upper) pair, without building a DensityBounds."""
         lo, hi = self._range()
         lo, hi = self.scale * lo, self.scale * hi
         if lo < 0.0 or hi <= 0.0:
             raise NotFullSupportError(f"density range [{lo}, {hi}] is not admissible")
-        return DensityBounds(lo, hi)
+        return lo, hi
 
     # -- serialization -----------------------------------------------------
 
@@ -428,6 +432,35 @@ def _check_breakpoints(breakpoints: tuple[float, ...]) -> None:
         prev = p
 
 
+def _segment_tables(knots, slopes, intercepts):
+    """The prefix masses, the (min, max) of the segment end values and F(0), F(1) of segments.
+
+    Segment j is slopes[j]*x + intercepts[j] on [knots[j], knots[j+1]].  One
+    pass sums their masses and keeps the first-seen extremes of their end
+    values, as min() and max() keep them, the low one clamped at 0; F(1) is
+    what ``_Segments._cumulative(1.0)`` computes, and F(0) is 0.0, since
+    ``_cumulative(0.0)`` adds only signed zeros to 0.0.  It checks no sign:
+    a constructor rejects negative input before, and a restricted segment
+    that falls to 0 at a knot may end a few ulps below it.
+    """
+    acc, cum = 0.0, [0.0]
+    low, high = math.inf, -math.inf
+    for s, c, lo, hi in zip(slopes, intercepts, knots, knots[1:]):
+        f_lo, f_hi = s * lo + c, s * hi + c
+        acc += 0.5 * s * (hi * hi - lo * lo) + c * (hi - lo)
+        cum.append(acc)
+        if f_lo < low:
+            low = f_lo
+        if f_hi < low:
+            low = f_hi
+        if f_lo > high:
+            high = f_lo
+        if f_hi > high:
+            high = f_hi
+    top = cum[-2] + 0.5 * s * (1.0 * 1.0 - lo * lo) + c * (1.0 - lo)  # the last segment's s, c, lo
+    return tuple(cum), (max(low, 0.0), high), 0.0, top
+
+
 class _Segments(Density):
     """The segment kernels of the piecewise-linear families.
 
@@ -443,33 +476,14 @@ class _Segments(Density):
     _derived = ("_knots", "_cum", "_extent", "_bottom", "_top")
 
     def _set_tables(self) -> None:
-        """Fix the knots, the prefix masses, the (min, max) of ``_range`` and the ends.
-
-        One pass over the segments sums their masses and keeps the extremes
-        of their end values, the low one clamped at 0; ``restrict_unit``
-        builds its densities through it too.  It checks no sign: a
-        constructor rejects negative input before, and a restricted segment
-        that falls to 0 at a knot may end a few ulps below it.
-        """
+        """Fix the knots, the prefix masses, the (min, max) of ``_range`` and the ends."""
         knots = (0.0, *self.breakpoints, 1.0)
-        acc, cum = 0.0, [0.0]
-        low, high = math.inf, -math.inf  # the first-seen extremes, as min() and max() keep them
-        for s, c, lo, hi in zip(self.slopes, self.intercepts, knots[:-1], knots[1:]):
-            f_lo, f_hi = s * lo + c, s * hi + c
-            acc += 0.5 * s * (hi * hi - lo * lo) + c * (hi - lo)
-            cum.append(acc)
-            if f_lo < low:
-                low = f_lo
-            if f_hi < low:
-                low = f_hi
-            if f_lo > high:
-                high = f_lo
-            if f_hi > high:
-                high = f_hi
+        cum, extent, bottom, top = _segment_tables(knots, self.slopes, self.intercepts)
         object.__setattr__(self, "_knots", knots)
-        object.__setattr__(self, "_cum", tuple(cum))  # _cum[j] = unscaled mass of [0, _knots[j]]
-        object.__setattr__(self, "_extent", (max(low, 0.0), high))
-        self._set_ends()
+        object.__setattr__(self, "_cum", cum)  # _cum[j] = unscaled mass of [0, _knots[j]]
+        object.__setattr__(self, "_extent", extent)
+        object.__setattr__(self, "_bottom", bottom)
+        object.__setattr__(self, "_top", top)
 
     def _segment(self, x: float) -> int:
         """Index of the segment that holds x in [0, 1]; the last one holds 1.0."""
@@ -674,45 +688,48 @@ def restrict_unit(spec: PiecewiseLinear | PiecewiseConstant, a: float, b: float)
     [p, q] under g is proportional to the measure of the mapped subinterval
     under f; the scale makes g's total measure 1.  The result is the one
     ``PiecewiseLinear(...)`` followed by ``.normalized()`` gives, by the same
-    float operations (the segment pass of ``_set_tables``, F(0) and F(1),
-    the scale spec.scale / (spec.scale * (F(1) - F(0))) and its checks),
-    built once.  The breakpoints increase strictly inside (0, 1) and every
-    coefficient is finite by construction, so neither is checked again.  Nor
-    is the sign, since spec is nonnegative: a segment that falls to 0 at one
-    of spec's knots may end a few ulps below 0 after the cancelling
-    (s*a + c), which the constructor would reject, and ``bounds()`` reads
-    that low end as 0.
+    float operations (``_segment_tables``, the pass the constructor runs, the
+    scale spec.scale / (spec.scale * (F(1) - F(0))) and its checks), built
+    once, with the attributes set in the constructor's order.  The
+    breakpoints increase strictly inside (0, 1) and every coefficient is
+    finite by construction, so neither is checked again.  Nor is the sign,
+    since spec is nonnegative: a segment that falls to 0 at one of spec's
+    knots may end a few ulps below 0 after the cancelling (s*a + c), which
+    the constructor would reject, and ``bounds()`` reads that low end as 0.
     """
     if not 0.0 <= a < b <= 1.0:
         raise DomainError(f"invalid restriction window [{a}, {b}]")
     w = b - a
-    brk = spec.breakpoints
-    kept: list[float] = []  # original breakpoints that map strictly inside (0, 1), in order
-    new_brk: list[float] = []
-    for t in brk[bisect_right(brk, a):bisect_left(brk, b)]:  # the t with a < t < b
-        y = (t - a) / w
-        if 0.0 < y < 1.0 and (not new_brk or y > new_brk[-1]):
-            kept.append(t)
-            new_brk.append(y)
-    slopes, intercepts = [], []
-    lo = a
-    for hi in (*kept, b):
-        j = bisect_right(brk, 0.5 * (lo + hi))  # spec._segment of the edge's midpoint
-        s, c = spec.slopes[j], spec.intercepts[j]
-        slopes.append(s * w * w)
-        intercepts.append((s * a + c) * w)
-        lo = hi
-    g = object.__new__(PiecewiseLinear)  # the fields in the constructor's order, then its tables
-    object.__setattr__(g, "breakpoints", tuple(new_brk))
-    object.__setattr__(g, "slopes", tuple(slopes))
-    object.__setattr__(g, "intercepts", tuple(intercepts))
-    object.__setattr__(g, "scale", spec.scale)
-    g._set_tables()
-    total = spec.scale * (g._top - g._bottom)  # measure(0, 1), as normalized() asks it
+    brk, spec_slopes, spec_intercepts = spec.breakpoints, spec.slopes, spec.intercepts
+    knots, slopes, intercepts = [0.0], [], []
+    lo = a  # the left end of the segment being made
+    for hi in (*brk[bisect_right(brk, a):bisect_left(brk, b)], b):  # the t with a < t < b, then b
+        y = (hi - a) / w if hi < b else 1.0
+        if knots[-1] < y < 1.0 or hi == b:  # each knot strictly inside (0, 1) once, then 1
+            j = bisect_right(brk, 0.5 * (lo + hi))  # spec._segment of the edge's midpoint
+            s = spec_slopes[j]
+            slopes.append(s * w * w)
+            intercepts.append((s * a + spec_intercepts[j]) * w)
+            knots.append(y)
+            lo = hi
+    knots = tuple(knots)
+    cum, extent, bottom, top = _segment_tables(knots, slopes, intercepts)
+    total = spec.scale * (top - bottom)  # measure(0, 1), as normalized() asks it
     if total <= 0.0:
         raise DegenerateDensityError("density has nonpositive total measure")
-    object.__setattr__(g, "scale", spec.scale / total)
-    _check_params(g)
+    g = object.__new__(PiecewiseLinear)  # the fields in the constructor's order, then its tables
+    put = object.__setattr__
+    put(g, "breakpoints", knots[1:-1])
+    put(g, "slopes", tuple(slopes))
+    put(g, "intercepts", tuple(intercepts))
+    put(g, "scale", spec.scale / total)
+    put(g, "_knots", knots)
+    put(g, "_cum", cum)
+    put(g, "_extent", extent)
+    put(g, "_bottom", bottom)
+    put(g, "_top", top)
+    if not 0.0 < g.scale < math.inf:
+        _check_params(g)  # raises the constructor's error for this scale
     return g
 
 

@@ -1,15 +1,16 @@
 """Recursive envy-free division for piecewise-linear densities (possibly disconnected).
 
 ``pl_ef`` halves the current interval.  On each half it keeps only the agents
-that value the half at least the drop value e_d, builds the local instance
-from their densities restricted to the half (``restrict_unit`` reparametrizes
-each onto the unit cake and normalizes it in one pass, so the instance takes
-them as they are), guesses a local MLRP order, and runs the ripple search on
+that value the half at least the drop value e_d, restricts their densities to
+the half (``restrict_unit`` reparametrizes each onto the unit cake and
+normalizes it in one pass), guesses a local MLRP order, builds the local
+instance in that order once (``_local_instance``), and runs the ripple search on
 the window ``ripple_window(e_a, U_local)``, e_a = eta/3, of the local
-densities.  Its first probe comes from a model (``_model_probe``): each kept
-agent's local density is taken to be linear, f_i(x) = 1 + 8(t_i - 1/2)(x - 1/2)
-with t_i its ``detect_order`` tail, and the probe is where the ripple chain of
-those models ends at 1 - delta/2, solved in floats without a query.  On a half
+densities; only the order, the search and the audit ask queries.  The search's
+first probe comes from a model (``_model_probe``): each kept agent's local
+density is taken to be linear, f_i(x) = 1 + 8(t_i - 1/2)(x - 1/2) with t_i
+its ``detect_order`` tail, and the probe is where the ripple chain of those
+models ends at 1 - delta/2, solved in floats without a query.  On a half
 without a breakpoint the model is the density, so the first chain hits unless
 float error moves its end out of the window.  The search then interpolates its
 probes (``ripple._probe``, projected to stay within SLACK = 4 halvings of
@@ -64,11 +65,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .density import as_piecewise_linear, restrict_unit
+from .density import Density, DensityBounds, as_piecewise_linear, restrict_unit
 from .errors import DomainError, ParameterRegimeError, SearchFailedError
 from .mlrp import detect_order
 from .oracle import Division, Instance, QueryLedger, eval_query
-from .ripple import RippleDivision, _search, iteration_cap, ripple_to_allocation, ripple_window
+from .ripple import RippleDivision, _search, iteration_cap, ripple_window
 from .ripple import bin_search  # noqa: F401  unused; perfbench's tracer patches plef.bin_search
 
 
@@ -165,21 +166,44 @@ def _envious(local: Instance, rd: RippleDivision, envy: float, ledger: QueryLedg
     t_i = v_i(c_i, c_{i+1}) gives P_i(c_{i+1}) = P_i(c_i) + t_i (so P_0(c_1) = t_0), and where
     i + 2 <= m - 1, P_i(c_{i+2}) = P_i(c_{i+1}) + t_i, since agent i's cut of t_i made c_{i+2}
     (on a hit no cut is truncated).  A passing half of m agents costs m^2 - 3m + 3 evals.  A
-    prefix difference is off by a few ulps, far inside AUDIT_SLACK.
+    prefix difference is off by a few ulps, far inside AUDIT_SLACK.  One pass over the pieces
+    keeps the largest and the agent's own.
     """
     m, cuts, t = local.n, rd.cuts, rd.own_values  # the interior cuts are the allocation's
     for i in range(m):
-        prefix = [0.0]
-        for j in range(1, m):
-            if i < m - 1 and j in (i + 1, i + 2):
-                prefix.append(prefix[-1] + t[i])
+        prev, top = 0.0, -math.inf  # P_i(c_{j-1}), and the largest piece so far
+        for j in range(1, m + 1):
+            if j == m:
+                p = 1.0
+            elif i < m - 1 and (j == i + 1 or j == i + 2):
+                p = prev + t[i]
             else:
-                prefix.append(eval_query(local, i, 0.0, cuts[j], ledger))
-        prefix.append(1.0)
-        pieces = [b - a for a, b in zip(prefix, prefix[1:])]
-        if max(pieces) > pieces[i] + envy + AUDIT_SLACK:
+                p = eval_query(local, i, 0.0, cuts[j], ledger)
+            piece = p - prev
+            if piece > top:
+                top = piece
+            if j == i + 1:
+                own = piece
+            prev = p
+        if top > own + envy + AUDIT_SLACK:
             return True
     return False
+
+
+def _local_instance(specs: list[Density], ledger: QueryLedger,
+                    tails: list[float]) -> tuple[Instance, list[int]]:
+    """The instance of a half's restrictions ``specs`` in rank order, and that order.
+
+    Its bounds are those of ``Instance.from_densities(specs, normalize=False)``, the min
+    and max over ``specs`` in order of each one's ``bounds()``, taken as pairs; an
+    inadmissible restriction raises ``bounds()``'s error before any query.  ``detect_order``
+    finds the order on the instance in the order of ``specs``, appending the agents' tails
+    to ``tails``; the rank-order instance skips ``reordered``'s check of that permutation.
+    """
+    lows, highs = zip(*[d._bounds_pair() for d in specs])
+    bounds = DensityBounds(min(lows), max(highs))
+    order = detect_order(Instance(tuple(specs), bounds), ledger, tails)
+    return Instance(tuple(specs[o] for o in order), bounds), order
 
 
 def _model_probe(tails: list[float], delta: float) -> float:
@@ -294,39 +318,33 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger,
         linear models, fixed by those tails, ends at the goal (``_model_probe``),
         so a half without a breakpoint settles on its first chain but for float
         error.  A settled half costs m evals for the order, the search's chains,
-        and m^2 - 3m + 3 evals for the audit of m agents (``_envious``).
+        and m^2 - 3m + 3 evals for the audit of m agents (``_envious``); its
+        restrictions, local instance and pieces ask none, and are built once.
         """
         keep = [i for i in range(n) if values[i] >= cfg.drop_value]
         if len(keep) <= 1:  # agent 0 takes a half that everyone values below e_d
             give(keep[0] if keep else 0, lo, hi)
             return None
-        local = Instance.from_densities([restrict_unit(pls[i], lo, hi) for i in keep],
-                                        normalize=False)  # restrict_unit normalizes
         tails: list[float] = []
-        order = detect_order(local, ledger, tails)
-        local = local.reordered(order)
-        agents = [keep[o] for o in order]  # local rank -> global agent
-        left, right = list(values), list(values)
-        for i, t in zip(keep, tails):
-            right[i] = values[i] * t
-            left[i] = values[i] - right[i]
-
+        local, order = _local_instance([restrict_unit(pls[i], lo, hi) for i in keep], ledger, tails)
         delta = ripple_window(cfg.audit_envy, local.bounds.upper)
         first = _model_probe([tails[o] for o in order], delta)
         try:
             rd = _search(local, delta, ledger, (1.0 - 0.5 * delta) / first, max_iterations=n * cfg.cap)
         except SearchFailedError:
-            return left, right
-
-        if _envious(local, rd, cfg.audit_envy, ledger):
-            return left, right
-
-        cuts, width = ripple_to_allocation(rd).cuts, hi - lo
-        for rank, agent in enumerate(agents):
-            a, b = cuts[rank], cuts[rank + 1]
-            if b > a:
-                give(agent, lo + a * width, lo + b * width)
-        return None
+            rd = None
+        if rd is not None and not _envious(local, rd, cfg.audit_envy, ledger):
+            cuts, width = (*rd.cuts[:-1], 1.0), hi - lo  # the last agent takes the tail [x_m, 1]
+            for rank, o in enumerate(order):
+                a, b = cuts[rank], cuts[rank + 1]
+                if b > a:
+                    give(keep[o], lo + a * width, lo + b * width)
+            return None
+        left, right = list(values), list(values)  # the half recurses: its children's values
+        for i, t in zip(keep, tails):
+            right[i] = values[i] * t
+            left[i] = values[i] - right[i]
+        return left, right
 
     def recurse(lo: float, hi: float, depth: int, halves) -> None:
         """Settle or split each half of [lo, hi]; ``halves`` holds the agents' values of the two."""

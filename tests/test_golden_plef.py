@@ -29,9 +29,13 @@ every endpoint's ``float.hex``.  The instance for (n, k, seed) is
 bit-for-bit, and so must the errors, but for one: the constructor rejects a
 segment end below -1e-15, which a restricted segment that falls to 0 at a
 breakpoint can reach by rounding, and ``restrict_unit`` keeps that segment.
+Windows with no breakpoint inside, which give one segment, and windows with
+some are checked, more than 100 of each; both run the segment pass of
+``_set_tables`` (``_segment_tables``) over the segments they build.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -170,27 +174,47 @@ def _assert_same_restriction(spec, a, b):
 
 
 def _windows(spec, rng):
-    """PL-EF's dyadic halves to depth 4, windows whose ends sit on breakpoints, random windows."""
+    """PL-EF's dyadic halves to depth 4, windows whose ends sit on breakpoints, windows
+    strictly between two adjacent knots, random windows."""
     out = [(j / 2 ** d, (j + 1) / 2 ** d) for d in range(5) for j in range(2 ** d)]
     ends = (0.0, *spec.breakpoints, 1.0)
     out += [(p, q) for p in ends for q in ends if p < q]
+    out += [(p + (q - p) * u, p + (q - p) * v) for p, q in zip(ends, ends[1:])
+            for u, v in ((0.25, 0.75), (0.1, 0.2), (0.5, 0.9))]
     for _ in range(8):
         p, q = sorted(rng.uniform(0.0, 1.0, 2))
         out.append((float(p), float(q)))
     return out
 
 
+def _has_inner_breakpoint(spec, a, b) -> bool:
+    """True iff a breakpoint of spec lies strictly inside [a, b]; without one the
+    restriction is one segment."""
+    return any(a < t < b for t in spec.breakpoints)
+
+
 def test_restrict_unit_matches_constructor_then_normalized_on_golden_agents():
     rng = np.random.default_rng(5)
-    pairs = 0
+    counts = [0, 0]  # windows without a breakpoint inside, windows with some
     for n, k, seed in sorted({key[:3] for key in GOLDEN}):
         inst = gen.piecewise_linear_instance(n, k, np.random.default_rng(seed))
         for agent in inst.agents:
             spec = as_piecewise_linear(agent)
             for a, b in _windows(spec, rng):
                 assert _assert_same_restriction(spec, a, b) is None
-                pairs += 1
-    assert pairs > 1000
+                counts[_has_inner_breakpoint(spec, a, b)] += 1
+    assert sum(counts) > 1000 and min(counts) > 100
+
+
+def test_restrict_unit_matches_reference_where_a_breakpoint_rounds_onto_an_end():
+    # 0.9519... lies inside the window, but its image (t - a) / (b - a) rounds to 1.0, so
+    # restrict_unit drops it and builds one segment, as the reference does
+    t = 0.9519684937426224
+    a, b = 0.11081219841142803, math.nextafter(t, 1.0)
+    spec = PiecewiseLinear((t,), (1.0, -2.0), (0.5, 3.3))
+    assert _has_inner_breakpoint(spec, a, b) and (t - a) / (b - a) == 1.0
+    assert _assert_same_restriction(spec, a, b) is None
+    assert restrict_unit(spec, a, b).breakpoints == ()
 
 
 @pytest.mark.parametrize("spec", [
@@ -199,10 +223,14 @@ def test_restrict_unit_matches_constructor_then_normalized_on_golden_agents():
     PiecewiseLinear((), (2.0,), (0.0,), scale=0.5),  # Linear(2, 0) at half scale
     PiecewiseLinear((), (-2.0,), (2.0,)),  # Linear(-2, 2)
     PiecewiseLinear((0.4,), (-1000.0, 0.0), (400.0, 1.0)),  # steeply down to 0 at 0.4
-], ids=["tent", "zero-segment", "rising-from-0", "falling-to-0", "steeply-falling-to-0"])
+    PiecewiseLinear((0.5,), (-0.0, 2.0), (-0.0, -1.0)),  # 0 as -0.0 on [0, 0.5], then rising
+], ids=["tent", "zero-segment", "rising-from-0", "falling-to-0", "steeply-falling-to-0", "signed-zero"])
 def test_restrict_unit_matches_reference_where_segments_touch_zero(spec):
     rng = np.random.default_rng(11)
-    errors = [_assert_same_restriction(spec, a, b) for a, b in _windows(spec, rng)]
+    windows = _windows(spec, rng)
+    errors = [_assert_same_restriction(spec, a, b) for a, b in windows]
+    kinds = {_has_inner_breakpoint(spec, a, b) for a, b in windows}
+    assert kinds == ({False, True} if spec.breakpoints else {False})
     if spec.intercepts == (0.0, 2.0, 0.0):  # a window inside the zero segment has no mass
         assert DegenerateDensityError in errors
     if spec.slopes[0] == -1000.0:  # some windows round the zero end below -1e-15
