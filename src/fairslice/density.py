@@ -9,20 +9,21 @@ on the test ``F(mid) - F(l) < target`` until the bracket's endpoints are
 adjacent doubles.
 
 When a >= 0 and b >= 0, ``BinomialPoly`` first narrows that bracket with Newton
-steps, for as long as each step is under half the one before; a step that
-would leave the bracket is replaced by the bracket's midpoint, and Newton goes
-on from there.  The step that converges or fails to halve is pushed an ulp or
-more past the root and then doubled until the test flips, so the bracket
-closes from both sides, and the same bisection finishes it; the result is the
-same double.
+steps while each is under half the one before (the bracket's midpoint for a
+step that would leave it).  Once per cut, a step too slow to halve from right
+of the root (far above a monomial's root Newton crawls at ratio s/(s+1)) is
+replaced by the root of the power law through (x, F(x)) with slope f(x): log F
+is convex in log x, F being a sum of powers with nonnegative coefficients, so
+that root lies between the root and x.  The step that converges or fails to
+halve is pushed an ulp or more past the root and doubled until the test flips
+(the nudge), and the same bisection finishes the bracket.
 While the test is monotone over the doubles of [l, 1], the bisection returns
 the least double where it is false (or 1.0 if there is none), and so does any
 bracket that moves only on evaluated values of the test and ends at adjacent
 doubles.  The test is monotone when a >= 0 and b >= 0: every operation of
 ``a * x**(s+1) / (s+1) + b * x**(t+1) / (t+1)`` then rounds a nondecreasing
-function.  With a < 0 the two terms cancel, the float F is not monotone, and
-a narrowed bracket can end on a double a few ulps away, so such densities keep
-the plain bisection.
+function.  With a < 0 the two terms cancel, the float F is not monotone, and a
+narrowed bracket can end a few ulps away, so such densities keep plain bisection.
 
 ``PiecewiseLinear`` and ``PiecewiseConstant`` share one set of segment
 kernels (``_Segments``): a step density is the piecewise-linear one whose
@@ -38,11 +39,12 @@ parameters.  Derived constants (F(0) and F(1) as ``_bottom`` and ``_top``, knot
 and prefix tables with the piecewise-linear range, a step density's slopes and
 intercepts, the Gaussian's ``NormalDist``) are fixed in ``__post_init__`` (or,
 for the normalized restrictions of ``restrict_unit``, by the same steps in the
-same order) and never written lazily: on CPython 3.11 an attribute added
-after construction (as ``functools.cached_property`` does) turns off the fast
-attribute loads that ``_cumulative`` relies on; with lazily cached constants
-``BinomialPoly._cumulative`` ran about 1.8x slower.  ``measure`` reads ``_bottom`` for intervals from 0, so a
-Gaussian eval there costs one ``erf`` instead of two.
+same order) and never written lazily: on CPython 3.11 an attribute added after
+construction (as ``functools.cached_property`` does) turns off the fast
+attribute loads that ``_cumulative`` relies on (lazily cached constants made
+``BinomialPoly._cumulative`` about 1.8x slower); the binomial cut goes further,
+with its constants in local names and F and f inline.  ``measure`` reads
+``_bottom`` for intervals from 0, so a Gaussian eval there costs one ``erf``.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from .errors import (
 
 _SQRT2 = math.sqrt(2.0)
 _EPS = sys.float_info.epsilon
+_SQRT_EPS = math.sqrt(_EPS)
 
 
 @dataclass(frozen=True)
@@ -315,7 +318,11 @@ class Linear(Density):
 
 @dataclass(frozen=True)
 class BinomialPoly(Density):
-    """f(x) = scale * (a*x^s + b*x^t) with integer exponents s > t >= 0."""
+    """f(x) = scale * (a*x^s + b*x^t) with integer exponents s > t >= 0.
+
+    Its cut evaluates F and f inline, by ``_cumulative``'s and ``_density``'s expressions
+    (to the same floats): on its ~10 evaluations, calls would cost more than arithmetic.
+    """
 
     a: float
     b: float
@@ -358,18 +365,16 @@ class BinomialPoly(Density):
         return self.a * x ** self._s1 / self._s1 + self.b * x ** self._t1 / self._t1
 
     def _inverse_unscaled(self, l, target, base):
+        a, b, s, t, s1, t1 = self.a, self.b, self.s, self.t, self._s1, self._t1
         lo, hi = l, 1.0
         if self._newton:
-            # Newton from the chord root over [l, 1], while each step is under half
-            # the one before (a midpoint where a step leaves the bracket), then a
-            # step past the root, doubled until the test flips; every evaluated
-            # point moves lo or hi by the bisection's own test, and the bisection
-            # finishes the bracket
-            cumulative, density = self._cumulative, self._density
+            # Newton, the power-law step once, then the nudge (see the module
+            # docstring); every evaluated point moves lo or hi by the bisection's test
             x = l + (1.0 - l) * (target / (self._top - base))
-            last, nudge, side = math.inf, 0.0, None
+            last, nudge, side, leap = math.inf, 0.0, None, True
             while lo < x < hi:
-                value = cumulative(x) - base
+                cum = a * x ** s1 / s1 + b * x ** t1 / t1  # F(x)
+                value = cum - base
                 below = value < target
                 if below:
                     lo = x
@@ -381,16 +386,25 @@ class BinomialPoly(Density):
                     nudge *= 2.0  # still on the root's near side
                     x -= nudge
                     continue
-                slope = density(x)
+                slope = a * x ** s + b * x ** t  # f(x)
                 if not slope > 0.0:
                     break
                 dx = (value - target) / slope
-                if _EPS * x < abs(dx) < 0.5 * last:
-                    last = abs(dx)
+                step = abs(dx)
+                if _EPS * x < step < 0.5 * last:
+                    last = step
                     x -= dx
                     if not lo < x < hi:
                         x = 0.5 * (lo + hi)  # the step left the bracket: bisect once, then Newton again
                     continue
+                if leap and not below and _SQRT_EPS * x < dx:
+                    # too slow to halve, right of the root and far above rounding
+                    # noise (2 eps x at most, as F(x) <= x f(x)): the power-law step
+                    leap, power = False, x * slope / cum  # the power law's exponent
+                    y = x * ((target + base) / cum) ** (1.0 / power) if power > 0.0 else x
+                    if lo < y < hi:
+                        last, x = x - y, y
+                        continue
                 if not math.isfinite(dx):
                     break
                 # converged, or too slow to halve: step an ulp or more past the
@@ -398,21 +412,12 @@ class BinomialPoly(Density):
                 nudge = dx + math.copysign(math.ulp(x), dx)
                 side = below
                 x -= nudge
-        return self._bisect(lo, hi, target, base)
-
-    def _bisect(self, lo: float, hi: float, target: float, base: float) -> float:
-        """Bisect (lo, hi) on ``cumulative(mid) - base < target`` to adjacent doubles; returns hi.
-
-        lo must be l or a point where the test held, hi 1.0 or a point where it
-        failed; then, while the test is monotone, the result does not depend on
-        the bracket it starts from (see the module docstring).
-        """
-        cumulative = self._cumulative
+        # bisect to adjacent doubles: lo is l or held the test, hi is 1.0 or failed it
         while True:
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 return hi  # lo and hi are adjacent doubles
-            if cumulative(mid) - base < target:
+            if a * mid ** s1 / s1 + b * mid ** t1 / t1 - base < target:
                 lo = mid
             else:
                 hi = mid

@@ -51,9 +51,8 @@ class Instance:
         specs = tuple(d.normalized() if normalize else d for d in densities)
         if not specs:
             raise DomainError("an instance needs at least one agent")
-        per_agent = [d.bounds() for d in specs]
-        return cls(specs, DensityBounds(min(b.lower for b in per_agent),
-                                        max(b.upper for b in per_agent)))
+        lows, highs = zip(*[d._bounds_pair() for d in specs])  # bounds(), without a DensityBounds each
+        return cls(specs, DensityBounds(min(lows), max(highs)))
 
     def reordered(self, order) -> "Instance":
         """Same instance with agents permuted (order[k] = original index of rank k)."""

@@ -65,7 +65,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .density import Density, DensityBounds, as_piecewise_linear, restrict_unit
+from .density import Density, as_piecewise_linear, restrict_unit
 from .errors import DomainError, ParameterRegimeError, SearchFailedError
 from .mlrp import detect_order
 from .oracle import Division, Instance, QueryLedger, eval_query
@@ -194,16 +194,13 @@ def _local_instance(specs: list[Density], ledger: QueryLedger,
                     tails: list[float]) -> tuple[Instance, list[int]]:
     """The instance of a half's restrictions ``specs`` in rank order, and that order.
 
-    Its bounds are those of ``Instance.from_densities(specs, normalize=False)``, the min
-    and max over ``specs`` in order of each one's ``bounds()``, taken as pairs; an
-    inadmissible restriction raises ``bounds()``'s error before any query.  ``detect_order``
-    finds the order on the instance in the order of ``specs``, appending the agents' tails
-    to ``tails``; the rank-order instance skips ``reordered``'s check of that permutation.
+    ``detect_order`` finds the order on ``Instance.from_densities(specs, normalize=False)``
+    (an inadmissible restriction fails its bounds before any query) and appends the agents'
+    tails to ``tails``; the rank-order instance takes those bounds, unchecked by ``reordered``.
     """
-    lows, highs = zip(*[d._bounds_pair() for d in specs])
-    bounds = DensityBounds(min(lows), max(highs))
-    order = detect_order(Instance(tuple(specs), bounds), ledger, tails)
-    return Instance(tuple(specs[o] for o in order), bounds), order
+    instance = Instance.from_densities(specs, normalize=False)
+    order = detect_order(instance, ledger, tails)
+    return Instance(tuple(specs[o] for o in order), instance.bounds), order
 
 
 def _model_probe(tails: list[float], delta: float) -> float:

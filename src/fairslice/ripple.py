@@ -137,8 +137,8 @@ def _probe(left: float, right: float, points: list[tuple[float, float]], goal: f
            k: int, w0: float, slope: float) -> float:
     """Probe for step ``k`` (0-based) of a chain search on the bracket (left, right).
 
-    ``points`` are the uncensored (x, value) pairs seen so far, oldest first,
-    from a nondecreasing function.  Estimates of where the value reaches
+    ``points`` are the uncensored (x, value) pairs seen so far, at least one,
+    oldest first, from a nondecreasing function.  Estimates of where the value reaches
     ``goal`` are, in turn, inverse quadratic interpolation through the last
     three points when their values increase strictly, the secant through the
     last two when theirs do, and the midpoint; from a single point, the line
@@ -149,23 +149,26 @@ def _probe(left: float, right: float, points: list[tuple[float, float]], goal: f
     w0 / 2**(k + 1).
     """
     mid = 0.5 * (left + right)
+    r = w0 * 2.0 ** (SLACK - k - 1) - 0.5 * (right - left)
+    if r <= 0.0:
+        return mid  # the projection leaves only the midpoint, whatever the estimate
+    x2, y2 = points[-1]  # read one by one: a slice costs more than an estimate
     est = math.nan  # each estimate is computed only if the one before is not inside
-    if len(points) >= 3 and points[-3][1] < points[-2][1] < points[-1][1]:
-        (x0, y0), (x1, y1), (x2, y2) = points[-3:]
-        est = (x0 * (goal - y1) / (y0 - y1) * (goal - y2) / (y0 - y2)
-               + x1 * (goal - y0) / (y1 - y0) * (goal - y2) / (y1 - y2)
-               + x2 * (goal - y0) / (y2 - y0) * (goal - y1) / (y2 - y1))
-    if not left < est < right:
-        if len(points) >= 2 and points[-2][1] < points[-1][1]:
-            (x0, y0), (x1, y1) = points[-2:]
-            est = x1 + (goal - y1) * (x1 - x0) / (y1 - y0)
-        elif len(points) == 1:
-            (x0, y0), = points
-            est = x0 + (goal - y0) / slope
-        if not left < est < right:  # a NaN is never inside
-            est = mid
-    r = max(w0 * 2.0 ** (SLACK - k - 1) - 0.5 * (right - left), 0.0)
-    return min(max(est, mid - r), mid + r)
+    if len(points) == 1:
+        est = x2 + (goal - y2) / slope
+    elif points[-2][1] < y2:
+        x1, y1 = points[-2]
+        if len(points) >= 3 and points[-3][1] < y1:
+            x0, y0 = points[-3]
+            est = (x0 * (goal - y1) / (y0 - y1) * (goal - y2) / (y0 - y2)
+                   + x1 * (goal - y0) / (y1 - y0) * (goal - y2) / (y1 - y2)
+                   + x2 * (goal - y0) / (y2 - y0) * (goal - y1) / (y2 - y1))
+        if not left < est < right:
+            est = x2 + (goal - y2) * (x2 - x1) / (y2 - y1)
+    if not left < est < right:  # a NaN is never inside
+        return mid
+    low, high = mid - r, mid + r
+    return low if est < low else high if est > high else est
 
 
 def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
@@ -194,13 +197,8 @@ def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
 
 def _search(instance: Instance, delta: float, ledger: QueryLedger, slope: float,
             max_iterations: int | None = None) -> RippleDivision:
-    """:func:`bin_search` whose first probe is (1 - delta/2) / ``slope``, on the line
-    RD_n(x) = slope * x through the origin that :func:`_probe` follows from a single point.
-
-    ``bin_search`` passes n, the uniform agents' slope; PL-EF passes the slope through
-    the point where linear models of a half's densities end their chain at 1 - delta/2
-    (``plef._model_probe``).
-    """
+    """:func:`bin_search` with the first probe (1 - delta/2) / ``slope``, on the line RD_n(x) =
+    slope * x that :func:`_probe` follows from one point (PL-EF passes its model's slope)."""
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta={delta} outside (0, 1)")
     n = instance.n

@@ -1,6 +1,7 @@
 """Test-only references: the plain bisection searches, the chains that always query,
-the Nash grid walk that asks every agent, the all-pairs switching points and the
-reorder scan that restarts after every swap.
+the Nash grid walk that asks every agent, the all-pairs switching points, the
+reorder scan that restarts after every swap, and the chain searches' probe rule
+as first written.
 
 The library's chain searches pick each probe by interpolation
 (``ripple._probe``), its chains stop querying once a point reaches 1.0, its
@@ -9,7 +10,9 @@ and its social-welfare search follows that envelope instead of running a
 partition DP over every pairwise switching point; ``reorder_to_mlrp`` steps
 back one position after a swap.  The loops below are the plain versions they
 replaced, so that tests can compare cuts, values, grids, intervals, iteration
-counts and ledgers against them.
+counts and ledgers against them.  ``reference_probe`` is ``ripple._probe``
+with slices and ``min``/``max``, which the library's version must match
+double for double.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 
 from fairslice import Allocation, Instance, QueryLedger, cut_query, eval_query
 from fairslice.errors import SearchFailedError
-from fairslice.ripple import ONE_THRESHOLD, RippleDivision
+from fairslice.ripple import ONE_THRESHOLD, SLACK, RippleDivision
 from fairslice.welfare import MERGE_TOL, MovingKnifeRun, switching_point
 
 
@@ -45,6 +48,29 @@ def full_mk_chain(instance: Instance, tau: float, ledger: QueryLedger) -> Moving
             value = min(value, eval_query(instance, i, prev, 1.0, ledger))
         prev = y
     return MovingKnifeRun(tuple(knives), value >= tau)
+
+
+def reference_probe(left: float, right: float, points: list[tuple[float, float]], goal: float,
+                    k: int, w0: float, slope: float) -> float:
+    """``ripple._probe`` as first written: every estimate it reaches, then ``min(max(...))``."""
+    mid = 0.5 * (left + right)
+    est = math.nan  # each estimate is computed only if the one before is not inside
+    if len(points) >= 3 and points[-3][1] < points[-2][1] < points[-1][1]:
+        (x0, y0), (x1, y1), (x2, y2) = points[-3:]
+        est = (x0 * (goal - y1) / (y0 - y1) * (goal - y2) / (y0 - y2)
+               + x1 * (goal - y0) / (y1 - y0) * (goal - y2) / (y1 - y2)
+               + x2 * (goal - y0) / (y2 - y0) * (goal - y1) / (y2 - y1))
+    if not left < est < right:
+        if len(points) >= 2 and points[-2][1] < points[-1][1]:
+            (x0, y0), (x1, y1) = points[-2:]
+            est = x1 + (goal - y1) * (x1 - x0) / (y1 - y0)
+        elif len(points) == 1:
+            (x0, y0), = points
+            est = x0 + (goal - y0) / slope
+        if not left < est < right:  # a NaN is never inside
+            est = mid
+    r = max(w0 * 2.0 ** (SLACK - k - 1) - 0.5 * (right - left), 0.0)
+    return min(max(est, mid - r), mid + r)
 
 
 def bisection_search(instance: Instance, delta: float, ledger: QueryLedger,

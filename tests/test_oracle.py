@@ -13,7 +13,14 @@ from fairslice import (
     cut_query,
     eval_query,
 )
-from fairslice.errors import DomainError
+from fairslice.density import (
+    DensityBounds,
+    ExponentialRestricted,
+    GaussianRestricted,
+    PiecewiseConstant,
+    PiecewiseLinear,
+)
+from fairslice.errors import DomainError, NotFullSupportError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -143,3 +150,35 @@ def test_instance_bounds_aggregate():
     assert inst.bounds.lower == 0.5
     assert inst.bounds.upper == 1.5
     assert inst.bounds.lipschitz == 3.0
+
+
+EVERY_FAMILY = (
+    Uniform(scale=2.0),
+    Linear(2.0, 0.0),  # touches 0
+    BinomialPoly(3.0, 0.4, 2, 0),
+    PiecewiseLinear((0.3, 0.8), (2.0, 0.0, -1.5), (0.5, 1.1, 2.3)),
+    PiecewiseConstant((0.3, 0.6), (2.0, 0.5, 1.0)),
+    GaussianRestricted(0.3, 0.25),
+    ExponentialRestricted(1.7),
+)
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_instance_bounds_are_the_agents_bounds_on_every_family(normalize):
+    # the min of the lower and the max of the upper bounds, as bounds() gives them, in order
+    for k in range(len(EVERY_FAMILY)):
+        specs = EVERY_FAMILY[k:] + EVERY_FAMILY[:k]
+        inst = Instance.from_densities(specs, normalize=normalize)
+        per_agent = [d.bounds() for d in inst.agents]
+        assert inst.bounds == DensityBounds(min(b.lower for b in per_agent), max(b.upper for b in per_agent))
+        alone = Instance.from_densities(specs[:1], normalize=normalize)
+        assert alone.bounds == alone.agents[0].bounds()
+
+
+def test_instance_rejects_an_inadmissible_density_with_the_bounds_error():
+    zero = PiecewiseConstant((0.5,), (0.0, 0.0))  # no mass: its upper bound is 0
+    with pytest.raises(NotFullSupportError) as want:
+        zero.bounds()
+    with pytest.raises(NotFullSupportError) as got:
+        Instance.from_densities([Uniform(), zero], normalize=False)
+    assert str(got.value) == str(want.value)

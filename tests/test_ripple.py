@@ -26,7 +26,7 @@ from fairslice import ripple
 from fairslice.errors import DomainError, ParameterRegimeError, SearchFailedError
 from fairslice.mlrp import detect_order, perturb
 from fairslice.ripple import SLACK, RippleDivision
-from bisection import bisection_search, full_rd_chain
+from bisection import bisection_search, full_rd_chain, reference_probe
 from gen import (
     binomial_instance,
     every_family_instances,
@@ -147,6 +147,42 @@ class TestInterpolatingSearch:
         assert ripple._probe(0.5, 0.6, points, 0.9, SLACK, 1.0, 1.0) == 0.55
         # values that do not increase strictly give the midpoint
         assert ripple._probe(0.5, 1.0, [(0.0, 0.0), (0.5, 0.0)], 0.9, 1, 1.0, 1.0) == 0.75
+
+    def test_probe_matches_the_reference_double_for_double(self):
+        # seeded inputs of both searches: 1 to 5 points whose values rise, repeat or fall,
+        # some huge enough to make an estimate inf or NaN, brackets that estimates miss,
+        # integer brackets with w0 = kmax + 1 as max_egalitarian's, and steps up to 1,100,
+        # where 2**(SLACK - k - 1) underflows to 0
+        rng = np.random.default_rng(2021)
+        for _ in range(20000):
+            m = int(rng.integers(1, 6))
+            xs = np.sort(rng.uniform(0.0, 1.0, m))
+            ys = np.sort(rng.uniform(0.0, 1.2, m))
+            shape = rng.integers(4)
+            if shape == 1:
+                ys = np.round(ys, 1)  # repeated values
+            elif shape == 2:
+                ys = ys[::-1]
+            elif shape == 3:
+                ys = ys * 10.0 ** float(rng.choice((300.0, -300.0)))
+            if rng.random() < 0.3:
+                kmax = int(rng.integers(2, 10 ** 6))
+                w0 = kmax + 1
+                ks = np.sort(rng.integers(0, kmax + 1, m))
+                points = [(int(k), float(y)) for k, y in zip(ks, ys)]
+                left = int(rng.integers(0, kmax))
+                right = int(rng.integers(left + 1, kmax + 2))
+            else:
+                w0 = 1.0
+                points = [(float(x), float(y)) for x, y in zip(xs, ys)]
+                ends = np.sort(rng.uniform(0.0, 1.0, 2))
+                left, right = (float(points[-1][0]), 1.0) if rng.random() < 0.5 else map(float, ends)
+            goal = float(rng.uniform(0.0, 1.2))
+            k = int(rng.integers(0, 12)) if rng.random() < 0.7 else int(rng.integers(0, 1101))
+            slope = float(10.0 ** (rng.uniform(-0.5, 3.0) if rng.random() < 0.9 else rng.uniform(-300.0, -1.0)))
+            args = (left, right, points, goal, k, w0, slope)
+            got, want = ripple._probe(*args), reference_probe(*args)
+            assert type(got) is type(want) and float(got).hex() == float(want).hex(), args
 
     def test_first_probe_follows_the_slope(self, monkeypatch):
         # from the origin alone the estimate is the line goal / slope, projected like any other
