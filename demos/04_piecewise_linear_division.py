@@ -6,6 +6,8 @@
 # only recurses where a half contains breakpoints that break local MLRP.  The
 # output is eta-envy-free with possibly disconnected pieces.
 
+import math
+
 import numpy as np
 
 import fairslice as fs
@@ -35,3 +37,9 @@ cfg = fs.pl_config(eta, k=2, upper=instance.bounds.upper)
 print(f"\nrecursion-node budget k(B+1) = {cfg.node_budget}, used {stats.node_count}")
 print(f"per-agent piece budget 2k(B+1) = {2 * cfg.node_budget}, "
       f"used {division.max_pieces()}")
+
+# the paper's bound is O(n^2 k log^2(kU/eta)) queries, against Kurokawa et al.'s O(n^6 k ln k)
+n, k, q = instance.n, cfg.k, ledger.total()
+print(f"constant C = q / (n^2 k log2^2(kU/eta)) = "
+      f"{q / (n * n * k * math.log2(k * cfg.upper / eta) ** 2):.4f}")
+print(f"q / (n^6 k ln k) = {q / (n ** 6 * k * math.log(k)):.4f}")

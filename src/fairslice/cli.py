@@ -70,18 +70,10 @@ def load_instance(path: str) -> tuple[Instance, bool]:
     return Instance.from_densities(densities), ordered
 
 
-def _ordered_instance(path: str, ledger: QueryLedger,
-                      tails: list[float] | None = None) -> tuple[Instance, list[int]]:
-    """The instance in its MLRP order, and that order: identity if marked ordered, else detected.
-
-    ``tails``, when given, receives the v_i(0.5, 1) that ``detect_order`` asked, in the
-    returned order; it stays empty when the file is marked ordered.
-    """
+def _ordered_instance(path: str, ledger: QueryLedger) -> tuple[Instance, list[int]]:
+    """The instance in its MLRP order, and that order: identity if marked ordered, else detected."""
     instance, ordered = load_instance(path)
-    asked: list[float] = []
-    order = list(range(instance.n)) if ordered else mlrp.detect_order(instance, ledger, asked)
-    if tails is not None and asked:
-        tails += [asked[i] for i in order]
+    order = list(range(instance.n)) if ordered else mlrp.detect_order(instance, ledger)
     return instance.reordered(order), order
 
 
@@ -190,13 +182,12 @@ def _ew_failure(instance: Instance, eta: float, report: dict) -> str | None:
 
 
 def _plef(args, ledger):
-    tails: list[float] = []
-    instance, order = _ordered_instance(args.instance, ledger, tails)
-    division, stats = plef.pl_ef(instance, args.eta, ledger, tails=tails or None)
+    instance, _ = load_instance(args.instance)  # PL-EF needs no order: agents as listed
+    division, stats = plef.pl_ef(instance, args.eta, ledger)
     max_envy = audit.envy_matrix(instance, division).max_envy
     report = {
         "parameters": {"eta": args.eta},
-        "order": order,
+        "order": list(range(instance.n)),
         "pieces": {str(i): [list(p) for p in division.pieces[i]] for i in range(instance.n)},
         "max_envy": max_envy,
         "recursion": {"nodes": stats.node_count, "depth": stats.max_depth},

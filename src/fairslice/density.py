@@ -10,11 +10,13 @@ adjacent doubles.
 
 When a >= 0 and b >= 0, ``BinomialPoly`` first narrows that bracket with Newton
 steps while each is under half the one before (the bracket's midpoint for a
-step that would leave it).  Once per cut, a step too slow to halve from right
-of the root (far above a monomial's root Newton crawls at ratio s/(s+1)) is
-replaced by the root of the power law through (x, F(x)) with slope f(x): log F
-is convex in log x, F being a sum of powers with nonnegative coefficients, so
-that root lies between the root and x.  The step that converges or fails to
+step that would leave it), from the root of the chord of F over [l, 1], or
+from the double below 1 when that root is 1 (a cut of the remaining mass).
+Once per cut, a step too slow to halve from right of the root (far above a
+monomial's root Newton crawls at ratio s/(s+1)) is replaced by the root of the
+power law through (x, F(x)) with slope f(x): log F is convex in log x, F being
+a sum of powers with nonnegative coefficients, so that root lies between the
+root and x.  The step that converges or fails to
 halve is pushed an ulp or more past the root and doubled until the test flips
 (the nudge), and the same bisection finishes the bracket.
 While the test is monotone over the doubles of [l, 1], the bisection returns
@@ -371,6 +373,8 @@ class BinomialPoly(Density):
             # Newton, the power-law step once, then the nudge (see the module
             # docstring); every evaluated point moves lo or hi by the bisection's test
             x = l + (1.0 - l) * (target / (self._top - base))
+            if not x < hi:  # a cut of the remaining mass: start Newton just inside the bracket
+                x = math.nextafter(hi, lo)
             last, nudge, side, leap = math.inf, 0.0, None, True
             while lo < x < hi:
                 cum = a * x ** s1 / s1 + b * x ** t1 / t1  # F(x)

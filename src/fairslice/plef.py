@@ -23,12 +23,12 @@ asks each kept agent its prefix values at the half's interior cuts, and takes
 those the chain already answered from it: m^2 - 3m + 3 evals for a half of
 m agents that passes (``_envious``).  The root asks each agent v_i(0.5, 1)
 alone, n evals, and takes v_i(0, 0.5) as 1 - v_i(0.5, 1), the instance's
-densities being normalized, or takes them all from ``tails`` (the CLI's
-``detect_order`` asked them).  Halves without breakpoints have linear (hence
-MLRP) local densities, so they settle unless the search runs out of float
-resolution; a level below the root then holds at most k recursed halves, and
-the tree at most k(B+1) nodes.  ``pl_ef`` stops with ``SearchFailedError``
-once it passes that node budget, so the count holds unconditionally.
+densities being normalized.  Agents need no global order: each half ranks its
+own.  Halves without breakpoints have linear (hence MLRP) local densities, so
+they settle unless the search runs out of float resolution; a level below the
+root then holds at most k recursed halves, and the tree at most k(B+1) nodes.
+``pl_ef`` stops with ``SearchFailedError`` once it passes that node budget, so
+the count holds unconditionally.
 
 Envy bound, in three shares of eta/3.  Every settled half and every node no
 longer than ``min_length`` is a leaf; leaves are disjoint and cover the cake,
@@ -190,17 +190,16 @@ def _envious(local: Instance, rd: RippleDivision, envy: float, ledger: QueryLedg
     return False
 
 
-def _local_instance(specs: list[Density], ledger: QueryLedger,
-                    tails: list[float]) -> tuple[Instance, list[int]]:
-    """The instance of a half's restrictions ``specs`` in rank order, and that order.
-
-    ``detect_order`` finds the order on ``Instance.from_densities(specs, normalize=False)``
-    (an inadmissible restriction fails its bounds before any query) and appends the agents'
-    tails to ``tails``; the rank-order instance takes those bounds, unchecked by ``reordered``.
+def _local_instance(specs: list[Density],
+                    ledger: QueryLedger) -> tuple[Instance, list[int], list[float]]:
+    """The instance of a half's restrictions ``specs`` in rank order, that order, and the
+    tails v_i(1/2, 1), in ``specs`` order, from which ``detect_order`` found it on
+    ``Instance.from_densities(specs, normalize=False)`` (an inadmissible restriction fails
+    its bounds before any query); the rank-order instance takes those bounds unchecked.
     """
-    instance = Instance.from_densities(specs, normalize=False)
+    instance, tails = Instance.from_densities(specs, normalize=False), []
     order = detect_order(instance, ledger, tails)
-    return Instance(tuple(specs[o] for o in order), instance.bounds), order
+    return Instance(tuple(specs[o] for o in order), instance.bounds), order, tails
 
 
 def _model_probe(tails: list[float], delta: float) -> float:
@@ -266,8 +265,7 @@ def _model_probe(tails: list[float], delta: float) -> float:
     return x
 
 
-def pl_ef(instance: Instance, eta: float, ledger: QueryLedger,
-          tails: list[float] | None = None) -> tuple[Division, RecursionStats]:
+def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division, RecursionStats]:
     """eta-envy-free cake division for piecewise-linear densities.
 
     Returns the division together with recursion statistics.  The envy bound
@@ -279,12 +277,8 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger,
     1e-12 slack is at most eta/3.  The recursion tree has at most
     ``cfg.node_budget`` = k(B+1) nodes: one more raises ``SearchFailedError``
     naming the budget.  Every agent ends up with at most 2k(B+1) intervals.
-
-    ``tails``, when given, are the agents' values v_i(0.5, 1), in the instance's
-    order, as ``detect_order`` asked them; the root then asks no query.
+    The agents need no order: piece lists follow the instance's agents as listed.
     """
-    if tails is not None and len(tails) != instance.n:
-        raise DomainError(f"{len(tails)} tails given for {instance.n} agents")
     pls = [as_piecewise_linear(d) for d in instance.agents]
     n = instance.n
     breakpoints = [p for pl in pls for p in pl.breakpoints]
@@ -322,12 +316,11 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger,
         if len(keep) <= 1:  # agent 0 takes a half that everyone values below e_d
             give(keep[0] if keep else 0, lo, hi)
             return None
-        tails: list[float] = []
-        local, order = _local_instance([restrict_unit(pls[i], lo, hi) for i in keep], ledger, tails)
+        local, order, tails = _local_instance([restrict_unit(pls[i], lo, hi) for i in keep], ledger)
         delta = ripple_window(cfg.audit_envy, local.bounds.upper)
         first = _model_probe([tails[o] for o in order], delta)
         try:
-            rd = _search(local, delta, ledger, (1.0 - 0.5 * delta) / first, max_iterations=n * cfg.cap)
+            rd = _search(local, delta, ledger, first, max_iterations=n * cfg.cap)
         except SearchFailedError:
             rd = None
         if rd is not None and not _envious(local, rd, cfg.audit_envy, ledger):
@@ -366,7 +359,6 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger,
                 stats.breakpoint_free_recursions += not any(a < p < b for p in breakpoints)
                 recurse(a, b, depth + 1, children)
 
-    if tails is None:
-        tails = [eval_query(instance, i, 0.5, 1.0, ledger) for i in range(n)]
+    tails = [eval_query(instance, i, 0.5, 1.0, ledger) for i in range(n)]
     recurse(0.0, 1.0, 1, ([1.0 - t for t in tails], tails))
     return Division(tuple(map(tuple, pieces))), stats

@@ -15,10 +15,10 @@ project that estimate onto a shrinking neighbourhood of the bracket midpoint.
 Both searches start from bracket ends they know without a query: the first
 cut x = 0 and the target k = 0 give chains of 0, and the right ends, x = 1
 (whose chain ends at 1) and k = kmax + 1 (past the last target), are never
-run.  The first probe comes from the uniform-agents model, where RD_n(x) = n x
-and MK_n(k) = n k eta; PL-EF's halves instead start where the chain of linear
-models of their agents ends at the goal (``plef._model_probe``), through
-:func:`_search`, the search that ``bin_search`` runs with slope n.  The
+run.  Each caller hands :func:`_probe` its first probe, the estimate until a
+chain's value is seen: where the chains of n uniform agents, RD_n(x) = n x and
+MK_n(k) = n k eta, reach the goal, or, in :func:`_search` from PL-EF's halves,
+where the chain of their agents' linear models does (``plef._model_probe``).  The
 projection keeps every bracket within 2**SLACK times bisection's width: a
 search reaches any bracket width at most SLACK = 4 iterations after bisection
 would, whatever its first probe.  Its worst case is therefore the iterations
@@ -134,19 +134,18 @@ def ripple_window(eta: float, upper: float) -> float:
 
 
 def _probe(left: float, right: float, points: list[tuple[float, float]], goal: float,
-           k: int, w0: float, slope: float) -> float:
+           k: int, w0: float, first: float) -> float:
     """Probe for step ``k`` (0-based) of a chain search on the bracket (left, right).
 
     ``points`` are the uncensored (x, value) pairs seen so far, at least one,
     oldest first, from a nondecreasing function.  Estimates of where the value reaches
     ``goal`` are, in turn, inverse quadratic interpolation through the last
     three points when their values increase strictly, the secant through the
-    last two when theirs do, and the midpoint; from a single point, the line
-    through it with ``slope`` (the caller's uniform-agents model) replaces the
-    secant.  The first estimate that lies inside the open bracket is projected
-    onto midpoint +- r with r = w0 2**(SLACK - k - 1) - (right - left) / 2.
-    That keeps the bracket after step k at most 2**SLACK times bisection's
-    w0 / 2**(k + 1).
+    last two when theirs do, and the midpoint; from the start point alone, the
+    caller's first probe ``first`` replaces the secant.  The first estimate
+    inside the open bracket is projected onto midpoint +- r with
+    r = w0 2**(SLACK - k - 1) - (right - left) / 2.  That keeps the bracket
+    after step k at most 2**SLACK times bisection's w0 / 2**(k + 1).
     """
     mid = 0.5 * (left + right)
     r = w0 * 2.0 ** (SLACK - k - 1) - 0.5 * (right - left)
@@ -155,7 +154,7 @@ def _probe(left: float, right: float, points: list[tuple[float, float]], goal: f
     x2, y2 = points[-1]  # read one by one: a slice costs more than an estimate
     est = math.nan  # each estimate is computed only if the one before is not inside
     if len(points) == 1:
-        est = x2 + (goal - y2) / slope
+        est = first
     elif points[-2][1] < y2:
         x1, y1 = points[-2]
         if len(points) >= 3 and points[-3][1] < y1:
@@ -171,8 +170,7 @@ def _probe(left: float, right: float, points: list[tuple[float, float]], goal: f
     return low if est < low else high if est > high else est
 
 
-def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
-               max_iterations: int | None = None) -> RippleDivision:
+def bin_search(instance: Instance, delta: float, ledger: QueryLedger) -> RippleDivision:
     """Find a delta-ripple division by searching on the first cut point.
 
     Maintains RD_n(l) < 1 - delta and RD_n(r) = 1 and stops at the first
@@ -189,16 +187,14 @@ def bin_search(instance: Instance, delta: float, ledger: QueryLedger,
     The search stops on a hit, or raises :class:`SearchFailedError` once l and
     r are adjacent doubles; its bracket trails bisection's by at most SLACK = 4
     halvings (see the module docstring), so it always gets there.
-    ``max_iterations``, when given, is a budget: running out of it also raises
-    :class:`SearchFailedError`.
     """
-    return _search(instance, delta, ledger, instance.n, max_iterations)
+    return _search(instance, delta, ledger, (1.0 - 0.5 * delta) / instance.n)
 
 
-def _search(instance: Instance, delta: float, ledger: QueryLedger, slope: float,
+def _search(instance: Instance, delta: float, ledger: QueryLedger, first: float,
             max_iterations: int | None = None) -> RippleDivision:
-    """:func:`bin_search` with the first probe (1 - delta/2) / ``slope``, on the line RD_n(x) =
-    slope * x that :func:`_probe` follows from one point (PL-EF passes its model's slope)."""
+    """:func:`bin_search` from the first probe ``first`` (PL-EF passes its model's probe);
+    ``max_iterations``, when given, is a budget whose end also raises SearchFailedError."""
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta={delta} outside (0, 1)")
     n = instance.n
@@ -215,7 +211,7 @@ def _search(instance: Instance, delta: float, ledger: QueryLedger, slope: float,
             raise SearchFailedError(
                 f"bin_search ran out of float resolution at iteration {it}{cap}: "
                 f"{left!r} and {right!r} are adjacent doubles and no chain endpoint hit [1-delta, 1)")
-        x = _probe(left, right, points, goal, it - 1, 1.0, slope)
+        x = _probe(left, right, points, goal, it - 1, 1.0, first)
         evals.clear()
         chain = rd_chain(instance, x, ledger, evals)
         endpoint = chain[-1]

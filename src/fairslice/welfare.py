@@ -329,8 +329,8 @@ def max_egalitarian(instance: Instance, eta: float,
     costs none (a cut of 0 from 0 is 0 in every family), and kmax + 1, past
     the last target, is never run.  Each probe is ripple's :func:`_probe`
     with w0 = kmax + 1, aimed at a last knife of 1.0 through the (k, last
-    knife) points of feasible runs, starting from MK_n(0) = 0 with the
-    uniform-agents slope n*eta (so the first probe is k = 1 / (n eta)),
+    knife) points of feasible runs, starting from MK_n(0) = 0 with the first
+    probe k = 1 / (n eta), where n uniform agents' last knife reaches 1,
     rounded down and clamped into [lo + 1, hi - 1]; a midpoint probe is
     (lo + hi) // 2.  Infeasible runs only move hi.  The search ends at
     lo + 1 == hi, at the same largest feasible k <= kmax as bisection, with a
@@ -352,10 +352,10 @@ def max_egalitarian(instance: Instance, eta: float,
     best = (0.0,) * instance.n  # knives of the best run: cuts of 0 from 0 are 0
     lo, hi = 0, kmax + 1  # run lo is feasible; hi is past the last target
     points = [(0, 0.0)]  # (k, last knife) of feasible runs
-    slope = instance.n * eta  # MK_n(k) = n k eta for n uniform agents
+    first = 1.0 / (instance.n * eta)  # MK_n(k) = n k eta for n uniform agents
     step = 0
     while lo + 1 < hi:
-        mid = min(max(math.floor(_probe(lo, hi, points, 1.0, step, kmax + 1, slope)), lo + 1), hi - 1)
+        mid = min(max(math.floor(_probe(lo, hi, points, 1.0, step, kmax + 1, first)), lo + 1), hi - 1)
         step += 1
         run = mk_chain(instance, mid * eta, ledger)
         if run.feasible:

@@ -51,7 +51,7 @@ def full_mk_chain(instance: Instance, tau: float, ledger: QueryLedger) -> Moving
 
 
 def reference_probe(left: float, right: float, points: list[tuple[float, float]], goal: float,
-                    k: int, w0: float, slope: float) -> float:
+                    k: int, w0: float, first: float) -> float:
     """``ripple._probe`` as first written: every estimate it reaches, then ``min(max(...))``."""
     mid = 0.5 * (left + right)
     est = math.nan  # each estimate is computed only if the one before is not inside
@@ -65,8 +65,7 @@ def reference_probe(left: float, right: float, points: list[tuple[float, float]]
             (x0, y0), (x1, y1) = points[-2:]
             est = x1 + (goal - y1) * (x1 - x0) / (y1 - y0)
         elif len(points) == 1:
-            (x0, y0), = points
-            est = x0 + (goal - y0) / slope
+            est = first
         if not left < est < right:  # a NaN is never inside
             est = mid
     r = max(w0 * 2.0 ** (SLACK - k - 1) - 0.5 * (right - left), 0.0)

@@ -190,11 +190,45 @@ def test_plef_report(tmp_path, capsys):
     assert set(report["pieces"]) == {"0", "1"}
 
 
+def test_plef_divides_the_agents_as_listed(tmp_path, capsys):
+    # PL-EF needs no MLRP order: a permuted file gives the same ledger and recursion, each
+    # input agent the same pieces, and the identity as its order
+    rng = np.random.default_rng(53)
+    for n, k in ((3, 4), (4, 6), (5, 8)):
+        inst = gen.piecewise_linear_instance(n, k, rng)
+        perm = list(range(n))
+        while perm == list(range(n)):
+            perm = [int(i) for i in rng.permutation(n)]
+        reports = []
+        for name, agents in (("orig.json", inst.agents), ("perm.json", [inst.agents[i] for i in perm])):
+            path = write(tmp_path, name, {"agents": [a.to_dict() for a in agents], "ordered": False})
+            code, report = invoke(capsys, ["plef", "--eta", "1e-2", path])
+            assert code == 0 and report["order"] == list(range(n))
+            reports.append(report)
+        orig, permuted = reports
+        assert (permuted["queries"], permuted["recursion"]) == (orig["queries"], orig["recursion"])
+        assert [permuted["pieces"][str(j)] for j in range(n)] == [orig["pieces"][str(i)] for i in perm]
+
+
+def test_plef_report_of_an_unordered_file_passes_check(tmp_path, capsys):
+    # the densities 2x and 2 - 2x are listed against the MLRP order; keyed by rank, the
+    # report's pieces read as the input agents' would give each the other's, envy 0.577
+    path = write(tmp_path, "up_down.json", {"agents": [{"family": "linear", "a": 2, "b": 0},
+                                                       {"family": "linear", "a": -2, "b": 2}]})
+    code, report = invoke(capsys, ["plef", "--eta", "1e-2", path])
+    assert code == 0
+    dpath = write(tmp_path, "plef.json", report)
+    code, check_report = invoke(capsys, ["check", "--eta", "1e-2", "--division", dpath, path])
+    assert code == 0 and check_report["passes_eta"]
+    assert check_report["max_envy"] == report["max_envy"]
+    assert report["order"] == [0, 1]
+
+
 def test_plef_envy_above_eta_exits_3(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "inst.json", TWO_UNIFORM)
     division = Division((((0.0, 0.1), (0.9, 1.0)), ((0.1, 0.9),)))
     monkeypatch.setattr(plef, "pl_ef",
-                        lambda inst, eta, ledger, tails=None: (division, RecursionStats(node_count=1)))
+                        lambda inst, eta, ledger: (division, RecursionStats(node_count=1)))
     code, report = invoke(capsys, ["plef", "--eta", "1e-2", path])
     assert code == 3
     assert report["max_envy"] == pytest.approx(0.6, abs=1e-12)
@@ -372,8 +406,8 @@ AUDIT_FAILURES = {
                     lambda inst, eps, ledger: (Allocation((0.0, 0.2, 1.0)), 0.4),
                     "NSW 0.4 < (1-eps) * grid optimum"),
     "plef": (TWO_UNIFORM, ["plef", "--eta", "1e-2"], None, plef, "pl_ef",
-             lambda inst, eta, ledger, tails=None: (Division((((0.0, 0.1), (0.9, 1.0)), ((0.1, 0.9),))),
-                                                    RecursionStats(node_count=1)),
+             lambda inst, eta, ledger: (Division((((0.0, 0.1), (0.9, 1.0)), ((0.1, 0.9),))),
+                                        RecursionStats(node_count=1)),
              "max envy 0.6 > eta"),
     "reorder": (UNIF_QUAD, ["reorder"], [[[0.0, 0.5]], [[0.5, 1.0]]], welfare, "reorder_to_mlrp",
                 lambda inst, pieces, ledger: [(0.0, 0.9), (0.9, 1.0)],

@@ -700,6 +700,21 @@ def test_binomial_cut_costs_at_most_the_plain_bisection_plus_8():
         assert calls <= plain_calls + 8, (d, l, tau, calls, plain_calls)
 
 
+def test_binomial_remaining_mass_cut_starts_newton_inside_the_bracket():
+    # a cut of exactly the remaining mass puts the chord root at 1.0, the bracket's
+    # right end; starting Newton there skipped it and bisected all of (l, 1), 52.5
+    # F+f evaluations on average (max 54) over these 80 cuts.  From the double
+    # below 1.0 each costs F(l), F and f once
+    costs = []
+    for d, l, tau in _newton_stage_cuts():
+        if tau == d.measure(l, 1.0):
+            y, calls = _counted_cut(d, l, tau)
+            assert y == _plain_bisection(d, l, tau / d.scale)[0], (d, l, tau)
+            costs.append(calls)
+    assert len(costs) == 80
+    assert costs == [3] * 80
+
+
 def test_binomial_slow_newton_cut_costs_no_more_than_bisection():
     # Newton converges linearly from the right (steps 0.103, then 0.084): ending the
     # stage there closed a wide bracket, 62 F+f evaluations against the plain

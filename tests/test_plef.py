@@ -20,7 +20,7 @@ from fairslice import (
 )
 from fairslice import cli, mlrp, plef, ripple
 from fairslice.density import as_piecewise_linear, restrict_unit
-from fairslice.errors import (DomainError, NotFullSupportError, ParameterRegimeError, SearchFailedError,
+from fairslice.errors import (NotFullSupportError, ParameterRegimeError, SearchFailedError,
                               UnsupportedFamilyError)
 from fairslice.mlrp import detect_order
 from fairslice.ripple import bin_search, iteration_cap, ripple_to_allocation
@@ -119,7 +119,7 @@ class TestPlEf:
         real = plef._search
         queries = {}
 
-        def bisection(instance, delta, ledger, slope, max_iterations=None):
+        def bisection(instance, delta, ledger, first, max_iterations=None):
             return bisection_search(instance, delta, ledger, max_iterations)
 
         for name, search in (("interpolating", real), ("bisection", bisection)):
@@ -285,9 +285,9 @@ def test_every_half_searches_under_one_cap(monkeypatch):
     # and the zero-touching ones
     real, caps = plef._search, []
 
-    def spy(instance, delta, ledger, slope, max_iterations=None):
+    def spy(instance, delta, ledger, first, max_iterations=None):
         caps.append(max_iterations)
-        return real(instance, delta, ledger, slope, max_iterations=max_iterations)
+        return real(instance, delta, ledger, first, max_iterations=max_iterations)
 
     monkeypatch.setattr(plef, "_search", spy)
     cases = [(piecewise_linear_instance(n, k, np.random.default_rng(seed)), eta)
@@ -389,8 +389,8 @@ def test_local_instance_is_from_densities_then_reordered():
                [restrict_unit(tent, 0.5, 1.0), restrict_unit(steep, 0.0, 0.5), restrict_unit(tent, 0.0, 1.0)]]
     zero_lower = 0
     for specs in halves:
-        got_ledger, got_tails, want_ledger, want_tails = QueryLedger(), [], QueryLedger(), []
-        got, order = plef._local_instance(specs, got_ledger, got_tails)
+        got_ledger, want_ledger, want_tails = QueryLedger(), QueryLedger(), []
+        got, order, got_tails = plef._local_instance(specs, got_ledger)
         want = Instance.from_densities(specs, normalize=False)
         want_order = detect_order(want, want_ledger, want_tails)
         want = want.reordered(want_order)
@@ -406,7 +406,7 @@ def test_local_instance_is_from_densities_then_reordered():
         Instance.from_densities(specs, normalize=False)
     ledger = QueryLedger()
     with pytest.raises(NotFullSupportError) as got_error:
-        plef._local_instance(specs, ledger, [])
+        plef._local_instance(specs, ledger)
     assert str(got_error.value) == str(want_error.value) and ledger.total() == 0
 
 
@@ -455,16 +455,3 @@ def test_model_probe_asks_no_query_and_stays_inside(monkeypatch):
     # every tail 1/2 is the uniform model, whose chain is x_i = i x_1
     assert plef._model_probe([0.5] * 4, 1e-3) == (1.0 - 0.5e-3) / 4
 
-
-def test_cli_tails_save_the_root_evals():
-    # pl_ef given detect_order's tails asks n evals fewer and divides bit-identically
-    for seed in range(5):
-        inst = piecewise_linear_instance(3, 4, np.random.default_rng(seed))
-        asked = QueryLedger()
-        division, stats = pl_ef(inst, 1e-2, asked)
-        tails, handed = [], QueryLedger()
-        detect_order(inst, QueryLedger(), tails)
-        assert pl_ef(inst, 1e-2, handed, tails=tails) == (division, stats)
-        assert (handed.eval_count, handed.cut_count) == (asked.eval_count - 3, asked.cut_count)
-    with pytest.raises(DomainError, match="2 tails given for 3 agents"):
-        pl_ef(inst, 1e-2, QueryLedger(), tails=[0.5, 0.5])

@@ -105,9 +105,9 @@ def probe_log(monkeypatch, module):
     """Record (left, right, k, w0, probe, unprojected estimate) for every probe of ``module``."""
     real, log = module._probe, []
 
-    def spy(left, right, points, goal, k, w0, slope):
-        x = real(left, right, points, goal, k, w0, slope)
-        log.append((left, right, k, w0, x, real(left, right, points, goal, k, math.inf, slope)))
+    def spy(left, right, points, goal, k, w0, first):
+        x = real(left, right, points, goal, k, w0, first)
+        log.append((left, right, k, w0, x, real(left, right, points, goal, k, math.inf, first)))
         return x
 
     monkeypatch.setattr(module, "_probe", spy)
@@ -179,17 +179,17 @@ class TestInterpolatingSearch:
                 left, right = (float(points[-1][0]), 1.0) if rng.random() < 0.5 else map(float, ends)
             goal = float(rng.uniform(0.0, 1.2))
             k = int(rng.integers(0, 12)) if rng.random() < 0.7 else int(rng.integers(0, 1101))
-            slope = float(10.0 ** (rng.uniform(-0.5, 3.0) if rng.random() < 0.9 else rng.uniform(-300.0, -1.0)))
-            args = (left, right, points, goal, k, w0, slope)
+            first = goal / float(10.0 ** (rng.uniform(-0.5, 3.0) if rng.random() < 0.9 else rng.uniform(-300.0, -1.0)))
+            args = (left, right, points, goal, k, w0, first)
             got, want = ripple._probe(*args), reference_probe(*args)
             assert type(got) is type(want) and float(got).hex() == float(want).hex(), args
 
-    def test_first_probe_follows_the_slope(self, monkeypatch):
-        # from the origin alone the estimate is the line goal / slope, projected like any other
+    def test_first_probe_is_the_callers(self, monkeypatch):
+        # from the origin alone the estimate is the caller's first probe, projected like any other
         origin = [(0.0, 0.0)]
-        assert ripple._probe(0.0, 1.0, origin, 0.9, 0, 1.0, 3.0) == pytest.approx(0.3)
-        assert ripple._probe(0.0, 1.0, origin, 0.9, 0, 1.0, 0.5) == 0.5  # 1.8 is outside
-        assert ripple._probe(0.0, 0.75, origin, 0.9, SLACK, 1.0, 9.0) == 0.25  # 0.1, pulled
+        assert ripple._probe(0.0, 1.0, origin, 0.9, 0, 1.0, 0.3) == 0.3
+        assert ripple._probe(0.0, 1.0, origin, 0.9, 0, 1.0, 1.8) == 0.5  # outside the bracket
+        assert ripple._probe(0.0, 0.75, origin, 0.9, SLACK, 1.0, 0.1) == 0.25  # pulled
         # bin_search aims its first probe at n uniform agents: RD_n(x) = n x
         log = probe_log(monkeypatch, ripple)
         for n in (2, 3, 7):
@@ -286,7 +286,7 @@ class TestBinSearch:
         # two uniforms hit on the first probe; a decreasing first agent takes 16 iterations
         inst = Instance.from_densities([Linear(-1.0, 1.5), Uniform()])
         with pytest.raises(SearchFailedError, match="exhausted 2 iterations"):
-            bin_search(inst, 1e-9, QueryLedger(), max_iterations=2)
+            ripple._search(inst, 1e-9, QueryLedger(), (1.0 - 0.5e-9) / 2, max_iterations=2)
 
     def test_float_resolution_break_names_itself(self):
         # no double lies in [1 - 1e-17, 1), so bisection runs out of doubles next
@@ -297,9 +297,9 @@ class TestBinSearch:
         with pytest.raises(SearchFailedError, match=r"float resolution at iteration 55: "):
             bin_search(inst, 1e-17, led)
         assert led.as_dict() == {"eval": 54, "cut": 54}
-        # an explicit cap fails the same way, and the message names it
+        # a search under a budget (as PL-EF runs it) fails the same way, and the message names it
         with pytest.raises(SearchFailedError, match=r"float resolution at iteration 55 \(cap 115\)"):
-            bin_search(inst, 1e-17, QueryLedger(), max_iterations=115)
+            ripple._search(inst, 1e-17, QueryLedger(), (1.0 - 0.5e-17) / 2, max_iterations=115)
 
     def test_immediate_hit_returns_first_probe(self):
         # the first probe goal / n is exact for n uniform agents, so its chain
@@ -415,9 +415,9 @@ class TestEnvyFree:
     def test_window_is_eta_over_upper(self, monkeypatch):
         real, deltas = ripple.bin_search, []
 
-        def spy(instance, delta, ledger, max_iterations=None):
+        def spy(instance, delta, ledger):
             deltas.append(delta)
-            return real(instance, delta, ledger, max_iterations)
+            return real(instance, delta, ledger)
 
         monkeypatch.setattr(ripple, "bin_search", spy)
         inst = Instance.from_densities([GaussianRestricted(m, 0.2) for m in (0.3, 0.7)])
