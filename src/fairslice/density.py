@@ -263,11 +263,13 @@ class Uniform(Density):
 def _linear_root(half_slope: float, intercept: float, rhs: float, lo: float, hi: float) -> float:
     """Solve half_slope*y^2 + intercept*y = rhs for the root in [lo, hi].
 
-    Where the intercept is positive and 4|half_slope*rhs| < intercept^2 2^-10,
-    -intercept + disc loses 10 bits or more to cancellation, so the first root
-    is taken in the rationalized form 2 rhs / (intercept + disc) (Goldberg,
-    "What Every Computer Scientist Should Know About Floating-Point
-    Arithmetic", 1991).
+    That is the first root, (-intercept + disc) / (2 half_slope), at which the
+    segment's density 2 half_slope y + intercept = disc is nonnegative; it is
+    clamped to [lo, hi] against rounding.  Where the intercept is positive and
+    4|half_slope*rhs| < intercept^2 2^-10, -intercept + disc loses 10 bits or
+    more to cancellation, so the first root is taken in the rationalized form
+    2 rhs / (intercept + disc) (Goldberg, "What Every Computer Scientist Should
+    Know About Floating-Point Arithmetic", 1991).
     """
     if half_slope == 0.0:
         return rhs / intercept
@@ -277,13 +279,7 @@ def _linear_root(half_slope: float, intercept: float, rhs: float, lo: float, hi:
         root = 2.0 * rhs / (intercept + disc)
     else:
         root = (-intercept + disc) / (2.0 * half_slope)
-    if lo <= root <= hi:
-        return root
-    # the other root only if it lies strictly closer to [lo, hi]
-    other = (-intercept - disc) / (2.0 * half_slope)
-    if max(lo - other, other - hi, 0.0) < max(lo - root, root - hi, 0.0):
-        root = other
-    return min(max(root, lo), hi)
+    return lo if root < lo else hi if root > hi else root  # min(max(root, lo), hi), without the calls
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """Recursive envy-free division for piecewise-linear densities (possibly disconnected).
 
-``pl_ef`` halves the current interval.  On each half it keeps only the agents
-that value the half at least the drop value e_d, restricts their densities to
-the half (``restrict_unit`` reparametrizes each onto the unit cake and
-normalizes it in one pass), guesses a local MLRP order, builds the local
-instance in that order once (``_local_instance``), and runs the ripple search on
-the window ``ripple_window(e_a, U_local)``, e_a = eta/3, of the local
-densities; only the order, the search and the audit ask queries.  The search's
+``pl_ef`` is PL-EF(a, b): a node halves [a, b], and each half either settles
+or becomes a node one level down.  A half keeps only the agents that value it
+at least the drop value e_d, restricts their densities to it
+(``restrict_unit`` reparametrizes each onto the unit cake and normalizes it in
+one pass), ranks them by ``detect_order`` on ``Instance.from_densities`` of the
+restrictions, reorders that instance, and runs the ripple search on the window
+``ripple_window(e_a, U_local)``, e_a = eta/3, of the local densities; only the
+order, the search and the audit ask queries.  The search's
 first probe comes from a model (``_model_probe``): each kept agent's local
 density is taken to be linear, f_i(x) = 1 + 8(t_i - 1/2)(x - 1/2) with t_i
 its ``detect_order`` tail, and the probe is where the ripple chain of those
@@ -17,8 +18,9 @@ probes (``ripple._probe``, projected to stay within SLACK = 4 halvings of
 bisection's bracket), so its worst case is SLACK iterations beyond what
 bisection needs, under the same iteration cap.
 If the search fails (``SearchFailedError``) or some kept agent's local envy
-exceeds e_a + AUDIT_SLACK, it recurses on that half, whose two children
-take the agents' values of them from that half's without a query.  The audit
+exceeds e_a + AUDIT_SLACK, the half becomes a node that carries only its kept
+agents, whose values of its two halves follow from their value v of it and
+their tails t without a query: v - v t and v t.  The audit
 asks each kept agent its prefix values at the half's interior cuts, and takes
 those the chain already answered from it: m^2 - 3m + 3 evals for a half of
 m agents that passes (``_envious``).  The root asks each agent v_i(0.5, 1)
@@ -26,27 +28,26 @@ alone, n evals, and takes v_i(0, 0.5) as 1 - v_i(0.5, 1), the instance's
 densities being normalized.  Agents need no global order: each half ranks its
 own.  Halves without breakpoints have linear (hence MLRP) local densities, so
 they settle unless the search runs out of float resolution; a level below the
-root then holds at most k recursed halves, and the tree at most k(B+1) nodes.
-``pl_ef`` stops with ``SearchFailedError`` once it passes that node budget, so
-the count holds unconditionally.
+root then holds at most k recursed halves.  B is the first depth whose nodes,
+2^(1-B) long, are worth U 2^(1-B) < e_d = eta / (6k(B+1)); a node at depth
+d > 1 is a half, 2^(1-d) long, that kept two agents valuing it at least e_d,
+so no node reaches depth B, and the tree has at most k(B+1) nodes.  ``pl_ef``
+stops with ``SearchFailedError`` once it passes that node budget, so the count
+holds unconditionally, also should a rounded value estimate keep an agent past B.
 
-Envy bound, in three shares of eta/3.  Every settled half and every node no
-longer than ``min_length`` is a leaf; leaves are disjoint and cover the cake,
-and an agent's envy of another is the sum over leaves of its value of the
-other's part minus its value of its own part.
+Envy bound, in three shares of eta/3.  Every settled half is a leaf; leaves
+are disjoint and cover the cake, and an agent's envy of another is the sum
+over leaves of its value of the other's part minus its value of its own part.
 - Audited halves.  A kept agent's local densities are its own, divided by its
   value v_i(half) of the half, so a local envy e costs e * v_i(half)
   globally.  The audit holds e to e_a + AUDIT_SLACK; over disjoint halves the
   v_i(half) sum to at most 1, so these leaves add at most e_a = eta/3 plus
   the slack, however many settle.
-- Unaudited leaves: a half an agent was dropped from, a one-agent or empty
-  half, a ``min_length`` node.  On such a leaf an agent either holds all of
-  it (the one kept agent; agent 0 of an empty half or a small node) and
-  envies no one there, or values it below e_d.  B is the first depth whose
-  nodes, 2^(1-B) long, are worth U 2^(1-B) < e_d = eta / (6k(B+1)), and
-  ``min_length`` = 2^(1-B).  A tree of at most k(B+1) nodes, each with at
-  most two children, has at most 2k(B+1) leaves, so these add less than
-  2k(B+1) e_d = eta/3.
+- Unaudited leaves, of two kinds: a half an agent was dropped from, and a
+  one-agent or empty half.  On such a leaf an agent either holds all of it
+  (the one kept agent; agent 0 of an empty half) and envies no one there, or
+  values it below e_d.  A tree of at most k(B+1) nodes, each with two halves,
+  has at most 2k(B+1) halves, so these add less than 2k(B+1) e_d = eta/3.
 - Audit slack.  The 1e-12 slack added over the audited halves is at most
   eta/3; ``pl_config`` rejects a smaller eta.
 So every agent's envy is at most eta, and every agent holds at most one
@@ -65,7 +66,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .density import Density, as_piecewise_linear, restrict_unit
+from .density import as_piecewise_linear, restrict_unit
 from .errors import DomainError, ParameterRegimeError, SearchFailedError
 from .mlrp import detect_order
 from .oracle import Division, Instance, QueryLedger, eval_query
@@ -99,7 +100,7 @@ class PlConfig:
     upper: float
     audit_envy: float  # e_a = eta / 3: local envy an audited half may keep
     drop_value: float  # e_d = eta / (6 node_budget): an agent valuing a half less is dropped
-    b_levels: int  # B: nodes at depth B (root at 1) are min_length long and end the recursion
+    b_levels: int  # B: no half at depth B (root at 1) keeps two agents, so no node is that deep
     node_budget: int  # k(B+1): the recursion tree's node count
     min_length: float  # 2^(1-B), with U * min_length < drop_value
     lambda_pl: float
@@ -149,7 +150,6 @@ def pl_config(eta: float, k: int, upper: float) -> PlConfig:
 class RecursionStats:
     node_count: int = 0
     max_depth: int = 0
-    small_interval_nodes: int = 0
     binsearch_hits: int = 0  # halves settled by the search (or trivially)
     recursed_halves: int = 0
     breakpoint_free_recursions: int = 0  # recursed halves with no agent breakpoint inside
@@ -188,18 +188,6 @@ def _envious(local: Instance, rd: RippleDivision, envy: float, ledger: QueryLedg
         if top > own + envy + AUDIT_SLACK:
             return True
     return False
-
-
-def _local_instance(specs: list[Density],
-                    ledger: QueryLedger) -> tuple[Instance, list[int], list[float]]:
-    """The instance of a half's restrictions ``specs`` in rank order, that order, and the
-    tails v_i(1/2, 1), in ``specs`` order, from which ``detect_order`` found it on
-    ``Instance.from_densities(specs, normalize=False)`` (an inadmissible restriction fails
-    its bounds before any query); the rank-order instance takes those bounds unchecked.
-    """
-    instance, tails = Instance.from_densities(specs, normalize=False), []
-    order = detect_order(instance, ledger, tails)
-    return Instance(tuple(specs[o] for o in order), instance.bounds), order, tails
 
 
 def _model_probe(tails: list[float], delta: float) -> float:
@@ -297,68 +285,61 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
         else:
             own.append((l, r))
 
-    def solve_half(lo: float, hi: float, values: list[float]):
-        """Try to settle [lo, hi], worth ``values[i]`` to agent i, without recursing.
+    def node(lo: float, hi: float, depth: int, agents: list[tuple[int, float, float]]) -> None:
+        """PL-EF(lo, hi): settle or split each half of [lo, hi].
 
-        Returns None when it settles, else the agents' values of the left and
-        right halves of [lo, hi], taken without a query: kept agent i, whose
-        local value of the right half ``detect_order`` asked as t_i, values
-        them at v - v t_i and v t_i, v = values[i]; an agent dropped here
-        values each below v < e_d, and keeps v for both, so it is dropped again.
-        The search's first probe is where the ripple chain of the kept agents'
-        linear models, fixed by those tails, ends at the goal (``_model_probe``),
-        so a half without a breakpoint settles on its first chain but for float
-        error.  A settled half costs m evals for the order, the search's chains,
-        and m^2 - 3m + 3 evals for the audit of m agents (``_envious``); its
-        restrictions, local instance and pieces ask none, and are built once.
+        ``agents`` lists the agents kept on [lo, hi], in ascending index order, as
+        (i, v, t): v is agent i's value of [lo, hi] and t its local value of the right
+        half, so it values the halves at v - v t and v t without a query.  Each half
+        keeps the agents that value it at least e_d.
         """
-        keep = [i for i in range(n) if values[i] >= cfg.drop_value]
-        if len(keep) <= 1:  # agent 0 takes a half that everyone values below e_d
-            give(keep[0] if keep else 0, lo, hi)
-            return None
-        local, order, tails = _local_instance([restrict_unit(pls[i], lo, hi) for i in keep], ledger)
-        delta = ripple_window(cfg.audit_envy, local.bounds.upper)
-        first = _model_probe([tails[o] for o in order], delta)
-        try:
-            rd = _search(local, delta, ledger, first, max_iterations=n * cfg.cap)
-        except SearchFailedError:
-            rd = None
-        if rd is not None and not _envious(local, rd, cfg.audit_envy, ledger):
-            cuts, width = (*rd.cuts[:-1], 1.0), hi - lo  # the last agent takes the tail [x_m, 1]
-            for rank, o in enumerate(order):
-                a, b = cuts[rank], cuts[rank + 1]
-                if b > a:
-                    give(keep[o], lo + a * width, lo + b * width)
-            return None
-        left, right = list(values), list(values)  # the half recurses: its children's values
-        for i, t in zip(keep, tails):
-            right[i] = values[i] * t
-            left[i] = values[i] - right[i]
-        return left, right
-
-    def recurse(lo: float, hi: float, depth: int, halves) -> None:
-        """Settle or split each half of [lo, hi]; ``halves`` holds the agents' values of the two."""
         stats.node_count += 1
         if stats.node_count > cfg.node_budget:
             raise SearchFailedError(
                 f"PL-EF passed its node budget k(B+1) = {cfg.node_budget} "
                 f"(k={cfg.k}, B={cfg.b_levels}): halves without breakpoints keep failing to settle")
         stats.max_depth = max(stats.max_depth, depth)
-        if hi - lo <= cfg.min_length:
-            stats.small_interval_nodes += 1
-            give(0, lo, hi)
+        mid, drop = 0.5 * (lo + hi), cfg.drop_value
+        half(lo, mid, depth, [(i, w) for i, v, t in agents if (w := v - v * t) >= drop])
+        half(mid, hi, depth, [(i, w) for i, v, t in agents if (w := v * t) >= drop])
+
+    def half(a: float, b: float, depth: int, kept: list[tuple[int, float]]) -> None:
+        """Settle [a, b] among ``kept``, the (i, v) pairs of the agents valuing it at v >= e_d,
+        or make it a node one level below ``depth``.
+
+        The kept agents' densities are restricted to [a, b], ranked by ``detect_order`` and
+        searched from the model probe (``_model_probe``), so a half without a breakpoint
+        settles on its first chain but for float error.  A settled half costs m evals for
+        the order, the search's chains, and m^2 - 3m + 3 evals for the audit of m agents
+        (``_envious``); its restrictions, local instance and pieces ask none.
+        """
+        if len(kept) <= 1:  # agent 0 takes a half that everyone values below e_d
+            give(kept[0][0] if kept else 0, a, b)
+            stats.binsearch_hits += 1
             return
-        mid = 0.5 * (lo + hi)
-        for (a, b), values in zip(((lo, mid), (mid, hi)), halves):
-            children = solve_half(a, b, values)
-            if children is None:
-                stats.binsearch_hits += 1
-            else:
-                stats.recursed_halves += 1
-                # the paper's lemma: only a half with a breakpoint inside recurses
-                stats.breakpoint_free_recursions += not any(a < p < b for p in breakpoints)
-                recurse(a, b, depth + 1, children)
+        specs = [restrict_unit(pls[i], a, b) for i, _ in kept]
+        local = Instance.from_densities(specs, normalize=False)
+        tails: list[float] = []
+        order = detect_order(local, ledger, tails)
+        local = local.reordered(order)
+        delta = ripple_window(cfg.audit_envy, local.bounds.upper)
+        try:
+            rd = _search(local, delta, ledger, _model_probe([tails[o] for o in order], delta),
+                         max_iterations=n * cfg.cap)
+        except SearchFailedError:
+            rd = None
+        if rd is not None and not _envious(local, rd, cfg.audit_envy, ledger):
+            stats.binsearch_hits += 1
+            cuts, width = (*rd.cuts[:-1], 1.0), b - a  # the last agent takes the tail [x_m, 1]
+            for rank, o in enumerate(order):
+                if cuts[rank + 1] > cuts[rank]:
+                    give(kept[o][0], a + cuts[rank] * width, a + cuts[rank + 1] * width)
+            return
+        stats.recursed_halves += 1
+        # the paper's lemma: only a half with a breakpoint inside recurses
+        stats.breakpoint_free_recursions += not any(a < p < b for p in breakpoints)
+        node(a, b, depth + 1, [(i, v, t) for (i, v), t in zip(kept, tails)])
 
     tails = [eval_query(instance, i, 0.5, 1.0, ledger) for i in range(n)]
-    recurse(0.0, 1.0, 1, ([1.0 - t for t in tails], tails))
+    node(0.0, 1.0, 1, [(i, 1.0, t) for i, t in enumerate(tails)])
     return Division(tuple(map(tuple, pieces))), stats

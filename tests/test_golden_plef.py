@@ -49,57 +49,57 @@ from fairslice.errors import DegenerateDensityError, FairsliceError, NotFullSupp
 import gen
 
 # (n, k, seed, eta): agent 0's first cut, pieces per agent, endpoint digest,
-# (node_count, max_depth, small_interval_nodes, binsearch_hits, recursed_halves),
+# (node_count, max_depth, binsearch_hits, recursed_halves),
 # (eval, cut) counts
 GOLDEN = {
     (3, 4, 0, 0.01): (0.16719845286186527, (3, 4, 4), 'c3bc68d34e670d17',
-                      (3, 3, 0, 4, 2), (74, 40)),
+                      (3, 3, 4, 2), (74, 40)),
     (3, 4, 0, 0.001): (0.1672537707301564, (3, 4, 4), '27c1fdac9ff886b0',
-                       (3, 3, 0, 4, 2), (80, 46)),
+                       (3, 3, 4, 2), (80, 46)),
     (4, 9, 1, 0.01): (0.05585261974927548, (3, 4, 4, 4), '200f386f6a11f1bd',
-                      (3, 2, 0, 4, 2), (130, 72)),
+                      (3, 2, 4, 2), (130, 72)),
     (4, 9, 1, 0.001): (0.05590008157121554, (3, 4, 4, 4), '56b867785447e41b',
-                       (3, 2, 0, 4, 2), (142, 84)),
+                       (3, 2, 4, 2), (142, 84)),
     (5, 7, 2, 0.01): (0.1689479354786689, (4, 4, 4, 4, 4), 'c8bfe25b59bb776d',
-                      (3, 3, 0, 4, 2), (203, 108)),
+                      (3, 3, 4, 2), (203, 108)),
     (5, 7, 2, 0.001): (0.1690775248987754, (6, 6, 6, 6, 6), '559cfbe87c6a6335',
-                       (5, 4, 0, 6, 4), (315, 168)),
+                       (5, 4, 6, 4), (315, 168)),
     (3, 5, 3, 0.01): (0.167956855515107, (2, 2, 2), '86e50e1f1dd6a767',
-                      (1, 1, 0, 2, 0), (29, 14)),
+                      (1, 1, 2, 0), (29, 14)),
     (3, 5, 3, 0.001): (0.16803837303765462, (2, 2, 2), 'ffccc3baafa0c40f',
-                       (1, 1, 0, 2, 0), (33, 18)),
+                       (1, 1, 2, 0), (33, 18)),
     (4, 10, 4, 0.01): (0.09402497523849292, (5, 5, 4, 5), '2af8e226eb553add',
-                       (4, 3, 0, 5, 3), (165, 78)),
+                       (4, 3, 5, 3), (165, 78)),
     (4, 10, 4, 0.001): (0.09411483033703195, (5, 5, 4, 5), 'fad6043b140d7e88',
-                        (4, 3, 0, 5, 3), (201, 114)),
+                        (4, 3, 5, 3), (201, 114)),
     (5, 8, 5, 0.01): (0.18148043701411384, (10, 10, 10, 9, 9), '5053de3108885909',
-                      (9, 6, 0, 10, 8), (487, 236)),
+                      (9, 6, 10, 8), (487, 236)),
     (5, 8, 5, 0.001): (0.09844860680459855, (15, 15, 15, 14, 15), '7841904a68496266',
-                       (14, 9, 0, 15, 13), (774, 392)),
+                       (14, 9, 15, 13), (774, 392)),
     (3, 6, 6, 0.01): (0.08344193640664625, (6, 4, 6), 'fad85e76586f1040',
-                      (5, 5, 0, 6, 4), (118, 59)),
+                      (5, 5, 6, 4), (118, 59)),
     (3, 6, 6, 0.001): (0.08351473566174222, (6, 4, 6), 'ff34096f73f1250c',
-                       (5, 5, 0, 6, 4), (134, 75)),
+                       (5, 5, 6, 4), (134, 75)),
     (4, 4, 7, 0.01): (0.05853079330809459, (5, 5, 5, 5), '5e54d8d277ad5e26',
-                      (4, 3, 0, 5, 3), (148, 72)),
+                      (4, 3, 5, 3), (148, 72)),
     (4, 4, 7, 0.001): (0.0586191696121456, (5, 5, 5, 5), 'd1f9c558fbbf3c5d',
-                       (4, 3, 0, 5, 3), (157, 81)),
+                       (4, 3, 5, 3), (157, 81)),
     (5, 9, 8, 0.01): (0.14285968610052457, (6, 5, 6, 6, 6), '2fc340471058660e',
-                      (5, 5, 0, 6, 4), (277, 116)),
+                      (5, 5, 6, 4), (277, 116)),
     (5, 9, 8, 0.001): (0.14309878701390827, (6, 5, 6, 6, 6), '3a00728bbf1e4438',
-                       (5, 5, 0, 6, 4), (289, 128)),
+                       (5, 5, 6, 4), (289, 128)),
     (3, 7, 9, 0.01): (0.16271226677927142, (3, 3, 3), 'b1633d95b81619b6',
-                      (2, 2, 0, 3, 1), (45, 20)),
+                      (2, 2, 3, 1), (45, 20)),
     (3, 7, 9, 0.001): (0.1628861106664273, (3, 3, 3), '8fc386421c6ee947',
-                       (2, 2, 0, 3, 1), (57, 32)),
+                       (2, 2, 3, 1), (57, 32)),
     (4, 5, 10, 0.01): (0.05380305337424074, (7, 7, 7, 6), '3d50cd302087ba11',
-                       (6, 4, 0, 7, 5), (238, 122)),
+                       (6, 4, 7, 5), (238, 122)),
     (4, 5, 10, 0.001): (0.05382528893591711, (9, 9, 9, 8), '530724f8d498bc8a',
-                        (8, 5, 0, 9, 7), (344, 194)),
+                        (8, 5, 9, 7), (344, 194)),
     (5, 10, 11, 0.01): (0.25, (7, 8, 8, 7, 8), 'a9a7114f26669ad0',
-                        (7, 5, 0, 8, 6), (384, 185)),
+                        (7, 5, 8, 6), (384, 185)),
     (5, 10, 11, 0.001): (0.25, (10, 11, 11, 10, 11), 'f547f987a97fce14',
-                         (10, 8, 0, 11, 9), (543, 245)),
+                         (10, 8, 11, 9), (543, 245)),
 }
 
 
@@ -118,8 +118,7 @@ def test_golden_plef(key):
     assert division.pieces[0][0][1] == first_cut
     assert tuple(len(p) for p in division.pieces) == counts
     assert _digest(division.pieces) == digest
-    assert (st.node_count, st.max_depth, st.small_interval_nodes,
-            st.binsearch_hits, st.recursed_halves) == stats
+    assert (st.node_count, st.max_depth, st.binsearch_hits, st.recursed_halves) == stats
     assert (ledger.eval_count, ledger.cut_count) == queries
 
 

@@ -20,8 +20,7 @@ from fairslice import (
 )
 from fairslice import cli, mlrp, plef, ripple
 from fairslice.density import as_piecewise_linear, restrict_unit
-from fairslice.errors import (NotFullSupportError, ParameterRegimeError, SearchFailedError,
-                              UnsupportedFamilyError)
+from fairslice.errors import ParameterRegimeError, SearchFailedError, UnsupportedFamilyError
 from fairslice.mlrp import detect_order
 from fairslice.ripple import bin_search, iteration_cap, ripple_to_allocation
 from bisection import bisection_search
@@ -327,23 +326,27 @@ THEOREM_C = 0.06
 
 def test_theorem_query_bound_on_the_grid():
     # Theorem PL-EF, measured: two seeded draws per (n, k) cell, at n up to 16 and k up
-    # to 64; every run stays within THEOREM_C and recurses only on halves with a breakpoint
+    # to 64; every run stays within THEOREM_C, recurses only on halves with a breakpoint,
+    # and stays above depth B: a half that deep is worth less than e_d to every agent, so
+    # the drop rule leaves it no two agents to split it
     for n in (2, 4, 8, 16):
         for k in (2, 8, 32, 64):
             rng = np.random.default_rng(1000 * n + k)
             for _ in range(2):
                 inst = piecewise_linear_instance(n, k, rng)
+                own_k = sum(len(as_piecewise_linear(d).breakpoints) for d in inst.agents)
                 for eta in (1e-3, 1e-6):
                     ledger = QueryLedger()
                     stats = pl_ef(inst, eta, ledger)[1]
                     assert stats.breakpoint_free_recursions == 0, (n, k, eta)
-                    upper = pl_config(eta, k, inst.bounds.upper).upper
-                    assert ledger.total() <= THEOREM_C * n * n * k * math.log2(k * upper / eta) ** 2, (n, k, eta)
+                    cfg = pl_config(eta, own_k, inst.bounds.upper)
+                    assert stats.max_depth <= cfg.b_levels - 1, (n, k, eta)
+                    assert ledger.total() <= THEOREM_C * n * n * k * math.log2(k * cfg.upper / eta) ** 2, (n, k, eta)
 
 
 def test_prefix_audit_matches_the_envy_matrix():
     # plef._envious, the in-half audit, on seeded restrictions of PL halves searched as
-    # solve_half does: its verdict is the envy matrix's on the same local cuts (but within
+    # a pl_ef half does: its verdict is the envy matrix's on the same local cuts (but within
     # 1e-12 of the bound), and a passing half of m agents asks m^2 - 3m + 3 evals, no cut
     rng = np.random.default_rng(29)
     verdicts = []
@@ -367,47 +370,6 @@ def test_prefix_audit_matches_the_envy_matrix():
                 assert (ledger.eval_count, ledger.cut_count) == (m * m - 3 * m + 3, 0)
             verdicts.append(verdict)
     assert 0 < sum(verdicts) < len(verdicts)  # halves that fail the audit, and halves that pass
-
-
-def test_local_instance_is_from_densities_then_reordered():
-    # plef._local_instance takes the bounds from the restrictions' (lower, upper) pairs and
-    # builds the rank-order instance without reordered(): it must give the agents, bounds,
-    # order, tails and ledger of from_densities then reordered, on seeded halves and on
-    # zero-touching ones, whose bounds().lower reads 0
-    rng = np.random.default_rng(41)
-    halves = []
-    for _ in range(60):
-        inst = piecewise_linear_instance(int(rng.integers(2, 7)), int(rng.integers(1, 13)), rng)
-        depth = int(rng.integers(1, 5))
-        lo = int(rng.integers(0, 2 ** depth)) / 2 ** depth
-        halves.append([restrict_unit(as_piecewise_linear(d), lo, lo + 0.5 ** depth) for d in inst.agents])
-    tent = PiecewiseLinear((0.5,), (2.0, -2.0), (0.0, 2.0))
-    steep = PiecewiseLinear((0.4,), (-1000.0, 0.0), (400.0, 1.0))  # rounds below 0 on [0.36, 0.4]
-    flat = as_piecewise_linear(Uniform())
-    halves += [[restrict_unit(tent, 0.0, 0.5), restrict_unit(flat, 0.0, 0.5)],
-               [restrict_unit(flat, 0.36, 0.4), restrict_unit(steep, 0.36, 0.4), restrict_unit(tent, 0.25, 0.5)],
-               [restrict_unit(tent, 0.5, 1.0), restrict_unit(steep, 0.0, 0.5), restrict_unit(tent, 0.0, 1.0)]]
-    zero_lower = 0
-    for specs in halves:
-        got_ledger, want_ledger, want_tails = QueryLedger(), QueryLedger(), []
-        got, order, got_tails = plef._local_instance(specs, got_ledger)
-        want = Instance.from_densities(specs, normalize=False)
-        want_order = detect_order(want, want_ledger, want_tails)
-        want = want.reordered(want_order)
-        assert order == want_order
-        assert all(g is w for g, w in zip(got.agents, want.agents)) and repr(got.agents) == repr(want.agents)
-        assert repr(got.bounds) == repr(want.bounds)
-        assert repr(got_tails) == repr(want_tails) and got_ledger == want_ledger
-        zero_lower += want.bounds.lower == 0.0
-    assert zero_lower == 3
-    # an inadmissible restriction raises bounds()'s error, before any query
-    specs = [flat, PiecewiseLinear((), (0.0,), (0.0,))]
-    with pytest.raises(NotFullSupportError) as want_error:
-        Instance.from_densities(specs, normalize=False)
-    ledger = QueryLedger()
-    with pytest.raises(NotFullSupportError) as got_error:
-        plef._local_instance(specs, ledger)
-    assert str(got_error.value) == str(want_error.value) and ledger.total() == 0
 
 
 #: linear densities, zero-touching ones among them; every half of a set of them is linear
