@@ -36,6 +36,21 @@ print(np.round(matrix.values, 6))
 print("max envy:", matrix.max_envy)
 assert matrix.max_envy <= 1e-6
 
+# Four linear agents (slopes -1, 0, 0.5 and 1.5 in MLRP order): the first
+# chain's evals fit each agent's slope, its cuts confirm the fit, and the
+# second probe, where the chain of those linear models ends at the goal,
+# settles the search on its second chain.
+linear = fs.Instance.from_densities([
+    fs.Linear(-1.0, 1.5), fs.Uniform(), fs.Linear(0.5, 0.75), fs.Linear(1.5, 0.25),
+])
+ledger = fs.QueryLedger()
+ripple = fs.bin_search(linear, fs.ripple_window(1e-6, linear.bounds.upper), ledger)
+allocation = fs.ripple_to_allocation(ripple)
+envy = fs.envy_matrix(linear, allocation).max_envy
+print("\nfour linear agents: cuts", np.round(allocation.cuts, 6))
+print(f"queries: {ledger.as_dict()} over {ripple.iterations_used} chains; max envy: {envy}")
+assert ripple.iterations_used == 2 and envy <= 1e-6
+
 # A density that touches 0 has an infinite Lipschitz constant, but the search
 # window needs only the upper bound U, so 2 - 2x against 2x divides alike.
 up_down = fs.Instance.from_densities([fs.Linear(-2.0, 2.0), fs.Linear(2.0, 0.0)])

@@ -8,10 +8,11 @@ one pass), ranks them by ``detect_order`` on ``Instance.from_densities`` of the
 restrictions, reorders that instance, and runs the ripple search on the window
 ``ripple_window(e_a, U_local)``, e_a = eta/3, of the local densities; only the
 order, the search and the audit ask queries.  The search's
-first probe comes from a model (``_model_probe``): each kept agent's local
-density is taken to be linear, f_i(x) = 1 + 8(t_i - 1/2)(x - 1/2) with t_i
-its ``detect_order`` tail, and the probe is where the ripple chain of those
-models ends at 1 - delta/2, solved in floats without a query.  On a half
+first probe comes from a model (``ripple._model_probe``, which also aims
+``bin_search``'s second probe): each kept agent's local density is taken to be
+linear, f_i(x) = 1 + s_i(x - 1/2) with s_i = 8(t_i - 1/2) and t_i its
+``detect_order`` tail clamped to [1/4, 3/4], and the probe is where the ripple
+chain of those models ends at 1 - delta/2, solved in floats without a query.  On a half
 without a breakpoint the model is the density, so the first chain hits unless
 float error moves its end out of the window.  The search then interpolates its
 probes (``ripple._probe``, projected to stay within SLACK = 4 halvings of
@@ -70,7 +71,7 @@ from .density import as_piecewise_linear, restrict_unit
 from .errors import DomainError, ParameterRegimeError, SearchFailedError
 from .mlrp import detect_order
 from .oracle import Division, Instance, QueryLedger, eval_query
-from .ripple import RippleDivision, _search, iteration_cap, ripple_window
+from .ripple import RippleDivision, _model_probe, _search, iteration_cap, ripple_window
 from .ripple import bin_search  # noqa: F401  unused; perfbench's tracer patches plef.bin_search
 
 
@@ -81,8 +82,6 @@ AUDIT_SLACK = 1e-12
 #: at least 2^-52 long and dyadic, so their midpoints are exact doubles.
 MAX_DEPTH = 54
 
-#: Newton or bisection steps of ``_model_probe``; it returns its last point if none lands.
-MODEL_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -190,69 +189,6 @@ def _envious(local: Instance, rd: RippleDivision, envy: float, ledger: QueryLedg
     return False
 
 
-def _model_probe(tails: list[float], delta: float) -> float:
-    """The first cut x_1 at which the ripple chain of linear models of a half's local
-    densities ends at 1 - delta/2; solved in floats, it asks no query.
-
-    Agent i, in rank order, is modelled as f_i(x) = 1 + s_i (x - 1/2), s_i = 8(t_i - 1/2),
-    where t_i = v_i(1/2, 1) is its ``detect_order`` tail clamped to [1/4, 3/4], so that f_i
-    is a density: the local density itself when that is linear, as on a half with no
-    breakpoint inside.  Its prefix value is F_i(x) = x + s_i x (x - 1) / 2, and the chain
-    steps x_{i+2} = F_i^{-1}(2 F_i(x_{i+1}) - F_i(x_i)), truncated at 1.
-
-    The solve starts where m identical agents of the mean slope would end the chain at
-    the goal (their chain has F(x_i) = i F(x_1)): exact for m = 2, and the search's
-    uniform guess (1 - delta/2) / m when every tail is 1/2.  Newton's method then runs
-    on the last cut's value F_{m-2}(x_m), smooth also where x_m passes 1, inside the
-    bracket of the points seen; a chain truncated before its last cut is bisected.  It
-    stops once that value lies within delta/4 of the goal's, scaled by f_{m-2} there;
-    a Newton step from within the square root of that is taken unchecked, its error
-    being quadratic; else after MODEL_STEPS chains.
-    """
-    slopes = [8.0 * (min(max(t, 0.25), 0.75) - 0.5) for t in tails[:-1]]  # the last agent cuts nothing
-    goal = 1.0 - 0.5 * delta
-    q = 0.5 * sum(slopes) / len(slopes)  # half the mean slope
-    y = goal * (1.0 + q * (goal - 1.0)) / len(tails)
-    b = 1.0 - q
-    x = 2.0 * y / (b + math.sqrt(b * b + 4.0 * q * y))  # F^{-1}(y), without cancellation
-    *inner, s = slopes
-    h = 0.5 * s
-    target = goal * (1.0 + h * (goal - 1.0))  # F_{m-2}(goal)
-    tol = 0.25 * delta * (1.0 + s * (goal - 0.5))
-    lo, hi = 0.0, 1.0
-    for _ in range(MODEL_STEPS):
-        prev, cur, d_prev, d_cur = 0.0, x, 0.0, 1.0  # chain points and their derivatives in x
-        for r in inner:
-            q = 0.5 * r
-            y = 2.0 * cur * (1.0 + q * (cur - 1.0)) - prev * (1.0 + q * (prev - 1.0))
-            if y >= 1.0:  # truncated: the chain ends at 1, past the goal
-                hi, x = x, 0.5 * (lo + x)
-                break
-            d_y = 2.0 * (1.0 + r * (cur - 0.5)) * d_cur - (1.0 + r * (prev - 0.5)) * d_prev
-            b = 1.0 - q
-            root = b + math.sqrt(b * b + 4.0 * q * y)
-            prev, cur = cur, 2.0 * y / root if root > 0.0 else 0.0
-            f_cur = 1.0 + r * (cur - 0.5)
-            d_prev, d_cur = d_cur, d_y / f_cur if f_cur > 0.0 else math.inf
-        else:
-            gap = 2.0 * cur * (1.0 + h * (cur - 1.0)) - prev * (1.0 + h * (prev - 1.0)) - target
-            if abs(gap) <= tol:
-                return x
-            if gap < 0.0:
-                lo = x
-            else:
-                hi = x
-            d_y = 2.0 * (1.0 + s * (cur - 0.5)) * d_cur - (1.0 + s * (prev - 0.5)) * d_prev
-            step = x - gap / d_y if 0.0 < d_y < math.inf else math.nan
-            if not lo < step < hi:  # a NaN is never inside
-                x = 0.5 * (lo + hi)
-            elif gap * gap <= tol:
-                return step
-            else:
-                x = step
-    return x
-
-
 def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division, RecursionStats]:
     """eta-envy-free cake division for piecewise-linear densities.
 
@@ -323,8 +259,9 @@ def pl_ef(instance: Instance, eta: float, ledger: QueryLedger) -> tuple[Division
         order = detect_order(local, ledger, tails)
         local = local.reordered(order)
         delta = ripple_window(cfg.audit_envy, local.bounds.upper)
+        slopes = [8.0 * (min(max(tails[o], 0.25), 0.75) - 0.5) for o in order[:-1]]
         try:
-            rd = _search(local, delta, ledger, _model_probe([tails[o] for o in order], delta),
+            rd = _search(local, delta, ledger, _model_probe(slopes, delta),
                          max_iterations=n * cfg.cap)
         except SearchFailedError:
             rd = None

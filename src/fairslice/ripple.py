@@ -18,11 +18,17 @@ cut x = 0 and the target k = 0 give chains of 0, and the right ends, x = 1
 run.  Each caller hands :func:`_probe` its first probe, the estimate until a
 chain's value is seen: where the chains of n uniform agents, RD_n(x) = n x and
 MK_n(k) = n k eta, reach the goal, or, in :func:`_search` from PL-EF's halves,
-where the chain of their agents' linear models does (``plef._model_probe``).  The
+where the chain of their agents' linear models does (:func:`_model_probe`).
+The ripple search also reads a first chain that misses for such a model: each
+agent's eval fits the slope of a linear density, and its cut, a second equation
+that costs no query, checks the fit (:func:`_fitted_slopes`).  Only when every
+agent's cut confirms it does the model's chain aim the second probe; on curved
+densities the check fails and the search goes on as if it had not run.  The
 projection keeps every bracket within 2**SLACK times bisection's width: a
 search reaches any bracket width at most SLACK = 4 iterations after bisection
-would, whatever its first probe.  Its worst case is therefore the iterations
-bisection needs to narrow the bracket below the window's preimage, plus SLACK.
+would, whatever its first or model probe.  Its worst case is therefore the
+iterations bisection needs to narrow the bracket below the window's preimage,
+plus SLACK.
 So no search needs a cap: each ends on a hit or at adjacent doubles, which
 bisection reaches within 1,074 halvings of [0, 1].  Where lambda is finite, the
 paper's cap 2(n-1) log2(2 lambda / delta), PL-EF's budget, has that margin: as a
@@ -50,6 +56,12 @@ MIN_WINDOW = 1e-13
 
 #: Halvings by which an interpolating search's bracket may trail bisection's (ITP's n0).
 SLACK = 4
+
+#: Relative residual up to which an agent's cut confirms the linear model fitted to its eval.
+FIT_TOL = 1e-9
+
+#: Newton or bisection steps of ``_model_probe``; it returns its last point if none lands.
+MODEL_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -180,9 +192,12 @@ def bin_search(instance: Instance, delta: float, ledger: QueryLedger) -> RippleD
     which :func:`_probe` aims at 1 - delta/2, starting from RD_n(0) = 0.
 
     The first probe is (1 - delta/2) / n, exact when all n agents are
-    uniform.  A hit also returns the chain's evals, each agent i < n - 1's
-    value of its own interval [x_i, x_{i+1}], so that callers need not ask
-    them again.
+    uniform.  If its chain misses, its evals fit a linear density to each agent
+    and its cuts check the fit; when every agent passes, the second probe is
+    where the chain of those densities ends at 1 - delta/2 (exact when all the
+    agents are linear), else the search interpolates as from any chain.  A
+    hit also returns the chain's evals, each agent i < n - 1's value of its
+    own interval [x_i, x_{i+1}], so that callers need not ask them again.
 
     The search stops on a hit, or raises :class:`SearchFailedError` once l and
     r are adjacent doubles; its bracket trails bisection's by at most SLACK = 4
@@ -194,7 +209,16 @@ def bin_search(instance: Instance, delta: float, ledger: QueryLedger) -> RippleD
 def _search(instance: Instance, delta: float, ledger: QueryLedger, first: float,
             max_iterations: int | None = None) -> RippleDivision:
     """:func:`bin_search` from the first probe ``first`` (PL-EF passes its model's probe);
-    ``max_iterations``, when given, is a budget whose end also raises SearchFailedError."""
+    ``max_iterations``, when given, is a budget whose end also raises SearchFailedError.
+
+    A first chain that misses the window is read for a linear model of its agents
+    (:func:`_fitted_slopes`: each eval fits a slope, each cut checks it to a relative
+    FIT_TOL); when every check passes, the second probe is where the model's chain ends
+    at the goal (:func:`_model_probe`), in place of the interpolation from the points
+    seen, and projected like any estimate.  When a check fails, as on curved densities,
+    the search probes exactly as it would without the fit.  The fit and the model solve
+    run once, after a missed first chain, and ask no query.
+    """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta={delta} outside (0, 1)")
     n = instance.n
@@ -204,6 +228,7 @@ def _search(instance: Instance, delta: float, ledger: QueryLedger, first: float,
     points = [(0.0, 0.0)]  # uncensored (x_1, RD_n(x_1))
     goal = 1.0 - 0.5 * delta
     evals: list[float] = []  # the last chain's evals
+    model = math.nan  # the model chain's first cut, once the first chain has proved it
     for it in itertools.count(1) if max_iterations is None else range(1, max_iterations + 1):
         mid = 0.5 * (left + right)
         if mid <= left or mid >= right:  # left and right are adjacent doubles
@@ -211,7 +236,10 @@ def _search(instance: Instance, delta: float, ledger: QueryLedger, first: float,
             raise SearchFailedError(
                 f"bin_search ran out of float resolution at iteration {it}{cap}: "
                 f"{left!r} and {right!r} are adjacent doubles and no chain endpoint hit [1-delta, 1)")
-        x = _probe(left, right, points, goal, it - 1, 1.0, first)
+        if it == 2 and left < model < right:  # from the start point alone, _probe takes the model
+            x = _probe(left, right, points[:1], goal, 1, 1.0, model)
+        else:
+            x = _probe(left, right, points, goal, it - 1, 1.0, first)
         evals.clear()
         chain = rd_chain(instance, x, ledger, evals)
         endpoint = chain[-1]
@@ -222,8 +250,103 @@ def _search(instance: Instance, delta: float, ledger: QueryLedger, first: float,
             right = x
         else:
             return RippleDivision((0.0, x, *chain), it, tuple(evals))
+        if it == 1 and (slopes := _fitted_slopes(n, x, chain, evals)) is not None:
+            model = _model_probe(slopes, delta)
     raise SearchFailedError(
         f"bin_search exhausted {max_iterations} iterations without hitting [1-delta, 1)")
+
+
+def _fitted_slopes(n: int, x: float, chain: list[float], evals: list[float]) -> list[float] | None:
+    """Slopes s_i of linear models f_i(x) = 1 + s_i (x - 1/2) of the n - 1 cutting agents of
+    the chain from x_1 = ``x``, fitted from its own queries, or None when they disprove it.
+
+    Agent i's eval t_i = v_i(x_i, x_{i+1}) fixes s_i, as the model values [a, b] at
+    (b - a)(1 + s_i (a + b - 1) / 2).  Its cut, v_i(x_{i+1}, x_{i+2}) = t_i, is a second
+    equation that costs no query: the fit stands only if that equation holds to a relative
+    FIT_TOL and |s_i| <= 2 (f_i >= 0; a fit within 2 FIT_TOL past +-2 is clamped, as float
+    error moves an agent that touches 0 there), for every agent that has it, and at least
+    one agent has it.  A truncated chain gives the agent whose cut reached 1 its eval
+    alone, and the agents after it nothing: they are modelled as uniform (s = 0), as the
+    first probe models every agent.
+    """
+    xs = (0.0, x, *chain)
+    slopes = []
+    checked = False
+    for i, t in enumerate(evals):
+        a, b, c = xs[i], xs[i + 1], xs[i + 2]
+        if b <= a or a + b == 1.0:
+            return None
+        s = 2.0 * (t / (b - a) - 1.0) / (a + b - 1.0)
+        if not abs(s) <= 2.0 + 2.0 * FIT_TOL:  # f_i >= 0 to the fit's tolerance; a NaN fails
+            return None
+        s = -2.0 if s < -2.0 else 2.0 if s > 2.0 else s
+        if c < 1.0:
+            if not abs((c - b) * (1.0 + 0.5 * s * (b + c - 1.0)) - t) <= FIT_TOL * t:
+                return None
+            checked = True
+        slopes.append(s)
+    return slopes + [0.0] * (n - 1 - len(slopes)) if checked else None
+
+
+def _model_probe(slopes: list[float], delta: float) -> float:
+    """The first cut x_1 at which the ripple chain of linear models of m agents ends at
+    1 - delta/2; solved in floats, it asks no query.
+
+    Agent i, in chain order, is modelled as f_i(x) = 1 + s_i (x - 1/2), where ``slopes``
+    lists s_i, |s_i| <= 2, of the m - 1 agents that cut (the last agent cuts nothing).  Its
+    prefix value is F_i(x) = x + s_i x (x - 1) / 2, and the chain steps
+    x_{i+2} = F_i^{-1}(2 F_i(x_{i+1}) - F_i(x_i)), truncated at 1.
+
+    The solve starts where m identical agents of the mean slope would end the chain at
+    the goal (their chain has F(x_i) = i F(x_1)): exact for m = 2, and the search's
+    uniform guess (1 - delta/2) / m when every slope is 0.  Newton's method then runs
+    on the last cut's value F_{m-2}(x_m), smooth also where x_m passes 1, inside the
+    bracket of the points seen; a chain truncated before its last cut is bisected.  It
+    stops once that value lies within delta/4 of the goal's, scaled by f_{m-2} there;
+    a Newton step from within the square root of that is taken unchecked, its error
+    being quadratic; else after MODEL_STEPS chains.
+    """
+    goal = 1.0 - 0.5 * delta
+    q = 0.5 * sum(slopes) / len(slopes)  # half the mean slope
+    y = goal * (1.0 + q * (goal - 1.0)) / (len(slopes) + 1)
+    b = 1.0 - q
+    x = 2.0 * y / (b + math.sqrt(b * b + 4.0 * q * y))  # F^{-1}(y), without cancellation
+    *inner, s = slopes
+    h = 0.5 * s
+    target = goal * (1.0 + h * (goal - 1.0))  # F_{m-2}(goal)
+    tol = 0.25 * delta * (1.0 + s * (goal - 0.5))
+    lo, hi = 0.0, 1.0
+    for _ in range(MODEL_STEPS):
+        prev, cur, d_prev, d_cur = 0.0, x, 0.0, 1.0  # chain points and their derivatives in x
+        for r in inner:
+            q = 0.5 * r
+            y = 2.0 * cur * (1.0 + q * (cur - 1.0)) - prev * (1.0 + q * (prev - 1.0))
+            if y >= 1.0:  # truncated: the chain ends at 1, past the goal
+                hi, x = x, 0.5 * (lo + x)
+                break
+            d_y = 2.0 * (1.0 + r * (cur - 0.5)) * d_cur - (1.0 + r * (prev - 0.5)) * d_prev
+            b = 1.0 - q
+            root = b + math.sqrt(b * b + 4.0 * q * y)
+            prev, cur = cur, 2.0 * y / root if root > 0.0 else 0.0
+            f_cur = 1.0 + r * (cur - 0.5)
+            d_prev, d_cur = d_cur, d_y / f_cur if f_cur > 0.0 else math.inf
+        else:
+            gap = 2.0 * cur * (1.0 + h * (cur - 1.0)) - prev * (1.0 + h * (prev - 1.0)) - target
+            if abs(gap) <= tol:
+                return x
+            if gap < 0.0:
+                lo = x
+            else:
+                hi = x
+            d_y = 2.0 * (1.0 + s * (cur - 0.5)) * d_cur - (1.0 + s * (prev - 0.5)) * d_prev
+            step = x - gap / d_y if 0.0 < d_y < math.inf else math.nan
+            if not lo < step < hi:  # a NaN is never inside
+                x = 0.5 * (lo + hi)
+            elif gap * gap <= tol:
+                return step
+            else:
+                x = step
+    return x
 
 
 def ripple_to_allocation(rd: RippleDivision) -> Allocation:

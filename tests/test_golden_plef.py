@@ -15,14 +15,15 @@ passing half of m agents, m^2 - m + 1 before), while the root began to take
 v_i(0, 0.5) as 1 - v_i(0.5, 1).  Every division and ``RecursionStats`` field
 stayed the same.  The divisions themselves were re-pinned once, with their
 ledgers, when each half's search began at the point where the ripple chain of
-its agents' linear models ends at the goal (``plef._model_probe``) instead of
+its agents' linear models ends at the goal (``ripple._model_probe``) instead of
 at the uniform agents' (1 - delta/2) / m: the search settles on a different
 chain inside the same window, so first cuts, digests and counts moved, while
 every piece count and ``RecursionStats`` field stayed the same.  Three first
 cuts and five digests moved again, by a few ulps, when the search began to take
 that model's probe as it is rather than through a slope that rounded it, with
-every ledger, piece count and ``RecursionStats`` field unchanged.  A division is
-pinned by agent 0's first cut, the number of pieces per agent and a digest of
+every ledger, piece count and ``RecursionStats`` field unchanged.  None moved
+when a first chain that misses began to aim the second probe by the linear
+fit its own queries confirm.  A division is pinned by agent 0's first cut, the number of pieces per agent and a digest of
 every endpoint's ``float.hex``.  The instance for (n, k, seed) is
 ``gen.piecewise_linear_instance(n, k, default_rng(seed))``.
 

@@ -412,8 +412,9 @@ def test_model_probe_asks_no_query_and_stays_inside(monkeypatch):
         for tails in ([0.25] * m, [0.75] * m, [0.25, 0.75] * (m // 2) + [0.5] * (m % 2),
                       [0.0] * m, [1.0] * m, [-0.5, 1.5] * (m // 2) + [0.5] * (m % 2),
                       sorted(rng.uniform(0.0, 1.0, m)), sorted(rng.uniform(0.2, 0.8, m))):
+            slopes = [8.0 * (min(max(t, 0.25), 0.75) - 0.5) for t in tails[:-1]]  # as pl_ef's
             for delta in (0.5, 1e-3, 1e-7, 1e-13):
-                assert 0.0 < plef._model_probe(list(tails), delta) < 1.0, (m, tails, delta)
+                assert 0.0 < ripple._model_probe(slopes, delta) < 1.0, (m, tails, delta)
     # every tail 1/2 is the uniform model, whose chain is x_i = i x_1
-    assert plef._model_probe([0.5] * 4, 1e-3) == (1.0 - 0.5e-3) / 4
+    assert ripple._model_probe([0.0] * 3, 1e-3) == (1.0 - 0.5e-3) / 4
 

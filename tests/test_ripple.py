@@ -238,6 +238,101 @@ class TestInterpolatingSearch:
             assert iterations <= min(reference + 1, iteration_cap(inst.n, inst.bounds.lipschitz, delta))
 
 
+def normalized_slope(d):
+    """s of a x + b normalized to 1 + s (x - 1/2)."""
+    return d.a / (0.5 * d.a + d.b)
+
+
+#: (1.5x + 0.25, -x + 1.5, 1, 0.5x + 0.75): normalized slopes 1.5, -1, 0 and 0.5, which
+#: ``in_mlrp_order`` ranks -1, 0, 0.5, 1.5
+FOUR_LINEAR = (Linear(1.5, 0.25), Linear(-1.0, 1.5), Linear(0.0, 1.0), Linear(0.5, 0.75))
+
+
+class TestLinearModel:
+    def first_chain(self, inst, x):
+        evals = []
+        chain = rd_chain(inst, x, QueryLedger(), evals)
+        return chain, evals, ripple._fitted_slopes(inst.n, x, chain, evals)
+
+    def test_fit_recovers_the_slopes_from_an_uncensored_chain(self):
+        inst = in_mlrp_order(FOUR_LINEAR)
+        chain, _, slopes = self.first_chain(inst, 0.1)
+        assert chain[-1] < 1.0
+        assert slopes == pytest.approx([normalized_slope(d) for d in inst.agents[:-1]], abs=1e-12)
+
+    def test_fit_of_a_truncated_chain(self):
+        inst = in_mlrp_order(FOUR_LINEAR)
+        want = [normalized_slope(d) for d in inst.agents[:-1]]
+        # the last cutting agent's cut reaches 1: it is fitted from its eval alone
+        chain, evals, slopes = self.first_chain(inst, 0.25)
+        assert (chain[-2] < 1.0, chain[-1], len(evals)) == (True, 1.0, 3)
+        assert slopes == pytest.approx(want, abs=1e-12)
+        # the second agent's cut reaches 1: the agent after it asks nothing and is modelled uniform
+        chain, evals, slopes = self.first_chain(inst, 0.3)
+        assert (chain[0] < 1.0, chain[1], len(evals)) == (True, 1.0, 2)
+        assert slopes[:2] == pytest.approx(want[:2], abs=1e-12) and slopes[2] == 0.0
+        # the first agent's cut reaches 1: no agent has checked its fit
+        chain, evals, slopes = self.first_chain(inst, 0.45)
+        assert (chain, len(evals), slopes) == ([1.0] * 3, 1, None)
+        # nor can the one cutting agent of a pair whose chain truncates
+        pair = in_mlrp_order(FOUR_LINEAR[:2])
+        chain, evals, slopes = self.first_chain(pair, 0.6)
+        assert (chain, len(evals), slopes) == ([1.0], 1, None)
+
+    @pytest.mark.parametrize("maker", [gaussian_instance, binomial_instance])
+    def test_fit_rejects_curved_first_chains(self, maker):
+        # every one of these first chains misses the window, and the check declines its fit
+        rng = np.random.default_rng(35)
+        for n in range(2, 17):
+            for _ in range(4):
+                inst = maker(n, rng)
+                delta = ripple_window(1e-6, inst.bounds.upper)
+                chain, _, slopes = self.first_chain(inst, (1.0 - 0.5 * delta) / n)
+                assert not 1.0 - delta <= chain[-1] < 1.0 and slopes is None, (n, inst)
+
+    def test_linear_agents_settle_on_the_model_chain(self, monkeypatch):
+        log = probe_log(monkeypatch, ripple)
+        inst = in_mlrp_order(FOUR_LINEAR)
+        ledger = QueryLedger()
+        alloc = envy_free(inst, 1e-6, ledger)
+        assert (len(log), ledger.eval_count, ledger.cut_count) == (2, 6, 6)
+        assert envy_matrix(inst, alloc).max_envy <= 1e-6
+
+    def test_ledgers_by_family(self):
+        # n 3-9, two draws per n, eta 1e-6: the check declines every curved first chain,
+        # so the Gaussian and binomial ledgers are those of the search without the model;
+        # linear draws settle on their second chain (1288 queries without the model)
+        def ledgers(maker):
+            rng = np.random.default_rng(35)
+            out = []
+            for n in range(3, 10):
+                for _ in range(2):
+                    ledger = QueryLedger()
+                    envy_free(maker(n, rng), 1e-6, ledger)
+                    out.append((ledger.eval_count, ledger.cut_count))
+            return out
+
+        assert ledgers(gaussian_instance) == [
+            (21, 21), (31, 31), (25, 25), (58, 58), (47, 47), (38, 38), (50, 50),
+            (48, 48), (65, 65), (62, 62), (64, 64), (67, 67), (98, 98), (82, 82)]
+        assert ledgers(binomial_instance) == [
+            (8, 8), (8, 8), (12, 12), (18, 18), (16, 16), (26, 26), (20, 20),
+            (32, 32), (37, 37), (37, 37), (41, 41), (41, 41), (32, 32), (32, 32)]
+        assert sum(e + c for e, c in ledgers(linear_instance)) <= 1288 // 2
+
+    @pytest.mark.parametrize("eta", [1e-3, 1e-6, 1e-9])
+    def test_linear_envy_sweep(self, eta):
+        # full-support draws and draws with 2x and 2 - 2x, slopes +-2 that touch 0; at eta
+        # 1e-9 a window may fall between a chain's adjacent doubles, as without the model
+        # (76 of 80 settle, as many as without it)
+        rng = np.random.default_rng(35)
+        envies = [audited_envy(maker(2 + t % 8, rng), eta)
+                  for t in range(40) for maker in (linear_instance, zero_touching_linear)]
+        settled = [e for e in envies if e is not None]
+        assert max(settled) <= eta
+        assert len(settled) == len(envies) if eta > 1e-9 else len(settled) >= 0.9 * len(envies)
+
+
 class TestBinSearch:
     def test_two_uniform(self):
         inst = Instance.from_densities([Uniform(), Uniform()])
