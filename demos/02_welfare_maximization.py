@@ -1,9 +1,9 @@
 # Social, egalitarian, and Nash welfare maximization
 #
 # The running pair: a uniform agent against f(x) = 3x^2.  All three optima
-# have closed forms, so the envelope, the moving-knife search and the Nash
-# dynamic program can be checked against both analysis and the brute-force
-# grid oracle.
+# have closed forms, so the envelope, the moving-knife search and the
+# certified Nash route can be checked against both analysis and the
+# brute-force grid oracle.
 
 import math
 
@@ -35,13 +35,16 @@ print("moving knife at tau=0.5:", run.knives, "feasible:", run.feasible)
 run = fs.mk_chain(instance, tau=0.9, ledger=fs.QueryLedger())
 print("moving knife at tau=0.9:", run.knives, "feasible:", run.feasible)
 
-# Nash welfare: product-form DP over an adaptive grid in which every cell is
-# worth at most eps/8n to every agent.
+# Nash welfare: coordinate ascent on the cut by golden-section search, then
+# the Eisenberg-Gale certificate, one envelope pass of the densities scaled by
+# 1/u_i, tried after every sweep, so the cut is only as fine as eps needs; an
+# uncertified run would fall back to the product-form DP over a grid whose every
+# cell is worth at most eps/8n to every agent.
 ledger = fs.QueryLedger()
 alloc, nsw = fs.max_nash(instance, epsilon=0.02, ledger=ledger)
 print(f"\nNSW value {nsw:.6f}  oracle {fs.brute_force_optimum(instance, 'nsw', 2000):.6f}")
 print(f"NSW cut {alloc.cuts[1]:.6f}  (analytic 4^(-1/3) = {4 ** (-1/3):.6f})")
-print("grid queries:", ledger.as_dict())
+print("Nash queries:", ledger.as_dict())
 
 # Repairing an out-of-order division: the quadratic agent holds the left
 # half, the uniform agent the right.  One cut query swaps them about the

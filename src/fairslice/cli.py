@@ -158,15 +158,19 @@ def _sw_failure(instance: Instance, eta: float, report: dict) -> str | None:
 
 def _nsw_failure(instance: Instance, eps: float, report: dict) -> str | None:
     """Some agent is below the (1-eps)/(4n) own-value floor, or NSW is below (1-eps) times
-    the grid optimum (never above the true optimum, so a correct answer always passes)."""
+    the grid optimum (never above the true optimum, so a correct answer always passes).
+
+    ``max_nash``'s certificate rests on the MLRP promise, so either miss is bad
+    input on an instance that breaks it.
+    """
     n = instance.n
     own = min(report["values"][i][i] for i in range(n))
     if own < (1.0 - eps) / (4.0 * n) - 1e-9:
-        return f"an agent's own value {own:.6g} < (1-eps)/(4n)"
-    best = audit.brute_force_optimum(instance, "nsw", NSW_AUDIT_GRID)
-    if report["metrics"]["nsw"] >= (1.0 - eps) * best:
+        return _mlrp_failure(instance, f"an agent's own value {own:.6g} < (1-eps)/(4n)")
+    best, nsw = audit.brute_force_optimum(instance, "nsw", NSW_AUDIT_GRID), report["metrics"]["nsw"]
+    if nsw >= (1.0 - eps) * best:
         return None
-    return f"NSW {report['metrics']['nsw']:.6g} < (1-eps) * grid optimum {best:.6g}"
+    return _mlrp_failure(instance, f"NSW {nsw:.6g} < (1-eps) * grid optimum {best:.6g}")
 
 
 def _ew_failure(instance: Instance, eta: float, report: dict) -> str | None:

@@ -9,7 +9,7 @@ restrictions, reorders that instance, and runs the ripple search on the window
 ``ripple_window(e_a, U_local)``, e_a = eta/3, of the local densities; only the
 order, the search and the audit ask queries.  The search's
 first probe comes from a model (``ripple._model_probe``, which also aims
-``bin_search``'s second probe): each kept agent's local density is taken to be
+``bin_search``'s probes after chains that fit one): each kept agent's local density is taken to be
 linear, f_i(x) = 1 + s_i(x - 1/2) with s_i = 8(t_i - 1/2) and t_i its
 ``detect_order`` tail clamped to [1/4, 3/4], and the probe is where the ripple
 chain of those models ends at 1 - delta/2, solved in floats without a query.  On a half

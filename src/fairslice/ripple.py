@@ -19,11 +19,12 @@ run.  Each caller hands :func:`_probe` its first probe, the estimate until a
 chain's value is seen: where the chains of n uniform agents, RD_n(x) = n x and
 MK_n(k) = n k eta, reach the goal, or, in :func:`_search` from PL-EF's halves,
 where the chain of their agents' linear models does (:func:`_model_probe`).
-The ripple search also reads a first chain that misses for such a model: each
+The ripple search also reads every chain that misses for such a model: each
 agent's eval fits the slope of a linear density, and its cut, a second equation
 that costs no query, checks the fit (:func:`_fitted_slopes`).  Only when every
-agent's cut confirms it does the model's chain aim the second probe; on curved
-densities the check fails and the search goes on as if it had not run.  The
+agent's cut confirms it does the model's chain aim the next probe; on curved
+densities the check fails and the search goes on as if it had not run, fitting
+no more chains once one that every agent cut for has failed it.  The
 projection keeps every bracket within 2**SLACK times bisection's width: a
 search reaches any bracket width at most SLACK = 4 iterations after bisection
 would, whatever its first or model probe.  Its worst case is therefore the
@@ -192,10 +193,11 @@ def bin_search(instance: Instance, delta: float, ledger: QueryLedger) -> RippleD
     which :func:`_probe` aims at 1 - delta/2, starting from RD_n(0) = 0.
 
     The first probe is (1 - delta/2) / n, exact when all n agents are
-    uniform.  If its chain misses, its evals fit a linear density to each agent
-    and its cuts check the fit; when every agent passes, the second probe is
+    uniform.  When a chain misses, its evals fit a linear density to each agent
+    and its cuts check the fit; when every agent passes, the next probe is
     where the chain of those densities ends at 1 - delta/2 (exact when all the
-    agents are linear), else the search interpolates as from any chain.  A
+    agents are linear), else the search interpolates as from any chain, and
+    stops fitting once a chain that every agent cut for has failed the check.  A
     hit also returns the chain's evals, each agent i < n - 1's value of its
     own interval [x_i, x_{i+1}], so that callers need not ask them again.
 
@@ -211,13 +213,17 @@ def _search(instance: Instance, delta: float, ledger: QueryLedger, first: float,
     """:func:`bin_search` from the first probe ``first`` (PL-EF passes its model's probe);
     ``max_iterations``, when given, is a budget whose end also raises SearchFailedError.
 
-    A first chain that misses the window is read for a linear model of its agents
+    Every chain that misses the window is read for a linear model of its agents
     (:func:`_fitted_slopes`: each eval fits a slope, each cut checks it to a relative
-    FIT_TOL); when every check passes, the second probe is where the model's chain ends
+    FIT_TOL); when every check passes, the next probe is where the model's chain ends
     at the goal (:func:`_model_probe`), in place of the interpolation from the points
     seen, and projected like any estimate.  When a check fails, as on curved densities,
-    the search probes exactly as it would without the fit.  The fit and the model solve
-    run once, after a missed first chain, and ask no query.
+    the search probes exactly as it would without the fit.  A fit after a later chain
+    matters where an earlier one could not stand: a first chain that truncates leaves
+    the agents after the cut that reached 1 unchecked, modelled as uniform.  Once a
+    chain that ends below the window, so that every agent's check ran, declines the fit,
+    no later chain is fitted: the densities are not all linear.  The fit and the model
+    solve ask no query.
     """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta={delta} outside (0, 1)")
@@ -228,7 +234,8 @@ def _search(instance: Instance, delta: float, ledger: QueryLedger, first: float,
     points = [(0.0, 0.0)]  # uncensored (x_1, RD_n(x_1))
     goal = 1.0 - 0.5 * delta
     evals: list[float] = []  # the last chain's evals
-    model = math.nan  # the model chain's first cut, once the first chain has proved it
+    model = math.nan  # the model chain's first cut, once the last chain has proved it
+    fitting = True  # until a chain that every agent cut for disproves the models
     for it in itertools.count(1) if max_iterations is None else range(1, max_iterations + 1):
         mid = 0.5 * (left + right)
         if mid <= left or mid >= right:  # left and right are adjacent doubles
@@ -236,10 +243,11 @@ def _search(instance: Instance, delta: float, ledger: QueryLedger, first: float,
             raise SearchFailedError(
                 f"bin_search ran out of float resolution at iteration {it}{cap}: "
                 f"{left!r} and {right!r} are adjacent doubles and no chain endpoint hit [1-delta, 1)")
-        if it == 2 and left < model < right:  # from the start point alone, _probe takes the model
-            x = _probe(left, right, points[:1], goal, 1, 1.0, model)
+        if left < model < right:  # from the start point alone, _probe takes the model
+            x = _probe(left, right, points[:1], goal, it - 1, 1.0, model)
         else:
             x = _probe(left, right, points, goal, it - 1, 1.0, first)
+        model = math.nan  # a model aims one probe; the next chain's fit may aim another
         evals.clear()
         chain = rd_chain(instance, x, ledger, evals)
         endpoint = chain[-1]
@@ -250,8 +258,12 @@ def _search(instance: Instance, delta: float, ledger: QueryLedger, first: float,
             right = x
         else:
             return RippleDivision((0.0, x, *chain), it, tuple(evals))
-        if it == 1 and (slopes := _fitted_slopes(n, x, chain, evals)) is not None:
-            model = _model_probe(slopes, delta)
+        if fitting:
+            slopes = _fitted_slopes(n, x, chain, evals)
+            if slopes is not None:
+                model = _model_probe(slopes, delta)
+            elif endpoint < 1.0 - delta:  # every agent's check ran, and one failed
+                fitting = False
     raise SearchFailedError(
         f"bin_search exhausted {max_iterations} iterations without hitting [1-delta, 1)")
 

@@ -7,9 +7,19 @@ integral of max_i f_i, and the allocation that follows the envelope is
 within eta of it, with no table or DP.  Egalitarian welfare: an
 interpolating search (ripple's probe rule) over target values of a
 moving-knife chain, using feasibility monotonicity; a run is feasible only
-when no interval is cut short.  Nash welfare: a product-form DP over an
+when no interval is cut short.  Nash welfare, certified first: coordinate
+ascent on the cuts, each a golden-section search, then one envelope pass of
+the densities scaled by beta_i = 1/u_i, the Eisenberg-Gale dual, which
+bounds every division's Nash welfare by
+B = (W_hat + 3 (n - 1) U max(beta) gamma) / (n (prod beta_i)^(1/n)), W_hat
+being the pass's weighted welfare; the cuts are returned once their welfare
+is at least (1 - eps) B, after whichever sweep first reaches it.  That bound
+rests on the MLRP promise, as the social optimum's envelope does.  A run
+that does not certify within NASH_SWEEPS sweeps, or whose bound falls below
+its own welfare (off MLRP order), falls back to a product-form DP over an
 adaptive grid whose every cell is worth at most eps/(8n) to every agent,
-walked with one cut per point inside the envelope's stretches (see
+walked with one cut per point inside the envelope's stretches;
+MAX_NASH_GRID caps that grid's size before any query of either route (see
 max_nash).  All cut points are assigned left to right in MLRP order, which
 is where every Pareto optimum lives.
 """
@@ -44,11 +54,18 @@ MIN_SWITCHING_GAMMA = 2.0 ** -49
 #: takes 2.2-3.3 s on a 2-core Xeon, and 1.1 s for two uniform agents.
 MAX_NASH_GRID = 1_000_000
 
-#: Width within which the Nash grid walk estimates the envelope's switching points.
+#: Width within which the Nash grid walk estimates the envelope's switching points, and
+#: the certified Nash route its cuts and the switching points of its certificate.
 NASH_ENVELOPE_GAMMA = 1e-7
 
+#: Golden-section width of the certified Nash route's first coordinate-ascent sweep.
+NASH_SWEEP_TOL = 1e-3
+
+#: Coordinate-ascent sweeps after which an uncertified Nash run falls back to the grid.
+NASH_SWEEPS = 12
+
 #: Float tolerance on the Nash cell bound: a cell worth more than epsilon/(8n)
-#: plus this to some agent sends max_nash back to the all-agents walk.
+#: plus this to some agent sends the grid route back to the all-agents walk.
 NASH_CELL_TOL = 1e-12
 
 
@@ -58,21 +75,23 @@ class MovingKnifeRun:
     feasible: bool  # every agent's interval is worth the target
 
 
-def switching_point(instance: Instance, i: int, j: int, gamma: float,
-                    ledger: QueryLedger, known: list[dict[float, float]] | None = None) -> float:
-    """A point within gamma of the argmin set of D_ij(x) = v_j(0, x) - v_i(0, x), for i < j in MLRP order.
+def switching_point(instance: Instance, i: int, j: int, gamma: float, ledger: QueryLedger,
+                    known: list[dict[float, float]] | None = None,
+                    weights: list[float] | None = None) -> float:
+    """A point within gamma of the argmin set of D_ij(x) = w_j v_j(0, x) - w_i v_i(0, x), i < j in MLRP order.
 
-    Under MLRP D_ij falls while f_j < f_i, is flat while f_j = f_i and then
+    The weights w are ``weights``, or 1.  Under MLRP, which scaling keeps,
+    D_ij falls while w_j f_j < w_i f_i, is flat while they are equal and then
     rises, so its argmin set is where the pair's cake splits best, and a cut
-    within gamma of it loses the pair at most U * gamma.  Golden-section
-    search (Kiefer 1953) keeps a bracket that meets that set, shrinking it by
-    1/phi per new point (two prefix evals) until it is at most gamma wide,
-    and returns the point of least D_ij seen, the smallest on ties, the ends
-    included: D_ij(0) = 0 needs no query, D_ij(1) costs two evals.  Rounded
-    evals flip a comparison only between points whose gaps agree to
-    rounding, so noise costs value, not position.  (Where both densities
-    vanish on a stretch outside the argmin set, D_ij is flat there too, and
-    a tie there may discard the argmin.)
+    within gamma of it loses the pair at most U * gamma * max(w_i, w_j).
+    Golden-section search (:func:`_golden_section`) keeps a bracket that meets
+    that set until it is at most gamma wide, and the search returns the point
+    of least D_ij seen, the smallest on ties, the ends included: D_ij(0) = 0
+    needs no query, D_ij(1) costs two evals.  Rounded evals flip a comparison
+    only between points whose gaps agree to rounding, so noise costs value,
+    not position.  (Where both densities vanish on a stretch outside the
+    argmin set, D_ij is flat there too, and a tie there may discard the
+    argmin.)
 
     ``known``, when given, holds each agent's prefix evals v_k(0, x) by x:
     the search reads a point's evals from it and records those it asks.
@@ -90,36 +109,54 @@ def switching_point(instance: Instance, i: int, j: int, gamma: float,
             f"the finest bracket doubles resolve; use a larger eta")
 
     known_i, known_j = ({}, {}) if known is None else (known[i], known[j])
+    w_i, w_j = (1.0, 1.0) if weights is None else (weights[i], weights[j])  # 1.0 * v is v exactly
 
     def gap(x: float) -> float:
-        vj = known_j.get(x)
-        if vj is None:
-            vj = known_j[x] = eval_query(instance, j, 0.0, x, ledger)
-        vi = known_i.get(x)
-        if vi is None:
-            vi = known_i[x] = eval_query(instance, i, 0.0, x, ledger)
-        return vj - vi
+        vj = _prefix_eval(instance, j, x, ledger, known_j)
+        return w_j * vj - w_i * _prefix_eval(instance, i, x, ledger, known_i)
 
-    a, b = 0.0, 1.0
-    c, d = 1.0 - INV_PHI, INV_PHI
-    gc, gd = gap(c), gap(d)
-    seen = [(0.0, 0.0), (gap(1.0), 1.0), (gc, c), (gd, d)]  # (D_ij(x), x)
-    while b - a > gamma:
-        if gc <= gd:  # an argmin lies in [a, d]
-            b, d, gd = d, c, gc
+    return min([(0.0, 0.0), (gap(1.0), 1.0), *_golden_section(gap, 0.0, 1.0, gamma)])[1]
+
+
+def _prefix_eval(instance: Instance, k: int, x: float, ledger: QueryLedger,
+                 memo: dict[float, float]) -> float:
+    """v_k(0, x), read from agent k's ``memo`` or asked and recorded there; 0.0 unasked at x = 0."""
+    if x == 0.0:
+        return 0.0  # F(0) - F(0) in every family
+    v = memo.get(x)
+    if v is None:
+        v = memo[x] = eval_query(instance, k, 0.0, x, ledger)
+    return v
+
+
+def _golden_section(f, a: float, b: float, width: float) -> list[tuple[float, float]]:
+    """``(f(x), x)`` at every point of a golden-section search for a minimizer of f on [a, b].
+
+    For f unimodal, the search (Kiefer 1953) keeps a bracket that meets f's
+    argmin set, shrinking it by 1/phi per call of f until it is at most
+    ``width`` wide; ``width`` must exceed the doubles' resolution of [a, b]
+    (see MIN_SWITCHING_GAMMA), so that every step shrinks the bracket.
+    """
+    c, d = b - INV_PHI * (b - a), a + INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    seen = [(fc, c), (fd, d)]
+    while b - a > width:
+        if fc <= fd:  # an argmin lies in [a, d]
+            b, d, fd = d, c, fc
             c = b - INV_PHI * (b - a)
-            gc = gap(c)
-            seen.append((gc, c))
+            fc = f(c)
+            seen.append((fc, c))
         else:  # an argmin lies in [c, b]
-            a, c, gc = c, d, gd
+            a, c, fc = c, d, fd
             d = a + INV_PHI * (b - a)
-            gd = gap(d)
-            seen.append((gd, d))
-    return min(seen)[1]
+            fd = f(d)
+            seen.append((fd, d))
+    return seen
 
 
 def _envelope_stack(instance: Instance, gamma: float, ledger: QueryLedger,
-                    known: list[dict[float, float]]) -> list[tuple[int, float, float]]:
+                    known: list[dict[float, float]],
+                    weights: list[float] | None = None) -> list[tuple[int, float, float]]:
     """The MLRP upper envelope as stretches ``(agent, start, end)``, tiling [0, 1] left to right.
 
     Under MLRP, for i < j the set {f_j >= f_i} is an up-set [p_ij, 1], so the
@@ -136,7 +173,7 @@ def _envelope_stack(instance: Instance, gamma: float, ledger: QueryLedger,
     for j in range(1, instance.n):
         while stack:
             b, start = stack[-1]
-            p = switching_point(instance, b, j, gamma, ledger, known)
+            p = switching_point(instance, b, j, gamma, ledger, known, weights)
             if p > max(start, gamma):
                 stack.append((j, p))
                 break
@@ -385,11 +422,7 @@ def _nash_grid(instance: Instance, epsilon: float, ledger: QueryLedger,
     Raises ParameterRegimeError, before any query, when the grid's size cap
     exceeds MAX_NASH_GRID.
     """
-    cap = math.ceil(8.0 * instance.n * instance.n / epsilon) + instance.n + 2
-    if cap > MAX_NASH_GRID:
-        raise ParameterRegimeError(
-            f"epsilon={epsilon} with n={instance.n} allows a Nash grid of {cap} points, "
-            f"over the budget of {MAX_NASH_GRID}; use a larger epsilon")
+    cap = _grid_cap(instance, epsilon)
     n, step = instance.n, epsilon / (8.0 * instance.n)
     # stretches still ahead of the walk, the nearest last
     ahead = _upper_envelope(instance, NASH_ENVELOPE_GAMMA, ledger, known)[::-1] if guided else []
@@ -418,9 +451,83 @@ def _nash_grid(instance: Instance, epsilon: float, ledger: QueryLedger,
     return points
 
 
-def max_nash(instance: Instance, epsilon: float,
-             ledger: QueryLedger) -> tuple[Allocation, float]:
-    """Allocation with Nash social welfare at least (1 - epsilon) times the optimum.
+def _grid_cap(instance: Instance, epsilon: float) -> int:
+    """The Nash grid's size cap, 8n^2/eps + n + 2 points; ParameterRegimeError past MAX_NASH_GRID."""
+    cap = math.ceil(8.0 * instance.n * instance.n / epsilon) + instance.n + 2
+    if cap > MAX_NASH_GRID:
+        raise ParameterRegimeError(
+            f"epsilon={epsilon} with n={instance.n} allows a Nash grid of {cap} points, "
+            f"over the budget of {MAX_NASH_GRID}; use a larger epsilon")
+    return cap
+
+
+def _certified_nash(instance: Instance, epsilon: float, ledger: QueryLedger,
+                    known: list[dict[float, float]]) -> tuple[Allocation, float, float] | None:
+    """Cuts whose Nash welfare NSW is certified within (1 - epsilon) of the optimum, with NSW
+    and the bound B that certifies it; None when no sweep certifies.  Needs n >= 2.
+
+    Primal: coordinate ascent from x_i = i/n.  Each sweep moves every cut x_i
+    in turn to a maximizer of v_{i-1}(x_{i-1}, x) v_i(x, x_{i+1}), its
+    neighbours held, by golden-section search over [x_{i-1}, x_{i+1}] (two
+    prefix evals per point), keeping x_i when no point seen beats it.  Under
+    MLRP that product is unimodal: its log's derivative
+    f_{i-1}(x)/v_{i-1}(x_{i-1}, x) - f_i(x)/v_i(x, x_{i+1}) changes sign once.
+    The width is NASH_SWEEP_TOL, then a quarter of the last, down to gamma =
+    NASH_ENVELOPE_GAMMA.
+
+    Certificate, the Eisenberg-Gale dual (Eisenberg and Gale 1959; its
+    optimum is the cake's competitive equilibrium, Weller 1985): for weights
+    beta_k > 0 every division has sum beta_k u'_k <= W(beta), the integral of
+    max_k beta_k f_k, so by AM-GM its NSW is at most
+    W(beta) / (n (prod beta_k)^(1/n)).  Scaling keeps MLRP, so the weighted
+    :func:`_envelope_stack` of width gamma gives stretches of weighted value
+    W_hat >= W(beta) - 3 (n - 1) U max(beta) gamma (see
+    :func:`max_social_welfare`).  After every sweep, at beta_k = 1/u_k of
+    the cuts' values, (prod beta_k)^(1/n) = 1/NSW and
+    B = (W_hat + 3 (n - 1) U max(beta) gamma) NSW / n; the sweep's width
+    does not enter B, so coarse cuts that already reach (1 - epsilon) B are
+    returned as they stand.  The route returns once
+    (1 - epsilon) B <= NSW <= B, and gives up when B < NSW, which proves the
+    input off the MLRP promise, or after NASH_SWEEPS sweeps.  Off MLRP a
+    product that is not unimodal can hold the ascent and the envelope at the
+    same inferior local optimum, and B then certifies it falsely; B < NSW
+    catches only some such inputs.  Every eval is a prefix eval, read from
+    and recorded in ``known``.
+    """
+    n, gamma = instance.n, NASH_ENVELOPE_GAMMA
+
+    def prefix(k: int, x: float) -> float:
+        return _prefix_eval(instance, k, x, ledger, known[k])
+
+    cuts = [i / n for i in range(n + 1)]
+    width = NASH_SWEEP_TOL
+    for _ in range(NASH_SWEEPS):
+        for i in range(1, n):
+            left, right = cuts[i - 1], cuts[i + 1]
+            base, top = prefix(i - 1, left), prefix(i, right)
+
+            def loss(x: float, i=i, base=base, top=top) -> float:  # minus the pair's product
+                return -(prefix(i - 1, x) - base) * (top - prefix(i, x))
+
+            cuts[i] = min([(loss(cuts[i]), cuts[i]), *_golden_section(loss, left, right, width)])[1]
+        values = [prefix(k, cuts[k + 1]) - prefix(k, cuts[k]) for k in range(n)]
+        if min(values) > 0.0:
+            weights = [1.0 / u for u in values]
+            w_hat = sum(weights[k] * (prefix(k, end) - prefix(k, start))
+                        for k, start, end in _envelope_stack(instance, gamma, ledger, known, weights))
+            nsw = math.prod(values) ** (1.0 / n)
+            bound = (w_hat + 3.0 * (n - 1) * instance.bounds.upper * max(weights) * gamma) * nsw / n
+            if bound < nsw:
+                return None
+            if nsw >= (1.0 - epsilon) * bound:
+                return Allocation(tuple(cuts)), nsw, bound
+        width = max(0.25 * width, gamma)
+    return None
+
+
+def _grid_nash(instance: Instance, epsilon: float, ledger: QueryLedger,
+               known: list[dict[float, float]]) -> tuple[Allocation, float]:
+    """:func:`max_nash`'s fallback: the product-form DP over an adaptive grid.  Needs n >= 2.
 
     The guarantee rests on a grid whose every cell is worth at most
     epsilon/(8n) to every agent.  The envelope-guided :func:`_nash_grid`
@@ -436,14 +543,11 @@ def max_nash(instance: Instance, epsilon: float,
     values within float error of the evals.  The product it reports is then
     taken again, in the DP's order, from evals at its cuts: the derived ones
     among them, at most 2(n - 1), are asked here.  The n-th root of that
-    product is the reported welfare.
+    product is the reported welfare.  ``known`` holds the prefix evals asked
+    before, by agent and point; every table reads them instead of asking.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon={epsilon} outside (0, 1)")
     n, step = instance.n, epsilon / (8.0 * instance.n)
-    if n == 1:
-        return Allocation((0.0, 1.0)), 1.0
-    known, cutters = [{} for _ in range(n)], []  # the envelope's prefix evals
+    cutters = []
     points = _nash_grid(instance, epsilon, ledger, known, cutters=cutters)
     prefix = _prefix_values(instance, points, cutters, step, ledger, known)
     if np.diff(prefix).max() > step + NASH_CELL_TOL:
@@ -461,6 +565,43 @@ def max_nash(instance: Instance, epsilon: float,
                 prefix[k, t] = eval_query(instance, k, 0.0, points[t], ledger)
         product *= float(prefix[k, hi] - prefix[k, lo])
     return allocation, product ** (1.0 / n)
+
+
+def max_nash(instance: Instance, epsilon: float,
+             ledger: QueryLedger) -> tuple[Allocation, float]:
+    """Allocation with Nash social welfare at least (1 - epsilon) times the optimum, and that welfare.
+
+    The certified route (:func:`_certified_nash`) runs first: coordinate
+    ascent on the cuts, then one weighted envelope pass at beta_k = 1/u_k,
+    the Eisenberg-Gale dual, bounds every division's Nash welfare by
+    B = (W_hat + 3 (n - 1) U max(beta) gamma) / (n (prod beta_k)^(1/n)),
+    and the cuts are returned once their welfare NSW has
+    (1 - epsilon) B <= NSW <= B.  The bound rests on the MLRP promise, as
+    :func:`max_social_welfare`'s envelope does.  A run that does not certify
+    within NASH_SWEEPS sweeps, or whose B falls below NSW, which proves the
+    input off MLRP order, falls back to :func:`_grid_nash`, the product-form
+    DP over a grid whose every cell is worth at most epsilon/(8n) to every
+    agent; the grid reads every prefix eval the certified route asked, and
+    the ledger counts both.  The grid's guarantee holds for any densities,
+    so off MLRP the (1 - epsilon) bound holds when the certificate declines;
+    a certificate there may be false (see :func:`_certified_nash`).  Either
+    way the welfare reported is prod(u_k)^(1/n), u_k taken from prefix evals
+    at the returned cuts.
+
+    Raises ParameterRegimeError, before any query, when the grid's size cap,
+    8n^2/eps + n + 2 points, exceeds MAX_NASH_GRID, whether or not the run
+    would certify.
+    """
+    if not 0.0 < epsilon < 1.0:
+        raise DomainError(f"epsilon={epsilon} outside (0, 1)")
+    if instance.n == 1:
+        return Allocation((0.0, 1.0)), 1.0
+    _grid_cap(instance, epsilon)
+    known = [{} for _ in range(instance.n)]  # v_k(0, x) by agent and point, shared by both routes
+    certified = _certified_nash(instance, epsilon, ledger, known)
+    if certified is not None:
+        return certified[:2]
+    return _grid_nash(instance, epsilon, ledger, known)
 
 
 def reorder_to_mlrp(instance: Instance, pieces, ledger: QueryLedger) -> list[tuple[float, float]]:

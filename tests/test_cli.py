@@ -312,6 +312,20 @@ def test_nsw_below_own_value_floor_exits_3(tmp_path, capsys, monkeypatch):
     assert report["values"][0][0] == pytest.approx(0.01, abs=1e-12)
 
 
+def test_nsw_false_certificate_off_mlrp_exits_2(tmp_path, capsys, monkeypatch):
+    # a bimodal Nash product out of MLRP order: max_nash certifies the inferior peak,
+    # NSW 0.775 < 0.99 * 0.796, and the audit reports that as bad input, not a bug
+    path = write(tmp_path, "inst.json", {"agents": [
+        {"family": "piecewise_constant", "breakpoints": [0.1], "heights": [2.0, 0.1]},
+        {"family": "piecewise_constant", "breakpoints": [0.4, 0.8], "heights": [1.0, 0.1, 4.0]}],
+        "ordered": True})
+    monkeypatch.setattr(sys, "argv", ["fairslice", "nsw", "--epsilon", "0.01", path])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 2
+    assert "violates the MLRP promise" in capsys.readouterr().err
+
+
 def test_nsw_grid_over_budget_exits_2(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "inst.json", TWO_UNIFORM)
     monkeypatch.setattr(sys, "argv", ["fairslice", "nsw", "--epsilon", "1e-5", path])

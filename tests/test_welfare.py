@@ -36,7 +36,9 @@ from fairslice.welfare import (
     NASH_CELL_TOL,
     NASH_ENVELOPE_GAMMA,
     MovingKnifeRun,
+    _certified_nash,
     _envelope_stack,
+    _grid_nash,
     _nash_dp,
     _nash_grid,
     _prefix_values,
@@ -522,8 +524,9 @@ class TestMaxNash:
         assert len(points) <= 8 * unif_quad.n ** 2 / eps + unif_quad.n + 3
 
     def test_queries_are_the_grid_and_prefix_only(self):
-        # the envelope's evals, then one cut for a step inside a stretch that
-        # ends at or before the stretch's end and n cuts for any other step,
+        # the grid route from a fresh memo: the envelope's evals, then one cut
+        # for a step inside a stretch that ends at or before the stretch's end
+        # and n cuts for any other step,
         # then n - 1 evals per inner grid point for the prefix table: the entry
         # of the agent whose cut made the point is derived, v_k(0, 0) is 0.0
         # unasked, and the envelope's searches asked every v_k(0, 1); last, one
@@ -534,7 +537,7 @@ class TestMaxNash:
             envelope_led, led, cutters = QueryLedger(), QueryLedger(), []
             stretches = _upper_envelope(inst, NASH_ENVELOPE_GAMMA, envelope_led, memo(inst))
             points = _nash_grid(inst, 0.05, QueryLedger(), memo(inst), cutters=cutters)
-            alloc, _ = max_nash(inst, 0.05, led)
+            alloc, _ = _grid_nash(inst, 0.05, led, memo(inst))
             single = sum(any(lo <= x < y <= hi for _, lo, hi in stretches)
                          for x, y in zip(points, points[1:]))
             at_cuts = {(k, x) for k in range(inst.n) for x in alloc.cuts[k:k + 2]
@@ -631,13 +634,15 @@ class TestEnvelopeGuidedWalk:
             return real(instance, points, *args)
 
         monkeypatch.setattr(welfare, "_prefix_values", spy)
-        result = max_nash(inst, eps, QueryLedger())
+        result = _grid_nash(inst, eps, QueryLedger(), memo(inst))
         assert max_cell_excess(inst, grids[-1], step) <= NASH_CELL_TOL
         if name in NASH_NON_MLRP_CASES:
-            # the guided grid alone breaks the bound; max_nash falls back to the all-agents walk
+            # the guided grid alone breaks the bound; the grid route falls back to the all-agents walk
             assert max_cell_excess(inst, grids[0], step) > 0.3 * step
             assert grids[-1] == full_nash_grid(inst, eps, QueryLedger())
             assert result == reference_max_nash(inst, eps)
+            # off MLRP order max_nash does not certify, and its grid reads the ascent's evals
+            assert max_nash(inst, eps, QueryLedger()) == reference_max_nash(inst, eps)
 
     def test_envelope_pair_searches_at_most_2n_minus_3(self, monkeypatch):
         calls, real = [], welfare.switching_point
@@ -718,16 +723,107 @@ def test_derived_drift_sends_no_mlrp_draw_to_the_fallback(monkeypatch):
     for maker in (linear_instance, binomial_instance):
         rng = np.random.default_rng(5)
         for _ in range(5):
-            max_nash(maker(2, rng), 1e-3, QueryLedger())
+            inst = maker(2, rng)
+            _grid_nash(inst, 1e-3, QueryLedger(), memo(inst))
     assert walks == [True] * 10
 
 def test_max_nash_is_the_all_evals_reference_bit_for_bit():
-    # the DP picks the same cuts on the derived table, and the product is taken
-    # again from evals; the shared-gap cases keep a guided grid that differs from
-    # the all-agents walk's, and their exactly tied splits may go either way
+    # the grid route from a fresh memo: the DP picks the same cuts on the derived
+    # table, and the product is taken again from evals; the shared-gap cases keep a
+    # guided grid that differs from the all-agents walk's, and their exactly tied
+    # splits may go either way.  max_nash runs that route, on the ascent's memo, where
+    # the certificate declines (NASH_UNCERTIFIED): its asked evals stand in for
+    # derived entries and leave the cuts and product the same
     for name, inst, eps in nash_dp_cases():
+        reference = reference_max_nash(inst, eps)
+        alloc, nsw = max_nash(inst, eps, QueryLedger())
+        assert nsw >= (1.0 - eps) * reference[1], name
         if not name.startswith("shared_gap"):
-            assert max_nash(inst, eps, QueryLedger()) == reference_max_nash(inst, eps), name
+            assert _grid_nash(inst, eps, QueryLedger(), memo(inst)) == reference, name
+            if f"{name} {inst.n}" in NASH_UNCERTIFIED:
+                assert (alloc, nsw) == reference, name
+
+
+def certified_draws(maker):
+    """One seeded draw of ``maker`` per n in 2..8 and eps in 0.01, 0.02, 0.03."""
+    rng = np.random.default_rng(71)
+    return [(maker(n, rng), eps) for n in range(2, 9) for eps in (0.01, 0.02, 0.03)]
+
+
+#: nash_dp_cases and the tie and off-MLRP tables on which the certified route declines.
+NASH_UNCERTIFIED = {"piecewise_linear 4", "zero_step 3", "shared_gap_sw 3",
+                    "shared_gap_nash 3", "uniform_linear_uniform 3", "uniform_exponential 2"}
+
+
+#: (n, eps) of the certified_draws that twelve sweeps leave uncertified, by family: on eight
+#: binomial agents of near-equal a/b, coordinate ascent zig-zags, and max_nash runs the grid.
+UNCERTIFIED_DRAWS = {"gaussian_instance": set(), "linear_instance": set(),
+                     "binomial_instance": {(8, 0.01), (8, 0.02)}}
+
+
+class TestCertifiedNash:
+    @pytest.mark.parametrize("maker", [gaussian_instance, linear_instance, binomial_instance])
+    def test_bound_is_at_least_the_grid_optimum(self, maker):
+        # a certified run's bound holds every division's NSW, the grid optimum's too,
+        # and max_nash returns the certified cuts
+        uncertified = set()
+        for inst, eps in certified_draws(maker):
+            certified = _certified_nash(inst, eps, QueryLedger(), memo(inst))
+            if certified is None:
+                uncertified.add((inst.n, eps))
+                continue
+            alloc, nsw, bound = certified
+            assert (1.0 - eps) * bound <= nsw <= bound
+            assert _grid_nash(inst, eps, QueryLedger(), memo(inst))[1] <= bound
+            assert max_nash(inst, eps, QueryLedger()) == (alloc, nsw)
+        assert uncertified == UNCERTIFIED_DRAWS[maker.__name__]
+
+    @pytest.mark.parametrize("maker", [gaussian_instance, linear_instance, binomial_instance])
+    def test_within_epsilon_of_the_brute_force_optimum(self, maker):
+        for inst, eps in certified_draws(maker):
+            if inst.n <= 4:
+                _, nsw = max_nash(inst, eps, QueryLedger())
+                assert nsw >= (1.0 - eps) * brute_force_optimum(inst, "nsw", 400)
+
+    @pytest.mark.parametrize("maker", [gaussian_instance, linear_instance, binomial_instance])
+    def test_own_value_floor(self, maker):
+        for inst, eps in certified_draws(maker):
+            values = envy_matrix(inst, max_nash(inst, eps, QueryLedger())[0]).values
+            assert min(values[i][i] for i in range(inst.n)) >= (1.0 - eps) / (4.0 * inst.n)
+
+    def test_certifies_on_mlrp_cases_and_declines_the_rest(self):
+        # every certified bound holds the grid's NSW; the cases of NASH_UNCERTIFIED, all
+        # off the MLRP promise, decline, and max_nash runs the grid on them
+        cases = [(name, inst, eps) for name, inst, eps in nash_dp_cases()]
+        cases += [(name, Instance.from_densities(ds), 0.03)
+                  for name, ds in (*NASH_TIE_CASES.items(), *NASH_NON_MLRP_CASES.items())]
+        declined = set()
+        for name, inst, eps in cases:
+            certified = _certified_nash(inst, eps, QueryLedger(), memo(inst))
+            if certified is None:
+                declined.add(f"{name} {inst.n}")
+            else:
+                assert certified[2] >= _grid_nash(inst, eps, QueryLedger(), memo(inst))[1], name
+        assert declined == NASH_UNCERTIFIED
+
+    def test_off_mlrp_bimodal_product_certifies_falsely(self):
+        # v_0(0, x) v_1(x, 1) peaks at x = 0.1 and, lower, at x = 0.8; the ascent and the
+        # weighted envelope both settle at 0.8, where W_hat is 2, so B is about NSW and
+        # certifies it; the grid, whose guarantee holds for any densities, finds 0.1
+        inst, eps = Instance.from_densities(BIMODAL_OFF_MLRP), 0.01
+        best = brute_force_optimum(inst, "nsw", 2000)
+        alloc, nsw, bound = _certified_nash(inst, eps, QueryLedger(), memo(inst))
+        assert abs(alloc.cuts[1] - 0.8) < 1e-3 and nsw >= (1.0 - eps) * bound
+        assert max_nash(inst, eps, QueryLedger()) == (alloc, nsw)
+        assert nsw <= bound < (1.0 - eps) * best  # the bound is false
+        grid_alloc, grid_nsw = _grid_nash(inst, eps, QueryLedger(), memo(inst))
+        assert abs(grid_alloc.cuts[1] - 0.1) < 1e-3 and grid_nsw >= (1.0 - eps) * best
+
+
+#: Two agents out of MLRP order whose Nash product is bimodal in the cut: max_nash's
+#: certificate holds the inferior peak (see tests/test_cli.py for the CLI's exit code).
+BIMODAL_OFF_MLRP = [PiecewiseConstant((0.1,), (2.0, 0.1)),
+                    PiecewiseConstant((0.4, 0.8), (1.0, 0.1, 4.0))]
 
 
 def test_nash_dp_matches_product_oracle():
