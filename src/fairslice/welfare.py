@@ -17,19 +17,17 @@ is at least (1 - eps) B, after whichever sweep first reaches it.  That bound
 rests on the MLRP promise, as the social optimum's envelope does.  A run
 that does not certify within NASH_SWEEPS sweeps, or whose bound falls below
 its own welfare (off MLRP order), falls back to a product-form DP over an
-adaptive grid whose every cell is worth at most eps/(8n) to every agent,
-walked with one cut per point inside the envelope's stretches;
-MAX_NASH_GRID caps that grid's size before any query of either route (see
-max_nash).  All cut points are assigned left to right in MLRP order, which
-is where every Pareto optimum lives.
+adaptive grid, each point the least of the n cuts of eps/(8n) from the last,
+so that every cell is worth at most eps/(8n) to every agent for any
+densities; MAX_NASH_GRID caps that grid's size before any query of either
+route (see max_nash).  All cut points are assigned left to right in MLRP
+order, which is where every Pareto optimum lives.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -48,14 +46,14 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 MIN_SWITCHING_GAMMA = 2.0 ** -49
 
 #: Largest Nash grid size cap, 8n^2/eps + n + 2 points, that max_nash accepts.
-#: The guided grid walk costs one cut query per point inside the envelope's
-#: stretches, and the prefix table n - 1 evals per inner point; at this cap a call on
-#: seeded Gaussian instances (n = 2, 4, 6; 0.79M, 0.42M, 0.27M grid points)
-#: takes 2.2-3.3 s on a 2-core Xeon, and 1.1 s for two uniform agents.
+#: The grid walk costs n cut queries per point, and the prefix table n evals per
+#: point after the first; near this cap a fallback from a fresh memo on seeded
+#: Gaussian instances (n = 2 at eps 3.3e-5, n = 6 at eps 3e-4; 0.77M and 0.26M
+#: grid points) takes 2.0-2.2 s and 141 MB peak RSS on a 2-core Xeon.
 MAX_NASH_GRID = 1_000_000
 
-#: Width within which the Nash grid walk estimates the envelope's switching points, and
-#: the certified Nash route its cuts and the switching points of its certificate.
+#: Width within which the certified Nash route estimates its cuts and the switching
+#: points of its certificate.
 NASH_ENVELOPE_GAMMA = 1e-7
 
 #: Golden-section width of the certified Nash route's first coordinate-ascent sweep.
@@ -63,10 +61,6 @@ NASH_SWEEP_TOL = 1e-3
 
 #: Coordinate-ascent sweeps after which an uncertified Nash run falls back to the grid.
 NASH_SWEEPS = 12
-
-#: Float tolerance on the Nash cell bound: a cell worth more than epsilon/(8n)
-#: plus this to some agent sends the grid route back to the all-agents walk.
-NASH_CELL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -182,54 +176,6 @@ def _envelope_stack(instance: Instance, gamma: float, ledger: QueryLedger,
             stack.append((j, 0.0))
     ends = [start for _, start in stack[1:]] + [1.0]
     return [(agent, start, end) for (agent, start), end in zip(stack, ends)]
-
-
-def _upper_envelope(instance: Instance, gamma: float, ledger: QueryLedger,
-                    known: list[dict[float, float]]) -> list[tuple[int, float, float]]:
-    """Stretches ``(agent, lo, hi)``, left to right, on which ``agent`` has the highest density.
-
-    Those of :func:`_envelope_stack` less a margin of 2 gamma at each end, as
-    each estimate is within gamma of its pair's argmin set; stretches that the
-    margins empty are left out.  Off MLRP order they promise nothing, so
-    max_nash checks the cells of the walk they guide.
-    """
-    return [(agent, start + 2.0 * gamma, end - 2.0 * gamma)
-            for agent, start, end in _envelope_stack(instance, gamma, ledger, known)
-            if end - start > 4.0 * gamma]
-
-
-def _prefix_values(instance: Instance, points, cutters, step: float, ledger: QueryLedger,
-                   known: list[dict[float, float]]) -> np.ndarray:
-    """prefix[k][t] = v_k(0, points[t]) over T points that run from 0 to 1.
-
-    Column 0 is 0.0 unasked: v_k(0, 0) is F(0) - F(0) in every family.  An
-    entry at a point ``known[k]`` holds is read from it; every agent's
-    v_k(0, 1), which an envelope pass asked, is among them.  An entry whose
-    point is a cut of ``step`` by agent k (``cutters[t] == k``, see
-    :func:`_nash_grid`) is derived: each run of them is filled from the entry
-    before the run, as anchor + j * step, within float error of the eval.
-    The other entries are asked: (n - 1)(T - 2) evals on a walk's grid, whose
-    inner points are all cuts, less one per entry the memo holds.
-    """
-    pts = np.fromiter(points, float, len(points))
-    prefix = np.zeros((instance.n, pts.size))
-    derived = np.fromiter(cutters, int, pts.size) == np.arange(instance.n)[:, None]
-    ask = ~derived
-    ask[:, 0] = False
-    for k, memo in enumerate(known):  # the memo's points on the grid
-        keys = np.fromiter(memo, float, len(memo))
-        at = np.minimum(np.searchsorted(pts, keys), pts.size - 1)
-        held = pts[at] == keys
-        prefix[k, at[held]] = np.fromiter(memo.values(), float, len(memo))[held]
-        ask[k, at[held]] = derived[k, at[held]] = False
-    asked = [eval_query(instance, k, 0.0, p, ledger)
-             for k, row in enumerate(ask.tolist()) for p in compress(points, row)]
-    prefix[ask] = np.fromiter(asked, float, len(asked))
-    # column 0 is never derived, so each run's anchor lies in its own row of the flat table
-    flat, at = prefix.ravel(), np.flatnonzero(derived)
-    anchor = np.maximum.accumulate(np.where(derived.ravel(), 0, np.arange(flat.size)))[at]
-    flat[at] = flat[anchor] + (at - anchor) * step
-    return prefix
 
 
 def _nash_dp(points, prefix: np.ndarray) -> tuple[Allocation, float]:
@@ -370,8 +316,8 @@ def max_egalitarian(instance: Instance, eta: float,
     probe k = 1 / (n eta), where n uniform agents' last knife reaches 1,
     rounded down and clamped into [lo + 1, hi - 1]; a midpoint probe is
     (lo + hi) // 2.  Infeasible runs only move hi.  The search ends at
-    lo + 1 == hi, at the same largest feasible k <= kmax as bisection, with a
-    bracket that trails bisection's by at most SLACK = 4 halvings (plus the
+    lo + 1 == hi, at the same largest feasible k <= kmax as halving would, with
+    a bracket that trails halving's by at most SLACK = 4 halvings (plus the
     rounding to integers).  It keeps the knives of its best run and reports
     lo * eta, the target every interval of that run is cut to.
 
@@ -403,51 +349,23 @@ def max_egalitarian(instance: Instance, eta: float,
     return Allocation((0.0, *best[:-1], 1.0)), lo * eta
 
 
-def _nash_grid(instance: Instance, epsilon: float, ledger: QueryLedger,
-               known: list[dict[float, float]], guided: bool = True,
-               cutters: list[int] | None = None) -> list[float]:
-    """Adaptive grid whose every cell is worth at most epsilon/(8n) to every agent, under MLRP.
+def _nash_grid(instance: Instance, epsilon: float, ledger: QueryLedger) -> list[float]:
+    """Adaptive grid from 0 to 1 whose every cell is worth at most epsilon/(8n) to every agent.
 
-    Each point is the least of the n cuts of epsilon/(8n) from the last one.
-    With ``guided``, inside a stretch of :func:`_upper_envelope` the
-    stretch's agent has the highest density, so its cut is that least cut:
-    the walk asks it alone, and keeps its cut when it lands at or before the
-    stretch's end.  Elsewhere, or when it lands beyond, the walk asks the
-    other agents too.  Without ``guided`` it asks all n at every point, which
-    bounds the cells for any densities.  The envelope's searches record
-    their prefix evals in ``known``.  ``cutters``, when given, receives for
-    each point the agent whose cut it is, so that agent values the cell
-    before it at exactly epsilon/(8n); it is -1 for 0 and for the closing 1,
-    which may be a truncated cut, a close within MERGE_TOL or the cap.
+    Each point is the least of the n cuts of epsilon/(8n) from the last one,
+    asked agent 0 first, so the bound holds for any densities.  A step that
+    advances by at most MERGE_TOL closes the grid at 1, as does the size cap.
     Raises ParameterRegimeError, before any query, when the grid's size cap
     exceeds MAX_NASH_GRID.
     """
     cap = _grid_cap(instance, epsilon)
     n, step = instance.n, epsilon / (8.0 * instance.n)
-    # stretches still ahead of the walk, the nearest last
-    ahead = _upper_envelope(instance, NASH_ENVELOPE_GAMMA, ledger, known)[::-1] if guided else []
     points, x = [0.0], 0.0
-    cutters = [] if cutters is None else cutters
-    cutters.append(-1)
     while x < 1.0 and len(points) <= cap:
-        while ahead and ahead[-1][2] <= x:
-            ahead.pop()
-        agent, nxt, hi = -1, math.inf, 1.0  # outside every stretch, no cut asked yet
-        if ahead and ahead[-1][1] <= x:
-            agent, _, hi = ahead[-1]
-            nxt = cut_query(instance, agent, x, step, ledger)
-        by = agent
-        if nxt > hi:
-            # the least of the n cuts from x, the stretch agent's among them; a cut is at most 1
-            for i in range(n):
-                if i != agent:
-                    y = cut_query(instance, i, x, step, ledger)
-                    if y < nxt:
-                        nxt, by = y, i
+        nxt = min(cut_query(instance, i, x, step, ledger) for i in range(n))
         x = 1.0 if nxt <= x + MERGE_TOL else nxt  # no agent has step mass left: close the grid
         points.append(x)
-        cutters.append(by)
-    points[-1], cutters[-1] = 1.0, -1
+    points[-1] = 1.0
     return points
 
 
@@ -527,44 +445,19 @@ def _certified_nash(instance: Instance, epsilon: float, ledger: QueryLedger,
 
 def _grid_nash(instance: Instance, epsilon: float, ledger: QueryLedger,
                known: list[dict[float, float]]) -> tuple[Allocation, float]:
-    """:func:`max_nash`'s fallback: the product-form DP over an adaptive grid.  Needs n >= 2.
+    """:func:`max_nash`'s fallback: the product-form DP over :func:`_nash_grid`.  Needs n >= 2.
 
-    The guarantee rests on a grid whose every cell is worth at most
-    epsilon/(8n) to every agent.  The envelope-guided :func:`_nash_grid`
-    meets that bound when the agents are in MLRP order; the prefix table's
-    column differences, which the DP needs anyway, are every agent's value
-    of every cell, so the bound is checked without a further query.  When
-    some cell exceeds epsilon/(8n) by more than NASH_CELL_TOL, the grid and
-    its prefix table are rebuilt by the all-agents walk, which meets the
-    bound for any densities; the ledger counts both, and the second table
-    reads the first one's asked entries instead of asking them again.  A
-    table entry at a grid point that its own agent's cut set is derived, not
-    asked (see :func:`_prefix_values`), so :func:`_nash_dp` picks its cuts on
-    values within float error of the evals.  The product it reports is then
-    taken again, in the DP's order, from evals at its cuts: the derived ones
-    among them, at most 2(n - 1), are asked here.  The n-th root of that
-    product is the reported welfare.  ``known`` holds the prefix evals asked
-    before, by agent and point; every table reads them instead of asking.
+    The prefix table holds v_k(0, p) at every grid point p: 0.0 unasked at
+    p = 0 (F(0) - F(0) in every family), read from ``known``, the prefix
+    evals asked before by agent and point, or else asked; the table records
+    nothing back.  :func:`_nash_dp` picks the cuts, and the n-th root of its
+    product, taken from those evals, is the reported welfare.
     """
-    n, step = instance.n, epsilon / (8.0 * instance.n)
-    cutters = []
-    points = _nash_grid(instance, epsilon, ledger, known, cutters=cutters)
-    prefix = _prefix_values(instance, points, cutters, step, ledger, known)
-    if np.diff(prefix).max() > step + NASH_CELL_TOL:
-        for k, memo in enumerate(known):  # the entries that the table asked or read
-            memo.update((p, v) for p, v, c in zip(points, prefix[k].tolist(), cutters) if c != k)
-        cutters = []
-        points = _nash_grid(instance, epsilon, ledger, known, guided=False, cutters=cutters)
-        prefix = _prefix_values(instance, points, cutters, step, ledger, known)
-    allocation, _ = _nash_dp(points, prefix)
-    cols, product = [bisect_left(points, x) for x in allocation.cuts], 1.0
-    for k in range(n):
-        lo, hi = cols[k], cols[k + 1]
-        for t in {lo, hi}:
-            if cutters[t] == k and points[t] not in known[k]:  # a derived entry
-                prefix[k, t] = eval_query(instance, k, 0.0, points[t], ledger)
-        product *= float(prefix[k, hi] - prefix[k, lo])
-    return allocation, product ** (1.0 / n)
+    points = _nash_grid(instance, epsilon, ledger)
+    prefix = np.array([[0.0] + [memo[p] if p in memo else eval_query(instance, k, 0.0, p, ledger)
+                                for p in points[1:]] for k, memo in enumerate(known)])
+    allocation, product = _nash_dp(points, prefix)
+    return allocation, product ** (1.0 / instance.n)
 
 
 def max_nash(instance: Instance, epsilon: float,
@@ -581,12 +474,12 @@ def max_nash(instance: Instance, epsilon: float,
     within NASH_SWEEPS sweeps, or whose B falls below NSW, which proves the
     input off MLRP order, falls back to :func:`_grid_nash`, the product-form
     DP over a grid whose every cell is worth at most epsilon/(8n) to every
-    agent; the grid reads every prefix eval the certified route asked, and
-    the ledger counts both.  The grid's guarantee holds for any densities,
-    so off MLRP the (1 - epsilon) bound holds when the certificate declines;
-    a certificate there may be false (see :func:`_certified_nash`).  Either
-    way the welfare reported is prod(u_k)^(1/n), u_k taken from prefix evals
-    at the returned cuts.
+    agent for any densities; its prefix table reads every prefix eval the
+    certified route asked, and the ledger counts both.  So off MLRP the
+    (1 - epsilon) bound holds when the certificate declines; a certificate
+    there may be false (see :func:`_certified_nash`).  Either way the
+    welfare reported is prod(u_k)^(1/n), u_k taken from prefix evals at the
+    returned cuts.
 
     Raises ParameterRegimeError, before any query, when the grid's size cap,
     8n^2/eps + n + 2 points, exceeds MAX_NASH_GRID, whether or not the run

@@ -55,13 +55,13 @@ def test_social_welfare_asks_no_eval_twice(repeats_of, eta):
 
 
 def test_nash_asks_no_eval_twice(repeats_of):
-    # the generated instances are in MLRP order, so max_nash keeps its guided grid
+    # the generated instances are in MLRP order, so max_nash certifies without the grid
     rng = np.random.default_rng(27)
     for maker in MAKERS:
         for n in (2, 3, 5):
             inst = maker(n, rng)
             assert repeats_of(lambda: max_nash(inst, 0.05, QueryLedger())) == []
-    # off MLRP order it falls back to the all-agents walk, whose table reads the guided one's evals
+    # off MLRP order it falls back to the grid, whose table reads the certified route's evals
     for densities in NASH_NON_MLRP_CASES.values():
         inst = Instance.from_densities(densities)
         assert repeats_of(lambda: max_nash(inst, 0.03, QueryLedger())) == []

@@ -33,7 +33,6 @@ from fairslice.welfare import (
     INV_PHI,
     MAX_NASH_GRID,
     MIN_SWITCHING_GAMMA,
-    NASH_CELL_TOL,
     NASH_ENVELOPE_GAMMA,
     MovingKnifeRun,
     _certified_nash,
@@ -41,8 +40,6 @@ from fairslice.welfare import (
     _grid_nash,
     _nash_dp,
     _nash_grid,
-    _prefix_values,
-    _upper_envelope,
 )
 from bisection import all_pairs_switching_points, bisection_egalitarian, full_mk_chain, \
     full_nash_grid, plain_reorder
@@ -65,9 +62,9 @@ def memo(inst):
 
 
 def prefix_table(inst, points):
-    """``_prefix_values`` asking every entry, given the v_k(0, 1) that an envelope pass would have asked."""
-    known = [{1.0: eval_query(inst, k, 0.0, 1.0, QueryLedger())} for k in range(inst.n)]
-    return _prefix_values(inst, points, [-1] * len(points), 0.0, QueryLedger(), known)
+    """v_k(0, p) for every agent k and point p, asked by eval_query; v_k(0, 0) is 0.0 unasked."""
+    return np.array([[0.0] + [eval_query(inst, k, 0.0, p, QueryLedger()) for p in points[1:]]
+                     for k in range(inst.n)])
 
 
 @dataclass(frozen=True)
@@ -520,33 +517,30 @@ class TestMaxNash:
 
     def test_grid_size_bound(self, unif_quad):
         eps = 0.02
-        points = _nash_grid(unif_quad, eps, QueryLedger(), memo(unif_quad))
+        points = _nash_grid(unif_quad, eps, QueryLedger())
         assert len(points) <= 8 * unif_quad.n ** 2 / eps + unif_quad.n + 3
 
     def test_queries_are_the_grid_and_prefix_only(self):
-        # the grid route from a fresh memo: the envelope's evals, then one cut
-        # for a step inside a stretch that ends at or before the stretch's end
-        # and n cuts for any other step,
-        # then n - 1 evals per inner grid point for the prefix table: the entry
-        # of the agent whose cut made the point is derived, v_k(0, 0) is 0.0
-        # unasked, and the envelope's searches asked every v_k(0, 1); last, one
-        # eval per derived entry at a cut of the DP's allocation
+        # the grid route asks n cuts per grid step, then one eval per agent and grid
+        # point after 0 that the memo lacks; v_k(0, 0) is 0.0 unasked, and the table
+        # records nothing back into the memo
         rng = np.random.default_rng(61)
         for _ in range(4):
             inst = mlrp_instance(int(rng.integers(2, 6)), rng)
-            envelope_led, led, cutters = QueryLedger(), QueryLedger(), []
-            stretches = _upper_envelope(inst, NASH_ENVELOPE_GAMMA, envelope_led, memo(inst))
-            points = _nash_grid(inst, 0.05, QueryLedger(), memo(inst), cutters=cutters)
-            alloc, _ = _grid_nash(inst, 0.05, led, memo(inst))
-            single = sum(any(lo <= x < y <= hi for _, lo, hi in stretches)
-                         for x, y in zip(points, points[1:]))
-            at_cuts = {(k, x) for k in range(inst.n) for x in alloc.cuts[k:k + 2]
-                       if cutters[points.index(x)] == k}
-            assert 0 < single < len(points) - 1
-            assert envelope_led.cut_count == 0
-            assert led.cut_count == single + inst.n * (len(points) - 1 - single)
-            assert min(cutters[1:-1]) >= 0 and cutters[0] == cutters[-1] == -1
-            assert led.eval_count == envelope_led.eval_count + (inst.n - 1) * (len(points) - 2) + len(at_cuts)
+            points = _nash_grid(inst, 0.05, QueryLedger())
+            led = QueryLedger()
+            _grid_nash(inst, 0.05, led, memo(inst))
+            assert led.cut_count == inst.n * (len(points) - 1)
+            assert led.eval_count == inst.n * (len(points) - 1)
+            # a memo holding every third grid point of each agent, and points off the grid
+            known = [{p: eval_query(inst, k, 0.0, p, QueryLedger()) for p in (*points[k::3], 0.5 ** 0.5)}
+                     for k in range(inst.n)]
+            held = [dict(memo_k) for memo_k in known]
+            led = QueryLedger()
+            assert _grid_nash(inst, 0.05, led, known) == _grid_nash(inst, 0.05, QueryLedger(), memo(inst))
+            assert led.cut_count == inst.n * (len(points) - 1)
+            assert led.eval_count == sum(p not in known[k] for k in range(inst.n) for p in points[1:])
+            assert known == held
 
     def test_grid_over_budget_rejected_before_any_query(self, unif_quad):
         eps = 1e-5
@@ -593,7 +587,7 @@ NASH_TIE_CASES = {
     "equal_middle": [PiecewiseConstant((1.0 / 3.0, 2.0 / 3.0), (2.0, 1.0, 0.5)),
                      PiecewiseConstant((1.0 / 3.0, 2.0 / 3.0), (0.5, 1.0, 2.0))],
 }
-#: Agents out of MLRP order, on which the guided walk alone breaks the cell bound.
+#: Agents out of MLRP order, on which max_nash declines to certify and runs the grid.
 NASH_NON_MLRP_CASES = {
     "uniform_linear_uniform": [Uniform(), Linear(1.0, 1.0), Uniform()],
     "uniform_exponential": [Uniform(), ExponentialRestricted(3.0)],
@@ -613,12 +607,20 @@ def max_cell_excess(inst, points, step):
                for x, y in zip(points, points[1:])) - step
 
 
+def envelope_stretches(inst):
+    """The stretches of ``_envelope_stack`` less 2 gamma at each end, those the margins leave."""
+    gamma = NASH_ENVELOPE_GAMMA
+    return [(agent, start + 2.0 * gamma, end - 2.0 * gamma)
+            for agent, start, end in _envelope_stack(inst, gamma, QueryLedger(), memo(inst))
+            if end - start > 4.0 * gamma]
+
+
 class TestEnvelopeGuidedWalk:
     def test_grid_matches_all_agents_walk_on_mlrp_cases(self):
         checked = 0
         for name, inst, eps in nash_dp_cases():
             if name.endswith("_instance"):  # the cases drawn from gen's MLRP generators
-                assert _nash_grid(inst, eps, QueryLedger(), memo(inst)) == full_nash_grid(inst, eps, QueryLedger())
+                assert _nash_grid(inst, eps, QueryLedger()) == full_nash_grid(inst, eps, QueryLedger())
                 checked += 1
         assert checked == 15
 
@@ -627,22 +629,23 @@ class TestEnvelopeGuidedWalk:
         inst = Instance.from_densities({**NASH_TIE_CASES, **NASH_NON_MLRP_CASES}[name])
         eps = 0.03
         step = eps / (8.0 * inst.n)
-        grids, real = [], welfare._prefix_values
+        grids, real = [], welfare._nash_grid
 
-        def spy(instance, points, *args):
-            grids.append(list(points))
-            return real(instance, points, *args)
+        def spy(*args):
+            grids.append(real(*args))
+            return grids[-1]
 
-        monkeypatch.setattr(welfare, "_prefix_values", spy)
+        monkeypatch.setattr(welfare, "_nash_grid", spy)
         result = _grid_nash(inst, eps, QueryLedger(), memo(inst))
-        assert max_cell_excess(inst, grids[-1], step) <= NASH_CELL_TOL
+        assert len(grids) == 1
+        assert max_cell_excess(inst, grids[0], step) <= 1e-12
         if name in NASH_NON_MLRP_CASES:
-            # the guided grid alone breaks the bound; the grid route falls back to the all-agents walk
-            assert max_cell_excess(inst, grids[0], step) > 0.3 * step
-            assert grids[-1] == full_nash_grid(inst, eps, QueryLedger())
+            assert grids[0] == full_nash_grid(inst, eps, QueryLedger())
             assert result == reference_max_nash(inst, eps)
-            # off MLRP order max_nash does not certify, and its grid reads the ascent's evals
+            # off MLRP order max_nash does not certify, walks the grid once and reads the ascent's evals
+            grids.clear()
             assert max_nash(inst, eps, QueryLedger()) == reference_max_nash(inst, eps)
+            assert len(grids) == 1
 
     def test_envelope_pair_searches_at_most_2n_minus_3(self, monkeypatch):
         calls, real = [], welfare.switching_point
@@ -659,7 +662,7 @@ class TestEnvelopeGuidedWalk:
             if inst.n < 2:
                 continue
             calls.clear()
-            _upper_envelope(inst, NASH_ENVELOPE_GAMMA, QueryLedger(), memo(inst))
+            _envelope_stack(inst, NASH_ENVELOPE_GAMMA, QueryLedger(), memo(inst))
             assert 1 <= len(calls) <= 2 * inst.n - 3
             assert all(i < j for i, j in calls)
 
@@ -671,7 +674,7 @@ class TestEnvelopeGuidedWalk:
                       for name in ("identical_uniform", "identical_gaussian", "equal_middle")]
         checked = 0
         for inst in instances:
-            stretches = _upper_envelope(inst, NASH_ENVELOPE_GAMMA, QueryLedger(), memo(inst))
+            stretches = envelope_stretches(inst)
             assert all(a < b for (_, _, a), (_, b, _) in zip(stretches, stretches[1:]))
             for agent, lo, hi in stretches:
                 for x in np.linspace(lo, hi, 11)[1:-1]:
@@ -681,67 +684,27 @@ class TestEnvelopeGuidedWalk:
         assert checked > 0
 
 
-def test_derived_prefix_entries_are_the_evals():
-    # an entry at a point that its own agent's cut made is anchor + j * step, not
-    # asked; it stays within 1e-12 of the eval, and every other entry is the eval
-    for name, inst, eps in nash_dp_cases():
-        known, cutters = memo(inst), []
-        points = _nash_grid(inst, eps, QueryLedger(), known, cutters=cutters)
-        table = _prefix_values(inst, points, cutters, eps / (8.0 * inst.n), QueryLedger(), known)
-        full = prefix_table(inst, points)
-        derived = np.array(cutters) == np.arange(inst.n)[:, None]
-        assert derived.sum() == len(points) - 2, name
-        assert np.array_equal(table[~derived], full[~derived]), name
-        assert np.abs(table - full)[derived].max() <= 1e-12, name
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a derived entry drifts 1.17e-12 from its eval on the first linear n = 2 "
-                          "draw of rng 5 at eps 1e-3, past NASH_CELL_TOL (ROADMAP item 4c)")
-def test_derived_prefix_entries_stay_within_the_cell_tolerance():
-    # anchor + j * step accumulates over a long run of one agent's cuts; a cell check
-    # that reads the drift may send an MLRP instance to the all-agents fallback
-    inst, eps = linear_instance(2, np.random.default_rng(5)), 1e-3
-    known, cutters = memo(inst), []
-    points = _nash_grid(inst, eps, QueryLedger(), known, cutters=cutters)
-    table = _prefix_values(inst, points, cutters, eps / (8.0 * inst.n), QueryLedger(), known)
-    derived = np.array(cutters) == np.arange(inst.n)[:, None]
-    assert np.abs(table - prefix_table(inst, points))[derived].max() <= NASH_CELL_TOL
-
-
-def test_derived_drift_sends_no_mlrp_draw_to_the_fallback(monkeypatch):
-    # at eps 1e-3 a long run of one agent's cuts lets its derived entries drift from
-    # the evals by more than NASH_CELL_TOL (1.4e-12 on the third linear draw); no cell
-    # check of these MLRP draws may read that drift and rebuild the all-agents walk
-    walks, real = [], welfare._nash_grid
-
-    def spy(*args, guided=True, **kwargs):
-        walks.append(guided)
-        return real(*args, guided=guided, **kwargs)
-
-    monkeypatch.setattr(welfare, "_nash_grid", spy)
-    for maker in (linear_instance, binomial_instance):
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            inst = maker(2, rng)
-            _grid_nash(inst, 1e-3, QueryLedger(), memo(inst))
-    assert walks == [True] * 10
-
 def test_max_nash_is_the_all_evals_reference_bit_for_bit():
-    # the grid route from a fresh memo: the DP picks the same cuts on the derived
-    # table, and the product is taken again from evals; the shared-gap cases keep a
-    # guided grid that differs from the all-agents walk's, and their exactly tied
-    # splits may go either way.  max_nash runs that route, on the ascent's memo, where
-    # the certificate declines (NASH_UNCERTIFIED): its asked evals stand in for
-    # derived entries and leave the cuts and product the same
+    # the grid route from a fresh memo is the reference; max_nash runs that route, on
+    # the ascent's memo, where the certificate declines (NASH_UNCERTIFIED), and the
+    # memo's evals leave the cuts and product the same
     for name, inst, eps in nash_dp_cases():
         reference = reference_max_nash(inst, eps)
         alloc, nsw = max_nash(inst, eps, QueryLedger())
         assert nsw >= (1.0 - eps) * reference[1], name
-        if not name.startswith("shared_gap"):
-            assert _grid_nash(inst, eps, QueryLedger(), memo(inst)) == reference, name
-            if f"{name} {inst.n}" in NASH_UNCERTIFIED:
-                assert (alloc, nsw) == reference, name
+        assert _grid_nash(inst, eps, QueryLedger(), memo(inst)) == reference, name
+        if f"{name} {inst.n}" in NASH_UNCERTIFIED:
+            assert (alloc, nsw) == reference, name
+
+
+def test_grid_fallback_within_epsilon_of_the_brute_force_optimum():
+    # the grid route, as if no certificate held, on every small case, in MLRP order or not
+    cases = [(name, inst, eps) for name, inst, eps in nash_dp_cases() if inst.n <= 4]
+    cases += [(name, Instance.from_densities(ds), 0.03)
+              for name, ds in (*NASH_TIE_CASES.items(), *NASH_NON_MLRP_CASES.items())]
+    for name, inst, eps in cases:
+        _, nsw = _grid_nash(inst, eps, QueryLedger(), memo(inst))
+        assert nsw >= (1.0 - eps) * brute_force_optimum(inst, "nsw", 400), name
 
 
 def certified_draws(maker):
@@ -828,7 +791,7 @@ BIMODAL_OFF_MLRP = [PiecewiseConstant((0.1,), (2.0, 0.1)),
 
 def test_nash_dp_matches_product_oracle():
     for name, inst, eps in nash_dp_cases():
-        points = _nash_grid(inst, eps, QueryLedger(), memo(inst))
+        points = _nash_grid(inst, eps, QueryLedger())
         assert_nash_dp_matches_oracle(points, prefix_table(inst, points), name)
 
 
