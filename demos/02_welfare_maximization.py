@@ -16,8 +16,8 @@ instance = fs.Instance.from_densities([
 
 # Social welfare: the optimum is the integral of the upper envelope of the
 # densities, and its cut is where they cross, here 3x^2 = 1 at x = 1/sqrt(3).
-# A golden-section search on prefix values finds that switching point; no
-# dynamic program follows.
+# A bracketed Brent search on prefix values (parabolic steps, golden-section
+# steps as a safeguard) finds that switching point; no dynamic program follows.
 ledger = fs.QueryLedger()
 alloc, sw = fs.max_social_welfare(instance, eta=1e-4, ledger=ledger)
 print(f"SW cut {alloc.cuts[1]:.6f}  (analytic {1/math.sqrt(3):.6f})")
@@ -35,7 +35,7 @@ print("moving knife at tau=0.5:", run.knives, "feasible:", run.feasible)
 run = fs.mk_chain(instance, tau=0.9, ledger=fs.QueryLedger())
 print("moving knife at tau=0.9:", run.knives, "feasible:", run.feasible)
 
-# Nash welfare: coordinate ascent on the cut by golden-section search, then
+# Nash welfare: coordinate ascent on the cut by the same line search, then
 # the Eisenberg-Gale certificate, one envelope pass of the densities scaled by
 # 1/u_i, tried after every sweep, so the cut is only as fine as eps needs; an
 # uncertified run would fall back to the product-form DP over a grid whose every

@@ -1,14 +1,18 @@
 """Welfare maximization under MLRP in the Robertson-Webb model.
 
 Under MLRP the agent with the highest density moves only right, so a stack
-pass over at most 2n - 3 golden-section switching-point searches finds the
-upper envelope of the densities.  Social welfare: the optimum is the
-integral of max_i f_i, and the allocation that follows the envelope is
-within eta of it, with no table or DP.  Egalitarian welfare: an
+pass over at most 2n - 3 switching-point searches finds the upper envelope
+of the densities.  Every line search, there and in the Nash ascent, is one
+bracketed Brent search (:func:`_line_search`): parabolic steps while they
+shrink the bracket as fast as golden section does, golden-section steps
+otherwise, so it asks at most 2 G + 2 points where golden section asks G.
+Social welfare: the optimum is the integral of max_i f_i, and the
+allocation that follows the envelope is within eta of it, with no table or
+DP.  Egalitarian welfare: an
 interpolating search (ripple's probe rule) over target values of a
 moving-knife chain, using feasibility monotonicity; a run is feasible only
 when no interval is cut short.  Nash welfare, certified first: coordinate
-ascent on the cuts, each a golden-section search, then one envelope pass of
+ascent on the cuts, each a line search, then one envelope pass of
 the densities scaled by beta_i = 1/u_i, the Eisenberg-Gale dual, which
 bounds every division's Nash welfare by
 B = (W_hat + 3 (n - 1) U max(beta) gamma) / (n (prod beta_i)^(1/n)), W_hat
@@ -38,11 +42,13 @@ from .ripple import Allocation, _probe
 #: A Nash grid step that advances by at most this closes the grid at 1.
 MERGE_TOL = 1e-12
 
-#: 1/phi, the factor by which each golden-section step shrinks a switching-point bracket.
+#: 1/phi: a golden-section step of the line search goes a fraction 1 - 1/phi of the way
+#: into the bracket's larger side, and from a golden-section point shrinks it by 1/phi.
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: Smallest switching-point width accepted, 16 doubles below 1: a wider bracket keeps
-#: its golden-section points strictly inside after rounding, so every step shrinks it.
+#: Smallest switching-point width accepted, 16 doubles below 1: Brent's minimum step,
+#: a quarter of the width, then stays 4 doubles or more, so every point asked is a
+#: distinct double strictly inside the bracket, and every step shrinks it.
 MIN_SWITCHING_GAMMA = 2.0 ** -49
 
 #: Largest Nash grid size cap, 8n^2/eps + n + 2 points, that max_nash accepts.
@@ -56,7 +62,7 @@ MAX_NASH_GRID = 1_000_000
 #: points of its certificate.
 NASH_ENVELOPE_GAMMA = 1e-7
 
-#: Golden-section width of the certified Nash route's first coordinate-ascent sweep.
+#: Line-search width of the certified Nash route's first coordinate-ascent sweep.
 NASH_SWEEP_TOL = 1e-3
 
 #: Coordinate-ascent sweeps after which an uncertified Nash run falls back to the grid.
@@ -78,20 +84,23 @@ def switching_point(instance: Instance, i: int, j: int, gamma: float, ledger: Qu
     D_ij falls while w_j f_j < w_i f_i, is flat while they are equal and then
     rises, so its argmin set is where the pair's cake splits best, and a cut
     within gamma of it loses the pair at most U * gamma * max(w_i, w_j).
-    Golden-section search (:func:`_golden_section`) keeps a bracket that meets
-    that set until it is at most gamma wide, and the search returns the point
-    of least D_ij seen, the smallest on ties, the ends included: D_ij(0) = 0
-    needs no query, D_ij(1) costs two evals.  Rounded evals flip a comparison
-    only between points whose gaps agree to rounding, so noise costs value,
-    not position.  (Where both densities vanish on a stretch outside the
-    argmin set, D_ij is flat there too, and a tie there may discard the
-    argmin.)
+    The line search (:func:`_line_search`, from the golden-section point
+    1 - 1/phi) keeps a bracket that meets that set until it is at most gamma
+    wide, and the search returns the point of least D_ij seen, the smallest
+    on ties, the ends included: D_ij(0) = 0 needs no query, D_ij(1) costs
+    two evals.  Rounded evals flip a comparison only between points whose
+    gaps agree to rounding, so noise costs value, not position.  (Where both
+    densities vanish on a stretch outside the argmin set, D_ij is flat there
+    too, and a tie there may discard the argmin.)
 
     ``known``, when given, holds each agent's prefix evals v_k(0, x) by x:
     the search reads a point's evals from it and records those it asks.
-    Costs at most 2 * (3 + ceil(log(gamma) / log(1/phi))) evals, fewer when
-    ``known`` already holds a point.  Raises ParameterRegimeError, before
-    any query, for gamma < MIN_SWITCHING_GAMMA.
+    Costs at most 2 + 2 (2 G + 2) evals, G = 2 + ceil(log(gamma) / log(1/phi))
+    being golden section's count of points, and usually far fewer (20 to 76
+    from gamma 1e-3 down to MIN_SWITCHING_GAMMA on a uniform agent against
+    3x^2, where golden section asks 36 to 148); fewer still when ``known``
+    already holds a point.  Raises ParameterRegimeError, before any query,
+    for gamma < MIN_SWITCHING_GAMMA.
     """
     if not (0 <= i < j < instance.n):
         raise DomainError(f"need agent indices i < j in range, got ({i}, {j})")
@@ -109,7 +118,7 @@ def switching_point(instance: Instance, i: int, j: int, gamma: float, ledger: Qu
         vj = _prefix_eval(instance, j, x, ledger, known_j)
         return w_j * vj - w_i * _prefix_eval(instance, i, x, ledger, known_i)
 
-    return min([(0.0, 0.0), (gap(1.0), 1.0), *_golden_section(gap, 0.0, 1.0, gamma)])[1]
+    return min([(0.0, 0.0), (gap(1.0), 1.0), *_line_search(gap, 0.0, 1.0, gamma, 1.0 - INV_PHI)])[1]
 
 
 def _prefix_eval(instance: Instance, k: int, x: float, ledger: QueryLedger,
@@ -123,28 +132,75 @@ def _prefix_eval(instance: Instance, k: int, x: float, ledger: QueryLedger,
     return v
 
 
-def _golden_section(f, a: float, b: float, width: float) -> list[tuple[float, float]]:
-    """``(f(x), x)`` at every point of a golden-section search for a minimizer of f on [a, b].
+def _line_search(f, a: float, b: float, width: float, x: float) -> list[tuple[float, float]]:
+    """``(f(u), u)`` at every point u of a bracketed Brent search for a minimizer of f on [a, b], from x.
 
-    For f unimodal, the search (Kiefer 1953) keeps a bracket that meets f's
-    argmin set, shrinking it by 1/phi per call of f until it is at most
-    ``width`` wide; ``width`` must exceed the doubles' resolution of [a, b]
-    (see MIN_SWITCHING_GAMMA), so that every step shrinks the bracket.
+    For f that falls, is flat on its argmin set, then rises, the search
+    keeps a bracket [a, b] that meets that set and holds x, the least point
+    seen (the latest on ties), until the bracket is at most ``width`` wide:
+    a point u beside x with f(u) <= f(x) drops the far side of x, and one
+    with f(u) > f(x) drops the far side of u.  Each step asks f at one
+    point (Brent 1973, ch. 5): the minimum of the parabola through x and the
+    two points seen before it when that lands inside the bracket and moves
+    less than half the step before last, and otherwise a golden-section
+    point, a fraction 1 - 1/phi of the way from x into the bracket's larger
+    side.  No point is asked within width/4 of x or of the bracket's ends,
+    so after the first every step shrinks the bracket by at least that
+    much; ``width`` must exceed the doubles' resolution of [a, b] (see
+    MIN_SWITCHING_GAMMA).
+
+    Safeguard: a parabolic step is tried only when the two steps before it
+    shrank the bracket by 1/phi^2, as two golden-section steps do.  A
+    golden-section step from a golden-section point shrinks the bracket by
+    1/phi and leaves x at one; from any other x it shrinks the bracket to
+    at most 0.691 of its width, or leaves x at a golden-section point.  So
+    the steps shrink the bracket by 1/phi per two on average, the worst
+    cycle being a parabolic step that shrinks nothing, a golden-section step
+    that shrinks nothing and two that shrink by 1/phi each, and a search
+    asks at most 2 G + 2 points, G = 2 + ceil(log(width / (b - a)) /
+    log(1/phi)) being golden section's count from two points.
     """
-    c, d = b - INV_PHI * (b - a), a + INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    seen = [(fc, c), (fd, d)]
+    fx = f(x)
+    seen = [(fx, x)]
+    w, fw, v, fv = x, fx, x, fx  # the two points seen before x
+    step = last = 0.0  # the last step and the one before it
+    widths = [math.inf, math.inf]  # the bracket's width two steps back and one step back
+    tol = 0.25 * width
     while b - a > width:
-        if fc <= fd:  # an argmin lies in [a, d]
-            b, d, fd = d, c, fc
-            c = b - INV_PHI * (b - a)
-            fc = f(c)
-            seen.append((fc, c))
-        else:  # an argmin lies in [c, b]
-            a, c, fc = c, d, fd
-            d = a + INV_PHI * (b - a)
-            fd = f(d)
-            seen.append((fd, d))
+        mid = 0.5 * (a + b)
+        parabolic = False
+        if b - a <= INV_PHI * INV_PHI * widths[0] and abs(last) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+            if abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
+                last, step, parabolic = step, p / q, True
+                if min(x + step - a, b - x - step) < 2.0 * tol:
+                    step = tol if x < mid else -tol
+        if not parabolic:
+            last = (a - x) if x >= mid else (b - x)
+            step = (1.0 - INV_PHI) * last
+        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
+        fu = f(u)
+        seen.append((fu, u))
+        widths = [widths[1], b - a]
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
     return seen
 
 
@@ -386,8 +442,10 @@ def _certified_nash(instance: Instance, epsilon: float, ledger: QueryLedger,
 
     Primal: coordinate ascent from x_i = i/n.  Each sweep moves every cut x_i
     in turn to a maximizer of v_{i-1}(x_{i-1}, x) v_i(x, x_{i+1}), its
-    neighbours held, by golden-section search over [x_{i-1}, x_{i+1}] (two
-    prefix evals per point), keeping x_i when no point seen beats it.  Under
+    neighbours held, by :func:`_line_search` over [x_{i-1}, x_{i+1}] started
+    at x_i, whose product needs no eval after the first sweep (two prefix
+    evals per other point, at most 2 G + 2 points where golden section asks
+    G), keeping x_i when no point seen beats it.  Under
     MLRP that product is unimodal: its log's derivative
     f_{i-1}(x)/v_{i-1}(x_{i-1}, x) - f_i(x)/v_i(x, x_{i+1}) changes sign once.
     The width is NASH_SWEEP_TOL, then a quarter of the last, down to gamma =
@@ -427,7 +485,7 @@ def _certified_nash(instance: Instance, epsilon: float, ledger: QueryLedger,
             def loss(x: float, i=i, base=base, top=top) -> float:  # minus the pair's product
                 return -(prefix(i - 1, x) - base) * (top - prefix(i, x))
 
-            cuts[i] = min([(loss(cuts[i]), cuts[i]), *_golden_section(loss, left, right, width)])[1]
+            cuts[i] = min(_line_search(loss, left, right, width, cuts[i]))[1]
         values = [prefix(k, cuts[k + 1]) - prefix(k, cuts[k]) for k in range(n)]
         if min(values) > 0.0:
             weights = [1.0 / u for u in values]

@@ -314,10 +314,10 @@ def test_nsw_below_own_value_floor_exits_3(tmp_path, capsys, monkeypatch):
 
 def test_nsw_false_certificate_off_mlrp_exits_2(tmp_path, capsys, monkeypatch):
     # a bimodal Nash product out of MLRP order: max_nash certifies the inferior peak,
-    # NSW 0.775 < 0.99 * 0.796, and the audit reports that as bad input, not a bug
+    # NSW 0.696 < 0.99 * 0.723, and the audit reports that as bad input, not a bug
     path = write(tmp_path, "inst.json", {"agents": [
-        {"family": "piecewise_constant", "breakpoints": [0.1], "heights": [2.0, 0.1]},
-        {"family": "piecewise_constant", "breakpoints": [0.4, 0.8], "heights": [1.0, 0.1, 4.0]}],
+        {"family": "piecewise_constant", "breakpoints": [0.24], "heights": [4.0, 0.5]},
+        {"family": "piecewise_constant", "breakpoints": [0.31, 0.77], "heights": [2.0, 0.5, 4.0]}],
         "ordered": True})
     monkeypatch.setattr(sys, "argv", ["fairslice", "nsw", "--epsilon", "0.01", path])
     with pytest.raises(SystemExit) as exit_info:
